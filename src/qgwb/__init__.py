@@ -6,7 +6,7 @@ functionals with their cocycle calculus, actions on finite von Neumann
 algebras, and a truncated Fock layer for free-probability experiments.
 """
 
-from .core import FiniteQG, DualBlockAlgebra, build_dual, dense_image_report, solve_haar
+from .core import FiniteQG, DualBlockAlgebra, dense_image_report, solve_haar
 from .errors import QGWBError
 from .presets import load_preset, preset_names
 from .serialize import load_qg
@@ -19,7 +19,6 @@ __all__ = [
     "DualBlockAlgebra",
     "GroupDualWindow",
     "QGWBError",
-    "build_dual",
     "build_window",
     "dense_image_report",
     "load_preset",

@@ -20,8 +20,8 @@ import numpy as np
 from . import linalg
 from ._rng import CounterRNG
 from .core import FiniteQG
-from .coreps import Corep, check_condition_r, corep_from_u_coef, dual_matrix_units, \
-    kazhdan_gap, unitarily_equivalent
+from .coreps import Corep, check_condition_r, contragredient, corep_from_u_coef, \
+    dual_matrix_units, kazhdan_gap, unitarily_equivalent
 from .errors import (
     AxiomViolation,
     NoInvariantState,
@@ -37,8 +37,7 @@ class Action:
     """alpha : N -> A (x) N with N = (+)_i M_{n_i} inside M_n."""
 
     def __init__(self, parent: FiniteQG, block_pattern, alpha_tensor,
-                 invariant_state=None, tol: float = DEFAULT_TOL,
-                 validate: bool = True):
+                 invariant_state=None, tol: float = DEFAULT_TOL):
         self.parent = parent
         self.block_pattern = [int(b) for b in block_pattern]
         self.n = sum(self.block_pattern)
@@ -62,8 +61,7 @@ class Action:
             self.theta = np.asarray(invariant_state, dtype=complex)
         else:
             self.theta = find_invariant_state(self)
-        if validate:
-            self.validate()
+        self.validate()
         self._impl = None
 
     # -- evaluation -----------------------------------------------------------
@@ -95,24 +93,23 @@ class Action:
         target = np.einsum("i,ab->iab", g.unit, ident)
         worst = max(worst, float(np.linalg.norm(au - target)))
         # homomorphism and star on basis pairs
-        for x in self.basis:
-            ax = self.apply(x)
+        images = np.array([self.apply(x) for x in self.basis])  # [y, i]: alpha_i(y)
+        legs = images.transpose(1, 0, 2, 3)                      # [i, y]
+        for x, ax in zip(self.basis, images):
             asx = self.apply(x.conj().T)
             star_route = np.einsum("ki,iab->kba", g.star, np.conj(ax))
             worst = max(worst, float(np.linalg.norm(asx - star_route)))
-            for y in self.basis:
-                axy = self.apply(x @ y)
-                ay = self.apply(y)
-                prod = np.einsum("ijk,iab,jbc->kac", g.mult, ax, ay)
-                worst = max(worst, float(np.linalg.norm(axy - prod)))
+            # prods[k, y] = sum_{i,j} m[i,j,k] alpha_i(x) alpha_j(y), all y at once
+            prods = linalg.structure_sum(g.mult, ax, legs)
+            for q, y in enumerate(self.basis):
+                worst = max(worst, float(np.linalg.norm(self.apply(x @ y) - prods[:, q])))
         # injectivity
         rows = self.alpha.reshape(g.d * n * n, n * n)
         cols = np.array([rows @ x.ravel() for x in self.basis]).T
         if linalg.matrix_rank(cols) != self.dimN:
             raise AxiomViolation("action is not injective")
         # action equation
-        for x in self.basis:
-            ax = self.apply(x)
+        for ax in images:
             lhs = np.einsum("ijk,iab->jkab", g.comult, ax)
             rhs = np.array([[self.leg(k, ax[j]) for k in range(g.d)]
                             for j in range(g.d)])
@@ -123,8 +120,7 @@ class Action:
         vals = np.linalg.eigvalsh(0.5 * (self.theta + self.theta.conj().T))
         if vals[0] <= 1e-12:
             raise NoInvariantState("state is not faithful")
-        for x in self.basis:
-            ax = self.apply(x)
+        for x, ax in zip(self.basis, images):
             lhs = np.array([np.trace(self.theta @ ax[i]) for i in range(g.d)])
             worst = max(worst, float(np.linalg.norm(lhs - self.theta_of(x) * g.unit)))
         if worst > tol:
@@ -175,8 +171,7 @@ class Implementation:
             for i in range(d):
                 a_raw[i, :, q] = action.vec(ax[i])
         # U^* = sum_i e_i (x) K_i with K_i = Lambda alpha_i Lambda^{-1}
-        k_ops = np.einsum("ab,ibc,cd->iad", self.c_mat, a_raw, self.c_inv)
-        ustar_coef = k_ops
+        ustar_coef = np.einsum("ab,ibc,cd->iad", self.c_mat, a_raw, self.c_inv)
         # U = (U^*)^*: coefficient k: sum_i star[k,i] K_i^dagger
         u_coef = np.einsum("ki,iba->kab", g.star, np.conj(ustar_coef))
         try:
@@ -185,7 +180,6 @@ class Implementation:
             raise NotUnitary(f"implementation is not a corepresentation: {exc}")
 
         # left multiplication representation of N on L^2(N)
-        self.pi_ops = {}
         lm = np.zeros((nn, nn, nn), dtype=complex)
         for q, x in enumerate(action.basis):
             for q2, y in enumerate(action.basis):
@@ -194,12 +188,8 @@ class Implementation:
 
         # implementation identity alpha(x) = U^*(1 (x) x)U
         worst = 0.0
-        nzm = np.argwhere(np.abs(g.mult) > 1e-16)
-        for q, x in enumerate(action.basis):
-            pix = self.pi(x)
-            rhs = np.zeros((g.d, nn, nn), dtype=complex)
-            for (i, j, k) in nzm:
-                rhs[k] += g.mult[i, j, k] * (ustar_coef[i] @ pix @ u_coef[j])
+        for x in action.basis:
+            rhs = linalg.structure_sum(g.mult, ustar_coef @ self.pi(x), u_coef)
             lhs = np.array([self.pi(m) for m in action.apply(x)])
             worst = max(worst, float(np.linalg.norm(lhs - rhs)))
         if worst > tol:
@@ -223,7 +213,6 @@ class Implementation:
 
     def pi(self, x):
         """Left multiplication by x on L^2(N, theta), orthonormal coords."""
-        raw = np.zeros((self.action.dimN, self.action.dimN), dtype=complex)
         coords = self.action.vec(x)
         raw = np.tensordot(coords, self.left_raw, axes=([0], [0]))
         return self.c_mat @ raw @ self.c_inv
@@ -411,14 +400,11 @@ def action_from_corep(v: Corep) -> Action:
     g = v.parent
     k = v.space_dim
     vc = v.u_coef()
-    alpha = np.zeros((g.d, k, k, k, k), dtype=complex)
-    c2 = np.tensordot(g.star, g.mult, axes=([0], [0]))  # c2[i,j,k_out]
-    nz = np.argwhere(np.abs(c2) > 1e-16)
-    for (i, j, kk) in nz:
-        # alpha_kk(x) += c2 * Vc[i]^dag x Vc[j]
-        left = vc[i].conj().T
-        right = vc[j]
-        alpha[kk] += c2[i, j, kk] * np.einsum("ac,bd->abcd", left, right.T)
+    # alpha_m(x) = sum (e_i^* e_j)[m] Vc_i^dag x Vc_j: the coefficient of
+    # x[c,d] in entry [a,b] is (Vc_i^dag)[a,c] (Vc_j^T)[b,d], a kron entry
+    alpha = linalg.structure_sum(g.star_mult(), np.conj(vc.transpose(0, 2, 1)),
+                                 vc.transpose(0, 2, 1), np.kron)
+    alpha = alpha.reshape(g.d, k, k, k, k)
     theta = np.eye(k) / k
     return Action(g, [k], alpha, invariant_state=theta)
 
@@ -432,16 +418,11 @@ def v_vbar_implementation_check(v: Corep, tol: float = 1e-8):
     g = v.parent
     if not g.kac:
         raise NotKac("the comparison needs a Kac parent")
-    from .coreps import contragredient
     action = action_from_corep(v)
     impl = action.implement()
-    vc = v.u_coef()
-    vcc = contragredient(v).u_coef()
-    k = v.space_dim
-    direct = np.zeros((g.d, k * k, k * k), dtype=complex)
-    nzm = np.argwhere(np.abs(g.mult) > 1e-16)
-    for (j, kk, i) in nzm:
-        direct[i] += g.mult[j, kk, i] * np.kron(vc[kk], vcc[j])
+    # coefficient i of V-topbar-V^c: sum_{j,k} m[j,k,i] Vc_k (x) Vcc_j
+    direct = linalg.structure_sum(g.mult.transpose(1, 0, 2), v.u_coef(),
+                                  contragredient(v).u_coef(), np.kron)
     direct_corep = corep_from_u_coef(g, direct)
     ok, resid = unitarily_equivalent(impl.corep, direct_corep, tol)
     return ok, resid

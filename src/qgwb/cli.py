@@ -309,9 +309,8 @@ def delta_action(parent: FiniteQG) -> actions.Action:
     if np.linalg.norm(parent.mult - diag) > 1e-12:
         raise SchemaError("the coproduct self-action needs a pointwise parent")
     alpha = np.zeros((d, d, d, d, d), dtype=complex)
-    nz = np.argwhere(np.abs(parent.comult) > 1e-12)
-    for (g, a, b) in nz:
-        alpha[a, b, b, g, g] += parent.comult[g, a, b]
+    g, a, b = np.nonzero(np.abs(parent.comult) > 1e-12)
+    alpha[a, b, b, g, g] = parent.comult[g, a, b]
     theta = np.diag(parent.haar).astype(complex)
     return actions.Action(parent, [1] * d, alpha, invariant_state=theta)
 

@@ -140,13 +140,12 @@ class Irrep:
 class FiniteQG:
     """A finite quantum group given by structure constants.
 
-    Immutable after construction; `validate()` runs at load time unless
-    suppressed and raises AxiomViolation naming the failing axiom.
+    Immutable after construction; `validate()` runs at load time and
+    raises AxiomViolation naming the failing axiom.
     """
 
     def __init__(self, key, mult, unit, comult, counit, star, antipode,
-                 irreps, haar=None, basis_names=None, tol=DEFAULT_TOL,
-                 validate=True):
+                 irreps, haar=None, basis_names=None, tol=DEFAULT_TOL):
         self.key = str(key)
         self.mult = np.asarray(mult, dtype=complex)
         self.d = self.mult.shape[0]
@@ -220,8 +219,7 @@ class FiniteQG:
         self.kac = self._kac_check()
         self._dual = None
 
-        if validate:
-            self.validate()
+        self.validate()
 
         for arr in (self.mult, self.unit, self.comult, self.counit, self.star,
                     self.antipode, self.haar, self.B, self.Binv, self.gram):
@@ -246,6 +244,10 @@ class FiniteQG:
 
     def coproduct_of(self, a):
         return np.tensordot(np.asarray(a), self.comult, axes=([0], [0]))
+
+    def star_mult(self):
+        """c[i, j, k]: coefficient of e_k in e_i^* e_j."""
+        return np.tensordot(self.star, self.mult, axes=([0], [0]))
 
     def lmat(self, a):
         """Left multiplication by a in basis coordinates."""
@@ -481,14 +483,22 @@ class DualBlockAlgebra:
         self.P = np.tensordot(p0, binv, axes=([2], [1]))  # (p, r, q)
 
         self.counit = binv @ parent.unit                  # pairing with 1
+        # in q-coords: the unit (+)_a 1_{n_a} and the involution as the
+        # index permutation (e^a_ij)^* = e^a_ji
+        self.unit = np.zeros(d)
+        self.star_perm = np.zeros(d, dtype=int)
+        for n, off in zip(self.blocks, self.offsets):
+            self.unit[off + np.arange(n) * (n + 1)] = 1.0
+            i, j = np.indices((n, n)).reshape(2, -1)
+            self.star_perm[off + i * n + j] = off + j * n + i
         s_u = binv @ parent.antipode @ b
         self.antipode = s_u.T                             # matrix on u-coords
         self.unitary_antipode = self.antipode             # Kac: R-hat = S-hat
 
         self._verify()
 
-        self.P.flags.writeable = False
-        self.counit.flags.writeable = False
+        for arr in (self.P, self.counit, self.unit, self.star_perm):
+            arr.flags.writeable = False
 
     # coproduct: dual_comult(e_q) = sum_{p,r} P[p,r,q] e_r (x) e_p
     def comult_tensor(self):
@@ -496,28 +506,14 @@ class DualBlockAlgebra:
         return self.P.transpose(2, 1, 0)
 
     def block_mult_tensor(self):
-        """Structure constants of the concrete block product in q-coords."""
+        """M[q, r, s]: structure constants of the concrete block product,
+        e_q e_r = sum_s M[q,r,s] e_s in q-coords."""
         d = self.parent.d
         out = np.zeros((d, d, d), dtype=complex)
-        for a, (n, off) in enumerate(zip(self.blocks, self.offsets)):
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        q1 = off + i * n + j
-                        q2 = off + j * n + k
-                        q3 = off + i * n + k
-                        out[q1, q2, q3] = 1.0
-        return out
-
-    def star_perm(self):
-        """(e^a_{ij})^* = e^a_{ji} as an index permutation on q-coords."""
-        d = self.parent.d
-        perm = np.zeros(d, dtype=int)
         for n, off in zip(self.blocks, self.offsets):
-            for i in range(n):
-                for j in range(n):
-                    perm[off + i * n + j] = off + j * n + i
-        return perm
+            i, j, k = np.indices((n, n, n)).reshape(3, -1)
+            out[off + i * n + j, off + j * n + k, off + i * n + k] = 1.0
+        return out
 
     def counit_of(self, u_vec):
         return complex(self.counit @ np.asarray(u_vec))
@@ -544,7 +540,7 @@ class DualBlockAlgebra:
             float(np.linalg.norm(np.tensordot(c, self.counit, axes=([2], [0])) - np.eye(d))),
         )
         # star compatibility: dual_comult(x^*) = (* (x) *) dual_comult(x)
-        perm = self.star_perm()
+        perm = self.star_perm
         lhs = c[perm]
         rhs = np.conj(c)[:, perm][:, :, perm]
         res["dual_star"] = float(np.linalg.norm(lhs - rhs))
@@ -554,10 +550,6 @@ class DualBlockAlgebra:
             raise AxiomViolation(
                 f"dual axiom '{worst}' residual {bad[worst]:.3e} > {tol:.1e}")
         self.residuals = res
-
-
-def build_dual(g: FiniteQG) -> DualBlockAlgebra:
-    return g.dual()
 
 
 # ---------------------------------------------------------------------------

@@ -29,19 +29,30 @@ from .windows import GroupDualWindow
 DEFAULT_TOL = 1e-9
 
 
+def _max_frob(stack) -> float:
+    """Largest Frobenius norm among the matrices of a stack."""
+    return float(np.linalg.norm(stack, axis=(1, 2)).max())
+
+
+def _product_rows(t, x):
+    """Residual of x_p x_r = sum_s t[p,r,s] x_s, one row p (all r) at a time."""
+    for p, (r, s) in enumerate(linalg.nonzero_rows(t)):
+        diff = x[p] @ x
+        np.subtract.at(diff, r, t[p, r, s][:, None, None] * x[s])
+        yield diff
+
+
 class Corep:
     """Unitary corepresentation via its dual-side *-representation."""
 
-    def __init__(self, parent: FiniteQG, phis, tol: float = DEFAULT_TOL,
-                 validate: bool = True):
+    def __init__(self, parent: FiniteQG, phis, tol: float = DEFAULT_TOL):
         self.parent = parent
         self.phis = np.asarray(phis, dtype=complex)  # (d, N, N), index q
         if self.phis.ndim != 3 or self.phis.shape[0] != parent.d:
             raise AxiomViolation(f"phi data must be (d, N, N), got {self.phis.shape}")
         self.space_dim = self.phis.shape[1]
         self.tol = tol
-        if validate:
-            self.validate()
+        self.validate()
         self.phis.flags.writeable = False
 
     # -- assembly -----------------------------------------------------------
@@ -60,61 +71,36 @@ class Corep:
     # -- validation -----------------------------------------------------------
 
     def validate(self):
+        """Check the corep identities; returns the worst residual.
+
+        Raises AxiomViolation naming the failing identities: 'star' and
+        'unital' (phi is a unital *-map), 'product' (phi is multiplicative),
+        'corep' ((Delta (x) id)U = U_13 U_23) and 'unitary' (U^*U = 1).
+        """
         g = self.parent
-        n = self.space_dim
-        worst = 0.0
-        # unital *-homomorphism on matrix units
-        total = np.zeros((n, n), dtype=complex)
-        for a, (na, off) in enumerate(zip(g.block_dims, g.block_offsets)):
-            for i in range(na):
-                total += self.phis[off + i * na + i]
-                for j in range(na):
-                    q = off + i * na + j
-                    qt = off + j * na + i
-                    worst = max(worst, float(np.linalg.norm(
-                        self.phis[q].conj().T - self.phis[qt])))
-        worst = max(worst, float(np.linalg.norm(total - np.eye(n))))
-        worst = max(worst, self._product_residual())
-        # corep identity on coefficients: sum_i Delta[i,a,b] U_i = U_a U_b
+        dual = g.dual()
+        phis = self.phis
+        eye = np.eye(self.space_dim)
+        res = {}
+        # unital *-map on matrix units: phi(e_q)^* = phi(e_q^*), phi(1) = 1
+        res["star"] = _max_frob(np.conj(phis.transpose(0, 2, 1)) - phis[dual.star_perm])
+        res["unital"] = linalg.frob(self.phi(dual.unit) - eye)
+        # product: phi(e_q) phi(e_r) = sum_s M[q,r,s] phi(e_s), max over (q, r)
+        rows = _product_rows(dual.block_mult_tensor(), phis)
+        res["product"] = max(_max_frob(diff) for diff in rows)
+        # corep identity on coefficients: U_a U_b = sum_i Delta[i,a,b] U_i;
+        # the residual is the Frobenius norm over all (a, b)
         uc = self.u_coef()
-        lhs = np.tensordot(g.comult, uc, axes=([0], [0]))  # (a, b, N, N)
-        rhs = np.einsum("aij,bjk->abik", uc, uc)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-        worst = max(worst, self._unitarity_residual(uc))
-        if worst > self.tol:
-            raise AxiomViolation(f"corep residual {worst:.3e} > {self.tol:.1e}")
-        return worst
-
-    def _product_residual(self):
-        g = self.parent
-        worst = 0.0
-        for a, (na, off) in enumerate(zip(g.block_dims, g.block_offsets)):
-            for b, (nb, offb) in enumerate(zip(g.block_dims, g.block_offsets)):
-                for i in range(na):
-                    for j in range(na):
-                        for k in range(nb):
-                            for l in range(nb):
-                                prod = self.phis[off + i * na + j] @ self.phis[offb + k * nb + l]
-                                if a == b and j == k:
-                                    prod = prod - self.phis[off + i * na + l]
-                                worst = max(worst, float(np.linalg.norm(prod)))
-        return worst
-
-    def _unitarity_residual(self, uc):
-        g = self.parent
-        n = self.space_dim
-        # U^* U = 1: sum_{i,j,p} star[p,i] m[p,j,k] uc[i]^dag uc[j] = unit_k I
-        c2 = np.tensordot(g.star, g.mult, axes=([0], [0]))  # c2[i,j,k]
-        worst = 0.0
-        acc = np.zeros((g.d, n, n), dtype=complex)
-        ucd = np.conj(np.transpose(uc, (0, 2, 1)))
-        nz = np.argwhere(np.abs(c2) > 1e-16)
-        for (i, j, k) in nz:
-            acc[k] += c2[i, j, k] * (ucd[i] @ uc[j])
-        for k in range(g.d):
-            target = g.unit[k] * np.eye(n)
-            worst = max(worst, float(np.linalg.norm(acc[k] - target)))
-        return worst
+        rows = _product_rows(g.comult.transpose(1, 2, 0), uc)
+        res["corep"] = float(np.sqrt(sum(linalg.frob(diff) ** 2 for diff in rows)))
+        # U^* U = 1: sum_{i,j} (e_i^* e_j)[k] U_i^dag U_j = unit_k 1
+        acc = linalg.structure_sum(g.star_mult(), np.conj(uc.transpose(0, 2, 1)), uc)
+        res["unitary"] = _max_frob(acc - g.unit[:, None, None] * eye)
+        bad = sorted((k for k, v in res.items() if v > self.tol), key=res.get, reverse=True)
+        if bad:
+            named = ", ".join(f"'{k}' {res[k]:.3e}" for k in bad)
+            raise AxiomViolation(f"corep identity residuals {named} > {self.tol:.1e}")
+        return max(res.values())
 
     # -- invariant vectors -----------------------------------------------------
 
@@ -234,19 +220,10 @@ def tensor(u: Corep, v: Corep, oracle_tol: float = DEFAULT_TOL) -> Corep:
     if u.parent is not v.parent:
         raise ParentMismatch("tensor needs a common parent")
     g = u.parent
-    p = g.dual().P  # u_p u_r = sum_q P[p,r,q] u_q
-    n = u.space_dim * v.space_dim
-    phis = np.zeros((g.d, n, n), dtype=complex)
-    nz = np.argwhere(np.abs(p) > 1e-16)
-    for (pp, rr, qq) in nz:
-        phis[qq] += p[pp, rr, qq] * np.kron(u.phis[pp], v.phis[rr])
-    out = Corep(g, phis)
+    # u_p u_r = sum_q P[p,r,q] u_q
+    out = Corep(g, linalg.structure_sum(g.dual().P, u.phis, v.phis, np.kron))
     # oracle: coefficient tensor of U_12 V_13
-    uc, vc = u.u_coef(), v.u_coef()
-    direct = np.zeros((g.d, n, n), dtype=complex)
-    nzm = np.argwhere(np.abs(g.mult) > 1e-16)
-    for (j, k, i) in nzm:
-        direct[i] += g.mult[j, k, i] * np.kron(uc[j], vc[k])
+    direct = linalg.structure_sum(g.mult, u.u_coef(), v.u_coef(), np.kron)
     if float(np.linalg.norm(direct - out.u_coef())) > oracle_tol:
         raise OracleMismatch("tensor legs and dual-coproduct routes disagree")
     return out
@@ -397,11 +374,7 @@ def gns(parent: FiniteQG, dual_state, tol: float = DEFAULT_TOL,
     corep = Corep(g, phis)
 
     # cyclic vector: Lambda(1) with 1 = sum of diagonal matrix units
-    unit_hat = np.zeros(d)
-    for n, off in zip(g.block_dims, g.block_offsets):
-        for i in range(n):
-            unit_hat[off + i * n + i] = 1.0
-    omega = unit_hat @ f
+    omega = g.dual().unit @ f
     # state recovery check
     for q in range(d):
         val = omega.conj() @ phis[q] @ omega
@@ -411,7 +384,7 @@ def gns(parent: FiniteQG, dual_state, tol: float = DEFAULT_TOL,
     j_mat = None
     dual = g.dual()
     rhat = dual.unitary_antipode
-    perm = dual.star_perm()
+    perm = dual.star_perm
     # R-hat invariance: mu(Rhat(x)) = mu(x) on the basis
     rw = rhat.T @ w
     if np.max(np.abs(rw - w)) <= 1e-9:

@@ -40,10 +40,6 @@ class NotHermitian(QGWBError):
     pass
 
 
-class NoConvergence(QGWBError):
-    pass
-
-
 class DimensionMismatch(QGWBError):
     pass
 

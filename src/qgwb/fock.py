@@ -74,14 +74,6 @@ class TruncatedFock:
         v[0] = 1.0
         return v
 
-    def word_index(self, word):
-        n = len(word)
-        k = self.base_dim
-        idx = 0
-        for letter in word:
-            idx = idx * k + int(letter)
-        return int(self.degree_offsets[n] + idx)
-
     # -- operators --------------------------------------------------------------
 
     def creation(self, zeta):
@@ -139,12 +131,10 @@ class LiftedRep:
         self.coef = coef                 # (d, total, total)
         self.parent = base.parent
 
-    def corep(self, validate=None):
-        """The lifted corep object; validation requested explicitly for big spaces."""
-        if validate is None:
-            validate = self.fock.total_dim <= 300
+    def corep(self):
+        """The lifted corep object, validated like every corep."""
         return Corep(self.parent, np.tensordot(
-            self.parent.Binv, self.coef, axes=([1], [0])), validate=validate)
+            self.parent.Binv, self.coef, axes=([1], [0])))
 
 
 def compatibility_residual(fock: TruncatedFock, u: Corep) -> float:
@@ -232,25 +222,12 @@ class InducedAction:
         self.parent = g
         self.coef = lifted.coef
         # products e_i^* e_j expressed over the basis
-        self.prodstar = np.einsum("pi,pjk->ijk", g.star, g.mult)
+        self.prodstar = g.star_mult()
 
     def alpha_of(self, x):
         """Full coefficient family of alpha_U(x); cost d^2 sandwiches."""
-        g = self.parent
-        d = g.d
-        n = self.fock.total_dim
-        out = np.zeros((d, n, n), dtype=complex)
-        for i in range(d):
-            left = self.coef[i].conj().T @ x
-            for j in range(d):
-                coeffs = self.prodstar[i, j]
-                nz = np.nonzero(np.abs(coeffs) > 1e-16)[0]
-                if len(nz) == 0:
-                    continue
-                mid = left @ self.coef[j]
-                for k in nz:
-                    out[k] += coeffs[k] * mid
-        return out
+        left = np.conj(self.coef.transpose(0, 2, 1)) @ x
+        return linalg.structure_sum(self.prodstar, left, self.coef)
 
     def averaged(self, omega_coeffs, x):
         """(omega (x) id) alpha_U(x) without materialising alpha_U."""
@@ -316,14 +293,10 @@ class InducedAction:
 
     def multiplicativity_residual(self, ops):
         """alpha_U(w^2) vs alpha_U(w)^2 for a word w."""
-        g = self.parent
         x = self.fock.word_operator(ops)
         ax = self.alpha_of(x)
         axx = self.alpha_of(x @ x)
-        prod = np.zeros_like(axx)
-        nzm = np.argwhere(np.abs(g.mult) > 1e-16)
-        for (i, j, k) in nzm:
-            prod[k] += g.mult[i, j, k] * (ax[i] @ ax[j])
+        prod = linalg.structure_sum(self.parent.mult, ax, ax)
         return float(np.linalg.norm(axx - prod))
 
     def action_equation_residual(self, x):

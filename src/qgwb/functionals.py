@@ -171,13 +171,6 @@ def convolve_blockwise(mu: Functional, nu: Functional) -> Functional:
     return from_blocks(g, blocks)
 
 
-def convolution_power(mu: Functional, k: int) -> Functional:
-    out = counit_functional(mu.parent)
-    for _ in range(k):
-        out = convolve(out, mu)
-    return out
-
-
 # -- positivity ----------------------------------------------------------------
 
 def positivity_matrix(mu: Functional):

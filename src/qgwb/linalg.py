@@ -4,6 +4,9 @@ All other modules go through these wrappers instead of calling numpy/scipy
 directly for spectral work, so the Hermiticity gates and tolerance
 conventions live in one place.  Matrices are plain complex ndarrays;
 tolerances are absolute unless stated relative.
+
+`structure_sum` is the one kernel for sums of coefficient matrices against
+structure constants, out[k] = sum_{i,j} c[i,j,k] X_i Y_j (or X_i (x) Y_j).
 """
 
 from __future__ import annotations
@@ -96,6 +99,46 @@ def expm(m) -> np.ndarray:
 def kron(a, b) -> np.ndarray:
     """Tensor product, row-major flattening, left factor outermost."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def nonzero_rows(t):
+    """Per first index p of a 3-tensor, the index arrays (j, k) of its
+    nonzero entries t[p, j, k], in row-major order."""
+    p, j, k = np.nonzero(t)
+    bounds = np.searchsorted(p, np.arange(t.shape[0] + 1)).tolist()
+    return [(j[a:b], k[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def structure_sum(c, x, y, pair=np.matmul) -> np.ndarray:
+    """out[k] = sum_{i,j} c[i,j,k] pair(x[i], y[j]) over the nonzero c[i,j,k].
+
+    pair is np.matmul or np.kron.  Each row i makes one call pair(x[i],
+    y[js]) on the stack of the distinct j it needs, so every product is
+    formed once and at most one row's products are held at a time.  Terms
+    are added in (i, j, k) order, as a plain loop over np.argwhere(c) would.
+    """
+    c = np.asarray(c)
+    x, y = np.asarray(x), np.asarray(y)
+    probe = pair(x[0], y[0])
+    out = np.zeros((c.shape[2],) + probe.shape, dtype=np.result_type(c, probe))
+    for i, (js, ks) in enumerate(nonzero_rows(np.abs(c) > 1e-16)):
+        if not len(js):
+            continue
+        if len(set(js.tolist())) == len(js):
+            terms = pair(x[i], y if len(js) == len(y) else y[js])
+        else:  # some (i, j) feed several k: one product per distinct j
+            uj, pos = np.unique(js, return_inverse=True)
+            terms = pair(x[i], y[uj])[pos]
+        terms = np.asarray(terms, dtype=out.dtype)
+        terms *= c[i, js, ks].reshape((-1,) + (1,) * probe.ndim)
+        # one fancy-index scatter beats a Python loop on small blocks; on
+        # large ones its gather and copy cost more than in-place adds
+        if terms[0].size <= 256 and len(set(ks.tolist())) == len(ks):
+            out[ks] += terms
+        else:  # in place and in order, also when several j feed one k
+            for k, term in zip(ks, terms):
+                out[k] += term
+    return out
 
 
 def solve_intertwiner(left_blocks, right_blocks):

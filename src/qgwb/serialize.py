@@ -140,11 +140,6 @@ def load_qg(path_or_doc) -> FiniteQG:
     return qg_from_dict(doc, key=str(path_or_doc))
 
 
-def functional_to_dict(mu) -> dict:
-    return {"parent_id": mu.parent.key,
-            "coeffs": [_c2pair(z) for z in mu.coeffs]}
-
-
 def corep_to_dict(c) -> dict:
     g = c.parent
     blocks = []

@@ -59,10 +59,6 @@ class GroupDualWindow:
         """Indices of the elements with length <= radius."""
         return [i for i, l in enumerate(self.lengths) if l <= radius]
 
-    @property
-    def half_window(self):
-        return self.sub_window(self.radius // 2)
-
     # max irrep dimension: all blocks of a group dual are one-dimensional
     max_block_dim = 1
     kac = True

@@ -3,7 +3,7 @@ import pytest
 
 from qgwb import coreps, presets
 from qgwb._rng import CounterRNG
-from qgwb.errors import EmptyQ, NotAState
+from qgwb.errors import AxiomViolation, EmptyQ, NotAState
 from qgwb.windows import build_window
 
 
@@ -16,6 +16,67 @@ def test_block_coreps_validate(name):
     g = presets.load_preset(name)
     for c in all_block_coreps(g):
         assert c.validate() < 1e-9
+
+
+def _kp_phis():
+    """phi data of chi_1 (+) the 2-dim block corep of kac-paljutkin."""
+    g = presets.load_preset("kac-paljutkin")
+    u = coreps.direct_sum(coreps.block_corep(g, 1), coreps.block_corep(g, 4))
+    return g, np.array(u.phis)
+
+
+def _conjugated_by_nonunitary():
+    # S phi S^-1 stays a unital homomorphism but stops being a *-map
+    g, phis = _kp_phis()
+    s = np.diag([1.0, 1.0, 1.5])
+    return g, s @ phis @ np.linalg.inv(s)
+
+
+def _padded_with_zero():
+    # phi (+) 0 is a *-homomorphism that is not unital
+    g, phis = _kp_phis()
+    out = np.zeros((g.d, 4, 4), dtype=complex)
+    out[:, :3, :3] = phis
+    return g, out
+
+
+def _diagonal_units_shifted():
+    # phi(e_00) + H, phi(e_11) - H keeps phi(1) and phi(x^*) = phi(x)^*
+    g, phis = _kp_phis()
+    h = np.zeros((3, 3), dtype=complex)
+    h[1, 1], h[1, 2], h[2, 1] = 0.1, 0.05, 0.05
+    phis[g.q_index(4, 0, 0)] += h
+    phis[g.q_index(4, 1, 1)] -= h
+    return g, phis
+
+
+def _block_transposed():
+    # e_ij -> E_ji on the 2-dim block: a unital *-anti-homomorphism whose U
+    # is still unitary
+    g, phis = _kp_phis()
+    for i in range(2):
+        for j in range(2):
+            q = g.q_index(4, i, j)
+            phis[q, 1:, 1:] = phis[q, 1:, 1:].T.copy()
+    return g, phis
+
+
+# The identities are not independent: 'corep' holds exactly when 'product'
+# does, and for a homomorphism 'unitary' follows from 'star' and 'unital'.
+# Each corruption breaks one identity and names it with its consequences.
+@pytest.mark.parametrize("corrupt, failing", [
+    (_conjugated_by_nonunitary, {"star", "unitary"}),
+    (_padded_with_zero, {"unital", "unitary"}),
+    (_diagonal_units_shifted, {"product", "corep", "unitary"}),
+    (_block_transposed, {"product", "corep"}),
+], ids=["star", "unital", "product", "corep"])
+def test_corep_validate_names_failing_identity(corrupt, failing):
+    g, phis = corrupt()
+    with pytest.raises(AxiomViolation) as exc:
+        coreps.Corep(g, phis)
+    message = str(exc.value)
+    for name in ("star", "unital", "product", "corep", "unitary"):
+        assert (f"'{name}'" in message) == (name in failing), message
 
 
 def test_tensor_unit():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qgwb import linalg
+from qgwb import linalg, presets
 from qgwb._rng import CounterRNG
 from qgwb.errors import DimensionMismatch, NotHermitian
 
@@ -165,3 +165,58 @@ def test_intertwiner_solver():
     assert len(sols) == 2
     for t in sols:
         assert abs(t[0, 1]) < 1e-12 and abs(t[1, 0]) < 1e-12
+
+
+def brute_structure_sum(c, x, y, pair):
+    out = np.zeros((c.shape[2],) + pair(x[0], y[0]).shape, dtype=complex)
+    for i in range(c.shape[0]):
+        for j in range(c.shape[1]):
+            for k in range(c.shape[2]):
+                out[k] += c[i, j, k] * pair(x[i], y[j])
+    return out
+
+
+def _stacks(d, seed):
+    rng = CounterRNG(seed)
+    x = np.array([rng.complex_matrix(2, 3) for _ in range(d)])
+    y = np.array([rng.complex_matrix(3, 2) for _ in range(d)])
+    return x, y
+
+
+def _kac_paljutkin_dual_product():
+    p = np.array(presets.load_preset("kac-paljutkin").dual().P)
+    # the case the kernel must get right: one (i, j) feeding several k
+    assert np.any(np.sum(np.abs(p) > 1e-16, axis=2) > 1)
+    return p
+
+
+def _dual_z5_mult():
+    return np.array(presets.load_preset("dual-Z(5)").mult)
+
+
+def _zero_row_tensor():
+    c = _dual_z5_mult()
+    c[2] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("pair", [np.matmul, np.kron], ids=["matmul", "kron"])
+@pytest.mark.parametrize("make_c", [
+    _kac_paljutkin_dual_product, _dual_z5_mult, _zero_row_tensor,
+], ids=["kac-paljutkin-P", "dual-Z5-mult", "zero-row"])
+def test_structure_sum_matches_triple_loop(make_c, pair):
+    c = make_c()
+    x, y = _stacks(c.shape[0], 12)
+    got = linalg.structure_sum(c, x, y, pair)
+    want = brute_structure_sum(c, x, y, pair)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("pair, shape", [(np.matmul, (4, 2, 2)), (np.kron, (4, 6, 6))],
+                         ids=["matmul", "kron"])
+def test_structure_sum_of_zero_tensor(pair, shape):
+    x, y = _stacks(3, 13)
+    out = linalg.structure_sum(np.zeros((3, 3, 4)), x, y, pair)
+    assert out.shape == shape
+    assert not np.any(out)
