@@ -403,7 +403,7 @@ def action_from_corep(v: Corep) -> Action:
     # alpha_m(x) = sum (e_i^* e_j)[m] Vc_i^dag x Vc_j: the coefficient of
     # x[c,d] in entry [a,b] is (Vc_i^dag)[a,c] (Vc_j^T)[b,d], a kron entry
     alpha = linalg.structure_sum(g.star_mult(), np.conj(vc.transpose(0, 2, 1)),
-                                 vc.transpose(0, 2, 1), np.kron)
+                                 vc.transpose(0, 2, 1), linalg.kron)
     alpha = alpha.reshape(g.d, k, k, k, k)
     theta = np.eye(k) / k
     return Action(g, [k], alpha, invariant_state=theta)
@@ -422,7 +422,7 @@ def v_vbar_implementation_check(v: Corep, tol: float = 1e-8):
     impl = action.implement()
     # coefficient i of V-topbar-V^c: sum_{j,k} m[j,k,i] Vc_k (x) Vcc_j
     direct = linalg.structure_sum(g.mult.transpose(1, 0, 2), v.u_coef(),
-                                  contragredient(v).u_coef(), np.kron)
+                                  contragredient(v).u_coef(), linalg.kron)
     direct_corep = corep_from_u_coef(g, direct)
     ok, resid = unitarily_equivalent(impl.corep, direct_corep, tol)
     return ok, resid

@@ -483,14 +483,19 @@ class DualBlockAlgebra:
         self.P = np.tensordot(p0, binv, axes=([2], [1]))  # (p, r, q)
 
         self.counit = binv @ parent.unit                  # pairing with 1
-        # in q-coords: the unit (+)_a 1_{n_a} and the involution as the
-        # index permutation (e^a_ij)^* = e^a_ji
+        # in q-coords: the unit (+)_a 1_{n_a}, the involution as the index
+        # permutation (e^a_ij)^* = e^a_ji, and the block product as rows:
+        # e_q e_r = e_s for q = (a,i,j) and the (r, s) = ((a,j,k), (a,i,k))
         self.unit = np.zeros(d)
         self.star_perm = np.zeros(d, dtype=int)
+        self.product_rows = []
         for n, off in zip(self.blocks, self.offsets):
             self.unit[off + np.arange(n) * (n + 1)] = 1.0
             i, j = np.indices((n, n)).reshape(2, -1)
             self.star_perm[off + i * n + j] = off + j * n + i
+            k = np.arange(n)
+            self.product_rows += [(off + jj * n + k, off + ii * n + k, np.ones(n))
+                                  for ii, jj in zip(i.tolist(), j.tolist())]
         s_u = binv @ parent.antipode @ b
         self.antipode = s_u.T                             # matrix on u-coords
         self.unitary_antipode = self.antipode             # Kac: R-hat = S-hat
@@ -510,9 +515,8 @@ class DualBlockAlgebra:
         e_q e_r = sum_s M[q,r,s] e_s in q-coords."""
         d = self.parent.d
         out = np.zeros((d, d, d), dtype=complex)
-        for n, off in zip(self.blocks, self.offsets):
-            i, j, k = np.indices((n, n, n)).reshape(3, -1)
-            out[off + i * n + j, off + j * n + k, off + i * n + k] = 1.0
+        for q, (r, s, w) in enumerate(self.product_rows):
+            out[q, r, s] = w
         return out
 
     def counit_of(self, u_vec):

@@ -34,11 +34,12 @@ def _max_frob(stack) -> float:
     return float(np.linalg.norm(stack, axis=(1, 2)).max())
 
 
-def _product_rows(t, x):
-    """Residual of x_p x_r = sum_s t[p,r,s] x_s, one row p (all r) at a time."""
-    for p, (r, s) in enumerate(linalg.nonzero_rows(t)):
+def _product_rows(rows, x):
+    """Residual of x_p x_r = sum_s t[p,r,s] x_s, one row p (all r) at a time,
+    from the entries (r, s, t[p,r,s]) of each row p of t."""
+    for p, (r, s, w) in enumerate(rows):
         diff = x[p] @ x
-        np.subtract.at(diff, r, t[p, r, s][:, None, None] * x[s])
+        np.subtract.at(diff, r, w[:, None, None] * x[s])
         yield diff
 
 
@@ -86,12 +87,12 @@ class Corep:
         res["star"] = _max_frob(np.conj(phis.transpose(0, 2, 1)) - phis[dual.star_perm])
         res["unital"] = linalg.frob(self.phi(dual.unit) - eye)
         # product: phi(e_q) phi(e_r) = sum_s M[q,r,s] phi(e_s), max over (q, r)
-        rows = _product_rows(dual.block_mult_tensor(), phis)
+        rows = _product_rows(dual.product_rows, phis)
         res["product"] = max(_max_frob(diff) for diff in rows)
         # corep identity on coefficients: U_a U_b = sum_i Delta[i,a,b] U_i;
         # the residual is the Frobenius norm over all (a, b)
         uc = self.u_coef()
-        rows = _product_rows(g.comult.transpose(1, 2, 0), uc)
+        rows = _product_rows(linalg.nonzero_rows(g.comult.transpose(1, 2, 0)), uc)
         res["corep"] = float(np.sqrt(sum(linalg.frob(diff) ** 2 for diff in rows)))
         # U^* U = 1: sum_{i,j} (e_i^* e_j)[k] U_i^dag U_j = unit_k 1
         acc = linalg.structure_sum(g.star_mult(), np.conj(uc.transpose(0, 2, 1)), uc)
@@ -161,18 +162,12 @@ def block_corep(parent: FiniteQG, alpha: int) -> Corep:
     n = parent.block_dims[alpha]
     off = parent.block_offsets[alpha]
     phis = np.zeros((parent.d, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            phis[off + i * n + j, i, j] = 1.0
+    phis[off:off + n * n] = np.eye(n * n).reshape(n * n, n, n)
     return Corep(parent, phis)
 
 
 def trivial_corep(parent: FiniteQG, k: int = 1) -> Corep:
-    phis = np.zeros((parent.d, k, k), dtype=complex)
-    eps = parent.dual().counit
-    for q in range(parent.d):
-        phis[q] = eps[q] * np.eye(k)
-    return Corep(parent, phis)
+    return Corep(parent, parent.dual().counit[:, None, None] * np.eye(k))
 
 
 def direct_sum(*coreps: Corep) -> Corep:
@@ -195,16 +190,10 @@ def regular_corep(parent: FiniteQG) -> Corep:
     for a, (n, off) in enumerate(zip(parent.block_dims, parent.block_offsets)):
         for i in range(n):
             for j in range(n):
-                q = off + i * n + j
-                phis[q, off:off + n * n, off:off + n * n] = np.kron(
-                    _unit_matrix(n, i, j), np.eye(n))
+                # e_ij (x) 1: the identity in block (i, j) of the n x n grid
+                phis[off + i * n + j, off + i * n:off + (i + 1) * n,
+                     off + j * n:off + (j + 1) * n] = np.eye(n)
     return Corep(parent, phis)
-
-
-def _unit_matrix(n, i, j):
-    m = np.zeros((n, n))
-    m[i, j] = 1.0
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +210,9 @@ def tensor(u: Corep, v: Corep, oracle_tol: float = DEFAULT_TOL) -> Corep:
         raise ParentMismatch("tensor needs a common parent")
     g = u.parent
     # u_p u_r = sum_q P[p,r,q] u_q
-    out = Corep(g, linalg.structure_sum(g.dual().P, u.phis, v.phis, np.kron))
+    out = Corep(g, linalg.structure_sum(g.dual().P, u.phis, v.phis, linalg.kron))
     # oracle: coefficient tensor of U_12 V_13
-    direct = linalg.structure_sum(g.mult, u.u_coef(), v.u_coef(), np.kron)
+    direct = linalg.structure_sum(g.mult, u.u_coef(), v.u_coef(), linalg.kron)
     if float(np.linalg.norm(direct - out.u_coef())) > oracle_tol:
         raise OracleMismatch("tensor legs and dual-coproduct routes disagree")
     return out
@@ -356,12 +345,9 @@ def gns(parent: FiniteQG, dual_state, tol: float = DEFAULT_TOL,
     gram = np.zeros((d, d), dtype=complex)
     for a, (n, off) in enumerate(zip(g.block_dims, g.block_offsets)):
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        # <e_ij, e_kl> = delta_ik w^a_{jl}
-                        if i == k:
-                            gram[off + i * n + j, off + k * n + l] = blocks[a][j, l]
+            # <e_ij, e_kl> = delta_ik w^a_{jl}
+            span = slice(off + i * n, off + (i + 1) * n)
+            gram[span, span] = blocks[a]
     f = linalg.psd_factor_vectors(gram, rank_tol)  # rows = Lambda(e_q)
     r = f.shape[1]
     pinv_ft = np.linalg.pinv(f.T)

@@ -226,8 +226,8 @@ class InducedAction:
 
     def alpha_of(self, x):
         """Full coefficient family of alpha_U(x); cost d^2 sandwiches."""
-        left = np.conj(self.coef.transpose(0, 2, 1)) @ x
-        return linalg.structure_sum(self.prodstar, left, self.coef)
+        return linalg.structure_sum(self.prodstar, self.coef, self.coef,
+                                    lambda a, b: (a.conj().T @ x) @ b)
 
     def averaged(self, omega_coeffs, x):
         """(omega (x) id) alpha_U(x) without materialising alpha_U."""

@@ -97,47 +97,51 @@ def expm(m) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Tensor product, row-major flattening, left factor outermost."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Tensor product, row-major flattening, left factor outermost.
+
+    b may be a stack of matrices; the result is then the stack of a (x) b[l],
+    as np.kron gives, without np.kron's per-call overhead on small blocks.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = a[:, None, :, None] * b[..., None, :, None, :]
+    (m, n), (p, q) = a.shape, b.shape[-2:]
+    return out.reshape(b.shape[:-2] + (m * p, n * q))
 
 
-def nonzero_rows(t):
-    """Per first index p of a 3-tensor, the index arrays (j, k) of its
-    nonzero entries t[p, j, k], in row-major order."""
-    p, j, k = np.nonzero(t)
+def nonzero_rows(t, tol: float = 0.0):
+    """Per first index p of a 3-tensor, the entries (j, k, t[p, j, k]) with
+    |t[p, j, k]| > tol, as three arrays in row-major order."""
+    t = np.asarray(t)
+    p, j, k = np.nonzero(np.abs(t) > tol)
+    w = t[p, j, k]
     bounds = np.searchsorted(p, np.arange(t.shape[0] + 1)).tolist()
-    return [(j[a:b], k[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [(j[a:b], k[a:b], w[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def structure_sum(c, x, y, pair=np.matmul) -> np.ndarray:
-    """out[k] = sum_{i,j} c[i,j,k] pair(x[i], y[j]) over the nonzero c[i,j,k].
+    """out[k] = sum_{i,j} c[i,j,k] pair(x[i], y[j]) over |c[i,j,k]| > 1e-16.
 
-    pair is np.matmul or np.kron.  Each row i makes one call pair(x[i],
-    y[js]) on the stack of the distinct j it needs, so every product is
-    formed once and at most one row's products are held at a time.  Terms
-    are added in (i, j, k) order, as a plain loop over np.argwhere(c) would.
+    pair is np.matmul or kron (this module's or numpy's): a map that takes
+    a matrix and a stack of matrices to the stack of pairs.  Row i makes one
+    call pair(x[i], y[lo:hi]) per run of consecutive j it needs; the slices
+    are views, every product is formed once, and one row's products are
+    held beside out.  Terms are added in (i, j, k) order, as a plain loop
+    over np.argwhere(c) would.
     """
-    c = np.asarray(c)
-    x, y = np.asarray(x), np.asarray(y)
+    c, x, y = np.asarray(c), np.asarray(x), np.asarray(y)
     probe = pair(x[0], y[0])
     out = np.zeros((c.shape[2],) + probe.shape, dtype=np.result_type(c, probe))
-    for i, (js, ks) in enumerate(nonzero_rows(np.abs(c) > 1e-16)):
-        if not len(js):
-            continue
-        if len(set(js.tolist())) == len(js):
-            terms = pair(x[i], y if len(js) == len(y) else y[js])
-        else:  # some (i, j) feed several k: one product per distinct j
-            uj, pos = np.unique(js, return_inverse=True)
-            terms = pair(x[i], y[uj])[pos]
-        terms = np.asarray(terms, dtype=out.dtype)
-        terms *= c[i, js, ks].reshape((-1,) + (1,) * probe.ndim)
-        # one fancy-index scatter beats a Python loop on small blocks; on
-        # large ones its gather and copy cost more than in-place adds
-        if terms[0].size <= 256 and len(set(ks.tolist())) == len(ks):
-            out[ks] += terms
-        else:  # in place and in order, also when several j feed one k
-            for k, term in zip(ks, terms):
-                out[k] += term
+    for i, (js, ks, w) in enumerate(nonzero_rows(c, 1e-16)):
+        js = js.tolist()
+        need, prods = set(js), {}
+        for lo in js:  # sorted: a j not yet formed starts a run lo, lo+1, ..
+            if lo not in prods:
+                hi = lo + 1
+                while hi in need:
+                    hi += 1
+                prods.update(zip(range(lo, hi), pair(x[i], y[lo:hi])))
+        for j, k, wk in zip(js, ks.tolist(), w.tolist()):
+            out[k] += wk * prods[j]
     return out
 
 

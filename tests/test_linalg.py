@@ -140,6 +140,15 @@ def test_kron_associative_exactly():
                           linalg.kron(a, linalg.kron(b, c)))
 
 
+def test_kron_matches_numpy_on_matrices_and_stacks():
+    rng = CounterRNG(9)
+    a = rng.complex_matrix(2, 3)
+    b = np.array([rng.complex_matrix(4, 1) for _ in range(5)])
+    assert np.array_equal(linalg.kron(a, b[0]), np.kron(a, b[0]))
+    assert np.array_equal(linalg.kron(a, b), np.kron(a, b))
+    assert linalg.kron(a, b[:0]).shape == (0, 8, 3)
+
+
 def test_psd_check():
     assert linalg.psd_check(np.eye(3), 1e-9)
     assert not linalg.psd_check(np.diag([1.0, -0.5]), 1e-9)
@@ -200,10 +209,20 @@ def _zero_row_tensor():
     return c
 
 
-@pytest.mark.parametrize("pair", [np.matmul, np.kron], ids=["matmul", "kron"])
+def _scattered_tensor():
+    # rows whose j have gaps and repeats, and a row with a single entry
+    c = np.zeros((6, 6, 3), dtype=complex)
+    c[0, [0, 2, 2, 5], [1, 0, 2, 1]] = [1.0, 2.0 - 1.0j, 0.5, -3.0]
+    c[1, [1, 2, 3], [0, 0, 0]] = [1.0, 1.0j, -1.0]
+    c[3, 4, 2] = 0.25
+    return c
+
+
+@pytest.mark.parametrize("pair", [np.matmul, np.kron, linalg.kron],
+                         ids=["matmul", "kron", "linalg-kron"])
 @pytest.mark.parametrize("make_c", [
-    _kac_paljutkin_dual_product, _dual_z5_mult, _zero_row_tensor,
-], ids=["kac-paljutkin-P", "dual-Z5-mult", "zero-row"])
+    _kac_paljutkin_dual_product, _dual_z5_mult, _zero_row_tensor, _scattered_tensor,
+], ids=["kac-paljutkin-P", "dual-Z5-mult", "zero-row", "scattered"])
 def test_structure_sum_matches_triple_loop(make_c, pair):
     c = make_c()
     x, y = _stacks(c.shape[0], 12)
@@ -213,8 +232,9 @@ def test_structure_sum_matches_triple_loop(make_c, pair):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("pair, shape", [(np.matmul, (4, 2, 2)), (np.kron, (4, 6, 6))],
-                         ids=["matmul", "kron"])
+@pytest.mark.parametrize("pair, shape", [
+    (np.matmul, (4, 2, 2)), (np.kron, (4, 6, 6)), (linalg.kron, (4, 6, 6)),
+], ids=["matmul", "kron", "linalg-kron"])
 def test_structure_sum_of_zero_tensor(pair, shape):
     x, y = _stacks(3, 13)
     out = linalg.structure_sum(np.zeros((3, 3, 4)), x, y, pair)
