@@ -402,7 +402,7 @@ def action_from_corep(v: Corep) -> Action:
     vc = v.u_coef()
     # alpha_m(x) = sum (e_i^* e_j)[m] Vc_i^dag x Vc_j: the coefficient of
     # x[c,d] in entry [a,b] is (Vc_i^dag)[a,c] (Vc_j^T)[b,d], a kron entry
-    alpha = linalg.structure_sum(g.star_mult(), np.conj(vc.transpose(0, 2, 1)),
+    alpha = linalg.structure_sum(g.star_mult, np.conj(vc.transpose(0, 2, 1)),
                                  vc.transpose(0, 2, 1), linalg.kron)
     alpha = alpha.reshape(g.d, k, k, k, k)
     theta = np.eye(k) / k

@@ -54,6 +54,11 @@ def _check(name, value, tol, passed=None):
     return {"name": name, "value": value, "tol": float(tol), "passed": bool(passed)}
 
 
+def _word_length(window):
+    """The word-length generating functional L(g) = |g| on a window."""
+    return functionals.Functional(window, window.lengths)
+
+
 def _resolve_parent(spec, radius=None):
     """Preset name, 'NAME r=R' window form, or a document path."""
     spec = str(spec).strip()
@@ -123,8 +128,7 @@ def _run_semigroup(parent, params, tol_scale, seed):
         checks.append(_check("derivative_recovery", err, 1e-5 * tol_scale))
     else:
         grid = params.get("t_grid", [0.1, 1.0, 10.0])
-        wl = functionals.Functional(
-            parent, np.array([float(parent.length(g)) for g in parent.elements]))
+        wl = _word_length(parent)
         genfun.validate_generating(wl)
         checks.append(_check("generator_valid", 0.0, 0.5, True))
         for t in grid:
@@ -213,8 +217,7 @@ def _run_v_matrices(parent, params, tol_scale, seed):
             checks.append(_check(f"cocycle_norms:gamma={r['gamma']}", tn,
                                  1e-8 * tol_scale))
     else:
-        wl = functionals.Functional(
-            parent, np.array([float(parent.length(g)) for g in parent.elements]))
+        wl = _word_length(parent)
         gen = genfun.validate_generating(wl)
         l_max = int(params.get("l_max", min(parent.radius, 10)))
         e = parent.identity
@@ -262,8 +265,7 @@ def _run_pair_bounds(parent, params, tol_scale, seed):
         raise SchemaError("this experiment needs a window parent")
     t = float(params.get("t", 1.0))
     l_max = int(params.get("l_max", 3))
-    wl = functionals.Functional(
-        parent, np.array([float(parent.length(g)) for g in parent.elements]))
+    wl = _word_length(parent)
     gen = genfun.validate_generating(wl)
     e = parent.identity
     gen_label = parent.elements[1]

@@ -20,6 +20,7 @@ transported through the canonical pairing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,9 +246,18 @@ class FiniteQG:
     def coproduct_of(self, a):
         return np.tensordot(np.asarray(a), self.comult, axes=([0], [0]))
 
+    @functools.cached_property
     def star_mult(self):
-        """c[i, j, k]: coefficient of e_k in e_i^* e_j."""
-        return np.tensordot(self.star, self.mult, axes=([0], [0]))
+        """c[i, j, k]: coefficient of e_k in e_i^* e_j (read-only)."""
+        out = np.tensordot(self.star, self.mult, axes=([0], [0]))
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def coproduct_rows(self):
+        """Per a, the entries (b, i, Delta[i, a, b]) of the coproduct, as
+        linalg.nonzero_rows gives them: U_a U_b = sum_i Delta[i, a, b] U_i."""
+        return linalg.nonzero_rows(self.comult.transpose(1, 2, 0))
 
     def lmat(self, a):
         """Left multiplication by a in basis coordinates."""

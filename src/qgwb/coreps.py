@@ -92,10 +92,10 @@ class Corep:
         # corep identity on coefficients: U_a U_b = sum_i Delta[i,a,b] U_i;
         # the residual is the Frobenius norm over all (a, b)
         uc = self.u_coef()
-        rows = _product_rows(linalg.nonzero_rows(g.comult.transpose(1, 2, 0)), uc)
+        rows = _product_rows(g.coproduct_rows, uc)
         res["corep"] = float(np.sqrt(sum(linalg.frob(diff) ** 2 for diff in rows)))
         # U^* U = 1: sum_{i,j} (e_i^* e_j)[k] U_i^dag U_j = unit_k 1
-        acc = linalg.structure_sum(g.star_mult(), np.conj(uc.transpose(0, 2, 1)), uc)
+        acc = linalg.structure_sum(g.star_mult, np.conj(uc.transpose(0, 2, 1)), uc)
         res["unitary"] = _max_frob(acc - g.unit[:, None, None] * eye)
         bad = sorted((k for k, v in res.items() if v > self.tol), key=res.get, reverse=True)
         if bad:

@@ -222,7 +222,7 @@ class InducedAction:
         self.parent = g
         self.coef = lifted.coef
         # products e_i^* e_j expressed over the basis
-        self.prodstar = g.star_mult()
+        self.prodstar = g.star_mult
 
     def alpha_of(self, x):
         """Full coefficient family of alpha_U(x); cost d^2 sandwiches."""

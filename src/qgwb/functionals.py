@@ -123,9 +123,7 @@ def vector_state(parent: FiniteQG, xi) -> Functional:
 def adjoint(mu: Functional) -> Functional:
     """mu-bar (a) = conj(mu(a^*))."""
     if mu.is_window:
-        w = mu.parent
-        vals = np.array([np.conj(mu.value(w.inv(g))) for g in w.elements])
-        return Functional(w, vals)
+        return Functional(mu.parent, np.conj(mu.coeffs[mu.parent.inv_index]))
     return Functional(mu.parent, np.conj(mu.parent.star.T @ mu.coeffs))
 
 
@@ -176,31 +174,18 @@ def convolve_blockwise(mu: Functional, nu: Functional) -> Functional:
 def positivity_matrix(mu: Functional):
     """The matrix whose PSD-ness witnesses positivity of mu.
 
-    FiniteQG: M[i,j] = mu(e_i^* e_j).  Window: the Bochner gram
-    [mu(g^{-1} h)] over the largest sub-window with all products defined.
+    FiniteQG: M[i,j] = mu(e_i^* e_j).  Window of radius r: the Bochner gram
+    [mu(g^{-1} h)] over the elements of length <= r // 2, where every
+    product is defined.
     """
     if not mu.is_window:
         g = mu.parent
         m_mu = np.tensordot(g.mult, mu.coeffs, axes=([2], [0]))
         return g.star.T @ m_mu
     w = mu.parent
-    for s in range(w.radius // 2, 0, -1):
-        sub = w.sub_window(s)
-        gram = np.zeros((len(sub), len(sub)), dtype=complex)
-        ok = True
-        for a, ia in enumerate(sub):
-            gi = w.inv(w.elements[ia])
-            for b, ib in enumerate(sub):
-                p = w.mul(gi, w.elements[ib])
-                if p is None:
-                    ok = False
-                    break
-                gram[a, b] = mu.value(p)
-            if not ok:
-                break
-        if ok:
-            return gram
-    raise WindowTruncation("no sub-window of radius >= 1 has all products defined")
+    if w.radius < 2:
+        raise WindowTruncation("a Bochner gram needs a window of radius >= 2")
+    return mu.coeffs[w.diff_index(w.radius // 2)]
 
 
 def is_positive(mu: Functional, tol: float = 1e-9) -> bool:

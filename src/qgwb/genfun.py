@@ -56,16 +56,6 @@ class GenFunctional:
         return self.base.parent
 
 
-def _kernel_counit_basis(parent):
-    """Orthonormal basis (columns) of ker eps inside the coefficient space."""
-    if isinstance(parent, GroupDualWindow):
-        row = np.ones((1, parent.size))
-    else:
-        row = parent.counit.reshape(1, -1)
-    vecs = linalg.null_space(row)
-    return np.array(vecs).T
-
-
 def cnd_gram(l: Functional, sub_radius=None):
     """The matrix -L(basis_i^* basis_j) over the relevant basis.
 
@@ -75,16 +65,8 @@ def cnd_gram(l: Functional, sub_radius=None):
     if l.is_window:
         w = l.parent
         s = (w.radius // 2) if sub_radius is None else sub_radius
-        sub = w.sub_window(max(s, 1))
-        gram = np.zeros((len(sub), len(sub)), dtype=complex)
-        for a, ia in enumerate(sub):
-            gi = w.inv(w.elements[ia])
-            for b, ib in enumerate(sub):
-                p = w.mul(gi, w.elements[ib])
-                if p is None:
-                    raise WindowTruncation("half-window product escaped the window")
-                gram[a, b] = -l.value(p)
-        return gram, sub
+        diff = w.diff_index(max(s, 1))
+        return -l.coeffs[diff], list(range(len(diff)))
     g = l.parent
     m_l = np.tensordot(g.mult, l.coeffs, axes=([2], [0]))
     return -(g.star.T @ m_l), list(range(g.d))
@@ -101,12 +83,10 @@ def validate_generating(l: Functional, tol: float = CND_TOL,
     sa_resid = float(np.max(np.abs(adjoint(l).coeffs - l.coeffs)))
     if sa_resid > FLAG_TOL:
         raise NotSelfadjoint(f"selfadjointness residual {sa_resid:.3e}")
-    # conditional negative definiteness on ker eps
+    # conditional negative definiteness on ker eps (eps is 1 on window elements)
     gram, sub = cnd_gram(l, sub_radius)
-    if isinstance(parent, GroupDualWindow):
-        kmat = np.array(linalg.null_space(np.ones((1, len(sub))))).T
-    else:
-        kmat = _kernel_counit_basis(parent)
+    counit = np.ones(len(sub)) if isinstance(parent, GroupDualWindow) else parent.counit
+    kmat = np.array(linalg.null_space(counit.reshape(1, -1))).T
     comp = kmat.conj().T @ gram @ kmat
     herm = 0.5 * (comp + comp.conj().T)
     if np.linalg.norm(comp - herm) > tol * max(1.0, np.linalg.norm(comp)):
@@ -119,8 +99,7 @@ def validate_generating(l: Functional, tol: float = CND_TOL,
     # flags
     if isinstance(parent, GroupDualWindow):
         central = True
-        s_inv = all(abs(l.value(parent.inv(g)) - l.value(g)) <= FLAG_TOL
-                    for g in parent.elements)
+        s_inv = bool(np.all(np.abs(l.coeffs[parent.inv_index] - l.coeffs) <= FLAG_TOL))
         central_values = np.real_if_close(l.coeffs.copy())
     else:
         blocks = l.blocks()
@@ -145,19 +124,12 @@ class SchurmannTriple:
         parent = gen.parent
         l = gen.base
         if isinstance(parent, GroupDualWindow):
-            sub = parent.sub_window(max(parent.radius // 2, 1))
-            self.basis = [parent.elements[i] for i in sub]
-            nb = len(self.basis)
-            eps = np.ones(nb)
-            lvals = np.array([l.value(g) for g in self.basis])
-            gram = np.zeros((nb, nb), dtype=complex)
-            for a, ga in enumerate(self.basis):
-                gi = parent.inv(ga)
-                for b, gb in enumerate(self.basis):
-                    p = parent.mul(gi, gb)
-                    if p is None:
-                        raise WindowTruncation("cocycle basis product undefined")
-                    gram[a, b] = (np.conj(lvals[a]) + lvals[b] - l.value(p))
+            # the basis is the prefix of elements of length <= radius // 2
+            diff = parent.diff_index(max(parent.radius // 2, 1))
+            nb = len(diff)
+            self.basis = parent.elements[:nb]
+            lvals = l.coeffs[:nb]
+            gram = np.conj(lvals)[:, None] + lvals[None, :] - l.coeffs[diff]
         else:
             nb = parent.d
             self.basis = list(range(nb))
@@ -174,12 +146,9 @@ class SchurmannTriple:
             raise GramNotPSD(f"cocycle gram not PSD: {exc}") from exc
         self.dim = self.cocycle_vectors.shape[1]
         self._parent = parent
-        self._eps = np.asarray(eps, dtype=complex)
-        self._lvals = np.asarray(lvals, dtype=complex)
-        self._basis_index = {g: i for i, g in enumerate(self.basis)}
         if isinstance(parent, GroupDualWindow):
             self.rhos = None
-            self._verify_window_rule(tol)
+            self._verify_window_rule(diff, tol)
         else:
             self._build_rho()
             self._verify(tol)
@@ -193,18 +162,6 @@ class SchurmannTriple:
     def cocycle(self, coeffs):
         return np.asarray(coeffs, dtype=complex) @ self.cocycle_vectors
 
-    def _product_coeffs(self, p, q):
-        """Coefficient vector of basis_p * basis_q over the basis."""
-        parent = self._parent
-        if isinstance(parent, GroupDualWindow):
-            r = parent.mul(self.basis[p], self.basis[q])
-            if r is None or r not in self._basis_index:
-                raise WindowTruncation("cocycle product escapes the basis")
-            out = np.zeros(len(self.basis))
-            out[self._basis_index[r]] = 1.0
-            return out
-        return parent.mult[p, q]
-
     def _build_rho(self):
         f = self.cocycle_vectors
         pinv_ft = np.linalg.pinv(f.T)
@@ -213,8 +170,7 @@ class SchurmannTriple:
         for p in range(nb):
             targets = np.zeros((nb, self.dim), dtype=complex)
             for q in range(nb):
-                coeffs = self._product_coeffs(p, q)
-                targets[q] = self.cocycle(coeffs) - self._eps[q] * f[p]
+                targets[q] = self.cocycle(self._parent.mult[p, q]) - self._parent.counit[q] * f[p]
             rhos[p] = targets.T @ pinv_ft
         self.rhos = rhos
 
@@ -224,24 +180,24 @@ class SchurmannTriple:
         return np.tensordot(np.asarray(coeffs, dtype=complex), self.rhos,
                             axes=([0], [0]))
 
-    def _verify_window_rule(self, tol):
+    def _verify_window_rule(self, diff, tol):
         """Gram-level cocycle rule on windows.
 
         The rule c(bd) = rho(b)c(d) + c(b) with rho(b) unitary is, at the
         level of inner products, <c(bd) - c(b), c(bd') - c(b)> = <c(d), c(d')>
-        whenever the products stay inside the cocycle basis.
+        whenever the products stay inside the cocycle basis.  The basis is
+        the prefix indexed by diff, so bd has index diff[inv(b), d].
         """
-        w = self._parent
+        inv = self._parent.inv_index
         f = self.cocycle_vectors
-        bi = self._basis_index
+        nb = len(diff)
         worst = 0.0
-        for b in self.basis:
-            avail = [(dd, w.mul(b, dd)) for dd in self.basis
-                     if w.mul(b, dd) in bi]
+        for b in range(nb):
+            avail = [(dd, bd) for dd, bd in enumerate(diff[inv[b]].tolist()) if bd < nb]
             for dd, bd in avail:
                 for dd2, bd2 in avail:
-                    lhs = np.vdot(f[bi[bd]] - f[bi[b]], f[bi[bd2]] - f[bi[b]])
-                    rhs = np.vdot(f[bi[dd]], f[bi[dd2]])
+                    lhs = np.vdot(f[bd] - f[b], f[bd2] - f[b])
+                    rhs = np.vdot(f[dd], f[dd2])
                     worst = max(worst, abs(lhs - rhs))
         if worst > tol:
             raise GramNotPSD(f"window cocycle rule residual {worst:.3e}")
@@ -255,16 +211,14 @@ class SchurmannTriple:
         worst = 0.0
         for b in range(nb):
             for dd in range(nb):
-                cbd = self.cocycle(self._product_coeffs(b, dd))
-                rhs = self.rhos[b] @ f[dd] + self._eps[dd] * f[b]
+                cbd = self.cocycle(self._parent.mult[b, dd])
+                rhs = self.rhos[b] @ f[dd] + self._parent.counit[dd] * f[b]
                 worst = max(worst, float(np.linalg.norm(cbd - rhs)))
         if worst > tol:
             raise GramNotPSD(f"cocycle rule residual {worst:.3e}")
         self.cocycle_rule_residual = worst
         # defining identity residual (a recomputation of the gram)
         parent = self._parent
-        if isinstance(parent, GroupDualWindow):
-            return
         l = self.gen.base
         m_l = np.tensordot(parent.mult, l.coeffs, axes=([2], [0]))
         star_prod = parent.star.T @ m_l
@@ -442,12 +396,13 @@ def cocycle_norm_residual(triple: SchurmannTriple, gamma, tol: float = 1e-8):
     _require_central_kac(gen)
     parent = gen.parent
     if isinstance(parent, GroupDualWindow):
-        # 1-dim blocks: ||c(g)||^2 = 2 L(g) and the same for the inverse
-        cg = gen.base.value(gamma).real
-        bi = triple._basis_index
-        if gamma not in bi or parent.inv(gamma) not in bi:
+        # 1-dim blocks: ||c(g)||^2 = 2 L(g) and the same for the inverse;
+        # the basis is a length prefix, so it holds gamma^{-1} if it holds gamma
+        g_idx = parent.index.get(gamma, len(triple.basis))
+        if g_idx >= len(triple.basis):
             raise WindowTruncation("gamma outside the cocycle basis window")
-        g_idx, gi_idx = bi[gamma], bi[parent.inv(gamma)]
+        gi_idx = parent.inv_index[g_idx]
+        cg = gen.base.value(gamma).real
         return max(abs(triple.cocycle_gram[g_idx, g_idx].real - 2.0 * cg),
                    abs(triple.cocycle_gram[gi_idx, gi_idx].real - 2.0 * cg))
     ng = parent.block_dims[gamma]

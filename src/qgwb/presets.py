@@ -3,7 +3,8 @@
 The finite quantum group presets span the commutative (function algebras),
 cocommutative (group algebras) and genuinely quantum (the 8-dimensional
 Kac-Paljutkin algebra) Kac cases.  Windows cover free groups and free
-abelian / cyclic groups.  Every preset is validated on construction.
+abelian / cyclic groups.  Every preset is validated on construction and
+built once per process.
 """
 
 from __future__ import annotations
@@ -318,8 +319,13 @@ def load_preset(name: str, radius: int | None = None):
     if name == "kac-paljutkin":
         return kac_paljutkin()
     if is_window_preset(name):
-        return build_window(name, 4 if radius is None else radius)
+        return _window(name, 4 if radius is None else radius)
     raise SchemaError(f"unknown preset {name!r}")
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _window(name, radius):
+    return build_window(name, radius)
 
 
 def preset_table():

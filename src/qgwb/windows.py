@@ -2,8 +2,9 @@
 
 A GroupDualWindow is the radius-r ball of a discrete group under a word
 metric, with a partial multiplication table.  Products falling outside the
-window are reported as None; computations must shrink to a sub-window or
-raise WindowTruncation, never zero-fill.
+window are reported as None; computations raise WindowTruncation rather
+than zero-fill.  Bochner grams [phi(g^{-1} h)] over a sub-window are
+gathers through the integer table `diff_index`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._rng import CounterRNG
-from .errors import AxiomViolation, RadiusTooLarge, SchemaError
+from .errors import AxiomViolation, RadiusTooLarge, SchemaError, WindowTruncation
 
 ELEMENT_CAP = 200_000
 
@@ -20,12 +21,12 @@ class GroupDualWindow:
     """Ball of radius `radius` in a discrete group.
 
     Elements are hashable canonical labels sorted by (length, label); the
-    identity sits at index 0.  `mul` returns the product label or None when
-    it leaves the window.
+    identity sits at index 0, and the elements of length <= s form a prefix.
+    `mul` returns the product label or None when it leaves the window;
+    `inv_index[i]` is the index of the inverse of element i.
     """
 
-    def __init__(self, key, elements, lengths, inv_fn, mul_fn, radius,
-                 check=True):
+    def __init__(self, key, elements, lengths, inv_fn, mul_fn, radius):
         order = sorted(range(len(elements)), key=lambda i: (lengths[i], repr(elements[i])))
         self.key = str(key)
         self.elements = [elements[i] for i in order]
@@ -35,8 +36,11 @@ class GroupDualWindow:
         self._mul_fn = mul_fn
         self.radius = int(radius)
         self.size = len(self.elements)
-        if check:
-            self._check()
+        # -1 marks an inverse outside the window, which _check rejects
+        self.inv_index = np.array([self.index.get(inv_fn(g), -1) for g in self.elements],
+                                  dtype=int)
+        self._diff_index = {}
+        self._check()
 
     @property
     def identity(self):
@@ -55,9 +59,28 @@ class GroupDualWindow:
             return None
         return p
 
-    def sub_window(self, radius):
-        """Indices of the elements with length <= radius."""
-        return [i for i, l in enumerate(self.lengths) if l <= radius]
+    def diff_index(self, radius):
+        """Index of g_a^{-1} g_b for a, b over the elements of length <= radius.
+
+        An m x m int array, m the size of that prefix; built through `mul`
+        once per radius and kept.  Raises WindowTruncation when a product
+        leaves the window.
+        """
+        if radius not in self._diff_index:
+            m = int(np.searchsorted(self.lengths, radius, side="right"))
+            sub = self.elements[:m]
+            table = np.empty((m, m), dtype=int)
+            for a, ia in enumerate(self.inv_index[:m]):
+                gi = self.elements[ia]
+                for b, h in enumerate(sub):
+                    p = self.mul(gi, h)
+                    if p is None:
+                        raise WindowTruncation(
+                            f"product of {gi!r}, {h!r} leaves the window")
+                    table[a, b] = self.index[p]
+            table.flags.writeable = False
+            self._diff_index[radius] = table
+        return self._diff_index[radius]
 
     # max irrep dimension: all blocks of a group dual are one-dimensional
     max_block_dim = 1
@@ -66,15 +89,17 @@ class GroupDualWindow:
     def _check(self):
         if self.lengths[0] != 0:
             raise AxiomViolation("identity element missing or |e| != 0")
+        inv = self.inv_index
+        if np.any(inv < 0):
+            g = self.elements[int(np.argmin(inv))]
+            raise AxiomViolation(f"inverse of {g!r} escapes the window")
+        if np.any(inv[inv] != np.arange(self.size)):
+            raise AxiomViolation("inverse is not an involution")
+        if np.any(self.lengths[inv] != self.lengths):
+            raise AxiomViolation("inverse does not preserve length")
         e = self.identity
-        for g in self.elements:
-            gi = self.inv(g)
-            if gi not in self.index:
-                raise AxiomViolation(f"inverse of {g!r} escapes the window")
-            if self.inv(gi) != g:
-                raise AxiomViolation("inverse is not an involution")
-            if self.length(gi) != self.length(g):
-                raise AxiomViolation("inverse does not preserve length")
+        for g, ig in zip(self.elements, inv.tolist()):
+            gi = self.elements[ig]
             if self.mul(g, e) != g or self.mul(e, g) != g:
                 raise AxiomViolation("identity law fails")
             if self.mul(g, gi) != e:

@@ -5,6 +5,7 @@ from qgwb import functionals as F
 from qgwb import presets
 from qgwb._rng import CounterRNG
 from qgwb.errors import NotAState, ParentMismatch, WindowTruncation
+from qgwb.genfun import cnd_gram
 from qgwb.windows import build_window
 
 
@@ -119,6 +120,23 @@ def test_window_truncation_error():
     f = F.Functional(w, np.ones(3))
     with pytest.raises(WindowTruncation):
         F.positivity_matrix(f)
+    with pytest.raises(WindowTruncation):
+        w.diff_index(1)
+    with pytest.raises(WindowTruncation):
+        cnd_gram(f)
+
+
+@pytest.mark.parametrize("spec,radius", [("free(2)", 4), ("Z(3)^2", 4)])
+def test_window_index_tables_match_labels(spec, radius):
+    w = build_window(spec, radius)
+    assert [w.elements[i] for i in w.inv_index] == [w.inv(g) for g in w.elements]
+    for s in range(radius // 2 + 1):
+        sub = [g for g in w.elements if w.length(g) <= s]
+        table = w.diff_index(s)
+        assert table.shape == (len(sub), len(sub))
+        assert [[w.elements[i] for i in row] for row in table] == \
+            [[w.mul(w.inv(g), h) for h in sub] for g in sub]
+        assert w.diff_index(s) is table
 
 
 # -- positive-definite elements ---------------------------------------------

@@ -2,9 +2,11 @@
 
 Each golden under perfbench/goldens/{small-mix,qg-fock}/ is rebuilt into a
 scenario from the report's own fields and run again.  The run must exit 0
-with the same check names and pass flags.  The count of byte-identical
-reports is printed, not asserted: a few values differ in the last digit
-between processes.
+with the same check names and pass flags, and every report must be
+byte-identical to its golden except fock_suite reports, whose identical
+count is only printed: their word_multiplicativity value differs in the last
+digit between process histories (a known rounding fault of
+InducedAction.multiplicativity_residual, listed in CHANGES.md).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def _verdicts(report):
 def test_golden_replay(workload, tmp_path):
     paths = sorted((GOLDENS / workload).glob("*.report.json"))
     assert paths, f"no goldens under {GOLDENS / workload}"
-    mismatches, identical = [], 0
+    mismatches, noisy, noisy_identical = [], 0, 0
     for path in paths:
         golden = json.loads(path.read_text(encoding="utf-8"))
         code, out = run_scenario(_scenario(golden), str(tmp_path))
@@ -45,6 +47,11 @@ def test_golden_replay(workload, tmp_path):
         replayed = Path(out).read_text(encoding="utf-8")
         if _verdicts(json.loads(replayed)) != _verdicts(golden):
             mismatches.append(f"{path.name}: check names or pass flags differ")
-        identical += replayed == path.read_text(encoding="utf-8")
-    print(f"{workload}: {identical}/{len(paths)} reports byte-identical")
+        identical = replayed == path.read_text(encoding="utf-8")
+        if golden["experiment"] == "fock_suite":
+            noisy += 1
+            noisy_identical += identical
+        elif not identical:
+            mismatches.append(f"{path.name}: report bytes differ")
+    print(f"{workload}: fock_suite {noisy_identical}/{noisy} reports byte-identical")
     assert not mismatches, "\n".join(mismatches)
