@@ -361,7 +361,9 @@ def _run_action_suite(parent, params, tol_scale, seed):
 @experiment("fock_suite")
 def _run_fock_suite(parent, params, tol_scale, seed):
     checks = []
-    depth = int(params.get("depth", 8))
+    depth = params.get("depth", 8)
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
+        raise SchemaError(f"depth must be an integer >= 1, got {depth!r}")
     f2 = fock.TruncatedFock(2, depth)
     zeta = np.array([1.0, 0.0])
     s = f2.s_operator(zeta)

@@ -12,6 +12,7 @@ conjugate-linear involution T = J Q^(1/2); Q = I gives the tracial
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sparse
 
 from . import linalg
 from .coreps import Corep
@@ -23,26 +24,56 @@ from .errors import (
     SchemaError,
 )
 
-TOTAL_DIM_CAP = 120_000
+# Bytes any one array of this layer that grows with the truncation may take:
+# a field operator's storage, a dense (d, total, total) family or a dense
+# (total, total) matrix.  Checked before the allocation.
+BYTE_BUDGET = 32 * 2 ** 20
+
+
+def _reserve(nbytes, what):
+    """Raise DepthExceeded before an allocation of more than BYTE_BUDGET."""
+    if nbytes > BYTE_BUDGET:
+        raise DepthExceeded(
+            f"{what} needs {nbytes} bytes, over the budget of {BYTE_BUDGET}")
+
+
+def _field_bytes(total):
+    """Bytes of a field operator on a space of dimension total: 2 (total - 1)
+    complex entries with int32 column indices, and int32 row pointers."""
+    return 40 * (total - 1) + 4 * (total + 1)
 
 
 class TruncatedFock:
-    """(+)_{n<=N} K^(x n) with an involution T = J Q^(1/2) on K."""
+    """(+)_{n<=N} K^(x n) with an involution T = J Q^(1/2) on K.
 
-    def __init__(self, base_dim: int, depth: int, j_conj=None, q_mat=None,
-                 cap: int = TOTAL_DIM_CAP):
+    Basis vectors of degree n >= 1 are words: the one at local index
+    letter * k^(n-1) + q is e_letter (x) (vector q of degree n-1), so
+    creation maps each basis vector of degree < N to k children.
+    """
+
+    def __init__(self, base_dim: int, depth: int, j_conj=None, q_mat=None):
         self.base_dim = int(base_dim)
         self.depth = int(depth)
         if self.base_dim < 1 or self.depth < 1:
             raise SchemaError("base_dim and depth must be >= 1")
         k = self.base_dim
-        dims = [k ** n for n in range(self.depth + 1)]
+        # stop adding degrees once a field operator is over the budget, so
+        # that a huge depth fails before anything of its size is built
+        dims, total = [1], 1
+        while len(dims) <= self.depth and _field_bytes(total) <= BYTE_BUDGET:
+            dims.append(dims[-1] * k)
+            total += dims[-1]
+        _reserve(_field_bytes(total), "a field operator")
         self.degree_dims = dims
         self.degree_offsets = np.cumsum([0] + dims)[:-1]
-        self.total_dim = int(sum(dims))
-        if self.total_dim > cap:
-            raise DepthExceeded(
-                f"total dimension {self.total_dim} exceeds cap {cap}")
+        self.total_dim = total
+        # every basis vector past the vacuum: its letter and its parent
+        deg = np.repeat(np.arange(self.depth + 1), dims)[1:]
+        below = np.asarray(dims)[deg - 1]
+        local = np.arange(1, self.total_dim) - self.degree_offsets[deg]
+        self._letter = local // below
+        # int32 indices: the budget keeps total far below 2**31
+        self._parent = (self.degree_offsets[deg - 1] + local % below).astype(np.int32)
         self.j_conj = np.eye(k, dtype=complex) if j_conj is None else \
             np.asarray(j_conj, dtype=complex)
         self.q_mat = np.eye(k, dtype=complex) if q_mat is None else \
@@ -77,23 +108,28 @@ class TruncatedFock:
     # -- operators --------------------------------------------------------------
 
     def creation(self, zeta):
-        """ell(zeta): degree n -> n+1, hard cut at the top."""
+        """ell(zeta): degree n -> n+1, hard cut at the top.
+
+        One stored entry per basis vector past the vacuum: its row holds
+        zeta[letter] in the column of its parent.
+        """
         zeta = np.asarray(zeta, dtype=complex).reshape(self.base_dim)
-        k = self.base_dim
-        op = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-        for n in range(self.depth):
-            src, dst = self.degree_offsets[n], self.degree_offsets[n + 1]
-            dim = self.degree_dims[n]
-            for letter in range(k):
-                rows = dst + letter * dim + np.arange(dim)
-                op[rows, src + np.arange(dim)] += zeta[letter]
-        return op
+        n = self.total_dim
+        indptr = np.arange(-1, n, dtype=np.int32)
+        indptr[0] = 0
+        return linalg.SparseMatrix((zeta[self._letter], self._parent, indptr),
+                                   shape=(n, n))
 
     def s_operator(self, zeta):
         """s(zeta) = ell(zeta) + ell(T zeta)^*; selfadjoint iff T zeta = zeta."""
-        l1 = self.creation(zeta)
-        l2 = self.creation(self.apply_t(zeta))
-        return l1 + l2.conj().T
+        zeta = np.asarray(zeta, dtype=complex).reshape(self.base_dim)
+        n = self.total_dim
+        child = np.arange(1, n, dtype=np.int32)
+        rows = np.concatenate([child, self._parent])
+        cols = np.concatenate([self._parent, child])
+        vals = np.concatenate([zeta[self._letter],
+                               np.conj(self.apply_t(zeta)[self._letter])])
+        return linalg.SparseMatrix((vals, (rows, cols)), shape=(n, n))
 
     def vacuum_moments(self, op, orders):
         out = {}
@@ -111,10 +147,53 @@ class TruncatedFock:
         if len(ops) > self.depth:
             raise DepthExceeded(
                 f"word of length {len(ops)} on depth {self.depth} truncation")
-        out = np.eye(self.total_dim, dtype=complex)
+        out = linalg.SparseMatrix(sparse.eye_array(self.total_dim, dtype=complex))
         for op in ops:
             out = out @ op
         return out
+
+
+# ---------------------------------------------------------------------------
+# sparse families
+# ---------------------------------------------------------------------------
+# A family X_0..X_{d-1} of m x n matrices is held in rows form: the csr array
+# (d, m*n) whose row i is X_i flattened row-major.
+
+def _entries(rows, n):
+    """(i, a, b, value) of the stored entries X_i[a, b] of a rows-form family."""
+    rows = sparse.coo_array(rows)
+    i, ab = (c.astype(np.int64) for c in rows.coords)
+    a, b = np.divmod(ab, n)
+    return i, a, b, rows.data
+
+
+def _hstack(rows, m, n):
+    """[X_0 | ... | X_{d-1}] (m x d*n) of a rows-form family.  (The vertical
+    stack is rows.reshape((d*m, n)).)"""
+    i, a, b, v = _entries(rows, n)
+    return sparse.csr_array((v, (a, i * n + b)), shape=(m, rows.shape[0] * n))
+
+
+def _kron_sum(c, x, xshape, y, yshape):
+    """Rows form of out[p] = sum_{i,j} c[i,j,p] X_i (x) Y_j.
+
+    x and y are rows-form families.  The sum goes through
+    linalg.structure_sum_sparse as X_i (x) Y_j = (X_i (x) 1)(1 (x) Y_j).
+    """
+    (m1, n1), (m2, n2) = xshape, yshape
+    i, a, b, v = _entries(x, n1)
+    t = np.arange(m2)[:, None]
+    rows, cols = (i * m1 + a) * m2 + t, b * m2 + t
+    left = sparse.csr_array(
+        (np.broadcast_to(v, rows.shape).ravel(), (rows.ravel(), cols.ravel())),
+        shape=(x.shape[0] * m1 * m2, n1 * m2))
+    j, a, b, v = _entries(y, n2)
+    t = np.arange(n1)[:, None]
+    rows, cols = t * m2 + a, j * (n1 * n2) + t * n2 + b
+    right = sparse.csr_array(
+        (np.broadcast_to(v, rows.shape).ravel(), (rows.ravel(), cols.ravel())),
+        shape=(n1 * m2, y.shape[0] * n1 * n2))
+    return linalg.structure_sum_sparse(c, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -122,19 +201,36 @@ class TruncatedFock:
 # ---------------------------------------------------------------------------
 
 class LiftedRep:
-    """F(U) = (+)_n U^(topbar n), degree-block-diagonal."""
+    """F(U) = (+)_n U^(topbar n), degree-block-diagonal and sparse."""
 
-    def __init__(self, fock: TruncatedFock, base: Corep, blocks, coef):
+    def __init__(self, fock: TruncatedFock, base: Corep, blocks):
         self.fock = fock
         self.base = base
-        self.degree_blocks = blocks      # list of (d, k^n, k^n) coefficient tensors
-        self.coef = coef                 # (d, total, total)
         self.parent = base.parent
+        # per degree n, the (d, k^n, k^n) stack of coefficient blocks
+        self.degree_blocks = blocks
+        # the horizontal stack [F_0 | ... | F_{d-1}] (total x d*total)
+        total = fock.total_dim
+        rows, cols = [], []
+        for o, blk in zip(fock.degree_offsets, blocks):
+            p, a, b = blk.coords
+            rows.append(o + a)
+            cols.append(p * total + o + b)
+        vals = np.concatenate([blk.data for blk in blocks])
+        self.coef = linalg.SparseMatrix(
+            (vals, (np.concatenate(rows), np.concatenate(cols))),
+            shape=(total, self.parent.d * total))
+
+    def dense(self):
+        """The (d, total, total) coefficient family as an ndarray."""
+        d, total = self.parent.d, self.fock.total_dim
+        _reserve(16 * d * total * total, "the dense lifted coefficients")
+        return self.coef.toarray().reshape(total, d, total).transpose(1, 0, 2)
 
     def corep(self):
         """The lifted corep object, validated like every corep."""
         return Corep(self.parent, np.tensordot(
-            self.parent.Binv, self.coef, axes=([1], [0])))
+            self.parent.Binv, self.dense(), axes=([1], [0])))
 
 
 def compatibility_residual(fock: TruncatedFock, u: Corep) -> float:
@@ -167,45 +263,27 @@ def lift_rep(fock: TruncatedFock, u: Corep, tol: float = 1e-9) -> LiftedRep:
         raise CompatibilityFailed(
             f"involution compatibility fails: {resid:.3e}", worst_residual=resid)
     g = u.parent
-    d = g.d
-    uc = u.u_coef()
-
-    def fold_new_first(prev):
-        # U topbar prev: sum_{k,j} m[k,j,p] U[j] (x) prev[k], the new K leg
-        # in front (lowest leg index, applied last)
-        t1 = np.tensordot(g.mult, uc, axes=([1], [0]))      # (k, p, a, b)
-        dp = prev.shape[1]
-        k_dim = fock.base_dim
-        out = np.tensordot(t1, prev, axes=([0], [0]))       # (p, a, b, c, dd)
-        out = out.transpose(0, 1, 3, 2, 4).reshape(d, k_dim * dp, k_dim * dp)
-        return np.ascontiguousarray(out)
-
-    def fold_new_last(prev):
-        # peel the highest leg instead: sum_{j,k} m[j,k,p] prev[k] (x) U[j]
-        t1 = np.tensordot(np.transpose(g.mult, (1, 0, 2)), uc,
-                          axes=([1], [0]))                  # (k, p, a, b)
-        dp = prev.shape[1]
-        k_dim = fock.base_dim
-        out = np.tensordot(prev, t1, axes=([0], [0]))       # (c, dd, p, a, b)
-        out = out.transpose(2, 0, 3, 1, 4).reshape(d, dp * k_dim, dp * k_dim)
-        return np.ascontiguousarray(out)
-
-    blocks = [np.einsum("i,ab->iab", g.unit, np.eye(1, dtype=complex))]
-    alt = blocks[0]
-    for n in range(1, fock.depth + 1):
-        prev = blocks[-1]
-        cur = fold_new_first(prev)
-        alt = fold_new_last(alt)
-        # two independent groupings of the same leg product
-        if float(np.linalg.norm(cur - alt)) > tol:
-            raise AxiomViolation("topbar power folds disagree")
-        blocks.append(cur)
-    coef = np.zeros((d, fock.total_dim, fock.total_dim), dtype=complex)
-    for n, b in enumerate(blocks):
-        o = fock.degree_offsets[n]
-        dim = fock.degree_dims[n]
-        coef[:, o:o + dim, o:o + dim] = b
-    return LiftedRep(fock, u, blocks, coef)
+    k = fock.base_dim
+    ushape = (k, k)
+    uc = sparse.csr_array(u.u_coef().reshape(g.d, k * k))
+    # m[i, j, p] with the two factors swapped: both folds sum over it
+    mt = np.transpose(g.mult, (1, 0, 2))
+    cur = alt = sparse.csr_array(g.unit.reshape(g.d, 1))
+    blocks = []
+    for n in range(fock.depth + 1):
+        if n:
+            dp = k ** (n - 1)
+            # the new K leg in front (sum m[k,j,p] U[j] (x) prev[k]), and
+            # peeling the highest leg instead (sum m[j,k,p] prev[k] (x) U[j])
+            cur = _kron_sum(mt, uc, ushape, cur, (dp, dp))
+            alt = _kron_sum(mt, alt, (dp, dp), uc, ushape)
+            # two independent groupings of the same leg product
+            if linalg.frob(cur - alt) > tol:
+                raise AxiomViolation("topbar power folds disagree")
+        dim = k ** n
+        p, a, b, v = _entries(cur, dim)
+        blocks.append(linalg.SparseStack((v, (p, a, b)), shape=(g.d, dim, dim)))
+    return LiftedRep(fock, u, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +291,11 @@ def lift_rep(fock: TruncatedFock, u: Corep, tol: float = 1e-9) -> LiftedRep:
 # ---------------------------------------------------------------------------
 
 class InducedAction:
-    """alpha_U(x) = F(U)^*(1 (x) x)F(U) on the truncated algebra."""
+    """alpha_U(x) = F(U)^*(1 (x) x)F(U) on the truncated algebra.
+
+    With H = [F_0 | ... | F_{d-1}], one sparse product H^* x H holds every
+    sandwich F_i^* x F_j; structure constants then sum them.
+    """
 
     def __init__(self, lifted: LiftedRep):
         self.lifted = lifted
@@ -221,93 +303,94 @@ class InducedAction:
         g = lifted.parent
         self.parent = g
         self.coef = lifted.coef
+        self.coef_adj = sparse.csr_array(lifted.coef.conj().T)
         # products e_i^* e_j expressed over the basis
         self.prodstar = g.star_mult
 
+    def _alpha(self, x, c):
+        """Rows form of sum_{i,j} c[i,j,k] F_i^* x F_j."""
+        return linalg.structure_sum_sparse(
+            c, self.coef_adj @ sparse.csr_array(x), self.coef)
+
+    def _omega_table(self, omega_coeffs):
+        """omega(e_i^* e_j) as structure constants with one output."""
+        return np.einsum("ijk,k->ij", self.prodstar,
+                         np.asarray(omega_coeffs))[:, :, None]
+
     def alpha_of(self, x):
-        """Full coefficient family of alpha_U(x); cost d^2 sandwiches."""
-        return linalg.structure_sum(self.prodstar, self.coef, self.coef,
-                                    lambda a, b: (a.conj().T @ x) @ b)
+        """Full coefficient family of alpha_U(x), a dense (d, total, total)."""
+        d, total = self.parent.d, self.fock.total_dim
+        _reserve(16 * d * total * total, "the coefficient family of alpha_U(x)")
+        return self._alpha(x, self.prodstar).toarray().reshape(d, total, total)
 
     def averaged(self, omega_coeffs, x):
         """(omega (x) id) alpha_U(x) without materialising alpha_U."""
-        g = self.parent
-        d = g.d
-        x = np.asarray(x, dtype=complex)
-        # omega(e_i^* e_j) table
-        table = np.einsum("ijk,k->ij", self.prodstar, np.asarray(omega_coeffs))
-        out = np.zeros_like(x)
-        for i in range(d):
-            acc = np.zeros_like(x)
-            for j in range(d):
-                if abs(table[i, j]) > 1e-16:
-                    acc += table[i, j] * self.coef[j]
-            out += self.coef[i].conj().T @ (x @ acc)
-        return out
+        total = self.fock.total_dim
+        _reserve(16 * total * total, "(omega (x) id) alpha_U(x)")
+        return self._alpha(x, self._omega_table(omega_coeffs)).toarray() \
+            .reshape(total, total)
 
     def averaged_vector(self, omega_coeffs, x, vec):
         """[(omega (x) id) alpha_U(x)] vec through matrix-vector products."""
-        g = self.parent
-        d = g.d
-        table = np.einsum("ijk,k->ij", self.prodstar, np.asarray(omega_coeffs))
-        m_j = [x @ (self.coef[j] @ vec) for j in range(d)]
-        out = np.zeros(self.fock.total_dim, dtype=complex)
-        for i in range(d):
-            inner = np.zeros(self.fock.total_dim, dtype=complex)
-            for j in range(d):
-                if abs(table[i, j]) > 1e-16:
-                    inner += table[i, j] * m_j[j]
-            out += self.coef[i].conj().T @ inner
-        return out
+        d, total = self.parent.d, self.fock.total_dim
+        # column j is F_j vec
+        fv = (self.coef.reshape((total * d, total)) @ vec).reshape(total, d)
+        out = linalg.structure_sum_sparse(
+            self._omega_table(omega_coeffs), self.coef_adj @ sparse.csr_array(x), fv)
+        return out.toarray().reshape(total)
 
     def generator_intertwining_residual(self, zeta, omega_family):
         """(omega (x) id) alpha_U(s(zeta)) = s((omega (x) id)(U^*) zeta)."""
         fock = self.fock
+        total = fock.total_dim
         s_op = fock.s_operator(zeta)
         g = self.parent
         ustar = np.einsum("ki,iba->kab", g.star, np.conj(self.lifted.base.u_coef()))
         worst = 0.0
         for om in omega_family:
             om = np.asarray(om, dtype=complex)
-            lhs = self.averaged(om, s_op)
+            lhs = self._alpha(s_op, self._omega_table(om))
             moved = np.tensordot(om, ustar, axes=([0], [0])) @ np.asarray(zeta)
-            rhs = fock.s_operator(moved)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+            rhs = fock.s_operator(moved).reshape((1, total * total))
+            worst = max(worst, linalg.frob(lhs - rhs))
         return worst
 
     def vacuum_invariance_residual(self, words):
         """(id (x) omega_Omega) alpha_U(w) = omega_Omega(w) 1 on test words."""
         fock = self.fock
-        vac = fock.vacuum()
         g = self.parent
         worst = 0.0
         for ops in words:
             if 2 * len(ops) > fock.depth:
                 raise DepthExceeded("test word too long for the truncation")
             x = fock.word_operator(ops)
-            ax = self.alpha_of(x)
-            vals = np.array([vac.conj() @ ax[i] @ vac for i in range(g.d)])
-            target = complex(vac.conj() @ x @ vac) * g.unit
+            # omega_Omega reads entry (0, 0), column 0 of the rows form
+            vals = self._alpha(x, self.prodstar)[:, [0]].toarray()[:, 0]
+            target = complex(x[0, 0]) * g.unit
             worst = max(worst, float(np.linalg.norm(vals - target)))
         return worst
 
     def multiplicativity_residual(self, ops):
         """alpha_U(w^2) vs alpha_U(w)^2 for a word w."""
+        total = self.fock.total_dim
+        g = self.parent
         x = self.fock.word_operator(ops)
-        ax = self.alpha_of(x)
-        axx = self.alpha_of(x @ x)
-        prod = linalg.structure_sum(self.parent.mult, ax, ax)
-        return float(np.linalg.norm(axx - prod))
+        ax = self._alpha(x, self.prodstar)
+        axx = self._alpha(x @ x, self.prodstar)
+        prod = linalg.structure_sum_sparse(
+            g.mult, ax.reshape((g.d * total, total)), _hstack(ax, total, total))
+        return linalg.frob(axx - prod)
 
     def action_equation_residual(self, x):
         """(Delta (x) id) alpha_U(x) = (id (x) alpha_U) alpha_U(x)."""
         g = self.parent
-        ax = self.alpha_of(np.asarray(x, dtype=complex))
+        total = self.fock.total_dim
+        ax = self._alpha(x, self.prodstar)
         worst = 0.0
         for j in range(g.d):
-            rhs = self.alpha_of(ax[j])
-            lhs = np.tensordot(g.comult[:, j, :], ax, axes=([0], [0]))
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+            rhs = self._alpha(ax[[j]].reshape((total, total)), self.prodstar)
+            lhs = sparse.csr_array(g.comult[:, j, :].T) @ ax
+            worst = max(worst, linalg.frob(lhs - rhs))
         return worst
 
 

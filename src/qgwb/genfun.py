@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, presets
 from .core import FiniteQG
 from .errors import (
     GramNotPSD,
@@ -526,12 +526,11 @@ def unbounded_generator_on_z(a_fn, eps, n_windows, max_stages: int = 40,
     report = construct_unbounded_generator(a_fn, eps, windows, search,
                                            k_candidates, max_stages)
     gen_block = report["generator_block"]
-    from .windows import build_window
     results = []
     largest = None
     for n in range(1, n_windows + 1):
         # host window of radius 2n so the gram over {-n..n} is fully defined
-        w = build_window("Z(1)", 2 * n)
+        w = presets.load_preset("Z(1)", radius=2 * n)
         vals = np.array([complex(gen_block(g[0])) for g in w.elements])
         lf = Functional(w, vals)
         gen = validate_generating(lf, sub_radius=n)

@@ -1,18 +1,22 @@
-"""Dense complex linear algebra kernel.
+"""Complex linear algebra kernel.
 
 All other modules go through these wrappers instead of calling numpy/scipy
 directly for spectral work, so the Hermiticity gates and tolerance
-conventions live in one place.  Matrices are plain complex ndarrays;
-tolerances are absolute unless stated relative.
+conventions live in one place.  Matrices are plain complex ndarrays, except
+in the Fock layer, whose operators are scipy sparse arrays that report the
+bytes they hold (`SparseMatrix`, `SparseStack`); tolerances are absolute
+unless stated relative.
 
 `structure_sum` is the one kernel for sums of coefficient matrices against
-structure constants, out[k] = sum_{i,j} c[i,j,k] X_i Y_j (or X_i (x) Y_j).
+structure constants, out[k] = sum_{i,j} c[i,j,k] X_i Y_j (or X_i (x) Y_j);
+`structure_sum_sparse` is its form for sparse families.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sparse
 
 from .errors import DimensionMismatch, NotHermitian
 
@@ -29,7 +33,11 @@ def as_complex_matrix(m) -> np.ndarray:
 
 
 def frob(m) -> float:
-    """Frobenius norm."""
+    """Frobenius norm, of an ndarray or a scipy sparse array."""
+    if sparse.issparse(m):
+        m = sparse.csr_array(m)
+        m.sum_duplicates()
+        m = m.data
     return float(np.linalg.norm(np.asarray(m)))
 
 
@@ -143,6 +151,45 @@ def structure_sum(c, x, y, pair=np.matmul) -> np.ndarray:
         for j, k, wk in zip(js, ks.tolist(), w.tolist()):
             out[k] += wk * prods[j]
     return out
+
+
+def structure_sum_sparse(c, left, right):
+    """out[k] = sum_{i,j} c[i,j,k] X_i Y_j over |c[i,j,k]| > 1e-16, sparse.
+
+    The form of structure_sum (pair np.matmul) for sparse families.  left
+    is the vertical stack [X_0; X_1; ...] (d1*m x n) and right the
+    horizontal stack [Y_0 | Y_1 | ...] (n x d2*p), sparse or dense.  One
+    product left @ right forms every X_i Y_j at once (block (i, j)), and one
+    sparse product with c sums them.  Returns the csr array of shape
+    (c.shape[2], m*p) whose row k is out[k] flattened row-major.
+    """
+    c = np.asarray(c)
+    d1, d2, nk = c.shape
+    m, p = left.shape[0] // d1, right.shape[1] // d2
+    prod = sparse.coo_array(left @ right)
+    i, a = np.divmod(prod.coords[0].astype(np.int64), m)
+    j, b = np.divmod(prod.coords[1].astype(np.int64), p)
+    pairs = sparse.csr_array((prod.data, (i * d2 + j, a * p + b)),
+                             shape=(d1 * d2, m * p))
+    weights = np.where(np.abs(c) > 1e-16, c, 0).reshape(d1 * d2, nk).T
+    return sparse.csr_array(weights) @ pairs
+
+
+class SparseMatrix(sparse.csr_array):
+    """csr_array whose nbytes, as for an ndarray, is the bytes it holds."""
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
+class SparseStack(sparse.coo_array):
+    """n-D coo_array (a stack of sparse matrices) whose nbytes is the bytes
+    it holds."""
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + sum(c.nbytes for c in self.coords)
 
 
 def solve_intertwiner(left_blocks, right_blocks):

@@ -130,3 +130,13 @@ def test_serialize_corep_and_action(tmp_path):
     adoc = action_to_dict(act)
     assert adoc["block_pattern"] == [2]
     assert len(adoc["alpha"]) == 2 * 4
+
+
+@pytest.mark.parametrize("value,code", [
+    ("13", 0),            # sparse operators: a dense one would be 4.3 GB
+    ("foo", 2), ("2.5", 2), ("0", 2), ("true", 2), ('"8"', 2),
+    ("1000000000", 5),    # over the Fock byte budget
+])
+def test_fock_suite_depth_param(tmp_path, value, code):
+    assert cli.main(["--experiment", "fock_suite", "--param", f"depth={value}",
+                     "--name", "depth", "--out", str(tmp_path)]) == code

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ def test_cap():
 
 
 def test_zero_operator(f28):
-    assert np.linalg.norm(f28.s_operator(np.zeros(2))) == 0.0
+    assert np.linalg.norm(f28.s_operator(np.zeros(2)).toarray()) == 0.0
 
 
 def test_catalan_moments(f28):
@@ -57,9 +58,9 @@ def test_pair_moments(f28):
 
 
 def test_selfadjoint_iff_t_fixed(f28):
-    s = f28.s_operator(np.array([1.0, 0.0]))
+    s = f28.s_operator(np.array([1.0, 0.0])).toarray()
     assert np.linalg.norm(s - s.conj().T) < 1e-12
-    s2 = f28.s_operator(np.array([1.0j, 0.0]))
+    s2 = f28.s_operator(np.array([1.0j, 0.0])).toarray()
     assert np.linalg.norm(s2 - s2.conj().T) > 0.5
 
 
@@ -116,7 +117,7 @@ def test_lift_trivial():
     f = fock.TruncatedFock(1, 4)
     lifted = fock.lift_rep(f, t)
     eps_coef = np.einsum("i,ab->iab", g.unit, np.eye(f.total_dim))
-    assert np.linalg.norm(lifted.coef - eps_coef) < 1e-12
+    assert np.linalg.norm(lifted.dense() - eps_coef) < 1e-12
 
 
 def test_lift_sign_character_powers():
@@ -157,7 +158,7 @@ def test_induced_action_trivial():
     act = fock.induced_action(fock.lift_rep(f, t))
     s = f.s_operator(np.array([1.0]))
     ax = act.alpha_of(s)
-    target = np.einsum("i,ab->iab", g.unit, s)
+    target = np.einsum("i,ab->iab", g.unit, s.toarray())
     assert np.linalg.norm(ax - target) < 1e-12
 
 
@@ -292,3 +293,87 @@ def test_action_equation_on_generated_algebra():
     act2 = fock.induced_action(fock.lift_rep(f2, sign))
     s2 = f2.s_operator(np.array([1.0]))
     assert act2.action_equation_residual(s2) < 1e-10
+
+
+# -- sparse storage and the byte budget ------------------------------------------------
+
+def test_creation_sparse_matches_dense_loop():
+    f = fock.TruncatedFock(3, 4)
+    zeta = np.array([1.0, 2.0j, -0.5])
+    op = f.creation(zeta)
+    assert op.nnz <= f.total_dim - 1
+    assert op.nbytes == op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
+    ref = np.zeros((f.total_dim, f.total_dim), dtype=complex)
+    for n in range(f.depth):
+        src, dst = f.degree_offsets[n], f.degree_offsets[n + 1]
+        dim = f.degree_dims[n]
+        for letter in range(f.base_dim):
+            ref[dst + letter * dim + np.arange(dim), src + np.arange(dim)] += zeta[letter]
+    assert np.array_equal(op.toarray(), ref)
+
+
+def dense_fold_blocks(u, depth):
+    """Degree blocks by the dense fold sum_{k,j} m[k,j,p] U_j (x) prev_k."""
+    g = u.parent
+    uc = u.u_coef()
+    blocks = [g.unit.reshape(g.d, 1, 1).astype(complex)]
+    for _ in range(depth):
+        prev = blocks[-1]
+        cur = np.zeros((g.d,) + np.kron(uc[0], prev[0]).shape, dtype=complex)
+        for k, j, p in np.argwhere(g.mult != 0):
+            cur[p] += g.mult[k, j, p] * np.kron(uc[j], prev[k])
+        blocks.append(cur)
+    return blocks
+
+
+def gns_trace_corep(name):
+    g = presets.load_preset(name)
+    w = np.zeros(g.d)
+    for n, off in zip(g.block_dims, g.block_offsets):
+        for i in range(n):
+            w[off + i * n + i] = n / g.d
+    c, _, jm = coreps.gns(g, w)
+    return c, jm
+
+
+@pytest.mark.parametrize("case", ["fn-S3:std", "kac-paljutkin:gns"])
+def test_sparse_lift_matches_dense_kron_fold(case):
+    if case == "fn-S3:std":
+        u, jm, depth = coreps.block_corep(presets.load_preset("fn-S3"), 2), np.eye(2), 4
+    else:
+        (u, jm), depth = gns_trace_corep("kac-paljutkin"), 2
+    f = fock.TruncatedFock(u.space_dim, depth, j_conj=jm)
+    lifted = fock.lift_rep(f, u)
+    ref = dense_fold_blocks(u, depth)
+    for b, r in zip(lifted.degree_blocks, ref):
+        assert np.max(np.abs(b.toarray() - r)) < 1e-12
+    dense = np.zeros((u.parent.d, f.total_dim, f.total_dim), dtype=complex)
+    for o, r in zip(f.degree_offsets, ref):
+        dense[:, o:o + r.shape[1], o:o + r.shape[1]] = r
+    assert np.max(np.abs(lifted.dense() - dense)) < 1e-12
+
+
+def test_over_budget_alpha_of_raises_before_allocating():
+    n = 8
+    g = presets.load_preset(f"dual-Z({n})")
+    u = coreps.direct_sum(*[coreps.block_corep(g, k) for k in range(n)])
+    jm = np.zeros((n, n))
+    for k in range(n):
+        jm[(-k) % n, k] = 1.0
+    f = fock.TruncatedFock(n, 3, j_conj=jm)
+    act = fock.induced_action(fock.lift_rep(f, u))
+    s = f.s_operator(np.eye(n)[0])
+    assert 16 * g.d * f.total_dim ** 2 > fock.BYTE_BUDGET
+    tracemalloc.start()
+    try:
+        with pytest.raises(DepthExceeded):
+            act.alpha_of(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_huge_depth_fails_fast():
+    with pytest.raises(DepthExceeded):
+        fock.TruncatedFock(2, 10 ** 9)

@@ -285,3 +285,9 @@ def test_schoenberg_converse_witness():
         if not F.is_positive(mu_t):
             found_bad_t = True
     assert found_bad_t
+
+
+def test_growth_windows_come_from_the_preset_cache():
+    runs = [genfun.unbounded_generator_on_z(
+        lambda k, m: math.exp(-abs(m) / k), eps=0.5, n_windows=3)[1] for _ in range(2)]
+    assert runs[0].parent is runs[1].parent is presets.load_preset("Z(1)", radius=6)

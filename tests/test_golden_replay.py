@@ -4,18 +4,23 @@ Each golden under perfbench/goldens/{small-mix,qg-fock}/ is rebuilt into a
 scenario from the report's own fields and run again.  The run must exit 0
 with the same check names and pass flags, and every report must be
 byte-identical to its golden except fock_suite reports, whose identical
-count is only printed: their word_multiplicativity value differs in the last
-digit between process histories (a known rounding fault of
-InducedAction.multiplicativity_residual, listed in CHANGES.md).
+count is only printed: the goldens hold the residuals of the dense Fock
+layer, and the sparse one rounds some of them differently in the last
+digits.  test_fock_suite_reports_repeat checks instead that a fock_suite
+report does not depend on what the process ran before.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qgwb
 from qgwb.cli import run_scenario
 
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
@@ -55,3 +60,40 @@ def test_golden_replay(workload, tmp_path):
             mismatches.append(f"{path.name}: report bytes differ")
     print(f"{workload}: fock_suite {noisy_identical}/{noisy} reports byte-identical")
     assert not mismatches, "\n".join(mismatches)
+
+
+def test_fock_suite_reports_repeat(tmp_path):
+    """Every fock_suite golden scenario writes the same bytes twice in one
+    process, with a dual-Z(24) kazhdan run in between, and in fresh
+    processes with one and with two BLAS threads."""
+    scenarios = []
+    for workload in ("small-mix", "qg-fock"):
+        for path in sorted((GOLDENS / workload).glob("*.report.json")):
+            golden = json.loads(path.read_text(encoding="utf-8"))
+            if golden["experiment"] == "fock_suite":
+                scenarios.append(dict(_scenario(golden),
+                                      name=f"{workload}-{golden['name']}"))
+    assert scenarios
+
+    def reports(out_dir):
+        return [(out_dir / f"{sc['name']}.report.json").read_bytes()
+                for sc in scenarios]
+
+    for sc in scenarios:
+        assert run_scenario(sc, str(tmp_path))[0] == 0, sc["name"]
+    first = reports(tmp_path)
+    assert run_scenario({"name": "between", "preset": "dual-Z(24)",
+                         "experiment": "kazhdan"}, str(tmp_path))[0] == 0
+    for sc in scenarios:
+        run_scenario(sc, str(tmp_path))
+    assert reports(tmp_path) == first
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps(scenarios), encoding="utf-8")
+    src = str(Path(qgwb.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "qgwb.cli", str(batch), "--out",
+                        str(out)], env=env, check=True)
+        assert reports(out) == first, f"{threads} BLAS threads"
