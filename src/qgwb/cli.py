@@ -32,6 +32,7 @@ from .errors import (
     NotAMorphism,
     QGWBError,
     SchemaError,
+    WindowTruncation,
 )
 from .serialize import load_qg
 from .windows import GroupDualWindow
@@ -57,6 +58,19 @@ def _check(name, value, tol, passed=None):
 def _word_length(window):
     """The word-length generating functional L(g) = |g| on a window."""
     return functionals.Functional(window, window.lengths)
+
+
+def _generator_powers(window, l_max):
+    """g, g^2, ..., g^l_max for the first generator g of a window; raises
+    WindowTruncation when a power leaves the window."""
+    gen_label = window.elements[1]
+    powers, cur = [], window.identity
+    for l in range(1, l_max + 1):
+        cur = window.mul(cur, gen_label)
+        if cur is None:
+            raise WindowTruncation(f"power {l} of {gen_label!r} leaves the window")
+        powers.append(cur)
+    return powers
 
 
 def _resolve_parent(spec, radius=None):
@@ -90,14 +104,13 @@ def _run_axioms(parent, params, tol_scale, seed):
     checks = []
     if isinstance(parent, FiniteQG):
         tol = 1e-9 * tol_scale
-        res = parent.validate()
-        for name in sorted(res):
-            checks.append(_check(f"axiom:{name}", res[name], tol))
+        for name in sorted(parent.residuals):
+            checks.append(_check(f"axiom:{name}", parent.residuals[name], tol))
         for name in sorted(parent.dual().residuals):
             checks.append(_check(f"dual:{name}", parent.dual().residuals[name], tol))
         checks.append(_check("kac", 0.0 if parent.kac else 1.0, 0.5))
     else:
-        checks.append(_check("window:size", parent.size, float("inf"), True))
+        checks.append(_check("window:size", parent.d, float("inf"), True))
         checks.append(_check("window:identity_length", parent.lengths[0], 0.0,
                              parent.lengths[0] == 0))
     return {"checks": checks}
@@ -221,13 +234,7 @@ def _run_v_matrices(parent, params, tol_scale, seed):
         gen = genfun.validate_generating(wl)
         l_max = int(params.get("l_max", min(parent.radius, 10)))
         e = parent.identity
-        gammas = []
-        cur = e
-        gen_label = parent.elements[1]
-        for _ in range(l_max):
-            cur = parent.mul(cur, gen_label)
-            gammas.append(cur)
-        rows = genfun.triple_form_matrices(gen, e, e, gammas)
+        rows = genfun.triple_form_matrices(gen, e, e, _generator_powers(parent, l_max))
         for l, r in enumerate(rows, start=1):
             stage_rows.append({"gamma": repr(r["gamma"]), "min_eig": r["min_eig"],
                                "lower_bound": r["lower_bound"]})
@@ -268,14 +275,8 @@ def _run_pair_bounds(parent, params, tol_scale, seed):
     wl = _word_length(parent)
     gen = genfun.validate_generating(wl)
     e = parent.identity
-    gen_label = parent.elements[1]
-    gammas, cur = [], e
-    for _ in range(l_max):
-        cur = parent.mul(cur, gen_label)
-        if cur is None:
-            break
-        gammas.append(cur)
-    rows = genfun.pair_invariance_bounds(gen, t, [(e, e)], gammas)
+    rows = genfun.pair_invariance_bounds(gen, t, [(e, e)],
+                                         _generator_powers(parent, l_max))
     checks = []
     stage_rows = []
     prev = -np.inf
@@ -515,7 +516,8 @@ def run_scenario(scenario, out_dir="."):
     if failure is not None:
         sys.stderr.write(f"{type(failure[1]).__name__}: {failure[1]}\n")
         return failure[0], report_path
-    if not all(c["passed"] for c in report["checks"]):
+    # a report with no checks verifies nothing, so it does not pass
+    if not report["checks"] or not all(c["passed"] for c in report["checks"]):
         return 4, report_path
     return 0, report_path
 

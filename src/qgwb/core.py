@@ -13,7 +13,8 @@ basis e_0..e_{d-1}, carrying
                      matrices, entries given as coefficient vectors
 
 Validation contracts every Hopf axiom, the Haar state, and the
-corepresentation calculus to Frobenius residual <= tol (default 1e-9).
+corepresentation calculus to Frobenius residual <= tol (default 1e-9),
+once, at construction; the residual table is kept as `residuals`.
 The dual object is the block algebra  (+)_a M_{n_a}  with the coproduct
 transported through the canonical pairing.
 """
@@ -141,8 +142,9 @@ class Irrep:
 class FiniteQG:
     """A finite quantum group given by structure constants.
 
-    Immutable after construction; `validate()` runs at load time and
-    raises AxiomViolation naming the failing axiom.
+    Immutable after construction; `validate()` runs at load time, raises
+    AxiomViolation naming the failing axiom, and its residual table is
+    kept as `residuals`.
     """
 
     def __init__(self, key, mult, unit, comult, counit, star, antipode,
@@ -204,9 +206,7 @@ class FiniteQG:
             self.haar = solve_haar(self)
 
         # GNS data for the Haar state; e_i^* has coefficient vector star[:, i]
-        st = self.star
-        h2 = np.tensordot(self.mult, self.haar, axes=([2], [0]))  # h2[i,j] = h(e_i e_j)
-        self.gram = np.einsum("pi,pj->ij", st, h2)  # h(e_i* e_j)
+        self.gram = self.form(self.haar)  # h(e_i* e_j)
         self.gram = 0.5 * (self.gram + self.gram.conj().T)
         vals = np.linalg.eigvalsh(self.gram)
         if vals[0] < -self.tol:
@@ -220,7 +220,7 @@ class FiniteQG:
         self.kac = self._kac_check()
         self._dual = None
 
-        self.validate()
+        self.residuals = self.validate()
 
         for arr in (self.mult, self.unit, self.comult, self.counit, self.star,
                     self.antipode, self.haar, self.B, self.Binv, self.gram):
@@ -231,20 +231,11 @@ class FiniteQG:
     def mul(self, a, b):
         return np.einsum("i,j,ijk->k", np.asarray(a), np.asarray(b), self.mult)
 
-    def star_of(self, a):
-        return self.star @ np.conj(np.asarray(a))
-
-    def antipode_of(self, a):
-        return self.antipode @ np.asarray(a)
-
-    def counit_of(self, a):
-        return complex(self.counit @ np.asarray(a))
-
-    def haar_of(self, a):
-        return complex(self.haar @ np.asarray(a))
-
-    def coproduct_of(self, a):
-        return np.tensordot(np.asarray(a), self.comult, axes=([0], [0]))
+    def form(self, coeffs, radius=None):
+        """The matrix [mu(e_i^* e_j)] of the functional with coefficients
+        coeffs.  The same member on a window takes a sub-window radius; here
+        it is ignored."""
+        return self.star.T @ np.tensordot(self.mult, coeffs, axes=([2], [0]))
 
     @functools.cached_property
     def star_mult(self):
@@ -456,9 +447,7 @@ def solve_haar(g: FiniteQG):
         raise HaarNotFound("invariant functional is degenerate at the unit")
     h = h / norm
     # state check
-    h2 = np.tensordot(g.mult, h, axes=([2], [0]))
-    gram = np.einsum("pi,pj->ij", g.star, h2)
-    if not linalg.psd_check(gram, 1e-9):
+    if not linalg.psd_check(g.form(h), 1e-9):
         raise HaarNotFound("bi-invariant functional is not positive")
     return h
 
@@ -531,12 +520,6 @@ class DualBlockAlgebra:
 
     def counit_of(self, u_vec):
         return complex(self.counit @ np.asarray(u_vec))
-
-    def multiply(self, x, y):
-        """Block product of two u-coordinate vectors."""
-        g = self.parent
-        return g.u_vec_of_blocks(
-            [a @ b for a, b in zip(g.blocks_of(x), g.blocks_of(y))])
 
     def adjoint(self, x):
         g = self.parent

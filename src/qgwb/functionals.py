@@ -6,6 +6,12 @@ On a GroupDualWindow a functional is simply a function on the window
 elements (all blocks are one-dimensional).  Convolution is
 (mu * nu)(a) = (mu (x) nu)(Delta a); on windows it is the pointwise
 product.
+
+Both parents share four members, so the counit, evaluation at the unit
+and positivity need no branch on the parent kind: the dimension `d`, the
+`counit` and `unit` coefficient vectors, and `form(coeffs)`, the matrix
+[mu(b_i^* b_j)] whose PSD-ness is positivity (on a window, the Bochner
+gram over the half-radius sub-window).
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from .errors import (
     ParentMismatch,
     PositivityLost,
     SeriesDivergence,
-    WindowTruncation,
 )
 from .windows import GroupDualWindow
 
@@ -32,8 +37,7 @@ class Functional:
 
     def __init__(self, parent, coeffs):
         self.parent = parent
-        n = parent.d if isinstance(parent, FiniteQG) else parent.size
-        self.coeffs = np.asarray(coeffs, dtype=complex).reshape(n)
+        self.coeffs = np.asarray(coeffs, dtype=complex).reshape(parent.d)
         self.coeffs.flags.writeable = False
 
     @property
@@ -66,8 +70,6 @@ class Functional:
         return max(linalg.opnorm(b) for b in self.blocks())
 
     def at_unit(self):
-        if self.is_window:
-            return complex(self.coeffs[0])
         return complex(self.coeffs @ self.parent.unit)
 
     def __add__(self, other):
@@ -98,8 +100,6 @@ def _same_parent(mu, nu):
 # -- distinguished functionals ----------------------------------------------
 
 def counit_functional(parent) -> Functional:
-    if isinstance(parent, GroupDualWindow):
-        return Functional(parent, np.ones(parent.size))
     return Functional(parent, parent.counit)
 
 
@@ -175,17 +175,10 @@ def positivity_matrix(mu: Functional):
     """The matrix whose PSD-ness witnesses positivity of mu.
 
     FiniteQG: M[i,j] = mu(e_i^* e_j).  Window of radius r: the Bochner gram
-    [mu(g^{-1} h)] over the elements of length <= r // 2, where every
-    product is defined.
+    [mu(g^{-1} h)] over the elements of length <= max(r // 2, 1); raises
+    WindowTruncation when a product leaves the window.
     """
-    if not mu.is_window:
-        g = mu.parent
-        m_mu = np.tensordot(g.mult, mu.coeffs, axes=([2], [0]))
-        return g.star.T @ m_mu
-    w = mu.parent
-    if w.radius < 2:
-        raise WindowTruncation("a Bochner gram needs a window of radius >= 2")
-    return mu.coeffs[w.diff_index(w.radius // 2)]
+    return mu.parent.form(mu.coeffs)
 
 
 def is_positive(mu: Functional, tol: float = 1e-9) -> bool:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, presets
-from .core import FiniteQG
 from .errors import (
     GramNotPSD,
     NotCentral,
@@ -57,19 +56,13 @@ class GenFunctional:
 
 
 def cnd_gram(l: Functional, sub_radius=None):
-    """The matrix -L(basis_i^* basis_j) over the relevant basis.
+    """The matrix -L(b_i^* b_j) over the parent's form basis.
 
-    FiniteQG: the full coefficient basis.  Windows: elements of the
-    half-radius sub-window (or the given radius).
+    FiniteQG: the full coefficient basis.  Windows: the elements of the
+    half-radius sub-window (or of length <= sub_radius), a prefix of the
+    window.
     """
-    if l.is_window:
-        w = l.parent
-        s = (w.radius // 2) if sub_radius is None else sub_radius
-        diff = w.diff_index(max(s, 1))
-        return -l.coeffs[diff], list(range(len(diff)))
-    g = l.parent
-    m_l = np.tensordot(g.mult, l.coeffs, axes=([2], [0]))
-    return -(g.star.T @ m_l), list(range(g.d))
+    return -l.parent.form(l.coeffs, sub_radius)
 
 
 def validate_generating(l: Functional, tol: float = CND_TOL,
@@ -83,9 +76,10 @@ def validate_generating(l: Functional, tol: float = CND_TOL,
     sa_resid = float(np.max(np.abs(adjoint(l).coeffs - l.coeffs)))
     if sa_resid > FLAG_TOL:
         raise NotSelfadjoint(f"selfadjointness residual {sa_resid:.3e}")
-    # conditional negative definiteness on ker eps (eps is 1 on window elements)
-    gram, sub = cnd_gram(l, sub_radius)
-    counit = np.ones(len(sub)) if isinstance(parent, GroupDualWindow) else parent.counit
+    # conditional negative definiteness on ker eps; the form basis is a
+    # prefix of the parent's basis
+    gram = cnd_gram(l, sub_radius)
+    counit = parent.counit[:len(gram)]
     kmat = np.array(linalg.null_space(counit.reshape(1, -1))).T
     comp = kmat.conj().T @ gram @ kmat
     herm = 0.5 * (comp + comp.conj().T)
@@ -123,22 +117,13 @@ class SchurmannTriple:
         self.gen = gen
         parent = gen.parent
         l = gen.base
-        if isinstance(parent, GroupDualWindow):
-            # the basis is the prefix of elements of length <= radius // 2
-            diff = parent.diff_index(max(parent.radius // 2, 1))
-            nb = len(diff)
-            self.basis = parent.elements[:nb]
-            lvals = l.coeffs[:nb]
-            gram = np.conj(lvals)[:, None] + lvals[None, :] - l.coeffs[diff]
-        else:
-            nb = parent.d
-            self.basis = list(range(nb))
-            eps = parent.counit
-            lvals = l.coeffs
-            m_l = np.tensordot(parent.mult, l.coeffs, axes=([2], [0]))
-            star_prod = parent.star.T @ m_l  # L(e_i^* e_j)
-            gram = (np.outer(np.conj(lvals), eps) +
-                    np.outer(np.conj(eps), lvals) - star_prod)
+        # <c(b_i), c(b_j)> = conj(L(b_i)) eps(b_j) + conj(eps(b_i)) L(b_j)
+        # - L(b_i^* b_j) over the form basis, a prefix of the parent's basis
+        star_prod = parent.form(l.coeffs)
+        nb = len(star_prod)
+        lvals, eps = l.coeffs[:nb], parent.counit[:nb]
+        gram = (np.outer(np.conj(lvals), eps) +
+                np.outer(np.conj(eps), lvals) - star_prod)
         self.cocycle_gram = gram
         try:
             self.cocycle_vectors = linalg.psd_factor_vectors(gram)
@@ -147,9 +132,11 @@ class SchurmannTriple:
         self.dim = self.cocycle_vectors.shape[1]
         self._parent = parent
         if isinstance(parent, GroupDualWindow):
+            self.basis = parent.elements[:nb]
             self.rhos = None
-            self._verify_window_rule(diff, tol)
+            self._verify_window_rule(tol)
         else:
+            self.basis = list(range(nb))
             self._build_rho()
             self._verify(tol)
         if gen.s_invariant:
@@ -180,14 +167,16 @@ class SchurmannTriple:
         return np.tensordot(np.asarray(coeffs, dtype=complex), self.rhos,
                             axes=([0], [0]))
 
-    def _verify_window_rule(self, diff, tol):
+    def _verify_window_rule(self, tol):
         """Gram-level cocycle rule on windows.
 
         The rule c(bd) = rho(b)c(d) + c(b) with rho(b) unitary is, at the
         level of inner products, <c(bd) - c(b), c(bd') - c(b)> = <c(d), c(d')>
         whenever the products stay inside the cocycle basis.  The basis is
-        the prefix indexed by diff, so bd has index diff[inv(b), d].
+        the prefix of the form's sub-window, so bd has index diff[inv(b), d],
+        diff the form of the index vector.
         """
+        diff = self._parent.form(np.arange(self._parent.d))
         inv = self._parent.inv_index
         f = self.cocycle_vectors
         nb = len(diff)
@@ -217,15 +206,8 @@ class SchurmannTriple:
         if worst > tol:
             raise GramNotPSD(f"cocycle rule residual {worst:.3e}")
         self.cocycle_rule_residual = worst
-        # defining identity residual (a recomputation of the gram)
-        parent = self._parent
-        l = self.gen.base
-        m_l = np.tensordot(parent.mult, l.coeffs, axes=([2], [0]))
-        star_prod = parent.star.T @ m_l
-        rhs = (np.outer(np.conj(l.coeffs), parent.counit) +
-               np.outer(np.conj(parent.counit), l.coeffs)
-               - np.conj(f) @ f.T)
-        resid = float(np.linalg.norm(star_prod - rhs))
+        # defining identity residual: the gram is [<c(e_i), c(e_j)>]
+        resid = float(np.linalg.norm(self.cocycle_gram - np.conj(f) @ f.T))
         if resid > 1e-9:
             raise GramNotPSD(f"defining identity residual {resid:.3e}")
 
@@ -239,8 +221,7 @@ def schurmann_triple(gen: GenFunctional) -> SchurmannTriple:
 # ---------------------------------------------------------------------------
 
 def _require_central_kac(gen: GenFunctional):
-    parent = gen.parent
-    if isinstance(parent, FiniteQG) and not parent.kac:
+    if not gen.parent.kac:
         raise NotKac("triple forms need a Kac parent")
     if not gen.central or not gen.s_invariant:
         raise NotCentral("triple forms need a central antipode-invariant generator")

@@ -3,8 +3,10 @@
 A GroupDualWindow is the radius-r ball of a discrete group under a word
 metric, with a partial multiplication table.  Products falling outside the
 window are reported as None; computations raise WindowTruncation rather
-than zero-fill.  Bochner grams [phi(g^{-1} h)] over a sub-window are
-gathers through the integer table `diff_index`.
+than zero-fill.  Like a FiniteQG, a window has a dimension `d`, `counit`
+and `unit` coefficient vectors and the form [mu(b_i^* b_j)]; here that
+form is the Bochner gram [mu(g^{-1} h)] over a sub-window, a gather
+through the integer table `diff_index`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ class GroupDualWindow:
     Elements are hashable canonical labels sorted by (length, label); the
     identity sits at index 0, and the elements of length <= s form a prefix.
     `mul` returns the product label or None when it leaves the window;
-    `inv_index[i]` is the index of the inverse of element i.
+    `inv_index[i]` is the index of the inverse of element i.  A function on
+    the window is a coefficient vector of length `d`; `counit` is all ones
+    and `unit` the indicator of the identity.
     """
 
     def __init__(self, key, elements, lengths, inv_fn, mul_fn, radius):
@@ -35,12 +39,21 @@ class GroupDualWindow:
         self._inv_fn = inv_fn
         self._mul_fn = mul_fn
         self.radius = int(radius)
-        self.size = len(self.elements)
+        self.d = len(self.elements)
+        self.counit = np.ones(self.d)
+        self.unit = np.zeros(self.d)
+        self.unit[0] = 1.0
+        self.counit.flags.writeable = self.unit.flags.writeable = False
         # -1 marks an inverse outside the window, which _check rejects
         self.inv_index = np.array([self.index.get(inv_fn(g), -1) for g in self.elements],
                                   dtype=int)
         self._diff_index = {}
         self._check()
+
+    @property
+    def size(self):
+        """The element count `d`, under the name perfbench/tracing.py reads."""
+        return self.d
 
     @property
     def identity(self):
@@ -82,6 +95,15 @@ class GroupDualWindow:
             self._diff_index[radius] = table
         return self._diff_index[radius]
 
+    def form(self, coeffs, radius=None):
+        """The Bochner gram [mu(g_a^{-1} g_b)] of the coefficient vector coeffs
+        over the elements of length <= radius (default radius // 2 of the
+        window), at least 1; raises WindowTruncation when a product leaves
+        the window."""
+        if radius is None:
+            radius = self.radius // 2
+        return np.asarray(coeffs)[self.diff_index(max(radius, 1))]
+
     # max irrep dimension: all blocks of a group dual are one-dimensional
     max_block_dim = 1
     kac = True
@@ -93,7 +115,7 @@ class GroupDualWindow:
         if np.any(inv < 0):
             g = self.elements[int(np.argmin(inv))]
             raise AxiomViolation(f"inverse of {g!r} escapes the window")
-        if np.any(inv[inv] != np.arange(self.size)):
+        if np.any(inv[inv] != np.arange(self.d)):
             raise AxiomViolation("inverse is not an involution")
         if np.any(self.lengths[inv] != self.lengths):
             raise AxiomViolation("inverse does not preserve length")
@@ -115,7 +137,7 @@ class GroupDualWindow:
         self._check_associativity()
 
     def _check_associativity(self, samples=2000):
-        n = self.size
+        n = self.d
         if n <= 40:
             triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
         else:

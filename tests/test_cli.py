@@ -140,3 +140,18 @@ def test_serialize_corep_and_action(tmp_path):
 def test_fock_suite_depth_param(tmp_path, value, code):
     assert cli.main(["--experiment", "fock_suite", "--param", f"depth={value}",
                      "--name", "depth", "--out", str(tmp_path)]) == code
+
+
+@pytest.mark.parametrize("preset,experiment,param,code,error", [
+    # the 7th power of a generator leaves a radius-6 window
+    ("free(2) r=6", "lemma74", "l_max=9", 5, "WindowTruncation"),
+    ("Z(1)", "v_matrices", "l_max=9", 5, "WindowTruncation"),
+    # no stages means no checks, and a report without checks does not pass
+    ("Z(1)", "v_matrices", "l_max=0", 4, None),
+])
+def test_main_exit_codes(tmp_path, preset, experiment, param, code, error):
+    assert cli.main(["--preset", preset, "--experiment", experiment,
+                     "--param", param, "--name", "x", "--out", str(tmp_path)]) == code
+    report = json.loads((tmp_path / "x.report.json").read_text())
+    assert report["checks"] == []
+    assert report.get("error", {}).get("type") == error

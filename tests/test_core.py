@@ -27,6 +27,12 @@ def test_preset_axioms(name):
     assert g.kac
 
 
+@pytest.mark.parametrize("name", ["dual-Z(8)", "fn-S3", "kac-paljutkin"])
+def test_residuals_kept_from_construction(name):
+    g = presets.load_preset(name)
+    assert g.residuals == g.validate()
+
+
 def test_dual_z4_profile():
     g = presets.load_preset("dual-Z(4)")
     assert g.d == 4
@@ -223,7 +229,7 @@ def test_dense_image_rejects_non_morphism():
 
 def test_free2_radius2_count():
     w = build_window("free(2)", 2)
-    assert w.size == 17  # 1 + 4 + 12
+    assert w.d == 17  # 1 + 4 + 12
 
 
 def test_z1_radius3():
@@ -236,7 +242,7 @@ def test_z1_radius3():
 def test_free1_matches_z1():
     w1 = build_window("free(1)", 4)
     w2 = build_window("Z(1)", 4)
-    assert w1.size == w2.size
+    assert w1.d == w2.d
     assert sorted(w1.lengths) == sorted(w2.lengths)
 
 
@@ -321,12 +327,12 @@ def test_double_dual_transport():
 def test_zpow_window():
     w = build_window("Z(3)^2", 2)
     # Z_3 x Z_3 ball of radius 2 under the standard generators
-    assert w.size == 1 + 4 + 4  # e, four length-1, four length-2
+    assert w.d == 1 + 4 + 4  # e, four length-1, four length-2
     assert w.mul((1, 0), (2, 0)) == (0, 0)
     assert w.length((1, 1)) == 2
 
 
 def test_cyclic_window_covers_group():
     w = build_window("cyclic(5)", 2)
-    assert w.size == 5
+    assert w.d == 5
     assert w.mul((3,), (4,)) == (2,)

@@ -60,8 +60,8 @@ def test_character_convolution_on_dual_z3():
 def test_window_convolution_pointwise():
     w = build_window("free(2)", 3)
     rng = CounterRNG(7)
-    f = F.Functional(w, rng.complex_vector(w.size))
-    g = F.Functional(w, rng.complex_vector(w.size))
+    f = F.Functional(w, rng.complex_vector(w.d))
+    g = F.Functional(w, rng.complex_vector(w.d))
     conv = F.convolve(f, g)
     assert np.max(np.abs(conv.coeffs - f.coeffs * g.coeffs)) < 1e-14
 
@@ -137,6 +137,44 @@ def test_window_index_tables_match_labels(spec, radius):
         assert [[w.elements[i] for i in row] for row in table] == \
             [[w.mul(w.inv(g), h) for h in sub] for g in sub]
         assert w.diff_index(s) is table
+
+
+# -- the shared parent members: d, counit, unit, form ------------------------
+
+@pytest.mark.parametrize("name", ["kac-paljutkin", "fn-S3"])
+def test_form_matches_brute_force_on_finite_qg(name):
+    g = presets.load_preset(name)
+    mu = rand_functional(g, 41)
+    basis = np.eye(g.d)
+    # e_i^* has coefficient vector star[:, i]
+    brute = np.array([[mu(g.mul(g.star[:, i], basis[j])) for j in range(g.d)]
+                      for i in range(g.d)])
+    assert np.max(np.abs(g.form(mu.coeffs) - brute)) < 1e-12
+    assert np.array_equal(F.positivity_matrix(mu), g.form(mu.coeffs))
+
+
+@pytest.mark.parametrize("spec,radius", [("free(2)", 4), ("Z(3)^2", 4)])
+def test_form_matches_brute_force_on_windows(spec, radius):
+    w = build_window(spec, radius)
+    mu = rand_functional(w, 42)
+    for s in (None, 1, radius // 2):
+        sub = [g for g in w.elements if w.length(g) <= (radius // 2 if s is None else s)]
+        brute = np.array([[mu.coeffs[w.index[w.mul(w.inv(g), h)]] for h in sub]
+                          for g in sub])
+        assert np.array_equal(w.form(mu.coeffs, s), brute)
+    assert np.array_equal(F.positivity_matrix(mu), w.form(mu.coeffs))
+
+
+def test_window_counit_unit_and_at_unit():
+    w = build_window("free(2)", 3)
+    assert w.d == len(w.elements)
+    assert np.array_equal(w.counit, np.ones(w.d))
+    assert np.array_equal(w.unit, np.eye(w.d)[0])
+    assert not w.counit.flags.writeable and not w.unit.flags.writeable
+    mu = rand_functional(w, 43)
+    assert mu.at_unit() == mu.value(w.identity)
+    assert np.array_equal(F.counit_functional(w).coeffs, np.ones(w.d))
+    assert F.counit_functional(w).at_unit() == 1.0
 
 
 # -- positive-definite elements ---------------------------------------------
