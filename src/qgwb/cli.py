@@ -55,6 +55,29 @@ def _check(name, value, tol, passed=None):
     return {"name": name, "value": value, "tol": float(tol), "passed": bool(passed)}
 
 
+def _param(params, key, default, lo=None, hi=None):
+    """Read one experiment parameter, default when absent.  The default's
+    type sets the rule: int, an int that is not a bool; float, an int or
+    float, returned as a float; list, a list of numbers.  A value that breaks
+    its rule or the bounds lo <= value < hi raises SchemaError."""
+    value = params.get(key, default)
+
+    def number(x, kinds=(int, float)):
+        return isinstance(x, kinds) and not isinstance(x, bool)
+
+    if isinstance(default, list):
+        rule, ok = "a list of numbers", isinstance(value, list) and all(map(number, value))
+    elif isinstance(default, float):
+        rule, ok = "a number", number(value)
+    else:
+        rule, ok = "an integer", number(value, int)
+    ok = ok and (lo is None or value >= lo) and (hi is None or value < hi)
+    if not ok:
+        bounds = " and".join(f" {op} {b}" for op, b in ((">=", lo), ("<", hi)) if b is not None)
+        raise SchemaError(f"parameter {key!r} must be {rule}{bounds}, got {value!r}")
+    return float(value) if isinstance(default, float) else value
+
+
 def _word_length(window):
     """The word-length generating functional L(g) = |g| on a window."""
     return functionals.Functional(window, window.lengths)
@@ -120,7 +143,8 @@ def _run_axioms(parent, params, tol_scale, seed):
 def _run_semigroup(parent, params, tol_scale, seed):
     checks = []
     if isinstance(parent, FiniteQG):
-        grid = params.get("t_grid", [0.1, 0.5, 1.0])
+        grid = _param(params, "t_grid", [0.1, 0.5, 1.0])
+        h = _param(params, "h", 1e-4)
         rng = CounterRNG(seed)
         mu = functionals.vector_state(parent, rng.unit_vector(parent.d))
         lf = 3.0 * (functionals.counit_functional(parent) - mu)
@@ -135,12 +159,11 @@ def _run_semigroup(parent, params, tol_scale, seed):
         checks.append(_check("semigroup_law", worst, 1e-9 * tol_scale))
         state_ok = all(functionals.is_state(s, 1e-9 * tol_scale) for s in states)
         checks.append(_check("members_are_states", 0.0 if state_ok else 1.0, 0.5))
-        h = params.get("h", 1e-4)
         rec = functionals.derivative_recovery(lf, h, order=2)
         err = float(np.max(np.abs(rec.coeffs - lf.coeffs)))
         checks.append(_check("derivative_recovery", err, 1e-5 * tol_scale))
     else:
-        grid = params.get("t_grid", [0.1, 1.0, 10.0])
+        grid = _param(params, "t_grid", [0.1, 1.0, 10.0])
         wl = _word_length(parent)
         genfun.validate_generating(wl)
         checks.append(_check("generator_valid", 0.0, 0.5, True))
@@ -208,11 +231,12 @@ def _run_v_matrices(parent, params, tol_scale, seed):
     checks = []
     stage_rows = []
     if isinstance(parent, FiniteQG):
+        n_blocks = len(parent.block_dims)
+        alpha = _param(params, "alpha", 1 % n_blocks, 0, n_blocks)
+        beta = _param(params, "beta", 2 % n_blocks, 0, n_blocks)
         gen = _central_index_generator(parent)
         triple = genfun.schurmann_triple(gen)
-        alpha = int(params.get("alpha", 1 % len(parent.block_dims)))
-        beta = int(params.get("beta", 2 % len(parent.block_dims)))
-        gammas = list(range(len(parent.block_dims)))
+        gammas = list(range(n_blocks))
         rows = genfun.triple_form_matrices(gen, alpha, beta, gammas, triple=triple)
         for r in rows:
             stage_rows.append({
@@ -230,9 +254,9 @@ def _run_v_matrices(parent, params, tol_scale, seed):
             checks.append(_check(f"cocycle_norms:gamma={r['gamma']}", tn,
                                  1e-8 * tol_scale))
     else:
+        l_max = _param(params, "l_max", min(parent.radius, 10), 0)
         wl = _word_length(parent)
         gen = genfun.validate_generating(wl)
-        l_max = int(params.get("l_max", min(parent.radius, 10)))
         e = parent.identity
         rows = genfun.triple_form_matrices(gen, e, e, _generator_powers(parent, l_max))
         for l, r in enumerate(rows, start=1):
@@ -245,8 +269,8 @@ def _run_v_matrices(parent, params, tol_scale, seed):
 
 @experiment("theorem69")
 def _run_unbounded_growth(parent, params, tol_scale, seed):
-    eps = float(params.get("eps", 0.5))
-    n_windows = int(params.get("n_windows", 8))
+    eps = _param(params, "eps", 0.5)
+    n_windows = _param(params, "n_windows", 8, 1)
     report, gen = genfun.unbounded_generator_on_z(
         lambda k, m: math.exp(-abs(m) / k), eps=eps, n_windows=n_windows)
     checks = []
@@ -270,8 +294,8 @@ def _run_unbounded_growth(parent, params, tol_scale, seed):
 def _run_pair_bounds(parent, params, tol_scale, seed):
     if not isinstance(parent, GroupDualWindow):
         raise SchemaError("this experiment needs a window parent")
-    t = float(params.get("t", 1.0))
-    l_max = int(params.get("l_max", 3))
+    t = _param(params, "t", 1.0)
+    l_max = _param(params, "l_max", 3, 0)
     wl = _word_length(parent)
     gen = genfun.validate_generating(wl)
     e = parent.identity
@@ -361,10 +385,8 @@ def _run_action_suite(parent, params, tol_scale, seed):
 
 @experiment("fock_suite")
 def _run_fock_suite(parent, params, tol_scale, seed):
+    depth = _param(params, "depth", 8, 1)
     checks = []
-    depth = params.get("depth", 8)
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
-        raise SchemaError(f"depth must be an integer >= 1, got {depth!r}")
     f2 = fock.TruncatedFock(2, depth)
     zeta = np.array([1.0, 0.0])
     s = f2.s_operator(zeta)

@@ -41,92 +41,86 @@ DEFAULT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# sparse tensor residuals (used by the axiom checks; exact, order-free)
+# Hopf-axiom residual kernels
 # ---------------------------------------------------------------------------
+# Each kernel returns the Frobenius residual of one law of a coproduct
+# c[i, a, b], Delta(e_i) = sum c[i,a,b] e_a (x) e_b.  Read as a coproduct,
+# m.transpose(2, 0, 1), a product m[i, j, k] has the algebra laws as the same
+# kernels: associativity, the unit law and a multiplicative counit are
+# coassociativity, the counit law and a unital coproduct.
+
+def _csr_sorted(flat, data, shape) -> sp.csr_matrix:
+    """The csr matrix with entries data at the ascending row-major positions
+    flat (the canonical entry order)."""
+    rows, cols = np.divmod(flat, shape[1])
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+    return sp.csr_matrix((data, cols, indptr), shape=shape)
+
 
 def _csr(a2d) -> sp.csr_matrix:
-    return sp.csr_matrix(np.ascontiguousarray(a2d))
+    flat = np.flatnonzero(a2d)
+    return _csr_sorted(flat, np.ravel(a2d)[flat], a2d.shape)
 
 
-def _coo_permute(mat: sp.spmatrix, d: int, perm) -> sp.csr_matrix:
-    """Reindex a (d^2, d^2) sparse matrix [(a,b),(c,e)] by a 4-index permutation.
-
-    perm maps the tuple (a, b, c, e) to the new (row-pair, col-pair) order,
-    given as a tuple like ('a', 'c', 'b', 'e') meaning new row = (a,c),
-    new col = (b,e).
-    """
-    coo = mat.tocoo()
-    idx = {
-        "a": coo.row // d,
-        "b": coo.row % d,
-        "c": coo.col // d,
-        "e": coo.col % d,
-    }
-    r = idx[perm[0]] * d + idx[perm[1]]
-    c = idx[perm[2]] * d + idx[perm[3]]
-    return sp.csr_matrix((coo.data, (r, c)), shape=mat.shape)
-
-
-def assoc_residual(m) -> float:
-    """Frobenius residual of sum_k m[i,j,k]m[k,l,p] = sum_k m[j,l,k]m[i,k,p]."""
-    d = m.shape[0]
-    lhs = _csr(m.reshape(d * d, d)) @ _csr(m.reshape(d, d * d))
-    # rhs[(j,l),(i,p)] = sum_k m[j,l,k] m[i,k,p]
-    rhs = _csr(m.reshape(d * d, d)) @ _csr(np.transpose(m, (1, 0, 2)).reshape(d, d * d))
-    # reindex rhs rows (j,l), cols (i,p) -> rows (i,j), cols (l,p)
-    rhs = _coo_permute(rhs, d, ("c", "a", "b", "e"))
-    diff = lhs - rhs
-    return float(sp.linalg.norm(diff)) if diff.nnz else 0.0
+def _regroup(mat, d: int, axes, n_rows: int) -> sp.csr_matrix:
+    """Read a csr matrix as a tensor with len(axes) indices of range d (row
+    indices first), permute its indices to `axes` and regroup the first
+    n_rows of them as the rows of a new csr matrix."""
+    dims = (d,) * len(axes)
+    idx = np.unravel_index(np.repeat(np.arange(mat.shape[0]) * mat.shape[1],
+                                     np.diff(mat.indptr)) + mat.indices, dims)
+    flat = np.ravel_multi_index([idx[a] for a in axes], dims)
+    del idx                 # index arrays freed before the sort
+    order = np.argsort(flat)
+    return _csr_sorted(flat[order], mat.data[order],
+                       (d ** n_rows, d ** (len(axes) - n_rows)))
 
 
 def coassoc_residual(c) -> float:
-    """Coassociativity of a coproduct tensor c[i,a,b]."""
+    """(Delta (x) id)Delta = (id (x) Delta)Delta for a coproduct c[i,a,b]."""
     d = c.shape[0]
     # (Delta (x) id)Delta: X[(i,k),(a,b)] = sum_p c[i,p,k] c[p,a,b]
     x = _csr(np.transpose(c, (0, 2, 1)).reshape(d * d, d)) @ _csr(c.reshape(d, d * d))
     # (id (x) Delta)Delta: Y[(i,a),(b,k)] = sum_p c[i,a,p] c[p,b,k]
     y = _csr(c.reshape(d * d, d)) @ _csr(c.reshape(d, d * d))
-    # align on (i, a, b, k): x has rows (i,k) cols (a,b); y rows (i,a) cols (b,k)
-    x = _coo_permute(x, d, ("a", "c", "e", "b"))
-    y = _coo_permute(y, d, ("a", "b", "c", "e"))
-    diff = x - y
-    return float(sp.linalg.norm(diff)) if diff.nnz else 0.0
+    # both as [(i,a),(b,k)]; canonical entry order fixes the norm's summation order
+    y.sort_indices()
+    return float(sp.linalg.norm(_regroup(x, d, (0, 2, 3, 1), 2) - y))
 
 
 def hom_residual(m, c) -> float:
     """Residual of Delta(xy) = Delta(x)Delta(y) for product m, coproduct c."""
     d = m.shape[0]
     lhs = _csr(m.reshape(d * d, d)) @ _csr(c.reshape(d, d * d))
-    # rhs[(i,j),(a,b)] = sum c[i,p,q] c[j,r,s] m[p,r,a] m[q,s,b]
+    # rhs[(i,j),(a,b)] = sum c[i,p,q] c[j,r,s] m[p,r,a] m[q,s,b], in stages:
     # F[(i,q),(r,a)] = sum_p c[i,p,q] m[p,r,a]
     f = _csr(np.transpose(c, (0, 2, 1)).reshape(d * d, d)) @ _csr(m.reshape(d, d * d))
-    # fold a into the row: F2[(i,q,a), r]
-    f = f.tocoo()
-    rows2 = (f.row * d) + f.col % d
-    cols2 = f.col // d
-    f2 = sp.csr_matrix((f.data, (rows2, cols2)), shape=(d * d * d, d))
-    # E[(i,q,a),(j,s)] = sum_r F2[(i,q,a),r] c[j,r,s]
-    e = f2 @ _csr(np.transpose(c, (1, 0, 2)).reshape(d, d * d))
-    # RHS[(i,j),(a,b)] = sum_{q,s} E[(i,q,a),(j,s)] m[q,s,b]
-    e = e.tocoo()
-    i_idx = e.row // (d * d)
-    q_idx = (e.row // d) % d
-    a_idx = e.row % d
-    j_idx = e.col // d
-    s_idx = e.col % d
-    rows3 = (i_idx * d + a_idx) * d + j_idx
-    cols3 = q_idx * d + s_idx
-    e3 = sp.csr_matrix((e.data, (rows3, cols3)), shape=(d * d * d, d * d))
-    r3 = e3 @ _csr(m.reshape(d * d, d))  # [(i,a,j), b]
-    r3 = r3.tocoo()
-    i_idx = r3.row // (d * d)
-    a_idx = (r3.row // d) % d
-    j_idx = r3.row % d
-    rhs = sp.csr_matrix(
-        (r3.data, (i_idx * d + j_idx, a_idx * d + r3.col)), shape=(d * d, d * d)
-    )
-    diff = lhs - rhs
-    return float(sp.linalg.norm(diff)) if diff.nnz else 0.0
+    # E[(i,q,a),(j,s)] = sum_r F[(i,q,a),r] c[j,r,s]
+    e = _regroup(f, d, (0, 1, 3, 2), 3) @ _csr(np.transpose(c, (1, 0, 2)).reshape(d, d * d))
+    # R[(i,a,j),b] = sum_{q,s} E[(i,a,j),(q,s)] m[q,s,b]
+    r = _regroup(e, d, (0, 2, 3, 1, 4), 3) @ _csr(m.reshape(d * d, d))
+    return float(sp.linalg.norm(lhs - _regroup(r, d, (0, 2, 1, 3), 2)))
+
+
+def counit_residual(c, counit) -> float:
+    """(counit (x) id)Delta = id = (id (x) counit)Delta."""
+    eye = np.eye(c.shape[0])
+    return max(float(np.linalg.norm(np.tensordot(c, counit, axes=([1], [0])) - eye)),
+               float(np.linalg.norm(np.tensordot(c, counit, axes=([2], [0])) - eye)))
+
+
+def unital_residual(c, unit) -> float:
+    """Delta(1) = 1 (x) 1."""
+    return float(np.linalg.norm(
+        np.tensordot(unit, c, axes=([0], [0])) - np.outer(unit, unit)))
+
+
+def star_residual(c, star) -> float:
+    """Delta(x^*) = (* (x) *)Delta(x) for x^* with coefficients star @ conj(x)."""
+    lhs = np.tensordot(star, c, axes=([0], [0]))                  # Delta(e_i^*)
+    rhs = np.tensordot(np.conj(c), star, axes=([1], [1]))         # (i, b, p)
+    rhs = np.tensordot(rhs, star, axes=([1], [1]))                # (i, p, q)
+    return float(np.linalg.norm(lhs - rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +185,7 @@ class FiniteQG:
         self.block_offsets = np.cumsum([0] + [n * n for n in self.block_dims])[:-1]
 
         # basis change: column q of B = coefficient vector of u_q
-        cols = []
-        for r in self.irreps:
-            for i in range(r.dim):
-                for j in range(r.dim):
-                    cols.append(r.coeffs[i, j])
-        self.B = np.array(cols, dtype=complex).T  # (d, d)
+        self.B = np.concatenate([r.coeffs.reshape(-1, d) for r in self.irreps]).T
         if linalg.matrix_rank(self.B) != d:
             raise AxiomViolation("irrep coefficients do not form a basis")
         self.Binv = np.linalg.inv(self.B)
@@ -269,10 +258,9 @@ class FiniteQG:
 
     def blocks_of(self, u_vec):
         """Split a u-coordinate vector into the tuple of block matrices."""
-        out = []
-        for n, off in zip(self.block_dims, self.block_offsets):
-            out.append(np.asarray(u_vec)[off:off + n * n].reshape(n, n))
-        return out
+        u_vec = np.asarray(u_vec)
+        return [u_vec[off:off + n * n].reshape(n, n)
+                for n, off in zip(self.block_dims, self.block_offsets)]
 
     def u_vec_of_blocks(self, blocks):
         return np.concatenate([np.asarray(b, dtype=complex).ravel() for b in blocks])
@@ -315,21 +303,14 @@ class FiniteQG:
         st, s = self.star, self.antipode
         res = {}
 
-        res["associativity"] = assoc_residual(m)
-        res["unit"] = max(
-            float(np.linalg.norm(np.tensordot(self.unit, m, axes=([0], [0])) - np.eye(d))),
-            float(np.linalg.norm(np.tensordot(self.unit, m.transpose(1, 0, 2), axes=([0], [0])) - np.eye(d))),
-        )
+        mt = m.transpose(2, 0, 1)            # the product read as a coproduct
+        res["associativity"] = coassoc_residual(mt)
+        res["unit"] = counit_residual(mt, self.unit)
         res["coassociativity"] = coassoc_residual(c)
-        res["counit"] = max(
-            float(np.linalg.norm(np.tensordot(c, self.counit, axes=([1], [0])) - np.eye(d))),
-            float(np.linalg.norm(np.tensordot(c, self.counit, axes=([2], [0])) - np.eye(d))),
-        )
+        res["counit"] = counit_residual(c, self.counit)
         res["coproduct_homomorphism"] = hom_residual(m, c)
-        res["coproduct_unital"] = float(np.linalg.norm(
-            np.tensordot(self.unit, c, axes=([0], [0])) - np.outer(self.unit, self.unit)))
-        res["counit_homomorphism"] = float(np.linalg.norm(
-            np.tensordot(m, self.counit, axes=([2], [0])) - np.outer(self.counit, self.counit)))
+        res["coproduct_unital"] = unital_residual(c, self.unit)
+        res["counit_homomorphism"] = unital_residual(mt, self.counit)
 
         # antipode: m(S (x) id)Delta = counit(.) 1 = m(id (x) S)Delta
         sd = np.einsum("ijk,pj->ipk", c, s)
@@ -346,10 +327,7 @@ class FiniteQG:
         t1 = np.tensordot(st, m, axes=([0], [0]))       # t1[j,r,p] = sum_q st[q,j] m[q,r,p]
         rhs = np.einsum("ri,jrp->ijp", st, t1)
         res["star_antimultiplicative"] = float(np.linalg.norm(lhs - rhs))
-        lhs = np.tensordot(st, c, axes=([0], [0]))      # Delta(e_i^*)
-        rhs = np.tensordot(np.conj(c), st, axes=([1], [1]))   # (i, b, p)
-        rhs = np.tensordot(rhs, st, axes=([1], [1]))          # (i, p, q)
-        res["star_coproduct"] = float(np.linalg.norm(lhs - rhs))
+        res["star_coproduct"] = star_residual(c, st)
         # S(S(x*)*) = x  (standard Hopf *-compatibility)
         inner = st @ np.conj(s @ st)
         res["antipode_star"] = float(np.linalg.norm(s @ inner - np.eye(d)))
@@ -518,29 +496,14 @@ class DualBlockAlgebra:
             out[q, r, s] = w
         return out
 
-    def counit_of(self, u_vec):
-        return complex(self.counit @ np.asarray(u_vec))
-
-    def adjoint(self, x):
-        g = self.parent
-        return g.u_vec_of_blocks([b.conj().T for b in g.blocks_of(x)])
-
     def _verify(self):
         tol = self.tol
         c = self.comult_tensor()
-        res = {"dual_coassociativity": coassoc_residual(c)}
-        res["dual_homomorphism"] = hom_residual(self.block_mult_tensor(), c)
-        # counit law for the dual coproduct
-        d = self.parent.d
-        res["dual_counit"] = max(
-            float(np.linalg.norm(np.tensordot(c, self.counit, axes=([1], [0])) - np.eye(d))),
-            float(np.linalg.norm(np.tensordot(c, self.counit, axes=([2], [0])) - np.eye(d))),
-        )
-        # star compatibility: dual_comult(x^*) = (* (x) *) dual_comult(x)
-        perm = self.star_perm
-        lhs = c[perm]
-        rhs = np.conj(c)[:, perm][:, :, perm]
-        res["dual_star"] = float(np.linalg.norm(lhs - rhs))
+        res = {"dual_coassociativity": coassoc_residual(c),
+               "dual_homomorphism": hom_residual(self.block_mult_tensor(), c),
+               "dual_counit": counit_residual(c, self.counit),
+               # the involution (e^a_ij)^* = e^a_ji as a permutation matrix
+               "dual_star": star_residual(c, np.eye(self.parent.d)[self.star_perm])}
         bad = {k: v for k, v in res.items() if v > tol}
         if bad:
             worst = max(bad, key=bad.get)
@@ -560,13 +523,11 @@ def check_morphism(source: FiniteQG, target: FiniteQG, pi, tol=1e-9):
     if pi.shape != (target.d, source.d):
         raise NotAMorphism(f"expected shape {(target.d, source.d)}, got {pi.shape}")
     res = float(np.linalg.norm(pi @ source.unit - target.unit))
-    # multiplicativity on basis pairs
-    d = source.d
-    for i in range(d):
-        for j in range(d):
-            lhs = pi @ source.mult[i, j]
-            rhs = target.mul(pi[:, i], pi[:, j])
-            res = max(res, float(np.linalg.norm(lhs - rhs)))
+    # multiplicativity on basis pairs: pi(e_i e_j) = pi(e_i) pi(e_j)
+    lhs = np.tensordot(source.mult, pi, axes=([2], [1]))             # (i, j, a)
+    rhs = np.einsum("bj,ibk->ijk", pi,
+                    np.tensordot(pi, target.mult, axes=([0], [0])))  # (i, j, k)
+    res = max(res, float(np.linalg.norm(lhs - rhs, axis=2).max()))
     # star
     res = max(res, float(np.linalg.norm(pi @ source.star - target.star @ np.conj(pi))))
     # coproduct intertwining: (pi (x) pi) Delta_S = Delta_T pi
@@ -602,10 +563,7 @@ def dense_image_report(source: FiniteQG, target: FiniteQG, pi, tol=1e-10):
     cond1 = linalg.matrix_rank(mhat, tol) == d_t
 
     # reduced picture: realise each image as concrete block matrices
-    cols = []
-    for w in range(d_t):
-        blocks = source.blocks_of(mhat[:, w])
-        cols.append(np.concatenate([b.ravel() for b in blocks]))
+    cols = [source.u_vec_of_blocks(source.blocks_of(mhat[:, w])) for w in range(d_t)]
     cond2 = linalg.matrix_rank(np.array(cols).T, tol) == d_t
 
     # bicharacter slices: N[q, e] = sum_w mhat[q,w] B_target[e,w]

@@ -66,9 +66,6 @@ class Corep:
         """Coefficient tensor of U: U = sum_i e_i (x) u_coef[i]."""
         return np.tensordot(self.parent.B, self.phis, axes=([1], [0]))
 
-    def counit_of(self, x):
-        return self.parent.dual().counit_of(x)
-
     # -- validation -----------------------------------------------------------
 
     def validate(self):

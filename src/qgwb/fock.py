@@ -452,31 +452,38 @@ def trace_check(fock: TruncatedFock, words):
     """max |omega_Omega(w1 w2) - omega_Omega(w2 w1)| over word pairs.
 
     Words are lists of selfadjoint field operators; the degree budget of
-    each product must fit the truncation.
+    each product must fit the truncation.  A word of length L takes the
+    vacuum only to degrees <= L, so its vectors live on that prefix of the
+    Fock space.
     """
     if not fock.tracial:
         raise NotTracial("vacuum traciality needs Q = I")
-    vac = fock.vacuum()
-    vecs = []
     for ops in words:
         for other in words:
             if len(ops) + len(other) > fock.depth:
                 raise DepthExceeded("word pair exceeds the depth budget")
+    cut = {}                    # (id(op), n) -> op on the first n basis vectors
     apply_cache = []
     for ops in words:
-        v = vac.copy()
-        for op in reversed(ops):
-            v = op @ v
-        w = vac.copy()
+        n = int(fock.degree_offsets[len(ops)] + fock.degree_dims[len(ops)])
         for op in ops:
-            w = op @ w          # reversed word applied: w = op_1 ... acting
+            if (id(op), n) not in cut:
+                cut[id(op), n] = op[:n, :n]
+        v = np.zeros(n, dtype=complex)
+        v[0] = 1.0
+        w = v.copy()
+        for op in reversed(ops):
+            v = cut[id(op), n] @ v
+        for op in ops:
+            w = cut[id(op), n] @ w  # reversed word applied: w = op_1 ... acting
         apply_cache.append((v, w))
     worst = 0.0
     for (v1, w1) in apply_cache:
         for (v2, w2) in apply_cache:
             # <Omega, W1 W2 Omega> = <W1^* Omega, W2 Omega>; selfadjoint
-            # letters make W^* Omega the reversed-word vector
-            val1 = complex(w1.conj() @ v2)
-            val2 = complex(w2.conj() @ v1)
+            # letters make W^* Omega the reversed-word vector.  Past the
+            # shorter of two prefixes one of the vectors vanishes.
+            val1 = complex(w1[:len(v2)].conj() @ v2[:len(w1)])
+            val2 = complex(w2[:len(v1)].conj() @ v1[:len(w2)])
             worst = max(worst, abs(val1 - val2))
     return worst

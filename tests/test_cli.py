@@ -4,6 +4,7 @@ import os
 import pytest
 
 from qgwb import cli
+from qgwb.errors import SchemaError
 
 
 def run(tmp_path, scenario):
@@ -155,3 +156,34 @@ def test_main_exit_codes(tmp_path, preset, experiment, param, code, error):
     report = json.loads((tmp_path / "x.report.json").read_text())
     assert report["checks"] == []
     assert report.get("error", {}).get("type") == error
+
+
+@pytest.mark.parametrize("preset,experiment,param", [
+    ("dual-Z(4)", "v_matrices", "alpha=foo"),
+    ("dual-Z(4)", "v_matrices", "alpha=9"),       # dual-Z(4) has 4 blocks
+    ("dual-Z(4)", "semigroup", "t_grid=5"),
+    ("free(2) r=6", "lemma74", "t=foo"),
+    ("Z(1)", "v_matrices", "l_max=-3"),
+    ("dual-Z(4)", "v_matrices", "beta=true"),
+    ("dual-Z(4)", "semigroup", 't_grid=[0.1, "x"]'),
+])
+def test_malformed_parameter_exits_2(tmp_path, preset, experiment, param):
+    assert cli.main(["--preset", preset, "--experiment", experiment,
+                     "--param", param, "--name", "x", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "x.report.json").exists()
+
+
+def test_param_reader_rules():
+    assert cli._param({}, "n", 8, 1) == 8
+    assert cli._param({"n": 3}, "n", 8, 1, 4) == 3
+    assert cli._param({"t": 2}, "t", 1.0) == 2.0
+    assert isinstance(cli._param({"t": 2}, "t", 1.0), float)
+    assert cli._param({"g": [1, 0.5]}, "g", [0.1]) == [1, 0.5]
+    for params, default, lo, hi in [({"n": 2.0}, 8, None, None),
+                                    ({"n": True}, 8, None, None),
+                                    ({"n": 0}, 8, 1, None),
+                                    ({"n": 4}, 8, 0, 4),
+                                    ({"n": True}, 1.0, None, None),
+                                    ({"n": (1, 2)}, [0.1], None, None)]:
+        with pytest.raises(SchemaError):
+            cli._param(params, "n", default, lo, hi)

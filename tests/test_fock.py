@@ -279,6 +279,46 @@ def test_trace_check_depth_budget(f28):
         fock.trace_check(f28, [[s] * 5, [s] * 5])
 
 
+def _full_vector_trace_check(f, words):
+    """trace_check's quantity with every vector on the whole Fock space."""
+    vectors = []
+    for ops in words:
+        v, w = f.vacuum(), f.vacuum()
+        for op in reversed(ops):
+            v = op @ v
+        for op in ops:
+            w = op @ w
+        vectors.append((v, w))
+    return max(abs(complex(w1.conj() @ v2) - complex(w2.conj() @ v1))
+               for v1, w1 in vectors for v2, w2 in vectors)
+
+
+@pytest.mark.parametrize("letters", ["selfadjoint", "complex"])
+def test_trace_check_prefix_matches_full_vectors(f28, letters):
+    if letters == "selfadjoint":
+        zetas = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    else:
+        # not selfadjoint: the compared quantity is far from 0
+        zetas = [CounterRNG(3).unit_vector(2), CounterRNG(4).unit_vector(2)]
+    ops = [f28.s_operator(z) for z in zetas]
+    words = [list(c) for n in range(1, 5) for c in itertools.product(ops, repeat=n)]
+    expected = _full_vector_trace_check(f28, words)
+    assert abs(fock.trace_check(f28, words) - expected) <= 1e-15 * max(1.0, expected)
+
+
+def test_trace_check_memory_stays_on_the_word_prefix():
+    f = fock.TruncatedFock(2, 16)       # full vectors of 2 MB each
+    ops = [f.s_operator(np.array([1.0, 0.0])), f.s_operator(np.array([0.0, 1.0]))]
+    words = [list(c) for n in range(1, 5) for c in itertools.product(ops, repeat=n)]
+    tracemalloc.start()
+    try:
+        assert fock.trace_check(f, words) < 1e-12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_action_equation_on_generated_algebra():
     g = presets.load_preset("fn-S3")
     sig = coreps.block_corep(g, 2)
