@@ -12,6 +12,7 @@ Exit codes: 0 all contracts passed; 2 schema errors; 3 axiom violations;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -32,6 +33,7 @@ from .errors import (
     NotAMorphism,
     QGWBError,
     SchemaError,
+    UnknownPreset,
     WindowTruncation,
 )
 from .serialize import load_qg
@@ -96,25 +98,28 @@ def _generator_powers(window, l_max):
     return powers
 
 
-def _resolve_parent(spec, radius=None):
-    """Preset name, 'NAME r=R' window form, or a document path."""
+def _resolve_parent(spec, radius):
+    """Preset name, 'NAME r=R' window form, or a document path.  Only a name
+    that is no preset is looked up as a document; a spec or document that
+    cannot be read raises SchemaError."""
     spec = str(spec).strip()
-    if " r=" in spec:
-        name, _, r = spec.rpartition(" r=")
-        return presets.load_preset(name.strip(), radius=int(r))
     try:
-        return presets.load_preset(spec, radius=radius)
-    except SchemaError:
-        pass
-    candidates = [spec]
-    extra = os.environ.get(PRESET_DIR_ENV)
-    if extra:
-        for root in extra.split(os.pathsep):
-            candidates.append(os.path.join(root, spec))
-            candidates.append(os.path.join(root, spec + ".json"))
-    for path in candidates:
-        if os.path.isfile(path):
-            return load_qg(path)
+        if " r=" in spec:
+            name, _, r = spec.rpartition(" r=")
+            return presets.load_preset(name.strip(), radius=int(r))
+        with contextlib.suppress(UnknownPreset):
+            return presets.load_preset(spec, radius=radius)
+        candidates = [spec]
+        extra = os.environ.get(PRESET_DIR_ENV)
+        if extra:
+            for root in extra.split(os.pathsep):
+                candidates.append(os.path.join(root, spec))
+                candidates.append(os.path.join(root, spec + ".json"))
+        for path in candidates:
+            if os.path.isfile(path):
+                return load_qg(path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"cannot read parent {spec!r}: {exc}") from exc
     raise SchemaError(f"unknown preset or document {spec!r}")
 
 
@@ -464,7 +469,8 @@ def _run_dense_image(parent, params, tol_scale, seed):
 # ---------------------------------------------------------------------------
 
 def run_scenario(scenario, out_dir="."):
-    """Execute one scenario; returns (exit_code, report_path or None)."""
+    """Execute one scenario; returns (exit_code, report_path or None).  An
+    error while building the parent exits as one in the experiment body."""
     try:
         name = scenario["name"]
         experiment_id = scenario["experiment"]
@@ -475,17 +481,17 @@ def run_scenario(scenario, out_dir="."):
         if experiment_id not in EXPERIMENTS:
             raise SchemaError(f"unknown experiment {experiment_id!r}")
         needs_parent = experiment_id not in ("theorem69", "dense_image", "fock_suite")
-        parent = None
-        if parent_spec is not None:
-            parent = _resolve_parent(parent_spec, radius=params.get("radius"))
-        elif needs_parent:
+        if parent_spec is None and needs_parent:
             raise SchemaError("scenario needs a 'preset' or 'parent'")
+        radius = _param(params, "radius", 4, 1)
     except (SchemaError, KeyError, TypeError, ValueError) as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return 2, None
 
-    started = time.time()
+    parent, started = None, time.time()
     try:
+        if parent_spec is not None:
+            parent = _resolve_parent(parent_spec, radius)
         body = EXPERIMENTS[experiment_id](parent, params, tol_scale, seed)
         failure = None
     except RESOURCE_CAP_ERRORS as exc:

@@ -16,6 +16,10 @@ class SchemaError(QGWBError):
     """Malformed input document."""
 
 
+class UnknownPreset(SchemaError):
+    """A name that is no shipped preset."""
+
+
 class NotAMorphism(QGWBError):
     """Linear map does not intertwine the coproducts within tolerance."""
 

@@ -14,7 +14,7 @@ import functools
 import numpy as np
 
 from .core import FiniteQG, Irrep
-from .errors import SchemaError
+from .errors import SchemaError, UnknownPreset
 from .windows import build_window
 
 # ---------------------------------------------------------------------------
@@ -320,7 +320,7 @@ def load_preset(name: str, radius: int | None = None):
         return kac_paljutkin()
     if is_window_preset(name):
         return _window(name, 4 if radius is None else radius)
-    raise SchemaError(f"unknown preset {name!r}")
+    raise UnknownPreset(f"unknown preset {name!r}")
 
 
 @functools.lru_cache(maxsize=None, typed=True)

@@ -17,6 +17,8 @@ from ._rng import CounterRNG
 from .errors import AxiomViolation, RadiusTooLarge, SchemaError, WindowTruncation
 
 ELEMENT_CAP = 200_000
+# pairs per batch of `mul` calls: bounds the Python index lists on large windows
+_CHUNK = 1 << 16
 
 
 class GroupDualWindow:
@@ -72,6 +74,20 @@ class GroupDualWindow:
             return None
         return p
 
+    def _products(self, a, b):
+        """Index of g_a g_b over the broadcast index arrays a, b; -1 where
+        `mul` returns None or an input index is -1.  One `mul` call per pair,
+        so label `mul` stays the one definition of a window product."""
+        a, b = np.broadcast_arrays(a, b)
+        shape, a, b = a.shape, a.ravel(), b.ravel()
+        els, index, mul = self.elements, self.index, self.mul
+        out = np.empty(a.size, dtype=int)
+        for k in range(0, a.size, _CHUNK):
+            out[k:k + _CHUNK] = [
+                -1 if i < 0 or j < 0 or (p := mul(els[i], els[j])) is None else index[p]
+                for i, j in zip(a[k:k + _CHUNK].tolist(), b[k:k + _CHUNK].tolist())]
+        return out.reshape(shape)
+
     def diff_index(self, radius):
         """Index of g_a^{-1} g_b for a, b over the elements of length <= radius.
 
@@ -81,16 +97,11 @@ class GroupDualWindow:
         """
         if radius not in self._diff_index:
             m = int(np.searchsorted(self.lengths, radius, side="right"))
-            sub = self.elements[:m]
-            table = np.empty((m, m), dtype=int)
-            for a, ia in enumerate(self.inv_index[:m]):
-                gi = self.elements[ia]
-                for b, h in enumerate(sub):
-                    p = self.mul(gi, h)
-                    if p is None:
-                        raise WindowTruncation(
-                            f"product of {gi!r}, {h!r} leaves the window")
-                    table[a, b] = self.index[p]
+            table = self._products(self.inv_index[:m, None], np.arange(m))
+            if np.any(table < 0):
+                a, b = np.unravel_index(np.argmax(table < 0), table.shape)
+                gi, h = self.elements[self.inv_index[a]], self.elements[b]
+                raise WindowTruncation(f"product of {gi!r}, {h!r} leaves the window")
             table.flags.writeable = False
             self._diff_index[radius] = table
         return self._diff_index[radius]
@@ -111,58 +122,82 @@ class GroupDualWindow:
     def _check(self):
         if self.lengths[0] != 0:
             raise AxiomViolation("identity element missing or |e| != 0")
-        inv = self.inv_index
+        inv, n = self.inv_index, self.d
         if np.any(inv < 0):
             g = self.elements[int(np.argmin(inv))]
             raise AxiomViolation(f"inverse of {g!r} escapes the window")
-        if np.any(inv[inv] != np.arange(self.d)):
+        every = np.arange(n)
+        if np.any(inv[inv] != every):
             raise AxiomViolation("inverse is not an involution")
         if np.any(self.lengths[inv] != self.lengths):
             raise AxiomViolation("inverse does not preserve length")
-        e = self.identity
-        for g, ig in zip(self.elements, inv.tolist()):
-            gi = self.elements[ig]
-            if self.mul(g, e) != g or self.mul(e, g) != g:
-                raise AxiomViolation("identity law fails")
-            if self.mul(g, gi) != e:
-                raise AxiomViolation("inverse law fails")
+        # report the law that the first failing element breaks, identity first
+        bad_unit = (self._products(every, 0) != every) | (self._products(0, every) != every)
+        bad_inverse = self._products(every, inv) != 0
+        first = int(np.argmax(bad_unit | bad_inverse))
+        if bad_unit[first]:
+            raise AxiomViolation("identity law fails")
+        if bad_inverse[first]:
+            raise AxiomViolation("inverse law fails")
         # products must exist whenever |g| + |h| <= radius; elements are
-        # sorted by length, so cut the partner range per length class
-        bound = np.searchsorted(self.lengths, self.radius - self.lengths, side="right")
-        for i, g in enumerate(self.elements):
-            for j in range(int(bound[i])):
-                if self.mul(g, self.elements[j]) is None:
-                    raise AxiomViolation(
-                        f"product of {g!r}, {self.elements[j]!r} undefined inside radius")
-        self._check_associativity()
-
-    def _check_associativity(self, samples=2000):
-        n = self.d
+        # sorted by length, so the partners of a length class are a prefix
+        for length in np.unique(self.lengths):
+            rows = np.flatnonzero(self.lengths == length)
+            table = self._products(rows[:, None], np.arange(
+                np.searchsorted(self.lengths, self.radius - length, side="right")))
+            if np.any(table < 0):
+                i, j = np.unravel_index(np.argmax(table < 0), table.shape)
+                g, h = self.elements[rows[i]], self.elements[j]
+                raise AxiomViolation(f"product of {g!r}, {h!r} undefined inside radius")
+        # associativity: every triple of a small window, by lookups in its
+        # product table, whose extra row and column of -1 stand for
+        # "undefined"; 2000 fixed random triples of a larger one
         if n <= 40:
-            triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+            table = np.full((n + 1, n + 1), -1)
+            table[:n, :n] = self._products(every[:, None], every)
+            a, b, c = np.indices((n, n, n)).reshape(3, -1)
+
+            def product(x, y):
+                return table[x, y]
         else:
             rng = CounterRNG(17)
-            triples = [(rng.next_u64() % n, rng.next_u64() % n, rng.next_u64() % n)
-                       for _ in range(samples)]
-        for ia, ib, ic in triples:
-            a, b, c = self.elements[ia], self.elements[ib], self.elements[ic]
-            ab = self.mul(a, b)
-            bc = self.mul(b, c)
-            if ab is None or bc is None:
-                continue
-            left = self.mul(ab, c)
-            right = self.mul(a, bc)
-            if left is not None and right is not None and left != right:
-                raise AxiomViolation(f"associativity fails on {(a, b, c)!r}")
+            a, b, c = np.array([rng.next_u64() % n for _ in range(3 * 2000)]).reshape(-1, 3).T
+            product = self._products
+        left, right = product(product(a, b), c), product(a, product(b, c))
+        bad = np.flatnonzero((left >= 0) & (right >= 0) & (left != right))
+        if bad.size:
+            triple = tuple(self.elements[i[bad[0]]] for i in (a, b, c))
+            raise AxiomViolation(f"associativity fails on {triple!r}")
 
 
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
 
-def _free_reduce(word):
-    out = []
-    for letter in word:
+def _ball(key, identity, gens, product, length, inv, radius, cap):
+    """The radius ball of a group, grown one sphere at a time by right
+    multiplication with the generators; its `mul` is `product` cut to the
+    ball (by `GroupDualWindow.mul`).  Raises RadiusTooLarge beyond `cap`
+    elements."""
+    elements, seen, start = [identity], {identity}, 0
+    for _ in range(radius):
+        frontier, start = elements[start:], len(elements)
+        for w in frontier:
+            for g in gens:
+                t = product(w, g)
+                if t not in seen and length(t) == length(w) + 1:
+                    seen.add(t)
+                    elements.append(t)
+                    if len(elements) > cap:
+                        raise RadiusTooLarge(f"{key} radius {radius} exceeds cap {cap}")
+    return GroupDualWindow(f"{key} r={radius}", elements, [length(t) for t in elements],
+                           inv, product, radius)
+
+
+def _free_product(a, b):
+    """The reduced word of a b, for reduced words a and b."""
+    out = list(a)
+    for letter in b:
         if out and out[-1] == -letter:
             out.pop()
         else:
@@ -171,98 +206,36 @@ def _free_reduce(word):
 
 
 def _build_free(k, radius, cap):
-    gens = [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
-    elements = [()]
-    seen = {()}
-    frontier = [()]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                r = _free_reduce(w + (g,))
-                if len(r) == len(w) + 1 and r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-                    elements.append(r)
-                    if len(elements) > cap:
-                        raise RadiusTooLarge(
-                            f"free({k}) radius {radius} exceeds cap {cap}")
-        frontier = nxt
-    lengths = [len(w) for w in elements]
-
-    def inv(w):
-        return tuple(-x for x in reversed(w))
-
-    def mul(a, b):
-        r = _free_reduce(a + b)
-        return r if len(r) <= radius else None
-
-    return GroupDualWindow(f"free({k}) r={radius}", elements, lengths, inv, mul, radius)
-
-
-def _zd_length(x, d):
-    if d == 1:
-        return abs(x)
-    return min(x % d, (-x) % d)
+    letters = list(range(1, k + 1)) + list(range(-1, -k - 1, -1))
+    return _ball(f"free({k})", (), [(x,) for x in letters],
+                 _free_product, len,
+                 lambda w: tuple(-x for x in reversed(w)), radius, cap)
 
 
 def _build_zpow(d, m, radius, cap):
     """Window in (Z_d)^m for d >= 2, or Z^m for d = 1."""
-    elements = [(0,) * m]
-    seen = {(0,) * m}
-    frontier = [(0,) * m]
-    gens = []
-    for i in range(m):
-        for sgn in (1, -1):
-            e = [0] * m
-            e[i] = sgn
-            gens.append(tuple(e))
-
     def norm(t):
         return tuple(x % d for x in t) if d >= 2 else t
 
     def length(t):
-        return sum(_zd_length(x, d) for x in t)
+        return sum(min(x % d, -x % d) if d >= 2 else abs(x) for x in t)
 
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                t = norm(tuple(a + b for a, b in zip(w, g)))
-                if t not in seen and length(t) == length(w) + 1:
-                    seen.add(t)
-                    nxt.append(t)
-                    elements.append(t)
-                    if len(elements) > cap:
-                        raise RadiusTooLarge(f"Z({d})^{m} radius {radius} exceeds cap {cap}")
-        frontier = nxt
-    lengths = [length(t) for t in elements]
-
-    def inv(t):
-        return norm(tuple(-x for x in t))
-
-    def mul(a, b):
-        t = norm(tuple(p + q for p, q in zip(a, b)))
-        return t if length(t) <= radius else None
-
-    name = f"Z({d})^{m} r={radius}" if m > 1 else f"Z({d}) r={radius}"
-    return GroupDualWindow(name, elements, lengths, inv, mul, radius)
+    gens = [tuple(sgn if j == i else 0 for j in range(m)) for i in range(m) for sgn in (1, -1)]
+    return _ball(f"Z({d})^{m}" if m > 1 else f"Z({d})", (0,) * m, gens,
+                 lambda a, b: norm(tuple(p + q for p, q in zip(a, b))), length,
+                 lambda t: norm(tuple(-x for x in t)), radius, cap)
 
 
 def _build_custom(table, radius):
-    elements = list(table["elements"])
-    lengths = list(table["lengths"])
-    inv_map = dict(zip(elements, table["inverse"]))
-    prod = {(a, b): p for a, b, p in table["product"]}
+    inverse = dict(zip(table["elements"], table["inverse"]))
+    product = {(a, b): p for a, b, p in table["product"]}
+    return GroupDualWindow(table.get("label", "custom"), list(table["elements"]),
+                           list(table["lengths"]), inverse.__getitem__,
+                           lambda a, b: product.get((a, b)), radius)
 
-    def inv(g):
-        return inv_map[g]
 
-    def mul(a, b):
-        return prod.get((a, b))
-
-    return GroupDualWindow(table.get("label", "custom"), elements, lengths,
-                           inv, mul, radius)
+# the least arguments of each group kind: free(k), Z(d)^m, cyclic(N)
+_LEAST_ARGS = {"free": (1,), "Z": (1, 1), "cyclic": (2,)}
 
 
 def build_window(group, radius, cap=ELEMENT_CAP):
@@ -270,22 +243,24 @@ def build_window(group, radius, cap=ELEMENT_CAP):
 
     group: ("free", k) | ("Z", d, m) | ("cyclic", N) | ("custom", table)
            or a string like "free(2)", "Z(1)", "Z(3)^2", "cyclic(6)".
+    Raises SchemaError for k, d or m < 1 and for N < 2.
     """
     if radius < 1:
         raise SchemaError("radius must be >= 1")
     if isinstance(group, str):
         group = _parse_group_spec(group)
     kind = group[0]
-    if kind == "free":
-        return _build_free(int(group[1]), radius, cap)
-    if kind == "Z":
-        d, m = int(group[1]), int(group[2])
-        return _build_zpow(d, m, radius, cap)
-    if kind == "cyclic":
-        return _build_zpow(int(group[1]), 1, radius, cap)
     if kind == "custom":
         return _build_custom(group[1], radius)
-    raise SchemaError(f"unknown group kind {kind!r}")
+    if kind not in _LEAST_ARGS:
+        raise SchemaError(f"unknown group kind {kind!r}")
+    args, least = tuple(int(x) for x in group[1:]), _LEAST_ARGS[kind]
+    if len(args) != len(least) or any(x < lo for x, lo in zip(args, least)):
+        raise SchemaError(f"{kind} group arguments {args} out of range (least {least})")
+    if kind == "free":
+        return _build_free(args[0], radius, cap)
+    d, m = args if kind == "Z" else (args[0], 1)
+    return _build_zpow(d, m, radius, cap)
 
 
 def _parse_group_spec(s):

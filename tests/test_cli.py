@@ -149,6 +149,8 @@ def test_fock_suite_depth_param(tmp_path, value, code):
     ("Z(1)", "v_matrices", "l_max=9", 5, "WindowTruncation"),
     # no stages means no checks, and a report without checks does not pass
     ("Z(1)", "v_matrices", "l_max=0", 4, None),
+    # a parent that fails to build exits like the experiment body would
+    ("free(2) r=11", "lemma74", "t=1.0", 5, "RadiusTooLarge"),
 ])
 def test_main_exit_codes(tmp_path, preset, experiment, param, code, error):
     assert cli.main(["--preset", preset, "--experiment", experiment,
@@ -187,3 +189,36 @@ def test_param_reader_rules():
                                     ({"n": (1, 2)}, [0.1], None, None)]:
         with pytest.raises(SchemaError):
             cli._param(params, "n", default, lo, hi)
+
+
+def test_parent_build_errors_do_not_abort_a_batch(tmp_path):
+    from qgwb import presets as P
+    from qgwb.serialize import qg_to_dict
+    doc = qg_to_dict(P.load_preset("fn-Z(2)"))
+    doc["antipode"][0][0] = 2.0
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    batch = [{"name": "bad", "preset": str(tmp_path / "bad.json"), "experiment": "axioms"},
+             {"name": "good", "preset": "fn-Z(2)", "experiment": "axioms"}]
+    (tmp_path / "batch.json").write_text(json.dumps(batch))
+    assert cli.main([str(tmp_path / "batch.json"), "--out", str(tmp_path)]) == 3
+    bad = json.loads((tmp_path / "bad.report.json").read_text())
+    assert bad["parent_id"] is None and bad["checks"] == []
+    assert bad["error"]["type"] == "AxiomViolation"
+    good = json.loads((tmp_path / "good.report.json").read_text())
+    assert good["checks"] and all(c["passed"] for c in good["checks"])
+
+
+@pytest.mark.parametrize("preset,param,named", [
+    ("Z(0)", "radius=2", "Z"),
+    ("cyclic(0)", "radius=2", "cyclic"),
+    ("cyclic(1)", "radius=2", "cyclic"),
+    ("Z(3)^0", "radius=2", "Z"),
+    ("free(0)", "radius=2", "free"),
+    ("free(2)", "radius=true", "'radius'"),
+    ("free(2)", "radius=-1", "'radius'"),
+])
+def test_out_of_range_window_exits_2(tmp_path, capsys, preset, param, named):
+    assert cli.main(["--preset", preset, "--experiment", "lemma74", "--param", param,
+                     "--name", "x", "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "x.report.json").exists()

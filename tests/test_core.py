@@ -338,6 +338,41 @@ def test_cyclic_window_covers_group():
     assert w.mul((3,), (4,)) == (2,)
 
 
+# -- window validation: each failure names the first offending pair or triple --
+
+def _twisted_zn_table(n):
+    """Z_n on the labels 0..n-1 with g∘h = g + 2h except on identity and
+    inverse pairs, so only associativity fails."""
+    def prod(g, h):
+        return (g + 2 * h) % n if g and h and (g + h) % n else (g + h) % n
+    return {"label": f"z{n}", "elements": list(range(n)),
+            "lengths": [min(g, n - g) for g in range(n)],
+            "inverse": [(-g) % n for g in range(n)],
+            "product": [[g, h, prod(g, h)] for g in range(n) for h in range(n)]}
+
+
+_Z2_LABELS = {"elements": ["e", "g"], "lengths": [0, 1], "inverse": ["e", "g"]}
+
+
+@pytest.mark.parametrize("table,radius,message", [
+    (dict(_Z2_LABELS, product=[["e", "e", "e"], ["e", "g", "e"], ["g", "e", "g"],
+                               ["g", "g", "e"]]), 1, "identity law fails"),
+    (dict(_Z2_LABELS, product=[["e", "e", "e"], ["e", "g", "g"], ["g", "e", "g"],
+                               ["g", "g", "g"]]), 1, "inverse law fails"),
+    # a·a and A·A are undefined, so radius 2 is too large
+    ({"elements": ["e", "a", "A"], "lengths": [0, 1, 1], "inverse": ["e", "A", "a"],
+      "product": [["e", "e", "e"], ["e", "a", "a"], ["a", "e", "a"], ["e", "A", "A"],
+                  ["A", "e", "A"], ["a", "A", "e"], ["A", "a", "e"]]},
+     2, "product of 'A', 'A' undefined inside radius"),
+    (_twisted_zn_table(5), 2, "associativity fails on (1, 1, 1)"),      # all n³ triples
+    (_twisted_zn_table(41), 20, "associativity fails on (19, 5, 37)"),  # sampled triples
+])
+def test_window_check_failures(table, radius, message):
+    with pytest.raises(AxiomViolation) as err:
+        build_window(("custom", table), radius)
+    assert str(err.value) == message
+
+
 # -- Hopf-axiom residual kernels against dense einsum evaluations -------------
 # Every primal residual the preset goldens print is exactly 0.0, so only
 # generic tensors show an index slip in the sparse regrouping.

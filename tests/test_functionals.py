@@ -120,7 +120,7 @@ def test_window_truncation_error():
     f = F.Functional(w, np.ones(3))
     with pytest.raises(WindowTruncation):
         F.positivity_matrix(f)
-    with pytest.raises(WindowTruncation):
+    with pytest.raises(WindowTruncation, match="product of 'a', 'a' leaves the window"):
         w.diff_index(1)
     with pytest.raises(WindowTruncation):
         cnd_gram(f)
