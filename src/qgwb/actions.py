@@ -11,6 +11,12 @@ is a corepresentation, implements alpha(x) = U^*(1 (x) x)U, and satisfies
 the conjugation-symmetry condition with respect to the modular conjugation
 of theta.  The fixed-point algebra carries the conditional expectation
 E = (h (x) id) alpha with E(a) p = p a p.
+
+N is stored as one index table: its matrix unit e_q has its single 1 at
+(rows[q], cols[q]).  Coordinates, the GNS gram of theta, the images
+alpha_i(e_q), the raw coefficient legs of U, left multiplication and the
+modular conjugation are gathers through that table, so every identity is
+checked on all matrix units at once.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from . import linalg
 from ._rng import CounterRNG
 from .core import FiniteQG
 from .coreps import Corep, check_condition_r, contragredient, corep_from_u_coef, \
-    dual_matrix_units, kazhdan_gap, unitarily_equivalent
+    dual_matrix_units, kazhdan_gap, named_residuals, unitarily_equivalent
 from .errors import (
     AxiomViolation,
     NoInvariantState,
@@ -46,17 +52,15 @@ class Action:
             raise SchemaError(
                 f"alpha tensor must be (d, n, n, n, n), got {self.alpha.shape}")
         self.tol = tol
-        # matrix-unit basis of N (block-diagonal support only)
-        self.basis = []
-        off = 0
-        for nb in self.block_pattern:
-            for i in range(nb):
-                for j in range(nb):
-                    m = np.zeros((self.n, self.n), dtype=complex)
-                    m[off + i, off + j] = 1.0
-                    self.basis.append(m)
-            off += nb
-        self.dimN = len(self.basis)
+        # the matrix units of N, block by block in row-major order: the
+        # block-diagonal support of M_n
+        block = np.repeat(np.arange(len(self.block_pattern)), self.block_pattern)
+        self.rows, self.cols = np.nonzero(block[:, None] == block[None, :])
+        self.dimN = len(self.rows)
+        self.basis = self.unvec(np.eye(self.dimN))
+        self.basis.flags.writeable = False
+        # images[i, a, b, q] = alpha_i(e_q)[a, b]
+        self.images = self.alpha[..., self.rows, self.cols]
         if invariant_state is not None:
             self.theta = np.asarray(invariant_state, dtype=complex)
         else:
@@ -67,85 +71,77 @@ class Action:
     # -- evaluation -----------------------------------------------------------
 
     def apply(self, x):
-        """alpha(x) as the coefficient family (alpha_i(x))_i."""
-        return np.einsum("iabcd,cd->iab", self.alpha, np.asarray(x, dtype=complex))
+        """alpha(x) as the coefficient family (alpha_i(x))_i; x may be a stack."""
+        return np.einsum("iabcd,...cd->...iab", self.alpha, np.asarray(x, dtype=complex))
 
     def leg(self, i, x):
         return np.einsum("abcd,cd->ab", self.alpha[i], np.asarray(x, dtype=complex))
 
-    def theta_of(self, x):
-        return complex(np.trace(self.theta @ np.asarray(x)))
-
     # -- validation ------------------------------------------------------------
 
     def validate(self):
+        """Check the action identities on the matrix units; returns the
+        residual table.
+
+        Raises AxiomViolation naming the failing identities: 'unital'
+        (alpha(1) = 1 (x) 1), 'star' (alpha(x^*) = alpha(x)^*),
+        'homomorphism' (alpha(xy) = alpha(x) alpha(y)), 'action_equation'
+        ((Delta (x) id) alpha = (id (x) alpha) alpha) and 'invariant_state'
+        (theta is a selfadjoint, trace-one, invariant density).  A
+        non-injective action raises AxiomViolation, a non-faithful state
+        NoInvariantState.
+        """
         g = self.parent
-        tol = self.tol
-        n = self.n
-        worst = 0.0
-        # unital: alpha(1_N) = 1_A (x) 1_N
-        ident = np.zeros((n, n), dtype=complex)
-        off = 0
-        for nb in self.block_pattern:
-            ident[off:off + nb, off:off + nb] = np.eye(nb)
-            off += nb
-        au = self.apply(ident)
-        target = np.einsum("i,ab->iab", g.unit, ident)
-        worst = max(worst, float(np.linalg.norm(au - target)))
-        # homomorphism and star on basis pairs
-        images = np.array([self.apply(x) for x in self.basis])  # [y, i]: alpha_i(y)
-        legs = images.transpose(1, 0, 2, 3)                      # [i, y]
-        for x, ax in zip(self.basis, images):
-            asx = self.apply(x.conj().T)
-            star_route = np.einsum("ki,iab->kba", g.star, np.conj(ax))
-            worst = max(worst, float(np.linalg.norm(asx - star_route)))
-            # prods[k, y] = sum_{i,j} m[i,j,k] alpha_i(x) alpha_j(y), all y at once
-            prods = linalg.structure_sum(g.mult, ax, legs)
-            for q, y in enumerate(self.basis):
-                worst = max(worst, float(np.linalg.norm(self.apply(x @ y) - prods[:, q])))
-        # injectivity
-        rows = self.alpha.reshape(g.d * n * n, n * n)
-        cols = np.array([rows @ x.ravel() for x in self.basis]).T
-        if linalg.matrix_rank(cols) != self.dimN:
+        rows, cols = self.rows, self.cols
+        images = np.moveaxis(self.images, -1, 0)            # [q, i]
+        res = {}
+        one = self.unvec(rows == cols)
+        res["unital"] = linalg.frob(self.apply(one) - np.einsum("i,ab->iab", g.unit, one))
+        # alpha(e_q^*), with e_q^* = e_(c_q, r_q), against alpha(e_q)^*
+        star_images = np.moveaxis(self.alpha[..., cols, rows], -1, 0)
+        res["star"] = linalg.max_frob(
+            star_images - np.einsum("ki,qiab->qkba", g.star, np.conj(images)))
+        # alpha(e_q) alpha(e_y) for every pair, against e_q e_y = [c_q == r_y] e_(r_q, c_y)
+        legs = np.moveaxis(self.images, -1, 1)               # [i, q]
+        prods = linalg.structure_sum(g.mult, legs[:, :, None], legs[:, None])  # [k, q, y]
+        composable = cols[:, None] == rows[None, :]
+        target = composable * self.alpha[..., rows[:, None], cols[None, :]]
+        res["homomorphism"] = linalg.max_frob(
+            np.moveaxis(prods, 0, 2) - np.moveaxis(target, (3, 4), (0, 1)), lead=2)
+        if linalg.matrix_rank(self.images.reshape(-1, self.dimN)) != self.dimN:
             raise AxiomViolation("action is not injective")
-        # action equation
-        for ax in images:
-            lhs = np.einsum("ijk,iab->jkab", g.comult, ax)
-            rhs = np.array([[self.leg(k, ax[j]) for k in range(g.d)]
-                            for j in range(g.d)])
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-        # invariant faithful state
-        worst = max(worst, float(np.linalg.norm(self.theta - self.theta.conj().T)))
-        worst = max(worst, abs(np.trace(self.theta) - 1.0))
-        vals = np.linalg.eigvalsh(0.5 * (self.theta + self.theta.conj().T))
+        lhs = np.einsum("ijk,qiab->qjkab", g.comult, images)
+        rhs = np.einsum("kabcd,qjcd->qjkab", self.alpha, images)
+        res["action_equation"] = linalg.max_frob(lhs - rhs)
+        theta = self.theta
+        vals = np.linalg.eigvalsh(0.5 * (theta + theta.conj().T))
         if vals[0] <= 1e-12:
             raise NoInvariantState("state is not faithful")
-        for x, ax in zip(self.basis, images):
-            lhs = np.array([np.trace(self.theta @ ax[i]) for i in range(g.d)])
-            worst = max(worst, float(np.linalg.norm(lhs - self.theta_of(x) * g.unit)))
-        if worst > tol:
-            raise AxiomViolation(f"action residual {worst:.3e} > {tol:.1e}")
-        return worst
+        # theta(alpha_i(e_q)) = theta(e_q) unit_i, with theta(e_q) = theta[c_q, r_q]
+        invariance = (np.einsum("ab,qiba->qi", theta, images)
+                      - theta[cols, rows][:, None] * g.unit)
+        res["invariant_state"] = max(linalg.frob(theta - theta.conj().T),
+                                     abs(np.trace(theta) - 1.0), linalg.max_frob(invariance))
+        return named_residuals(res, self.tol, "action")
 
     # -- GNS of theta -----------------------------------------------------------
 
     def gns_gram(self):
-        gram = np.zeros((self.dimN, self.dimN), dtype=complex)
-        for a, x in enumerate(self.basis):
-            for b, y in enumerate(self.basis):
-                gram[a, b] = np.trace(self.theta @ x.conj().T @ y)
-        return gram
+        """theta(e_a^* e_b) = [r_a == r_b] theta[c_b, c_a]."""
+        same_row = self.rows[:, None] == self.rows[None, :]
+        return np.where(same_row, self.theta[self.cols[None, :], self.cols[:, None]], 0)
 
     def vec(self, x):
-        """Coordinates of x in the matrix-unit basis of N."""
-        out = np.zeros(self.dimN, dtype=complex)
-        for q, e in enumerate(self.basis):
-            idx = np.argwhere(np.abs(e) > 0.5)[0]
-            out[q] = np.asarray(x)[idx[0], idx[1]]
-        return out
+        """Coordinates of x (or of each matrix of a stack) in the matrix-unit
+        basis of N."""
+        return np.asarray(x, dtype=complex)[..., self.rows, self.cols]
 
     def unvec(self, coords):
-        return sum(c * e for c, e in zip(np.asarray(coords), self.basis))
+        """The element of N (a stack, for stacked coords) with these coordinates."""
+        coords = np.asarray(coords)
+        out = np.zeros(coords.shape[:-1] + (self.n, self.n), dtype=complex)
+        out[..., self.rows, self.cols] = coords
+        return out
 
     def implement(self) -> "Implementation":
         if self._impl is None:
@@ -159,19 +155,15 @@ class Implementation:
     def __init__(self, action: Action, tol: float = DEFAULT_TOL):
         self.action = action
         g = action.parent
-        gram = action.gns_gram()
-        self.c_mat = linalg.psd_sqrt(gram)
+        rows, cols = action.rows, action.cols
+        self.c_mat = linalg.psd_sqrt(action.gns_gram())
         self.c_inv = np.linalg.inv(self.c_mat)
-        d, nn = g.d, action.dimN
 
-        # raw matrices of the coefficient legs on Lambda-coordinates
-        a_raw = np.zeros((d, nn, nn), dtype=complex)
-        for q, x in enumerate(action.basis):
-            ax = action.apply(x)
-            for i in range(d):
-                a_raw[i, :, q] = action.vec(ax[i])
+        # raw matrices of the coefficient legs on Lambda-coordinates:
+        # a_raw[i, p, q] = vec(alpha_i(e_q))[p]
+        self.a_raw = action.images[:, rows, cols]
         # U^* = sum_i e_i (x) K_i with K_i = Lambda alpha_i Lambda^{-1}
-        ustar_coef = np.einsum("ab,ibc,cd->iad", self.c_mat, a_raw, self.c_inv)
+        ustar_coef = np.einsum("ab,ibc,cd->iad", self.c_mat, self.a_raw, self.c_inv)
         # U = (U^*)^*: coefficient k: sum_i star[k,i] K_i^dagger
         u_coef = np.einsum("ki,iba->kab", g.star, np.conj(ustar_coef))
         try:
@@ -179,32 +171,31 @@ class Implementation:
         except AxiomViolation as exc:
             raise NotUnitary(f"implementation is not a corepresentation: {exc}")
 
-        # left multiplication representation of N on L^2(N)
-        lm = np.zeros((nn, nn, nn), dtype=complex)
-        for q, x in enumerate(action.basis):
-            for q2, y in enumerate(action.basis):
-                lm[q, :, q2] = action.vec(x @ y)
-        self.left_raw = lm
+        # left multiplication representation of N on L^2(N):
+        # left_raw[q, p, y] = vec(e_q e_y)[p], with e_q e_y = [c_q == r_y] e_(r_q, c_y)
+        self.left_raw = ((cols[:, None, None] == rows[None, None, :])
+                         & (rows[:, None, None] == rows[None, :, None])
+                         & (cols[None, :, None] == cols[None, None, :])).astype(complex)
 
-        # implementation identity alpha(x) = U^*(1 (x) x)U
-        worst = 0.0
-        for x in action.basis:
-            rhs = linalg.structure_sum(g.mult, ustar_coef @ self.pi(x), u_coef)
-            lhs = np.array([self.pi(m) for m in action.apply(x)])
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+        # implementation identity alpha(x) = U^*(1 (x) x)U on every matrix unit;
+        # one norm call per unit: the residual is reported, and a batched norm
+        # would sum in another order
+        pis = self.pi(action.basis)
+        rhs = linalg.structure_sum(g.mult, ustar_coef[:, None] @ pis, u_coef[:, None])
+        lhs = self.pi(np.moveaxis(action.images, -1, 0))
+        diff = lhs - np.moveaxis(rhs, 0, 1)
+        worst = max((float(np.linalg.norm(r)) for r in diff), default=0.0)
         if worst > tol:
             raise NotUnitary(f"implementation identity residual {worst:.3e}")
         self.implementation_residual = worst
 
-        # modular conjugation of theta and the conjugation symmetry
-        rho = action.theta
-        rho_h = linalg.psd_sqrt(rho)
+        # modular conjugation of theta and the conjugation symmetry:
+        # J Lambda(x) = Lambda(rho^(1/2) x^* rho^(-1/2)), and e_q^* = e_(c_q, r_q)
+        # makes target q the outer product of column c_q of rho^(1/2) with
+        # row r_q of rho^(-1/2)
+        rho_h = linalg.psd_sqrt(action.theta)
         rho_hi = np.linalg.inv(rho_h)
-        targets = np.zeros((nn, nn), dtype=complex)
-        for q, x in enumerate(action.basis):
-            jx = rho_h @ x.conj().T @ rho_hi
-            targets[q] = action.vec(jx)
-        # J Lambda(x) = Lambda(rho^(1/2) x^* rho^(-1/2)); orthonormal coords
+        targets = rho_h[rows[None, :], cols[:, None]] * rho_hi[rows[:, None], cols[None, :]]
         jraw = targets.T  # conjugate-linear matrix on raw coords
         self.j_mat = self.c_mat @ jraw @ np.conj(self.c_inv)
         self.condition_r = check_condition_r(self.corep, self.j_mat)
@@ -212,9 +203,9 @@ class Implementation:
             raise NotUnitary("implementation fails the conjugation symmetry")
 
     def pi(self, x):
-        """Left multiplication by x on L^2(N, theta), orthonormal coords."""
-        coords = self.action.vec(x)
-        raw = np.tensordot(coords, self.left_raw, axes=([0], [0]))
+        """Left multiplication by x (or by each matrix of a stack) on
+        L^2(N, theta), orthonormal coords."""
+        raw = np.tensordot(self.action.vec(x), self.left_raw, axes=([-1], [0]))
         return self.c_mat @ raw @ self.c_inv
 
     def lambda_vec(self, x):
@@ -233,15 +224,11 @@ def find_invariant_state(action: Action, tol: float = 1e-10):
     strictly positive density matrix."""
     g = action.parent
     n = action.n
-    rows = []
-    # unknown rho (selfadjoint): equations Tr(rho alpha_i(x)) = Tr(rho x) unit_i
-    for x in action.basis:
-        ax = action.apply(x)
-        for i in range(g.d):
-            row = (ax[i].T - g.unit[i] * x.T).ravel()
-            rows.append(row)
-    system = np.array(rows)
-    sols = linalg.null_space(system, tol=1e-12)
+    # unknown rho (selfadjoint): equations Tr(rho alpha_i(x)) = Tr(rho x) unit_i,
+    # one row per (q, i)
+    system = (action.images.transpose(3, 0, 2, 1)
+              - g.unit[:, None, None] * action.basis.transpose(0, 2, 1)[:, None])
+    sols = linalg.null_space(system.reshape(-1, n * n), tol=1e-12)
     candidates = []
     for v in sols:
         m = v.reshape(n, n)
@@ -284,39 +271,29 @@ def fixed_point_expectation(action: Action, tol: float = DEFAULT_TOL):
     """
     g = action.parent
     nn = action.dimN
-    # kernel of alpha(x) - 1 (x) x over x in N
-    rows = []
-    for i in range(g.d):
-        block = np.zeros((nn, nn), dtype=complex)
-        for q, x in enumerate(action.basis):
-            block[:, q] = action.vec(action.leg(i, x)) - g.unit[i] * np.eye(nn)[:, q]
-        rows.append(block)
-    sols = linalg.null_space(np.vstack(rows))
+    impl = action.implement()
+    # kernel of alpha(x) - 1 (x) x over x in N, one row per (i, p)
+    system = impl.a_raw - g.unit[:, None, None] * np.eye(nn)
+    sols = linalg.null_space(system.reshape(-1, nn))
     fixed_basis = [action.unvec(v) for v in sols]
 
     def expectation(x):
-        ax = action.apply(x)
-        return sum(g.haar[i] * ax[i] for i in range(g.d))
+        return np.einsum("i,...iab->...ab", g.haar, action.apply(x))
 
-    impl = action.implement()
     p = impl.corep.invariant_projection()
-    worst = 0.0
-    ident = action.unvec(action.vec(np.eye(action.n)))
-    worst = max(worst, float(np.linalg.norm(expectation(ident) - ident)))
-    for x in action.basis:
-        ex = expectation(x)
-        worst = max(worst, float(np.linalg.norm(expectation(ex) - ex)))
+    one = action.unvec(action.rows == action.cols)
+    units = action.basis
+    ex = expectation(units)
+    images = np.moveaxis(action.images, -1, 0)              # [q, i]
+    worst = max(
+        linalg.frob(expectation(one) - one),
+        linalg.max_frob(expectation(ex) - ex),
         # E lands in the fixed-point algebra
-        axe = action.apply(ex)
-        target = np.einsum("i,ab->iab", g.unit, ex)
-        worst = max(worst, float(np.linalg.norm(axe - target)))
+        linalg.max_frob(action.apply(ex) - g.unit[:, None, None] * ex[:, None]),
         # E(a) p = p a p on L^2(N)
-        worst = max(worst, float(np.linalg.norm(
-            impl.pi(ex) @ p - p @ impl.pi(x) @ p)))
+        linalg.max_frob(impl.pi(ex) @ p - p @ impl.pi(units) @ p),
         # averaging invariance: E(alpha_i(a)) = unit_i E(a)
-        for i in range(g.d):
-            worst = max(worst, float(np.linalg.norm(
-                expectation(action.leg(i, x)) - g.unit[i] * ex)))
+        linalg.max_frob(expectation(images) - g.unit[:, None, None] * ex[:, None], lead=2))
     # positivity on a deterministic PSD family
     rng = CounterRNG(9)
     for _ in range(6):
@@ -358,35 +335,28 @@ def cone_preservation_check(action: Action, xi_family, tol: float = 1e-8,
         raise NotKac("cone preservation is stated for Kac parents")
     impl = action.implement()
     u_coef = impl.corep.u_coef()
-    xis = [np.asarray(x, dtype=complex) for x in xi_family]
-    m = len(xis)
-    n = action.n
-    # u[i][j] = (omega_{xi_j, xi_i} (x) id)(U), omega_{a,b}(T) = <a, T b>
-    regs = [g.reg(np.eye(g.d)[k]) for k in range(g.d)]
-    u = [[sum((xis[j].conj() @ regs[k] @ xis[i]) * u_coef[k] for k in range(g.d))
-          for j in range(m)] for i in range(m)]
-    rho_half_inv = np.linalg.inv(linalg.psd_sqrt(action.theta))
+    xis = np.asarray(xi_family, dtype=complex)
+    m, n, nn = len(xis), action.n, action.dimN
+    # u[i, j] = (omega_{xi_j, xi_i} (x) id)(U), omega_{a,b}(T) = <a, T b>
+    omegas = np.einsum("ja,kab,ib->kij", np.conj(xis), g.reg(np.eye(g.d)), xis)
+    u = np.einsum("kij,kab->ijab", omegas, u_coef)
+    # u[i, j] on the raw coordinates of the Lambda picture
+    u_raw = impl.c_inv @ u @ impl.c_mat
+    rho_big = np.kron(np.eye(m), action.theta)
+    rho_half_inv = np.kron(np.eye(m), np.linalg.inv(linalg.psd_sqrt(action.theta)))
     rng = CounterRNG(23)
     for _ in range(trials):
-        v = rng.complex_vector(m * action.dimN)
-        # build X = v v^* inside M_m (x) N via the compressed coordinates
-        blocks = [action.unvec(v[i * action.dimN:(i + 1) * action.dimN])
-                  for i in range(m)]
-        x_big = np.zeros((m * n, m * n), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                x_big[i * n:(i + 1) * n, j * n:(j + 1) * n] = blocks[i] @ blocks[j].conj().T
-        z = x_big @ np.kron(np.eye(m), rho_half_inv)
-        if not cone_member_test(np.kron(np.eye(m), action.theta), z, tol):
+        v = rng.complex_vector(m * nn)
+        # X = v v^* inside M_m (x) N via the compressed coordinates: the
+        # blocks x_i of v stacked in a column, X = [x_i x_j^*]
+        col = action.unvec(v.reshape(m, nn)).reshape(m * n, n)
+        z = col @ col.conj().T @ rho_half_inv
+        if not cone_member_test(rho_big, z, tol):
             raise AxiomViolation("generated element fails the cone test")
-        # apply u entrywise on the Lambda picture
-        z_out = np.zeros_like(z)
-        for i in range(m):
-            for j in range(m):
-                zij = z[i * n:(i + 1) * n, j * n:(j + 1) * n]
-                w = impl.unlambda(u[i][j] @ impl.lambda_vec(zij))
-                z_out[i * n:(i + 1) * n, j * n:(j + 1) * n] = w
-        if not cone_member_test(np.kron(np.eye(m), action.theta), z_out, tol):
+        # apply u entrywise on the Lambda picture, block (i, j) at [i, j]
+        blocks = action.vec(z.reshape(m, n, m, n).transpose(0, 2, 1, 3))
+        out = action.unvec(np.einsum("ijpq,ijq->ijp", u_raw, blocks))
+        if not cone_member_test(rho_big, out.transpose(0, 2, 1, 3).reshape(m * n, m * n), tol):
             return False
     return True
 

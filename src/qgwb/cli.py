@@ -476,14 +476,24 @@ def run_scenario(scenario, out_dir="."):
         experiment_id = scenario["experiment"]
         parent_spec = scenario.get("parent", scenario.get("preset"))
         params = dict(scenario.get("parameters", {}))
-        tol_scale = float(scenario.get("tol_scale", 1.0))
-        seed = int(scenario.get("seed", 0))
+        if not isinstance(name, str) or name in ("", ".", "..") or \
+                os.path.basename(name) != name or "\0" in name:
+            raise SchemaError(f"scenario name {name!r} is not a plain file name")
+        tol_scale = _param(scenario, "tol_scale", 1.0)
+        if not 0 < tol_scale < math.inf:
+            raise SchemaError(f"'tol_scale' must be a finite number > 0, got {tol_scale!r}")
+        seed = _param(scenario, "seed", 0)
         if experiment_id not in EXPERIMENTS:
             raise SchemaError(f"unknown experiment {experiment_id!r}")
         needs_parent = experiment_id not in ("theorem69", "dense_image", "fock_suite")
         if parent_spec is None and needs_parent:
             raise SchemaError("scenario needs a 'preset' or 'parent'")
-        radius = _param(params, "radius", 4, 1)
+        radius = _param(params, "radius", 4, 1) if "radius" in params else None
+        spec = str(parent_spec).strip()
+        if radius is not None and (parent_spec is None or " r=" in spec
+                                   or not presets.is_window_preset(spec)):
+            raise SchemaError(f"parameter 'radius' needs a window preset without "
+                              f"' r=', got {parent_spec!r}")
     except (SchemaError, KeyError, TypeError, ValueError) as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return 2, None

@@ -240,11 +240,13 @@ class FiniteQG:
         return linalg.nonzero_rows(self.comult.transpose(1, 2, 0))
 
     def lmat(self, a):
-        """Left multiplication by a in basis coordinates."""
-        return np.einsum("i,iqp->pq", np.asarray(a), self.mult)
+        """Left multiplication by a (or by each vector of a stack) in basis
+        coordinates."""
+        return np.einsum("...i,iqp->...pq", np.asarray(a), self.mult)
 
     def reg(self, a):
-        """Left regular representation on L^2(A, h), orthonormal coordinates."""
+        """Left regular representation on L^2(A, h), orthonormal coordinates;
+        a may be a stack."""
         return self._C @ self.lmat(a) @ self._Cinv
 
     # -- block (dual) coordinates -------------------------------------------

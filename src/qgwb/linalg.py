@@ -41,6 +41,14 @@ def frob(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
+def max_frob(stack, lead: int = 1) -> float:
+    """Largest Frobenius norm among the slices of a stack over its first
+    lead axes."""
+    stack = np.asarray(stack)
+    flat = stack.reshape(int(np.prod(stack.shape[:lead])), -1)
+    return float(np.linalg.norm(flat, axis=1).max())
+
+
 def opnorm(m) -> float:
     """Operator (spectral) norm."""
     return float(np.linalg.norm(np.asarray(m), 2))

@@ -12,34 +12,119 @@ def grading():
     return grading_action(presets.load_preset("dual-Z(2)"))
 
 
-def trivial_action(parent, n):
+def matrix_units(pattern):
+    """The matrix units of the block-diagonal algebra of a block pattern,
+    block by block in row-major order."""
+    n = sum(pattern)
+    units, off = [], 0
+    for nb in pattern:
+        for a in range(off, off + nb):
+            for b in range(off, off + nb):
+                e = np.zeros((n, n), dtype=complex)
+                e[a, b] = 1.0
+                units.append(e)
+        off += nb
+    return units
+
+
+def trivial_action(parent, pattern):
+    """x |-> 1 (x) x on the block-diagonal algebra of a block pattern."""
+    n = sum(pattern)
     alpha = np.zeros((parent.d, n, n, n, n), dtype=complex)
-    eps_like = np.argmax(np.abs(parent.unit))
-    for i_e in range(parent.d):
-        for a in range(n):
-            for b in range(n):
-                alpha[i_e, a, b, a, b] = parent.unit[i_e]
-    return actions.Action(parent, [n], alpha, invariant_state=np.eye(n) / n)
+    for e in matrix_units(pattern):
+        (a, b), = np.argwhere(e)
+        alpha[:, a, b, a, b] = parent.unit
+    return actions.Action(parent, pattern, alpha, invariant_state=np.eye(n) / n)
 
 
 def test_action_validation(grading):
-    assert grading.validate() < 1e-9
+    res = grading.validate()
+    assert set(res) == {"unital", "star", "homomorphism", "action_equation",
+                        "invariant_state"}
+    assert max(res.values()) < 1e-9
+
+
+def _grading_alpha(odd_phase):
+    """The grading of M_2 over dual-Z(2), its odd part scaled by odd_phase."""
+    alpha = np.zeros((2, 2, 2, 2, 2), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            alpha[(a - b) % 2, a, b, a, b] = 1.0 if a == b else odd_phase
+    return alpha
+
+
+def _constant_grading():
+    """x |-> g (x) x on M_2 over dual-Z(2): a wrong degree assignment."""
+    alpha = np.zeros((2, 2, 2, 2, 2), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            alpha[1, a, b, a, b] = 1.0
+    return alpha
+
+
+# Each corruption of the grading action breaks the identities it names
+# and no other: x |-> g (x) x is neither unital nor multiplicative and moves
+# theta; an odd part scaled by -1 is still a *-homomorphism but no action;
+# scaled by i it is not even a *-homomorphism; a non-diagonal state is not
+# invariant under the grading.
+@pytest.mark.parametrize("alpha, theta, failing", [
+    (_constant_grading(), np.eye(2) / 2, {"unital", "homomorphism", "invariant_state"}),
+    (_grading_alpha(-1.0), np.eye(2) / 2, {"action_equation"}),
+    (_grading_alpha(1j), np.eye(2) / 2, {"star", "homomorphism", "action_equation"}),
+    (_grading_alpha(1.0), np.array([[0.5, 0.1], [0.1, 0.5]]), {"invariant_state"}),
+], ids=["constant", "odd-sign", "odd-phase", "state"])
+def test_action_validate_names_failing_identity(alpha, theta, failing):
+    g = presets.load_preset("dual-Z(2)")
+    with pytest.raises(AxiomViolation) as exc:
+        actions.Action(g, [2], alpha, invariant_state=theta)
+    message = str(exc.value)
+    for name in ("unital", "star", "homomorphism", "action_equation", "invariant_state"):
+        assert (f"'{name}'" in message) == (name in failing), message
+
+
+def _brute_vec(units, x):
+    """Coordinates of x: its entry at the single 1 of each matrix unit."""
+    return np.array([x[tuple(np.argwhere(e)[0])] for e in units])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: grading_action(presets.load_preset("dual-Z(2)")),
+    lambda: delta_action(presets.load_preset("fn-Z(3)")),
+    lambda: trivial_action(presets.load_preset("fn-Z(2)"), [1, 2]),
+], ids=["[2]", "[1,1,1]", "[1,2]"])
+def test_index_table_matches_matrix_units(make):
+    act = make()
+    units = matrix_units(act.block_pattern)
+    assert act.dimN == len(units)
+    assert np.array_equal(act.basis, units) and not act.basis.flags.writeable
+    rng = CounterRNG(4)
+    x, y = rng.complex_matrix(act.n, act.n), rng.complex_matrix(act.n, act.n)
+    assert np.array_equal(act.vec(x), _brute_vec(units, x))
+    assert np.array_equal(act.vec(np.array([x, y])),
+                          [_brute_vec(units, x), _brute_vec(units, y)])
+    c = rng.complex_vector(act.dimN)
+    assert np.array_equal(act.unvec(c), sum(cq * e for cq, e in zip(c, units)))
+    gram = [[np.trace(act.theta @ ea.conj().T @ eb) for eb in units] for ea in units]
+    assert np.array_equal(act.gns_gram(), gram)
+    impl = act.implement()
+    # left_raw[q, :, y] = vec(e_q e_y)
+    left = [[_brute_vec(units, eq @ ey) for ey in units] for eq in units]
+    assert np.array_equal(impl.left_raw, np.transpose(left, (0, 2, 1)))
+    # a_raw[i, :, q] = vec(alpha_i(e_q))
+    legs = [[_brute_vec(units, np.einsum("abcd,cd->ab", act.alpha[i], e)) for e in units]
+            for i in range(act.parent.d)]
+    assert np.array_equal(impl.a_raw, np.transpose(legs, (0, 2, 1)))
 
 
 def test_action_equation_failure_detected():
     g = presets.load_preset("dual-Z(2)")
-    alpha = np.zeros((2, 2, 2, 2, 2), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            # wrong degree assignment: constant grading breaks the coproduct
-            alpha[1, a, b, a, b] = 1.0
     with pytest.raises((AxiomViolation, NoInvariantState)):
-        actions.Action(g, [2], alpha, invariant_state=np.eye(2) / 2)
+        actions.Action(g, [2], _constant_grading(), invariant_state=np.eye(2) / 2)
 
 
 def test_trivial_action_implementation():
     g = presets.load_preset("dual-Z(2)")
-    act = trivial_action(g, 2)
+    act = trivial_action(g, [2])
     impl = act.implement()
     assert impl.implementation_residual < 1e-9
     # U = 1: every vector invariant

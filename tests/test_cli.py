@@ -222,3 +222,46 @@ def test_out_of_range_window_exits_2(tmp_path, capsys, preset, param, named):
                      "--name", "x", "--out", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "x.report.json").exists()
+
+
+@pytest.mark.parametrize("preset,experiment", [
+    ("free(2) r=6", "lemma74"),   # the spec already carries a radius
+    ("fn-Z(2)", "axioms"),        # no window
+    (None, "theorem69"),          # no parent at all
+])
+def test_conflicting_radius_exits_2(tmp_path, capsys, preset, experiment):
+    argv = ["--experiment", experiment, "--param", "radius=4", "--name", "x",
+            "--out", str(tmp_path)]
+    if preset is not None:
+        argv += ["--preset", preset]
+    assert cli.main(argv) == 2
+    assert "'radius'" in capsys.readouterr().err
+    assert not (tmp_path / "x.report.json").exists()
+
+
+def test_radius_sets_a_window_radius(tmp_path):
+    code, report = run(tmp_path, {"name": "r6", "preset": "free(2)", "experiment": "lemma74",
+                                  "parameters": {"radius": 6}})
+    assert code == 0 and report["parent_id"] == "free(2) r=6"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("name", "a/b"), ("name", "../x"), ("name", "."), ("name", ".."), ("name", ""),
+    ("name", 7), ("seed", 1.7), ("seed", True), ("seed", "1"),
+    ("tol_scale", 0), ("tol_scale", -1.0), ("tol_scale", "2"), ("tol_scale", float("nan")),
+])
+def test_bad_scenario_fields_exit_2(tmp_path, field, value):
+    scenario = {"name": "ok", "preset": "fn-Z(2)", "experiment": "axioms", field: value}
+    code, _ = cli.run_scenario(scenario, out_dir=str(tmp_path / "out"))
+    assert code == 2
+    assert not any(tmp_path.rglob("*.json"))
+
+
+def test_bad_scenario_name_does_not_abort_a_batch(tmp_path):
+    batch = [{"name": "a/b", "preset": "fn-Z(2)", "experiment": "axioms"},
+             {"name": "good", "preset": "fn-Z(2)", "experiment": "axioms"}]
+    (tmp_path / "batch.json").write_text(json.dumps(batch))
+    out = tmp_path / "out"
+    assert cli.main([str(tmp_path / "batch.json"), "--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == [
+        "good.meta.json", "good.report.csv", "good.report.json"]

@@ -138,7 +138,7 @@ def test_lift_depth2_dim2():
     assert f.total_dim == 7
     c = lifted.corep()
     assert c.space_dim == 7
-    assert c.validate() < 1e-9
+    assert max(c.validate().values()) < 1e-9
 
 
 def test_lift_incompatible_rejected():
