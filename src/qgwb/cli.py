@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .windows import GroupDualWindow
 
 EXPERIMENTS = {}
 PRESET_DIR_ENV = "QGWB_PRESET_DIR"
+NAME_MAX = 255  # bytes in one file name on common file systems
 
 
 def experiment(name):
@@ -60,15 +62,16 @@ def _check(name, value, tol, passed=None):
 def _param(params, key, default, lo=None, hi=None):
     """Read one experiment parameter, default when absent.  The default's
     type sets the rule: int, an int that is not a bool; float, an int or
-    float, returned as a float; list, a list of numbers.  A value that breaks
-    its rule or the bounds lo <= value < hi raises SchemaError."""
+    float, returned as a float; list, a non-empty list of numbers.  A value
+    that breaks its rule or the bounds lo <= value < hi raises SchemaError."""
     value = params.get(key, default)
 
     def number(x, kinds=(int, float)):
         return isinstance(x, kinds) and not isinstance(x, bool)
 
     if isinstance(default, list):
-        rule, ok = "a list of numbers", isinstance(value, list) and all(map(number, value))
+        rule = "a non-empty list of numbers"
+        ok = isinstance(value, list) and len(value) > 0 and all(map(number, value))
     elif isinstance(default, float):
         rule, ok = "a number", number(value)
     else:
@@ -78,6 +81,14 @@ def _param(params, key, default, lo=None, hi=None):
         bounds = " and".join(f" {op} {b}" for op, b in ((">=", lo), ("<", hi)) if b is not None)
         raise SchemaError(f"parameter {key!r} must be {rule}{bounds}, got {value!r}")
     return float(value) if isinstance(default, float) else value
+
+
+def _positive(params, key, default):
+    """_param for a float that must also be finite and > 0."""
+    value = _param(params, key, default)
+    if not 0 < value < math.inf:
+        raise SchemaError(f"parameter {key!r} must be a finite number > 0, got {value!r}")
+    return value
 
 
 def _word_length(window):
@@ -149,7 +160,7 @@ def _run_semigroup(parent, params, tol_scale, seed):
     checks = []
     if isinstance(parent, FiniteQG):
         grid = _param(params, "t_grid", [0.1, 0.5, 1.0])
-        h = _param(params, "h", 1e-4)
+        h = _positive(params, "h", 1e-4)
         rng = CounterRNG(seed)
         mu = functionals.vector_state(parent, rng.unit_vector(parent.d))
         lf = 3.0 * (functionals.counit_functional(parent) - mu)
@@ -470,7 +481,9 @@ def _run_dense_image(parent, params, tol_scale, seed):
 
 def run_scenario(scenario, out_dir="."):
     """Execute one scenario; returns (exit_code, report_path or None).  An
-    error while building the parent exits as one in the experiment body."""
+    error while building the parent exits as one in the experiment body; an
+    exception outside the workbench's own errors is a failed contract (exit
+    4) with a report that names it."""
     try:
         name = scenario["name"]
         experiment_id = scenario["experiment"]
@@ -479,9 +492,10 @@ def run_scenario(scenario, out_dir="."):
         if not isinstance(name, str) or name in ("", ".", "..") or \
                 os.path.basename(name) != name or "\0" in name:
             raise SchemaError(f"scenario name {name!r} is not a plain file name")
-        tol_scale = _param(scenario, "tol_scale", 1.0)
-        if not 0 < tol_scale < math.inf:
-            raise SchemaError(f"'tol_scale' must be a finite number > 0, got {tol_scale!r}")
+        if len(f"{name}.report.json".encode("utf-8")) > NAME_MAX:
+            raise SchemaError(f"scenario name makes a report file name over "
+                              f"{NAME_MAX} bytes: {name[:40]!r}...")
+        tol_scale = _positive(scenario, "tol_scale", 1.0)
         seed = _param(scenario, "seed", 0)
         if experiment_id not in EXPERIMENTS:
             raise SchemaError(f"unknown experiment {experiment_id!r}")
@@ -512,6 +526,9 @@ def run_scenario(scenario, out_dir="."):
         sys.stderr.write(f"schema error: {exc}\n")
         return 2, None
     except QGWBError as exc:
+        body, failure = {"checks": []}, (4, exc)
+    except Exception as exc:
+        traceback.print_exc()  # an unexpected error: show where it came from
         body, failure = {"checks": []}, (4, exc)
     elapsed = time.time() - started
 

@@ -218,7 +218,9 @@ class FiniteQG:
     # -- algebra operations ------------------------------------------------
 
     def mul(self, a, b):
-        return np.einsum("i,j,ijk->k", np.asarray(a), np.asarray(b), self.mult)
+        """The product ab of coefficient vectors, or of each pair of two
+        broadcasting stacks of them."""
+        return np.einsum("...i,...j,ijk->...k", np.asarray(a), np.asarray(b), self.mult)
 
     def form(self, coeffs, radius=None):
         """The matrix [mu(e_i^* e_j)] of the functional with coefficients
@@ -353,34 +355,25 @@ class FiniteQG:
         return res
 
     def _irrep_coproduct_residual(self):
-        worst = 0.0
-        for r in self.irreps:
-            n = r.dim
-            for i in range(n):
-                for j in range(n):
-                    lhs = np.tensordot(r.coeffs[i, j], self.comult, axes=([0], [0]))
-                    rhs = np.zeros_like(lhs)
-                    for k in range(n):
-                        rhs += np.outer(r.coeffs[i, k], r.coeffs[k, j])
-                    worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-        return worst
+        # Delta(u_ij) = sum_k u_ik (x) u_kj, per entry (i, j); the sum over k
+        # is kept in its order
+        def resid(u):
+            lhs = linalg.rowmul(u, self.comult.reshape(self.d, -1))
+            rhs = sum(u[:, k, None, :, None] * u[None, k, :, None, :] for k in range(len(u)))
+            return linalg.norms(lhs - rhs.reshape(lhs.shape)).max()
+        return float(max(resid(r.coeffs) for r in self.irreps))
 
     def _irrep_unitarity_residual(self):
-        worst = 0.0
-        for r in self.irreps:
-            n = r.dim
-            starred = np.einsum("pq,ijq->ijp", self.star, np.conj(r.coeffs))
-            for i in range(n):
-                for j in range(n):
-                    acc1 = np.zeros(self.d, dtype=complex)
-                    acc2 = np.zeros(self.d, dtype=complex)
-                    for k in range(n):
-                        acc1 += self.mul(r.coeffs[i, k], starred[j, k])
-                        acc2 += self.mul(starred[k, i], r.coeffs[k, j])
-                    target = (self.unit if i == j else 0.0)
-                    worst = max(worst, float(np.linalg.norm(acc1 - target)),
-                                float(np.linalg.norm(acc2 - target)))
-        return worst
+        # sum_k u_ik u_jk^* = sum_k u_ki^* u_kj = delta_ij 1, per entry (i, j)
+        def resid(u):
+            n = len(u)
+            starred = np.einsum("pq,ijq->ijp", self.star, np.conj(u))
+            target = np.where(np.eye(n, dtype=bool)[..., None], self.unit, 0.0)
+            acc1 = sum(self.mul(u[:, None, k], starred[None, :, k]) for k in range(n))
+            acc2 = sum(self.mul(starred[k, :, None], u[k, None, :]) for k in range(n))
+            return max(linalg.norms(acc1 - target).max(),
+                       linalg.norms(acc2 - target).max())
+        return float(max(resid(r.coeffs) for r in self.irreps))
 
     def _irrep_counit_residual(self):
         worst = 0.0

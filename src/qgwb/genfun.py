@@ -137,35 +137,33 @@ class SchurmannTriple:
             self._verify_window_rule(tol)
         else:
             self.basis = list(range(nb))
-            self._build_rho()
-            self._verify(tol)
+            c_products = self.cocycle(parent.mult)  # c(b_p b_q)
+            self._build_rho(c_products)
+            self._verify(tol, c_products)
         if gen.s_invariant:
             imag = float(np.max(np.abs(self.cocycle_gram.imag)))
             if imag > 1e-8:
                 raise GramNotPSD(
                     f"gram of an antipode-invariant generator not real: {imag:.3e}")
 
-    # cocycle on a coefficient vector
     def cocycle(self, coeffs):
-        return np.asarray(coeffs, dtype=complex) @ self.cocycle_vectors
+        """c on a coefficient vector, or on each vector of a stack."""
+        return linalg.rowmul(np.asarray(coeffs, dtype=complex), self.cocycle_vectors)
 
-    def _build_rho(self):
+    def _build_rho(self, c_products):
+        # rho(b_p) c(b_q) = c(b_p b_q) - eps(b_q) c(b_p), solved for rho(b_p)
+        # against the cocycle vectors
         f = self.cocycle_vectors
-        pinv_ft = np.linalg.pinv(f.T)
-        nb = len(self.basis)
-        rhos = np.zeros((nb, self.dim, self.dim), dtype=complex)
-        for p in range(nb):
-            targets = np.zeros((nb, self.dim), dtype=complex)
-            for q in range(nb):
-                targets[q] = self.cocycle(self._parent.mult[p, q]) - self._parent.counit[q] * f[p]
-            rhos[p] = targets.T @ pinv_ft
-        self.rhos = rhos
+        targets = c_products - self._parent.counit[:, None] * f[:, None, :]
+        self.rhos = targets.swapaxes(1, 2) @ np.linalg.pinv(f.T)
 
     def rho(self, coeffs):
+        """rho on a coefficient vector, or on each vector of a stack."""
         if self.rhos is None:
             raise WindowTruncation("window triples expose only the cocycle gram")
-        return np.tensordot(np.asarray(coeffs, dtype=complex), self.rhos,
-                            axes=([0], [0]))
+        flat = linalg.rowmul(np.asarray(coeffs, dtype=complex),
+                             self.rhos.reshape(len(self.rhos), -1))
+        return flat.reshape(flat.shape[:-1] + self.rhos.shape[1:])
 
     def _verify_window_rule(self, tol):
         """Gram-level cocycle rule on windows.
@@ -177,32 +175,30 @@ class SchurmannTriple:
         diff the form of the index vector.
         """
         diff = self._parent.form(np.arange(self._parent.d))
-        inv = self._parent.inv_index
         f = self.cocycle_vectors
         nb = len(diff)
+        # <c(d), c(d')> on views of f (a gathered copy of its rows may round
+        # differently); one step per b, since all pairs of all b at once take
+        # nb^3 numbers (1.8 GB at free(2) r=10, nb = 485)
+        rhs = linalg.vdots(f[:, None], f[None, :])
         worst = 0.0
         for b in range(nb):
-            avail = [(dd, bd) for dd, bd in enumerate(diff[inv[b]].tolist()) if bd < nb]
-            for dd, bd in avail:
-                for dd2, bd2 in avail:
-                    lhs = np.vdot(f[bd] - f[b], f[bd2] - f[b])
-                    rhs = np.vdot(f[dd], f[dd2])
-                    worst = max(worst, abs(lhs - rhs))
+            bd = diff[self._parent.inv_index[b]]
+            d = np.flatnonzero(bd < nb)
+            shifted = f[bd[d]] - f[b]  # c(bd) - c(b)
+            lhs = linalg.vdots(shifted[:, None], shifted[None, :])
+            worst = max(worst, float(np.abs(lhs - rhs[np.ix_(d, d)]).max()))
         if worst > tol:
             raise GramNotPSD(f"window cocycle rule residual {worst:.3e}")
         self.cocycle_rule_residual = worst
 
-    def _verify(self, tol):
-        # cocycle rule residual on basis triples through the gram:
-        # <c(a), c(bd)> = <c(a), rho(b) c(d)> + eps(d) <c(a), c(b)>
-        nb = len(self.basis)
+    def _verify(self, tol, c_products):
+        # cocycle rule residual on basis pairs:
+        # c(bd) = rho(b) c(d) + eps(d) c(b)
         f = self.cocycle_vectors
-        worst = 0.0
-        for b in range(nb):
-            for dd in range(nb):
-                cbd = self.cocycle(self._parent.mult[b, dd])
-                rhs = self.rhos[b] @ f[dd] + self._parent.counit[dd] * f[b]
-                worst = max(worst, float(np.linalg.norm(cbd - rhs)))
+        rhs = (linalg.rowmul(f, self.rhos[:, None].swapaxes(-1, -2))
+               + self._parent.counit[:, None] * f[:, None, :])
+        worst = float(linalg.norms(c_products - rhs).max())
         if worst > tol:
             raise GramNotPSD(f"cocycle rule residual {worst:.3e}")
         self.cocycle_rule_residual = worst
@@ -279,63 +275,41 @@ def triple_form_matrices(gen: GenFunctional, alpha, beta, gammas,
     return out
 
 
-def _irrep_entry_coeffs(parent, alpha, i, j):
-    return parent.irreps[alpha].coeffs[i, j]
+def _star(parent, x):
+    """Coefficients of x^* for each coefficient vector x of a stack."""
+    return linalg.rowmul(np.conj(x), parent.star.T)
+
+
+def _entry_matrix(v):
+    """v[i, p, j, r, k, s] as the matrix V[(i,j,k), (p,r,s)]."""
+    rows = v.shape[0] * v.shape[2] * v.shape[4]
+    return v.transpose(0, 2, 4, 1, 3, 5).reshape(rows, rows)
 
 
 def _triple_form_direct(parent, l, alpha, gamma, beta):
-    na, ng, nb = (parent.block_dims[alpha], parent.block_dims[gamma],
-                  parent.block_dims[beta])
-    v = np.zeros((na * ng * nb, na * ng * nb), dtype=complex)
-    star = parent.star
-    for i in range(na):
-        for p in range(na):
-            a_star = star @ np.conj(_irrep_entry_coeffs(parent, alpha, i, p))
-            for j in range(ng):
-                for r in range(ng):
-                    left = parent.mul(a_star, _irrep_entry_coeffs(parent, gamma, j, r))
-                    for k in range(nb):
-                        for s in range(nb):
-                            full = parent.mul(left, _irrep_entry_coeffs(parent, beta, k, s))
-                            v[(i * ng + j) * nb + k, (p * ng + r) * nb + s] = l(full)
-    return v
+    ua, ug, ub = (parent.irreps[x].coeffs for x in (alpha, gamma, beta))
+    left = parent.mul(_star(parent, ua)[:, :, None, None], ug)
+    full = parent.mul(left[..., None, None, :], ub)
+    return _entry_matrix((l.coeffs @ full[..., None])[..., 0])
 
 
 def _triple_form_cocycle(parent, triple, cvals, alpha, gamma, beta):
-    na, ng, nb = (parent.block_dims[alpha], parent.block_dims[gamma],
-                  parent.block_dims[beta])
+    ua, ug, ub = (parent.irreps[x].coeffs for x in (alpha, gamma, beta))
     ca, cg, cb = cvals[alpha].real, cvals[gamma].real, cvals[beta].real
-    star = parent.star
-
-    def cvec(al, i, j):
-        return triple.cocycle(_irrep_entry_coeffs(parent, al, i, j))
-
-    def cvec_star(al, i, j):
-        return triple.cocycle(star @ np.conj(_irrep_entry_coeffs(parent, al, i, j)))
-
-    dim = na * ng * nb
-    v = np.zeros((dim, dim), dtype=complex)
-    for i in range(na):
-        for p in range(na):
-            c_a = cvec(alpha, i, p)
-            for j in range(ng):
-                for r in range(ng):
-                    c_g = cvec(gamma, j, r)
-                    c_g_star = cvec_star(gamma, j, r)
-                    rho_g = triple.rho(_irrep_entry_coeffs(parent, gamma, j, r))
-                    for k in range(nb):
-                        for s in range(nb):
-                            c_b = cvec(beta, k, s)
-                            val = 0.0
-                            if i == p and j == r and k == s:
-                                val += ca + cg + cb
-                            if i == p:
-                                val -= np.vdot(c_g_star, c_b)
-                            if k == s:
-                                val -= np.vdot(c_a, c_g)
-                            val -= np.vdot(c_a, rho_g @ c_b)
-                            v[(i * ng + j) * nb + k, (p * ng + r) * nb + s] = val
-    return v
+    # axes (i, p, j, r, k, s) of the entry (u^a_ip)^* u^g_jr u^b_ks
+    c_a = triple.cocycle(ua)[:, :, None, None, None, None]
+    c_g = triple.cocycle(ug)[:, :, None, None]
+    c_g_star = triple.cocycle(_star(parent, ug))[:, :, None, None]
+    c_b = triple.cocycle(ub)
+    rho_c_b = linalg.rowmul(c_b, triple.rho(ug)[:, :, None, None].swapaxes(-1, -2))
+    ip = np.eye(len(ua), dtype=bool)[:, :, None, None, None, None]
+    jr = np.eye(len(ug), dtype=bool)[:, :, None, None]
+    ks = np.eye(len(ub), dtype=bool)
+    v = np.where(ip & jr & ks, ca + cg + cb, 0.0)
+    v = v - np.where(ip, linalg.vdots(c_g_star, c_b), 0.0)
+    v = v - np.where(ks, linalg.vdots(c_a, c_g), 0.0)
+    v = v - linalg.vdots(c_a, rho_c_b)
+    return _entry_matrix(v)
 
 
 def _window_triple_forms(gen, alpha, beta, gammas, tol):
@@ -386,24 +360,17 @@ def cocycle_norm_residual(triple: SchurmannTriple, gamma, tol: float = 1e-8):
         cg = gen.base.value(gamma).real
         return max(abs(triple.cocycle_gram[g_idx, g_idx].real - 2.0 * cg),
                    abs(triple.cocycle_gram[gi_idx, gi_idx].real - 2.0 * cg))
-    ng = parent.block_dims[gamma]
-    cg = gen.central_values[gamma].real
-    star = parent.star
-    t_mat = np.zeros((ng, ng), dtype=complex)
-    tt_mat = np.zeros((ng, ng), dtype=complex)
-    cvecs = {}
-    cvecs_star = {}
-    for a in range(ng):
-        for b in range(ng):
-            cvecs[a, b] = triple.cocycle(_irrep_entry_coeffs(parent, gamma, a, b))
-            cvecs_star[a, b] = triple.cocycle(
-                star @ np.conj(_irrep_entry_coeffs(parent, gamma, a, b)))
-    for i in range(ng):
-        for j in range(ng):
-            t_mat[i, j] = sum(np.vdot(cvecs[i, a], cvecs[j, a]) for a in range(ng))
-            tt_mat[i, j] = sum(np.vdot(cvecs_star[a, i], cvecs_star[a, j])
-                               for a in range(ng))
-    target = 2.0 * cg * np.eye(ng)
+    ug = parent.irreps[gamma].coeffs
+    ng = len(ug)
+    cvecs = triple.cocycle(ug)
+    cvecs_star = triple.cocycle(_star(parent, ug))
+    # t_mat[i, j] = sum_a <c(u_ia), c(u_ja)>, tt_mat[i, j] = sum_a
+    # <c(u_ai^*), c(u_aj^*)>; the sum over a is kept in its order
+    terms = linalg.vdots(cvecs[:, None], cvecs[None, :])
+    terms_star = linalg.vdots(cvecs_star[:, :, None], cvecs_star[:, None, :])
+    t_mat = sum(terms[:, :, a] for a in range(ng))
+    tt_mat = sum(terms_star[a] for a in range(ng))
+    target = 2.0 * gen.central_values[gamma].real * np.eye(ng)
     return max(float(np.linalg.norm(t_mat - target)),
                float(np.linalg.norm(tt_mat - target)))
 

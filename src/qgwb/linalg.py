@@ -9,7 +9,8 @@ unless stated relative.
 
 `structure_sum` is the one kernel for sums of coefficient matrices against
 structure constants, out[k] = sum_{i,j} c[i,j,k] X_i Y_j (or X_i (x) Y_j);
-`structure_sum_sparse` is its form for sparse families.
+`structure_sum_sparse` is its form for sparse families.  `rowmul`, `vdots`
+and `norms` act on stacks of vectors, bit for bit as on each vector alone.
 """
 
 from __future__ import annotations
@@ -47,6 +48,25 @@ def max_frob(stack, lead: int = 1) -> float:
     stack = np.asarray(stack)
     flat = stack.reshape(int(np.prod(stack.shape[:lead])), -1)
     return float(np.linalg.norm(flat, axis=1).max())
+
+
+def rowmul(x, m) -> np.ndarray:
+    """x @ m for each vector x of a stack (m a matrix or a broadcasting stack
+    of them), summed as for a lone vector: one matrix product over the stack
+    may sum in another order.  m @ v is rowmul(v, m.swapaxes(-1, -2))."""
+    return (np.asarray(x)[..., None, :] @ m)[..., 0, :]
+
+
+def vdots(x, y) -> np.ndarray:
+    """np.vdot of each pair of vectors of two broadcasting stacks."""
+    return rowmul(np.conj(x), np.asarray(y)[..., None])[..., 0]
+
+
+def norms(x) -> np.ndarray:
+    """np.linalg.norm of each vector of a stack, summed as for a lone vector
+    (np.linalg.norm(x, axis=-1) sums in another order)."""
+    re, im = np.real(x), np.imag(x)
+    return np.sqrt(rowmul(re, re[..., None])[..., 0] + rowmul(im, im[..., None])[..., 0])
 
 
 def opnorm(m) -> float:

@@ -168,6 +168,10 @@ def test_main_exit_codes(tmp_path, preset, experiment, param, code, error):
     ("Z(1)", "v_matrices", "l_max=-3"),
     ("dual-Z(4)", "v_matrices", "beta=true"),
     ("dual-Z(4)", "semigroup", 't_grid=[0.1, "x"]'),
+    ("dual-Z(4)", "semigroup", "h=0"),             # the difference step divides by h
+    ("dual-Z(4)", "semigroup", "h=-0.001"),
+    ("dual-Z(4)", "semigroup", "t_grid=[]"),       # an empty grid checks nothing
+    ("free(2) r=4", "semigroup", "t_grid=[]"),
 ])
 def test_malformed_parameter_exits_2(tmp_path, preset, experiment, param):
     assert cli.main(["--preset", preset, "--experiment", experiment,
@@ -186,7 +190,8 @@ def test_param_reader_rules():
                                     ({"n": 0}, 8, 1, None),
                                     ({"n": 4}, 8, 0, 4),
                                     ({"n": True}, 1.0, None, None),
-                                    ({"n": (1, 2)}, [0.1], None, None)]:
+                                    ({"n": (1, 2)}, [0.1], None, None),
+                                    ({"n": []}, [0.1], None, None)]:
         with pytest.raises(SchemaError):
             cli._param(params, "n", default, lo, hi)
 
@@ -265,3 +270,37 @@ def test_bad_scenario_name_does_not_abort_a_batch(tmp_path):
     assert cli.main([str(tmp_path / "batch.json"), "--out", str(out)]) == 2
     assert sorted(p.name for p in out.iterdir()) == [
         "good.meta.json", "good.report.csv", "good.report.json"]
+
+
+def test_long_scenario_name_does_not_abort_a_batch(tmp_path):
+    # "<name>.report.json" may take 255 bytes, the file-name limit
+    at_limit = "\u00e9" * 100 + "x" * (255 - 200 - len(".report.json"))
+    batch = [{"name": "x" * 300, "preset": "fn-Z(2)", "experiment": "axioms"},
+             {"name": "good", "preset": "fn-Z(2)", "experiment": "axioms"},
+             {"name": at_limit + "x", "preset": "fn-Z(2)", "experiment": "axioms"},
+             {"name": at_limit, "preset": "fn-Z(2)", "experiment": "axioms"}]
+    (tmp_path / "batch.json").write_text(json.dumps(batch))
+    out = tmp_path / "out"
+    assert cli.main([str(tmp_path / "batch.json"), "--out", str(out)]) == 2
+    assert sorted(p.name for p in out.glob("*.report.json")) == sorted(
+        [at_limit + ".report.json", "good.report.json"])
+    for name in ("good", at_limit):
+        report = json.loads((out / f"{name}.report.json").read_text(encoding="utf-8"))
+        assert report["checks"] and all(c["passed"] for c in report["checks"])
+
+
+def test_unexpected_exception_is_recorded(tmp_path, monkeypatch, capsys):
+    def broken(parent, params, tol_scale, seed):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "broken", broken)
+    batch = [{"name": "broken", "preset": "fn-Z(2)", "experiment": "broken"},
+             {"name": "good", "preset": "fn-Z(2)", "experiment": "axioms"}]
+    (tmp_path / "batch.json").write_text(json.dumps(batch))
+    assert cli.main([str(tmp_path / "batch.json"), "--out", str(tmp_path)]) == 4
+    broken_report = json.loads((tmp_path / "broken.report.json").read_text())
+    assert broken_report["checks"] == []
+    assert broken_report["error"] == {"type": "RuntimeError", "message": "injected failure"}
+    assert "Traceback" in capsys.readouterr().err
+    good = json.loads((tmp_path / "good.report.json").read_text())
+    assert good["checks"] and all(c["passed"] for c in good["checks"])

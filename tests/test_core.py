@@ -439,3 +439,57 @@ def test_check_morphism_multiplicativity_matches_basis_pair_loop(name, kind):
     assert _close(core.check_morphism(g, g, pi, tol=np.inf), expected)
     with pytest.raises(NotAMorphism):
         core.check_morphism(g, g, pi)
+
+
+# -- stacked products against the per-entry loops --------------------------------
+# axioms reports print the irrep residuals to the last digit, so the stacked
+# forms must reproduce the per-entry loops they replaced bit for bit.
+
+def _loop_irrep_coproduct_residual(g):
+    worst = 0.0
+    for r in g.irreps:
+        for i in range(r.dim):
+            for j in range(r.dim):
+                lhs = np.tensordot(r.coeffs[i, j], g.comult, axes=([0], [0]))
+                rhs = np.zeros_like(lhs)
+                for k in range(r.dim):
+                    rhs += np.outer(r.coeffs[i, k], r.coeffs[k, j])
+                worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
+
+
+def _loop_irrep_unitarity_residual(g):
+    worst = 0.0
+    for r in g.irreps:
+        starred = np.einsum("pq,ijq->ijp", g.star, np.conj(r.coeffs))
+        for i in range(r.dim):
+            for j in range(r.dim):
+                acc1 = np.zeros(g.d, dtype=complex)
+                acc2 = np.zeros(g.d, dtype=complex)
+                for k in range(r.dim):
+                    acc1 += np.einsum("i,j,ijk->k", r.coeffs[i, k], starred[j, k], g.mult)
+                    acc2 += np.einsum("i,j,ijk->k", starred[k, i], r.coeffs[k, j], g.mult)
+                target = g.unit if i == j else 0.0
+                worst = max(worst, float(np.linalg.norm(acc1 - target)),
+                            float(np.linalg.norm(acc2 - target)))
+    return worst
+
+
+@pytest.mark.parametrize("name", [row["name"] for row in presets.preset_table()
+                                  if row["kind"] == "qg"])
+def test_irrep_residuals_match_entry_loops(name):
+    g = presets.load_preset(name)
+    assert g.residuals["irrep_coproduct"] == _loop_irrep_coproduct_residual(g)
+    assert g.residuals["irrep_unitary"] == _loop_irrep_unitarity_residual(g)
+
+
+@pytest.mark.parametrize("name", ["fn-S3", "kac-paljutkin", "dual-Z(8)", "grp-S3"])
+def test_stacked_mul_matches_pairs(name):
+    g = presets.load_preset(name)
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(4, g.d)) + 1j * rng.normal(size=(4, g.d))
+    b = rng.normal(size=(3, g.d)) + 1j * rng.normal(size=(3, g.d))
+    pairs = np.array([[np.einsum("i,j,ijk->k", x, y, g.mult) for y in b] for x in a])
+    assert np.array_equal(g.mul(a[:, None], b[None]), pairs)
+    assert np.array_equal(g.mul(a[0], b), pairs[0])
+    assert np.array_equal(g.mul(a[0], b[0]), pairs[0, 0])

@@ -291,3 +291,151 @@ def test_growth_windows_come_from_the_preset_cache():
     runs = [genfun.unbounded_generator_on_z(
         lambda k, m: math.exp(-abs(m) / k), eps=0.5, n_windows=3)[1] for _ in range(2)]
     assert runs[0].parent is runs[1].parent is presets.load_preset("Z(1)", radius=6)
+
+
+# -- stacked irrep-entry products against the per-entry loops ----------------------
+# The loops below are the per-entry forms the stacked products replaced; the
+# v_matrices reports print rounding-level residuals, so the stacked forms
+# must reproduce them bit for bit, not within a tolerance.
+
+def _loop_rhos(tri):
+    f, g = tri.cocycle_vectors, tri.gen.parent
+    pinv_ft = np.linalg.pinv(f.T)
+    rhos = np.zeros((g.d, tri.dim, tri.dim), dtype=complex)
+    for p in range(g.d):
+        targets = np.zeros((g.d, tri.dim), dtype=complex)
+        for q in range(g.d):
+            targets[q] = np.asarray(g.mult[p, q], dtype=complex) @ f - g.counit[q] * f[p]
+        rhos[p] = targets.T @ pinv_ft
+    return rhos
+
+
+def _loop_triple_form_direct(g, l, alpha, gamma, beta):
+    u = [g.irreps[x].coeffs for x in (alpha, gamma, beta)]
+    na, ng, nb = (len(x) for x in u)
+    v = np.zeros((na * ng * nb, na * ng * nb), dtype=complex)
+    for i in range(na):
+        for p in range(na):
+            a_star = g.star @ np.conj(u[0][i, p])
+            for j in range(ng):
+                for r in range(ng):
+                    left = np.einsum("i,j,ijk->k", a_star, u[1][j, r], g.mult)
+                    for k in range(nb):
+                        for s in range(nb):
+                            full = np.einsum("i,j,ijk->k", left, u[2][k, s], g.mult)
+                            v[(i * ng + j) * nb + k, (p * ng + r) * nb + s] = l(full)
+    return v
+
+
+def _loop_triple_form_cocycle(g, tri, cvals, alpha, gamma, beta):
+    u = [g.irreps[x].coeffs for x in (alpha, gamma, beta)]
+    na, ng, nb = (len(x) for x in u)
+    ca, cg, cb = cvals[alpha].real, cvals[gamma].real, cvals[beta].real
+    f = tri.cocycle_vectors
+
+    def cvec(x):
+        return np.asarray(x, dtype=complex) @ f
+
+    v = np.zeros((na * ng * nb, na * ng * nb), dtype=complex)
+    for i in range(na):
+        for p in range(na):
+            c_a = cvec(u[0][i, p])
+            for j in range(ng):
+                for r in range(ng):
+                    c_g = cvec(u[1][j, r])
+                    c_g_star = cvec(g.star @ np.conj(u[1][j, r]))
+                    rho_g = np.tensordot(u[1][j, r], tri.rhos, axes=([0], [0]))
+                    for k in range(nb):
+                        for s in range(nb):
+                            c_b = cvec(u[2][k, s])
+                            val = 0.0
+                            if i == p and j == r and k == s:
+                                val += ca + cg + cb
+                            if i == p:
+                                val -= np.vdot(c_g_star, c_b)
+                            if k == s:
+                                val -= np.vdot(c_a, c_g)
+                            val -= np.vdot(c_a, rho_g @ c_b)
+                            v[(i * ng + j) * nb + k, (p * ng + r) * nb + s] = val
+    return v
+
+
+def _loop_cocycle_norm_residual(g, tri, cg, gamma):
+    u = g.irreps[gamma].coeffs
+    ng = len(u)
+    f = tri.cocycle_vectors
+    cvecs = {(a, b): u[a, b] @ f for a in range(ng) for b in range(ng)}
+    cstar = {(a, b): (g.star @ np.conj(u[a, b])) @ f
+             for a in range(ng) for b in range(ng)}
+    t_mat = np.zeros((ng, ng), dtype=complex)
+    tt_mat = np.zeros((ng, ng), dtype=complex)
+    for i in range(ng):
+        for j in range(ng):
+            t_mat[i, j] = sum(np.vdot(cvecs[i, a], cvecs[j, a]) for a in range(ng))
+            tt_mat[i, j] = sum(np.vdot(cstar[a, i], cstar[a, j]) for a in range(ng))
+    target = 2.0 * cg * np.eye(ng)
+    return max(float(np.linalg.norm(t_mat - target)),
+               float(np.linalg.norm(tt_mat - target)))
+
+
+def _loop_cocycle_rule_residual(tri):
+    f, g = tri.cocycle_vectors, tri.gen.parent
+    worst = 0.0
+    for b in range(g.d):
+        for dd in range(g.d):
+            cbd = np.asarray(g.mult[b, dd], dtype=complex) @ f
+            rhs = tri.rhos[b] @ f[dd] + g.counit[dd] * f[b]
+            worst = max(worst, float(np.linalg.norm(cbd - rhs)))
+    return worst
+
+
+def _loop_window_rule_residual(tri):
+    w, f = tri.gen.parent, tri.cocycle_vectors
+    diff = w.form(np.arange(w.d))
+    nb = len(diff)
+    worst = 0.0
+    for b in range(nb):
+        avail = [(dd, bd) for dd, bd in enumerate(diff[w.inv_index[b]].tolist()) if bd < nb]
+        for dd, bd in avail:
+            for dd2, bd2 in avail:
+                lhs = np.vdot(f[bd] - f[b], f[bd2] - f[b])
+                worst = max(worst, abs(lhs - np.vdot(f[dd], f[dd2])))
+    return worst
+
+
+@pytest.mark.parametrize("name,radius", [("free(2)", 4), ("free(3)", 4), ("Z(1)^2", 6),
+                                         ("Z(1)", 40)])
+def test_window_rule_matches_pair_loop(name, radius):
+    w = presets.load_preset(name, radius=radius)
+    tri = genfun.schurmann_triple(genfun.validate_generating(word_length_functional(w)))
+    assert tri.cocycle_rule_residual == _loop_window_rule_residual(tri)
+
+
+@pytest.mark.parametrize("name", ["fn-S3", "kac-paljutkin", "fn-Z(8)", "dual-Z(5)"])
+def test_stacked_triple_paths_match_entry_loops(name):
+    from qgwb.cli import _central_index_generator
+    g = presets.load_preset(name)
+    gen = _central_index_generator(g)
+    tri = genfun.schurmann_triple(gen)
+    assert np.array_equal(tri.rhos, _loop_rhos(tri))
+    assert tri.cocycle_rule_residual == _loop_cocycle_rule_residual(tri)
+    x = np.random.default_rng(0).normal(size=(3, 2, g.d))
+    assert np.array_equal(tri.cocycle(x), np.array(
+        [[np.asarray(v, dtype=complex) @ tri.cocycle_vectors for v in row] for row in x]))
+    assert np.array_equal(tri.rho(x), np.array(
+        [[np.tensordot(v, tri.rhos, axes=([0], [0])) for v in row] for row in x]))
+    cvals = gen.central_values
+    blocks = range(len(g.block_dims))
+    for alpha in blocks:
+        for beta in blocks:
+            for gamma in blocks:
+                args = (alpha, gamma, beta)
+                assert np.array_equal(
+                    genfun._triple_form_direct(g, gen.base, *args),
+                    _loop_triple_form_direct(g, gen.base, *args)), args
+                assert np.array_equal(
+                    genfun._triple_form_cocycle(g, tri, cvals, *args),
+                    _loop_triple_form_cocycle(g, tri, cvals, *args)), args
+    for gamma in blocks:
+        assert genfun.cocycle_norm_residual(tri, gamma) == \
+            _loop_cocycle_norm_residual(g, tri, cvals[gamma].real, gamma)

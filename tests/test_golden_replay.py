@@ -97,3 +97,28 @@ def test_fock_suite_reports_repeat(tmp_path):
         subprocess.run([sys.executable, "-m", "qgwb.cli", str(batch), "--out",
                         str(out)], env=env, check=True)
         assert reports(out) == first, f"{threads} BLAS threads"
+
+
+def test_v_matrices_and_axioms_reports_match_goldens_in_fresh_processes(tmp_path):
+    """Every v_matrices and axioms golden, whose reports print rounding-level
+    residuals, is written byte for byte again by a fresh process with one
+    and with two BLAS threads (the benchmark runs with one)."""
+    src = str(Path(qgwb.__file__).resolve().parents[1])
+    for workload in ("small-mix", "qg-fock"):
+        goldens = {}
+        for path in sorted((GOLDENS / workload).glob("*.report.json")):
+            golden = json.loads(path.read_text(encoding="utf-8"))
+            if golden["experiment"] in ("v_matrices", "axioms"):
+                goldens[path.name] = (_scenario(golden), path.read_bytes())
+        assert goldens
+        batch = tmp_path / f"{workload}.json"
+        batch.write_text(json.dumps([sc for sc, _ in goldens.values()]), encoding="utf-8")
+        for threads in ("1", "2"):
+            out = tmp_path / f"{workload}-threads-{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "qgwb.cli", str(batch), "--out",
+                            str(out)], env=env, check=True)
+            differ = [name for name, (_, data) in goldens.items()
+                      if (out / name).read_bytes() != data]
+            assert not differ, f"{workload}, {threads} BLAS threads: {differ}"
