@@ -211,9 +211,6 @@ class Implementation:
     def lambda_vec(self, x):
         return self.c_mat @ self.action.vec(x)
 
-    def unlambda(self, v):
-        return self.action.unvec(self.c_inv @ np.asarray(v))
-
 
 # ---------------------------------------------------------------------------
 # invariant state search

@@ -38,16 +38,20 @@ from .errors import (
     WindowTruncation,
 )
 from .serialize import load_qg
-from .windows import GroupDualWindow
 
-EXPERIMENTS = {}
+EXPERIMENTS = {}  # id -> (body, {parent kind: parameter names})
+PARENT_KINDS = {"qg": "a quantum group parent", "window": "a window parent",
+                "none": "no parent"}
 PRESET_DIR_ENV = "QGWB_PRESET_DIR"
 NAME_MAX = 255  # bytes in one file name on common file systems
 
 
-def experiment(name):
+def experiment(name, **takes):
+    """Register an experiment body.  Each keyword names a parent kind the
+    experiment runs on ("qg", "window" or "none") and gives the parameter
+    names it reads on that kind; run_scenario rejects anything else."""
     def deco(fn):
-        EXPERIMENTS[name] = fn
+        EXPERIMENTS[name] = (fn, takes)
         return fn
     return deco
 
@@ -138,7 +142,7 @@ def _resolve_parent(spec, radius):
 # experiments
 # ---------------------------------------------------------------------------
 
-@experiment("axioms")
+@experiment("axioms", qg=(), window=())
 def _run_axioms(parent, params, tol_scale, seed):
     checks = []
     if isinstance(parent, FiniteQG):
@@ -155,7 +159,7 @@ def _run_axioms(parent, params, tol_scale, seed):
     return {"checks": checks}
 
 
-@experiment("semigroup")
+@experiment("semigroup", qg=("t_grid", "h"), window=("t_grid",))
 def _run_semigroup(parent, params, tol_scale, seed):
     checks = []
     if isinstance(parent, FiniteQG):
@@ -192,10 +196,8 @@ def _run_semigroup(parent, params, tol_scale, seed):
     return {"checks": checks}
 
 
-@experiment("kazhdan")
+@experiment("kazhdan", qg=())
 def _run_kazhdan(parent, params, tol_scale, seed):
-    if not isinstance(parent, FiniteQG):
-        raise SchemaError("kazhdan experiment needs a FiniteQG parent")
     checks = []
     nontrivial = [a for a in range(len(parent.block_dims))
                   if a != parent.trivial_block]
@@ -242,7 +244,7 @@ def _central_index_generator(parent: FiniteQG):
         return genfun.validate_generating(lf)
 
 
-@experiment("v_matrices")
+@experiment("v_matrices", qg=("alpha", "beta"), window=("l_max",))
 def _run_v_matrices(parent, params, tol_scale, seed):
     checks = []
     stage_rows = []
@@ -283,7 +285,7 @@ def _run_v_matrices(parent, params, tol_scale, seed):
     return {"checks": checks, "per_stage": stage_rows}
 
 
-@experiment("theorem69")
+@experiment("theorem69", none=("eps", "n_windows"))
 def _run_unbounded_growth(parent, params, tol_scale, seed):
     eps = _param(params, "eps", 0.5)
     n_windows = _param(params, "n_windows", 8, 1)
@@ -306,10 +308,8 @@ def _run_unbounded_growth(parent, params, tol_scale, seed):
     return {"checks": checks, "per_stage": stage_rows}
 
 
-@experiment("lemma74")
+@experiment("lemma74", window=("t", "l_max"))
 def _run_pair_bounds(parent, params, tol_scale, seed):
-    if not isinstance(parent, GroupDualWindow):
-        raise SchemaError("this experiment needs a window parent")
     t = _param(params, "t", 1.0)
     l_max = _param(params, "l_max", 3, 0)
     wl = _word_length(parent)
@@ -358,10 +358,8 @@ def delta_action(parent: FiniteQG) -> actions.Action:
     return actions.Action(parent, [1] * d, alpha, invariant_state=theta)
 
 
-@experiment("action_suite")
+@experiment("action_suite", qg=())
 def _run_action_suite(parent, params, tol_scale, seed):
-    if not isinstance(parent, FiniteQG):
-        raise SchemaError("action suite needs a FiniteQG parent")
     checks = []
     acts = []
     if parent.key.startswith("dual-Z(2"):
@@ -399,7 +397,7 @@ def _run_action_suite(parent, params, tol_scale, seed):
     return {"checks": checks}
 
 
-@experiment("fock_suite")
+@experiment("fock_suite", none=("depth",), qg=("depth",))
 def _run_fock_suite(parent, params, tol_scale, seed):
     depth = _param(params, "depth", 8, 1)
     checks = []
@@ -419,7 +417,7 @@ def _run_fock_suite(parent, params, tol_scale, seed):
             words.append(list(combo))
     checks.append(_check("vacuum_traciality", fock.trace_check(f2, words),
                          1e-9 * tol_scale))
-    if isinstance(parent, FiniteQG):
+    if parent is not None:
         # GNS of the dimension-weighted invariant dual state, lifted
         w = np.zeros(parent.d)
         for n, off in zip(parent.block_dims, parent.block_offsets):
@@ -449,7 +447,7 @@ def _run_fock_suite(parent, params, tol_scale, seed):
     return {"checks": checks}
 
 
-@experiment("dense_image")
+@experiment("dense_image", none=())
 def _run_dense_image(parent, params, tol_scale, seed):
     kp = presets.load_preset("kac-paljutkin")
     ident = np.eye(kp.d)
@@ -499,15 +497,22 @@ def run_scenario(scenario, out_dir="."):
         seed = _param(scenario, "seed", 0)
         if experiment_id not in EXPERIMENTS:
             raise SchemaError(f"unknown experiment {experiment_id!r}")
-        needs_parent = experiment_id not in ("theorem69", "dense_image", "fock_suite")
-        if parent_spec is None and needs_parent:
-            raise SchemaError("scenario needs a 'preset' or 'parent'")
-        radius = _param(params, "radius", 4, 1) if "radius" in params else None
+        run, takes = EXPERIMENTS[experiment_id]
         spec = str(parent_spec).strip()
-        if radius is not None and (parent_spec is None or " r=" in spec
-                                   or not presets.is_window_preset(spec)):
-            raise SchemaError(f"parameter 'radius' needs a window preset without "
-                              f"' r=', got {parent_spec!r}")
+        kind = ("none" if parent_spec is None else
+                "window" if presets.is_window_preset(spec) else "qg")
+        if kind not in takes:
+            raise SchemaError(f"{experiment_id} takes "
+                              f"{' or '.join(PARENT_KINDS[k] for k in takes)}, "
+                              f"got {parent_spec!r}")
+        # a window preset named without a radius takes it as a parameter
+        reads = takes[kind] + (("radius",) if kind == "window" and " r=" not in spec else ())
+        unknown = sorted(set(params) - set(reads))
+        if unknown:
+            raise SchemaError(f"{experiment_id} with {PARENT_KINDS[kind]} reads no "
+                              f"parameter {', '.join(map(repr, unknown))}; it reads "
+                              f"{', '.join(map(repr, reads)) or 'none'}")
+        radius = _param(params, "radius", 4, 1) if "radius" in params else None
     except (SchemaError, KeyError, TypeError, ValueError) as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return 2, None
@@ -516,7 +521,7 @@ def run_scenario(scenario, out_dir="."):
     try:
         if parent_spec is not None:
             parent = _resolve_parent(parent_spec, radius)
-        body = EXPERIMENTS[experiment_id](parent, params, tol_scale, seed)
+        body = run(parent, params, tol_scale, seed)
         failure = None
     except RESOURCE_CAP_ERRORS as exc:
         body, failure = {"checks": []}, (5, exc)

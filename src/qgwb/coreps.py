@@ -24,7 +24,6 @@ from .errors import (
     OracleMismatch,
     ParentMismatch,
 )
-from .windows import GroupDualWindow
 
 DEFAULT_TOL = 1e-9
 
@@ -135,9 +134,6 @@ class Corep:
     def invariant_rank(self):
         p = self.invariant_projection()
         return int(round(np.trace(p).real))
-
-    def is_ergodic(self):
-        return self.invariant_rank() == 0
 
     def defect(self, xi, family):
         """max over x in family of ||phi(x) xi - dual_counit(x) xi||."""
@@ -397,37 +393,3 @@ def check_condition_r(u: Corep, j_conj, tol: float = 1e-8) -> bool:
                    np.conj(j_conj))
     lhs = np.tensordot(g.antipode, jx, axes=([1], [0]))
     return float(np.linalg.norm(lhs - uc)) <= tol
-
-
-# ---------------------------------------------------------------------------
-# window coreps (no Haar state: tensor and gauges only)
-# ---------------------------------------------------------------------------
-
-class WindowCorep:
-    """Family of unitaries phi(g) with partial multiplicativity."""
-
-    def __init__(self, window: GroupDualWindow, mats, tol=DEFAULT_TOL):
-        self.parent = window
-        self.mats = {g: np.asarray(m, dtype=complex) for g, m in mats.items()}
-        self.space_dim = next(iter(self.mats.values())).shape[0]
-        for g, m in self.mats.items():
-            if np.linalg.norm(m @ m.conj().T - np.eye(self.space_dim)) > tol:
-                raise AxiomViolation(f"phi({g!r}) is not unitary")
-        for g in window.elements:
-            for h in window.elements:
-                p = window.mul(g, h)
-                if p is None:
-                    continue
-                if np.linalg.norm(self.mats[g] @ self.mats[h] - self.mats[p]) > tol:
-                    raise AxiomViolation("partial multiplicativity fails")
-
-    def defect(self, xi, elements):
-        xi = np.asarray(xi, dtype=complex)
-        return max(float(np.linalg.norm(self.mats[g] @ xi - xi)) for g in elements)
-
-
-def window_tensor(u: WindowCorep, v: WindowCorep) -> WindowCorep:
-    if u.parent is not v.parent:
-        raise ParentMismatch("window tensor needs a common parent")
-    return WindowCorep(u.parent, {g: np.kron(u.mats[g], v.mats[g])
-                                  for g in u.parent.elements})

@@ -85,12 +85,6 @@ class Functional:
 
     __rmul__ = __mul__
 
-    def to_dict(self):
-        return {
-            "parent_id": self.parent.key,
-            "coeffs": [[float(z.real), float(z.imag)] for z in self.coeffs],
-        }
-
 
 def _same_parent(mu, nu):
     if mu.parent is not nu.parent:

@@ -245,12 +245,12 @@ def triple_form_matrices(gen: GenFunctional, alpha, beta, gammas,
         return _window_triple_forms(gen, alpha, beta, gammas, tol)
     if triple is None:
         triple = SchurmannTriple(gen)
-    l = gen.base
     cvals = gen.central_values
+    gammas = list(gammas)
     out = []
-    for gamma in gammas:
-        v_primary = _triple_form_cocycle(parent, triple, cvals, alpha, gamma, beta)
-        v_direct = _triple_form_direct(parent, l, alpha, gamma, beta)
+    for gamma, v_primary, v_direct in zip(
+            gammas, _triple_forms_cocycle(parent, triple, cvals, alpha, gammas, beta),
+            _triple_forms_direct(parent, gen.base, alpha, gammas, beta)):
         entry_resid = float(np.max(np.abs(v_primary - v_direct)))
         if entry_resid > tol:
             raise GramNotPSD(
@@ -286,30 +286,35 @@ def _entry_matrix(v):
     return v.transpose(0, 2, 4, 1, 3, 5).reshape(rows, rows)
 
 
-def _triple_form_direct(parent, l, alpha, gamma, beta):
-    ua, ug, ub = (parent.irreps[x].coeffs for x in (alpha, gamma, beta))
-    left = parent.mul(_star(parent, ua)[:, :, None, None], ug)
-    full = parent.mul(left[..., None, None, :], ub)
-    return _entry_matrix((l.coeffs @ full[..., None])[..., 0])
+def _triple_forms_direct(parent, l, alpha, gammas, beta):
+    """Per gamma, L on the expanded triple products (the cross-check route)."""
+    ua_star, ub = _star(parent, parent.irreps[alpha].coeffs), parent.irreps[beta].coeffs
+    for gamma in gammas:
+        left = parent.mul(ua_star[:, :, None, None], parent.irreps[gamma].coeffs)
+        full = parent.mul(left[..., None, None, :], ub)
+        yield _entry_matrix((l.coeffs @ full[..., None])[..., 0])
 
 
-def _triple_form_cocycle(parent, triple, cvals, alpha, gamma, beta):
-    ua, ug, ub = (parent.irreps[x].coeffs for x in (alpha, gamma, beta))
-    ca, cg, cb = cvals[alpha].real, cvals[gamma].real, cvals[beta].real
+def _triple_forms_cocycle(parent, triple, cvals, alpha, gammas, beta):
+    """Per gamma, the cocycle expansion of the triple form (the primary route)."""
+    ua, ub = parent.irreps[alpha].coeffs, parent.irreps[beta].coeffs
+    ca, cb = cvals[alpha].real, cvals[beta].real
     # axes (i, p, j, r, k, s) of the entry (u^a_ip)^* u^g_jr u^b_ks
     c_a = triple.cocycle(ua)[:, :, None, None, None, None]
-    c_g = triple.cocycle(ug)[:, :, None, None]
-    c_g_star = triple.cocycle(_star(parent, ug))[:, :, None, None]
     c_b = triple.cocycle(ub)
-    rho_c_b = linalg.rowmul(c_b, triple.rho(ug)[:, :, None, None].swapaxes(-1, -2))
     ip = np.eye(len(ua), dtype=bool)[:, :, None, None, None, None]
-    jr = np.eye(len(ug), dtype=bool)[:, :, None, None]
     ks = np.eye(len(ub), dtype=bool)
-    v = np.where(ip & jr & ks, ca + cg + cb, 0.0)
-    v = v - np.where(ip, linalg.vdots(c_g_star, c_b), 0.0)
-    v = v - np.where(ks, linalg.vdots(c_a, c_g), 0.0)
-    v = v - linalg.vdots(c_a, rho_c_b)
-    return _entry_matrix(v)
+    for gamma in gammas:
+        ug, cg = parent.irreps[gamma].coeffs, cvals[gamma].real
+        c_g = triple.cocycle(ug)[:, :, None, None]
+        c_g_star = triple.cocycle(_star(parent, ug))[:, :, None, None]
+        rho_c_b = linalg.rowmul(c_b, triple.rho(ug)[:, :, None, None].swapaxes(-1, -2))
+        jr = np.eye(len(ug), dtype=bool)[:, :, None, None]
+        v = np.where(ip & jr & ks, ca + cg + cb, 0.0)
+        v = v - np.where(ip, linalg.vdots(c_g_star, c_b), 0.0)
+        v = v - np.where(ks, linalg.vdots(c_a, c_g), 0.0)
+        v = v - linalg.vdots(c_a, rho_c_b)
+        yield _entry_matrix(v)
 
 
 def _window_triple_forms(gen, alpha, beta, gammas, tol):

@@ -248,7 +248,9 @@ def null_space(system, shape=None, tol: float = 1e-10):
         dim = system.shape[1]
         basis = np.eye(dim)
     else:
-        _, s, vh = np.linalg.svd(system)
+        # the kernel lies in vh's rows past the rank; a thin vh has them all
+        # unless the system has fewer rows than columns
+        _, s, vh = np.linalg.svd(system, full_matrices=system.shape[0] < system.shape[1])
         scale = s[0] if len(s) and s[0] > 0 else 1.0
         rank = int(np.sum(s > tol * max(1.0, scale)))
         basis = vh[rank:].conj()

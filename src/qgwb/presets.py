@@ -18,180 +18,90 @@ from .errors import SchemaError, UnknownPreset
 from .windows import build_window
 
 # ---------------------------------------------------------------------------
-# duals of cyclic groups: the group algebra C[Z_n]
+# group algebras C[G] and function algebras C(G) of a finite group
 # ---------------------------------------------------------------------------
+# A group is its product table: table[i, j] is the index of g_i g_j, and
+# element 0 is the identity.
+
+def _group_algebra(key, table, names) -> FiniteQG:
+    """C[G] with grouplike basis; irreps are the |G| grouplikes."""
+    d = len(table)
+    idx = np.arange(d)
+    inv = np.argmax(table == 0, axis=1)
+    mult = np.zeros((d, d, d))
+    mult[idx[:, None], idx, table] = 1.0
+    comult = np.zeros((d, d, d))
+    comult[idx, idx, idx] = 1.0
+    perm = np.zeros((d, d))
+    perm[inv, idx] = 1.0
+    delta_e = np.eye(d)[0]
+    irreps = [(1, e.reshape(1, 1, d)) for e in np.eye(d)]
+    return FiniteQG(key, mult, delta_e, comult, np.ones(d), perm, perm,
+                    irreps, haar=delta_e, basis_names=names)
+
+
+def _function_algebra(key, table, names, irreps) -> FiniteQG:
+    """C(G) with delta-function basis; `irreps` are the (n, n, |G|)
+    coefficient arrays of the irreducible representations of G."""
+    d = len(table)
+    idx = np.arange(d)
+    inv = np.argmax(table == 0, axis=1)
+    mult = np.zeros((d, d, d))
+    mult[idx, idx, idx] = 1.0
+    comult = np.zeros((d, d, d))
+    comult[table, idx[:, None], idx] = 1.0
+    antipode = np.zeros((d, d))
+    antipode[inv, idx] = 1.0
+    return FiniteQG(key, mult, np.ones(d), comult, np.eye(d)[0], np.eye(d), antipode,
+                    [(len(c), c) for c in irreps], haar=np.full(d, 1.0 / d),
+                    basis_names=names)
+
+
+def _cyclic_table(n):
+    return np.add.outer(np.arange(n), np.arange(n)) % n
+
 
 @functools.lru_cache(maxsize=None)
 def dual_z(n: int) -> FiniteQG:
     """C[Z_n] with grouplike basis; irreps are the n grouplikes."""
     if not 2 <= n <= 64:
         raise SchemaError("dual-Z(n) shipped for 2 <= n <= 64")
-    d = n
-    mult = np.zeros((d, d, d))
-    comult = np.zeros((d, d, d))
-    star = np.zeros((d, d))
-    antipode = np.zeros((d, d))
-    for i in range(n):
-        for j in range(n):
-            mult[i, j, (i + j) % n] = 1.0
-        comult[i, i, i] = 1.0
-        star[(-i) % n, i] = 1.0
-        antipode[(-i) % n, i] = 1.0
-    unit = np.zeros(d)
-    unit[0] = 1.0
-    counit = np.ones(d)
-    haar = np.zeros(d)
-    haar[0] = 1.0
-    irreps = []
-    for k in range(n):
-        coeff = np.zeros((1, 1, d))
-        coeff[0, 0, k] = 1.0
-        irreps.append(Irrep(1, coeff))
-    names = [f"g{i}" for i in range(n)]
-    return FiniteQG(f"dual-Z({n})", mult, unit, comult, counit, star,
-                    antipode, irreps, haar=haar, basis_names=names)
+    return _group_algebra(f"dual-Z({n})", _cyclic_table(n), [f"g{i}" for i in range(n)])
 
-
-# ---------------------------------------------------------------------------
-# function algebras of cyclic groups: C(Z_n)
-# ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
 def fn_z(n: int) -> FiniteQG:
     """C(Z_n) with delta-function basis; irreps are the n characters."""
     if not 2 <= n <= 64:
         raise SchemaError("fn-Z(n) shipped for 2 <= n <= 64")
-    d = n
-    mult = np.zeros((d, d, d))
-    comult = np.zeros((d, d, d))
-    star = np.eye(d)
-    antipode = np.zeros((d, d))
-    for i in range(n):
-        mult[i, i, i] = 1.0
-        antipode[(-i) % n, i] = 1.0
-        for j in range(n):
-            comult[(i + j) % n, i, j] = 1.0
-    unit = np.ones(d)
-    counit = np.zeros(d)
-    counit[0] = 1.0
-    haar = np.full(d, 1.0 / n)
-    omega = np.exp(2j * np.pi / n)
-    irreps = []
-    for k in range(n):
-        coeff = np.zeros((1, 1, d), dtype=complex)
-        coeff[0, 0, :] = omega ** (k * np.arange(n))
-        irreps.append(Irrep(1, coeff))
-    names = [f"d{i}" for i in range(n)]
-    return FiniteQG(f"fn-Z({n})", mult, unit, comult, counit, star,
-                    antipode, irreps, haar=haar, basis_names=names)
+    k = np.arange(n)
+    chars = np.exp(2j * np.pi / n) ** (k[:, None] * k)
+    return _function_algebra(f"fn-Z({n})", _cyclic_table(n), [f"d{i}" for i in range(n)],
+                             chars[:, None, None, :])
 
-
-# ---------------------------------------------------------------------------
-# S_3: function algebra and group algebra
-# ---------------------------------------------------------------------------
 
 _S3 = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
 # element g as a map i -> g[i]; composition (g h)[i] = g[h[i]]
-
-
-def _s3_mul(g, h):
-    return tuple(g[h[i]] for i in range(3))
-
-
-def _s3_inv(g):
-    out = [0, 0, 0]
-    for i in range(3):
-        out[g[i]] = i
-    return tuple(out)
-
-
-def _s3_sign(g):
-    seen, sgn = set(), 1
-    for i in range(3):
-        if i in seen:
-            continue
-        j, ln = g[i], 1
-        seen.add(i)
-        while j != i:
-            seen.add(j)
-            j = g[j]
-            ln += 1
-        sgn *= (-1) ** (ln - 1)
-    return sgn
-
-
-def _s3_std_rep():
-    """Real orthogonal 2-dim irrep from the permutation action on sum-zero vectors."""
-    q = np.array([[1 / np.sqrt(2), 1 / np.sqrt(6)],
-                  [-1 / np.sqrt(2), 1 / np.sqrt(6)],
-                  [0.0, -2 / np.sqrt(6)]])
-    mats = []
-    for g in _S3:
-        p = np.zeros((3, 3))
-        for i in range(3):
-            p[g[i], i] = 1.0
-        mats.append(q.T @ p @ q)
-    return mats
+_S3_TABLE = np.array([[_S3.index(tuple(g[i] for i in h)) for h in _S3] for g in _S3])
 
 
 @functools.lru_cache(maxsize=None)
 def fn_s3() -> FiniteQG:
-    """C(S_3); irreps: trivial, sign, and the 2-dim standard representation."""
-    d = 6
-    idx = {g: i for i, g in enumerate(_S3)}
-    mult = np.zeros((d, d, d))
-    comult = np.zeros((d, d, d))
-    antipode = np.zeros((d, d))
-    for i, g in enumerate(_S3):
-        mult[i, i, i] = 1.0
-        antipode[idx[_s3_inv(g)], i] = 1.0
-        for j, h in enumerate(_S3):
-            comult[idx[_s3_mul(g, h)], i, j] = 1.0
-    unit = np.ones(d)
-    counit = np.zeros(d)
-    counit[0] = 1.0
-    haar = np.full(d, 1.0 / 6.0)
-    triv = np.zeros((1, 1, d))
-    triv[0, 0, :] = 1.0
-    sign = np.zeros((1, 1, d))
-    sign[0, 0, :] = [_s3_sign(g) for g in _S3]
-    std = np.zeros((2, 2, d))
-    for i, rho in enumerate(_s3_std_rep()):
-        std[:, :, i] = rho
-    irreps = [Irrep(1, triv), Irrep(1, sign), Irrep(2, std)]
-    names = ["".join(map(str, g)) for g in _S3]
-    return FiniteQG("fn-S3", mult, unit, comult, counit, np.eye(d), antipode,
-                    irreps, haar=haar, basis_names=names)
+    """C(S_3); irreps: trivial, sign, and the 2-dim standard representation
+    (real orthogonal, from the permutation action on sum-zero vectors)."""
+    sign = [(-1) ** sum(g[a] > g[b] for a, b in ((0, 1), (0, 2), (1, 2))) for g in _S3]
+    q = np.array([[1 / np.sqrt(2), 1 / np.sqrt(6)],
+                  [-1 / np.sqrt(2), 1 / np.sqrt(6)],
+                  [0.0, -2 / np.sqrt(6)]])
+    std = np.stack([q.T @ np.eye(3)[:, g] @ q for g in _S3], axis=-1)
+    irreps = [np.ones((1, 1, 6)), np.reshape(sign, (1, 1, 6)), std]
+    return _function_algebra("fn-S3", _S3_TABLE, ["".join(map(str, g)) for g in _S3], irreps)
 
 
 @functools.lru_cache(maxsize=None)
 def grp_s3() -> FiniteQG:
     """C[S_3]; the six grouplikes are the irreducible corepresentations."""
-    d = 6
-    idx = {g: i for i, g in enumerate(_S3)}
-    mult = np.zeros((d, d, d))
-    comult = np.zeros((d, d, d))
-    star = np.zeros((d, d))
-    antipode = np.zeros((d, d))
-    for i, g in enumerate(_S3):
-        comult[i, i, i] = 1.0
-        star[idx[_s3_inv(g)], i] = 1.0
-        antipode[idx[_s3_inv(g)], i] = 1.0
-        for j, h in enumerate(_S3):
-            mult[i, j, idx[_s3_mul(g, h)]] = 1.0
-    unit = np.zeros(d)
-    unit[0] = 1.0
-    counit = np.ones(d)
-    haar = np.zeros(d)
-    haar[0] = 1.0
-    irreps = []
-    for k in range(d):
-        coeff = np.zeros((1, 1, d))
-        coeff[0, 0, k] = 1.0
-        irreps.append(Irrep(1, coeff))
-    names = ["l" + "".join(map(str, g)) for g in _S3]
-    return FiniteQG("grp-S3", mult, unit, comult, counit, star, antipode,
-                    irreps, haar=haar, basis_names=names)
+    return _group_algebra("grp-S3", _S3_TABLE, ["l" + "".join(map(str, g)) for g in _S3])
 
 
 # ---------------------------------------------------------------------------

@@ -138,25 +138,3 @@ def load_qg(path_or_doc) -> FiniteQG:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}") from exc
     return qg_from_dict(doc, key=str(path_or_doc))
-
-
-def corep_to_dict(c) -> dict:
-    g = c.parent
-    blocks = []
-    for a, (n, off) in enumerate(zip(g.block_dims, g.block_offsets)):
-        mat = [[[[_c2pair(z) for z in row]
-                 for row in c.phis[off + i * n + j]]
-                for j in range(n)] for i in range(n)]
-        blocks.append(mat)
-    return {"parent_id": g.key, "space_dim": c.space_dim, "blocks": blocks}
-
-
-def action_to_dict(a) -> dict:
-    n = a.n
-    flat = a.alpha.reshape(a.parent.d * n * n, n * n)
-    return {
-        "parent_id": a.parent.key,
-        "block_pattern": list(a.block_pattern),
-        "alpha": [[_c2pair(z) for z in row] for row in flat],
-        "theta": [[_c2pair(z) for z in row] for row in a.theta],
-    }

@@ -228,7 +228,7 @@ def test_cone_violated_by_scrambled_unitary(grading):
         for i in range(2):
             for j in range(2):
                 zij = z[i * n:(i + 1) * n, j * n:(j + 1) * n]
-                wv = impl.unlambda(u[i][j] @ impl.lambda_vec(zij))
+                wv = grading.unvec(impl.c_inv @ (u[i][j] @ impl.lambda_vec(zij)))
                 z_out[i * n:(i + 1) * n, j * n:(j + 1) * n] = wv
         if not actions.cone_member_test(np.kron(np.eye(2), grading.theta), z_out):
             violated = True

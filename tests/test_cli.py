@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -120,19 +122,6 @@ def test_csv_mirror_includes_stages(tmp_path):
     assert "bound" in text and "expected" in text
 
 
-def test_serialize_corep_and_action(tmp_path):
-    from qgwb import coreps, presets
-    from qgwb.cli import grading_action
-    from qgwb.serialize import action_to_dict, corep_to_dict
-    g = presets.load_preset("kac-paljutkin")
-    doc = corep_to_dict(coreps.block_corep(g, 4))
-    assert doc["space_dim"] == 2 and doc["parent_id"] == "kac-paljutkin"
-    act = grading_action(presets.load_preset("dual-Z(2)"))
-    adoc = action_to_dict(act)
-    assert adoc["block_pattern"] == [2]
-    assert len(adoc["alpha"]) == 2 * 4
-
-
 @pytest.mark.parametrize("value,code", [
     ("13", 0),            # sparse operators: a dense one would be 4.3 GB
     ("foo", 2), ("2.5", 2), ("0", 2), ("true", 2), ('"8"', 2),
@@ -172,11 +161,36 @@ def test_main_exit_codes(tmp_path, preset, experiment, param, code, error):
     ("dual-Z(4)", "semigroup", "h=-0.001"),
     ("dual-Z(4)", "semigroup", "t_grid=[]"),       # an empty grid checks nothing
     ("free(2) r=4", "semigroup", "t_grid=[]"),
+    # a parameter or parent the experiment never reads, rejected before any
+    # parent is built (a window of radius 100000 would exit 5)
+    ("fn-Z(2)", "axioms", "alhpa=1"),
+    ("free(2) r=4", "v_matrices", "alpha=1"),     # alpha is read on quantum groups
+    ("free(2) r=4", "semigroup", "h=0.1"),
+    ("fn-Z(2)", "theorem69", "eps=0.5"),
+    ("free(2) r=100000", "dense_image", None),
+    ("free(2) r=4", "fock_suite", None),
+    ("free(2) r=100000", "kazhdan", None),
+    (None, "axioms", None),
 ])
 def test_malformed_parameter_exits_2(tmp_path, preset, experiment, param):
-    assert cli.main(["--preset", preset, "--experiment", experiment,
-                     "--param", param, "--name", "x", "--out", str(tmp_path)]) == 2
+    argv = ["--experiment", experiment, "--name", "x", "--out", str(tmp_path)]
+    argv += [] if preset is None else ["--preset", preset]
+    argv += [] if param is None else ["--param", param]
+    assert cli.main(argv) == 2
     assert not (tmp_path / "x.report.json").exists()
+
+
+def test_rejected_scenario_does_not_abort_a_batch(tmp_path, capsys):
+    batch = [{"name": "bad", "preset": "free(2) r=4", "experiment": "fock_suite"},
+             {"name": "good", "preset": "fn-Z(2)", "experiment": "axioms"}]
+    (tmp_path / "batch.json").write_text(json.dumps(batch))
+    out = tmp_path / "out"
+    assert cli.main([str(tmp_path / "batch.json"), "--out", str(out)]) == 2
+    assert "fock_suite takes no parent or a quantum group parent" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "good.meta.json", "good.report.csv", "good.report.json"]
+    good = json.loads((out / "good.report.json").read_text())
+    assert good["checks"] and all(c["passed"] for c in good["checks"])
 
 
 def test_param_reader_rules():
@@ -293,7 +307,7 @@ def test_unexpected_exception_is_recorded(tmp_path, monkeypatch, capsys):
     def broken(parent, params, tol_scale, seed):
         raise RuntimeError("injected failure")
 
-    monkeypatch.setitem(cli.EXPERIMENTS, "broken", broken)
+    monkeypatch.setitem(cli.EXPERIMENTS, "broken", (broken, {"qg": ()}))
     batch = [{"name": "broken", "preset": "fn-Z(2)", "experiment": "broken"},
              {"name": "good", "preset": "fn-Z(2)", "experiment": "axioms"}]
     (tmp_path / "batch.json").write_text(json.dumps(batch))
@@ -304,3 +318,16 @@ def test_unexpected_exception_is_recorded(tmp_path, monkeypatch, capsys):
     assert "Traceback" in capsys.readouterr().err
     good = json.loads((tmp_path / "good.report.json").read_text())
     assert good["checks"] and all(c["passed"] for c in good["checks"])
+
+
+def test_readme_lists_every_experiment_with_its_parents_and_parameters():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = " ".join(text.split("Experiment ids")[1].split("\n\n")[0].split())
+    listed = dict(re.findall(r"`(\w+)` \(([^)]*)\)", paragraph))
+    assert sorted(listed) == sorted(cli.EXPERIMENTS)
+    labels = {"quantum group": "qg", "window": "window", "no parent": "none"}
+    for name, (_, takes) in cli.EXPERIMENTS.items():
+        params = re.findall(r"`(\w+)`", listed[name])
+        kinds = re.sub(r"`\w+`", "", listed[name])
+        assert {kind for label, kind in labels.items() if label in kinds} == set(takes), name
+        assert set(params) == set().union(*takes.values()), name

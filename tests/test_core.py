@@ -33,6 +33,18 @@ def test_residuals_kept_from_construction(name):
     assert g.residuals == g.validate()
 
 
+@pytest.mark.parametrize("fn_name,grp_name", [(f"fn-Z({n})", f"dual-Z({n})")
+                                               for n in (2, 3, 8, 16)] + [("fn-S3", "grp-S3")])
+def test_function_and_group_algebras_are_dual(fn_name, grp_name):
+    # C(G) and C[G] come from one product table; on the non-abelian S_3 a
+    # table read transposed in one of them breaks the first identity
+    fn, grp = presets.load_preset(fn_name), presets.load_preset(grp_name)
+    assert np.array_equal(fn.comult, grp.mult.transpose(2, 0, 1))
+    assert np.array_equal(fn.mult, grp.comult)
+    assert np.array_equal(fn.antipode, grp.antipode)
+    assert np.array_equal(fn.unit, grp.counit) and np.array_equal(fn.counit, grp.unit)
+
+
 def test_dual_z4_profile():
     g = presets.load_preset("dual-Z(4)")
     assert g.d == 4

@@ -4,7 +4,6 @@ import pytest
 from qgwb import coreps, presets
 from qgwb._rng import CounterRNG
 from qgwb.errors import AxiomViolation, EmptyQ, NotAState
-from qgwb.windows import build_window
 
 
 def all_block_coreps(g):
@@ -248,7 +247,7 @@ def test_irreducibles_never_weakly_mixing():
 def test_ergodic_but_not_weakly_mixing():
     g = presets.load_preset("dual-Z(3)")
     u = coreps.direct_sum(coreps.block_corep(g, 1), coreps.block_corep(g, 2))
-    assert u.is_ergodic()
+    assert u.invariant_rank() == 0  # ergodic
     assert not coreps.is_weakly_mixing(u)
 
 
@@ -349,22 +348,3 @@ def test_defect_gauge():
     assert u.defect(inv, family) < 1e-12
     other = np.eye(4)[1]
     assert u.defect(other, family) > 0.5
-
-
-# -- window coreps ------------------------------------------------------------------
-
-def test_window_corep_tensor():
-    w = build_window("Z(1)", 2)
-    mats = {g: np.array([[np.exp(1j * g[0])]]) for g in w.elements}
-    u = coreps.WindowCorep(w, mats)
-    t = coreps.window_tensor(u, u)
-    for g in w.elements:
-        assert abs(t.mats[g][0, 0] - np.exp(2j * g[0])) < 1e-12
-
-
-def test_window_corep_defect():
-    w = build_window("Z(1)", 2)
-    mats = {g: np.array([[np.exp(1j * g[0])]]) for g in w.elements}
-    u = coreps.WindowCorep(w, mats)
-    xi = np.array([1.0])
-    assert u.defect(xi, [(1,)]) == pytest.approx(abs(np.exp(1j) - 1))

@@ -324,15 +324,6 @@ def test_gauge_window_family_strict_vs_norm():
             assert norm > 0.5
 
 
-def test_serialization_roundtrip():
-    g = presets.load_preset("dual-Z(3)")
-    mu = rand_state(g, 60)
-    doc = mu.to_dict()
-    assert doc["parent_id"] == "dual-Z(3)"
-    back = F.Functional(g, [complex(r, i) for r, i in doc["coeffs"]])
-    assert np.max(np.abs(back.coeffs - mu.coeffs)) == 0.0
-
-
 def test_sharp_involution():
     # on a group algebra the sharp involution reads values at inverses
     g = presets.load_preset("dual-Z(4)")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -240,3 +242,19 @@ def test_structure_sum_of_zero_tensor(pair, shape):
     out = linalg.structure_sum(np.zeros((3, 3, 4)), x, y, pair)
     assert out.shape == shape
     assert not np.any(out)
+
+
+def test_null_space_of_a_tall_system_needs_no_full_u():
+    # the shape of dual-Z(64)'s kazhdan invariant-projection stack; a full
+    # U would be 4032 x 4032 complex numbers, 248 MiB
+    rng = np.random.default_rng(0)
+    system = (rng.standard_normal((4032, 60)) @ rng.standard_normal((60, 63))).astype(complex)
+    tracemalloc.start()
+    try:
+        basis = linalg.null_space(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 3
+    assert np.linalg.norm(system @ np.array(basis).T) < 1e-9
+    assert peak < 32 * 2 ** 20
