@@ -501,6 +501,9 @@ def run_scenario(scenario, out_dir="."):
         spec = str(parent_spec).strip()
         kind = ("none" if parent_spec is None else
                 "window" if presets.is_window_preset(spec) else "qg")
+        if kind == "qg" and " r=" in spec:
+            raise SchemaError(f"a ' r=R' radius names a window, and "
+                              f"{spec.rpartition(' r=')[0].strip()!r} is no window preset")
         if kind not in takes:
             raise SchemaError(f"{experiment_id} takes "
                               f"{' or '.join(PARENT_KINDS[k] for k in takes)}, "

@@ -11,6 +11,8 @@ become grouplike dual elements for free.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import linalg
@@ -48,16 +50,26 @@ def _product_rows(rows, x):
 
 
 class Corep:
-    """Unitary corepresentation via its dual-side *-representation."""
+    """Unitary corepresentation via its dual-side *-representation.
 
-    def __init__(self, parent: FiniteQG, phis, tol: float = DEFAULT_TOL):
+    Construction validates, and the residual table is kept as `residuals`.
+    The derived constructors block_corep and direct_sum pass _bounds, a
+    table of upper bounds on those residuals drawn from tables already
+    checked; when every bound is within tol it stands in for the table and
+    validation is skipped, otherwise validation runs as for any input.
+    """
+
+    def __init__(self, parent: FiniteQG, phis, tol: float = DEFAULT_TOL, *, _bounds=None):
         self.parent = parent
         self.phis = np.asarray(phis, dtype=complex)  # (d, N, N), index q
         if self.phis.ndim != 3 or self.phis.shape[0] != parent.d:
             raise AxiomViolation(f"phi data must be (d, N, N), got {self.phis.shape}")
         self.space_dim = self.phis.shape[1]
         self.tol = tol
-        self.validate()
+        if _bounds is not None and max(_bounds.values()) <= tol:
+            self.residuals = _bounds
+        else:
+            self.residuals = self.validate()
         self.phis.flags.writeable = False
 
     # -- assembly -----------------------------------------------------------
@@ -152,12 +164,21 @@ class Corep:
 # ---------------------------------------------------------------------------
 
 def block_corep(parent: FiniteQG, alpha: int) -> Corep:
-    """The canonical irreducible corep supported on block alpha."""
+    """The canonical irreducible corep supported on block alpha.
+
+    Its U is the irrep u^alpha itself, so its residuals are bounded by the
+    parent's: 'corep' and 'unitary' are norms over the n^2 entries (i, j)
+    whose largest residual the parent's irrep checks took, hence at most n
+    times it, and the matrix units make the *-map identities exact.
+    """
     n = parent.block_dims[alpha]
     off = parent.block_offsets[alpha]
     phis = np.zeros((parent.d, n, n), dtype=complex)
     phis[off:off + n * n] = np.eye(n * n).reshape(n * n, n, n)
-    return Corep(parent, phis)
+    res = parent.residuals
+    bounds = {"star": 0.0, "unital": 0.0, "product": 0.0,
+              "corep": n * res["irrep_coproduct"], "unitary": n * res["irrep_unitary"]}
+    return Corep(parent, phis, _bounds=bounds)
 
 
 def trivial_corep(parent: FiniteQG, k: int = 1) -> Corep:
@@ -165,6 +186,10 @@ def trivial_corep(parent: FiniteQG, k: int = 1) -> Corep:
 
 
 def direct_sum(*coreps: Corep) -> Corep:
+    """The block-diagonal sum.  Every residual of a block-diagonal phi is
+    at most the root-sum-square of the summands' (equal for the summed
+    'unital' and 'corep', a bound for the maxima over an index), so those
+    bound its residuals."""
     parent = coreps[0].parent
     if any(c.parent is not parent for c in coreps):
         raise ParentMismatch("direct sum needs a common parent")
@@ -174,7 +199,8 @@ def direct_sum(*coreps: Corep) -> Corep:
     for c in coreps:
         phis[:, pos:pos + c.space_dim, pos:pos + c.space_dim] = c.phis
         pos += c.space_dim
-    return Corep(parent, phis)
+    bounds = {k: math.hypot(*(c.residuals[k] for c in coreps)) for k in coreps[0].residuals}
+    return Corep(parent, phis, _bounds=bounds)
 
 
 def regular_corep(parent: FiniteQG) -> Corep:

@@ -8,7 +8,8 @@ bytes they hold (`SparseMatrix`, `SparseStack`); tolerances are absolute
 unless stated relative.
 
 `structure_sum` is the one kernel for sums of coefficient matrices against
-structure constants, out[k] = sum_{i,j} c[i,j,k] X_i Y_j (or X_i (x) Y_j);
+structure constants, out[k] = sum_{i,j} c[i,j,k] X_i Y_j (or X_i (x) Y_j),
+with one np.add.at per row i;
 `structure_sum_sparse` is its form for sparse families.  `rowmul`, `vdots`
 and `norms` act on stacks of vectors, bit for bit as on each vector alone.
 """
@@ -159,25 +160,33 @@ def structure_sum(c, x, y, pair=np.matmul) -> np.ndarray:
 
     pair is np.matmul or kron (this module's or numpy's): a map that takes
     a matrix and a stack of matrices to the stack of pairs.  Row i makes one
-    call pair(x[i], y[lo:hi]) per run of consecutive j it needs; the slices
-    are views, every product is formed once, and one row's products are
-    held beside out.  Terms are added in (i, j, k) order, as a plain loop
-    over np.argwhere(c) would.
+    call pair(x[i], y[lo:hi]) per run of consecutive j it needs, so every
+    product is formed once, and adds the row's weighted products with one
+    np.add.at.  add.at applies repeated k in order, so terms are added in
+    (i, j, k) order, bit for bit as a plain loop over np.argwhere(c) would.
     """
     c, x, y = np.asarray(c), np.asarray(x), np.asarray(y)
     probe = pair(x[0], y[0])
     out = np.zeros((c.shape[2],) + probe.shape, dtype=np.result_type(c, probe))
-    for i, (js, ks, w) in enumerate(nonzero_rows(c, 1e-16)):
-        js = js.tolist()
-        need, prods = set(js), {}
-        for lo in js:  # sorted: a j not yet formed starts a run lo, lo+1, ..
-            if lo not in prods:
-                hi = lo + 1
-                while hi in need:
-                    hi += 1
-                prods.update(zip(range(lo, hi), pair(x[i], y[lo:hi])))
-        for j, k, wk in zip(js, ks.tolist(), w.tolist()):
-            out[k] += wk * prods[j]
+    i, j, k = np.nonzero(np.abs(c) > 1e-16)
+    if not len(i):
+        return out
+    w = c[i, j, k].reshape((-1,) + (1,) * probe.ndim)
+    # entry e takes product slot[e], the distinct (i, j) in row-major
+    # order; a run of them starts where i changes or j skips
+    fresh = np.concatenate(([True], (i[1:] != i[:-1]) | (j[1:] != j[:-1])))
+    slot = np.cumsum(fresh) - 1
+    pi, pj = i[fresh], j[fresh]
+    run = np.flatnonzero(np.concatenate(([True], (pi[1:] != pi[:-1]) | (pj[1:] != pj[:-1] + 1))))
+    rows = np.arange(c.shape[0] + 1)
+    entry_at, pair_at, run_at = (np.searchsorted(a, rows).tolist() for a in (i, pi, pi[run]))
+    run, pj = run.tolist() + [len(pi)], pj.tolist()
+    for r in np.unique(i).tolist():
+        lo, hi = run_at[r], run_at[r + 1]
+        prods = np.concatenate([pair(x[r], y[pj[s]:pj[s] + t - s])
+                                for s, t in zip(run[lo:hi], run[lo + 1:hi + 1])])
+        a, b = entry_at[r], entry_at[r + 1]
+        np.add.at(out, k[a:b], w[a:b] * prods[slot[a:b] - pair_at[r]])
     return out
 
 

@@ -258,6 +258,15 @@ def test_conflicting_radius_exits_2(tmp_path, capsys, preset, experiment):
     assert not (tmp_path / "x.report.json").exists()
 
 
+def test_radius_suffix_on_a_quantum_group_exits_2(tmp_path, capsys, monkeypatch):
+    # rejected before any parent is built
+    monkeypatch.setattr(cli, "_resolve_parent", lambda *a: pytest.fail("parent built"))
+    assert cli.main(["--preset", "dual-Z(4) r=3", "--experiment", "axioms",
+                     "--name", "x", "--out", str(tmp_path)]) == 2
+    assert "'dual-Z(4)' is no window preset" in capsys.readouterr().err
+    assert not (tmp_path / "x.report.json").exists()
+
+
 def test_radius_sets_a_window_radius(tmp_path):
     code, report = run(tmp_path, {"name": "r6", "preset": "free(2)", "experiment": "lemma74",
                                   "parameters": {"radius": 6}})

@@ -1,7 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
-from qgwb import coreps, presets
+from qgwb import cli, coreps, presets
 from qgwb._rng import CounterRNG
 from qgwb.errors import AxiomViolation, EmptyQ, NotAState
 
@@ -15,6 +17,66 @@ def test_block_coreps_validate(name):
     g = presets.load_preset(name)
     for c in all_block_coreps(g):
         assert max(c.validate().values()) < 1e-9
+
+
+QG_PRESETS = [name for name in presets.preset_names() if not presets.is_window_preset(name)]
+
+
+def _nontrivial_sum(g):
+    return coreps.direct_sum(*[coreps.block_corep(g, a) for a in range(len(g.block_dims))
+                               if a != g.trivial_block])
+
+
+@pytest.mark.parametrize("name", QG_PRESETS)
+def test_carried_bounds_hold_against_full_validation(name):
+    # the block coreps and the kazhdan direct sum skip validation on their
+    # carried bounds; the full residuals stay within them
+    g = presets.load_preset(name)
+    for u in all_block_coreps(g) + [_nontrivial_sum(g)]:
+        full = u.validate()
+        assert full.keys() == u.residuals.keys()
+        for key in ("star", "unital", "product"):
+            assert full[key] == 0.0 == u.residuals[key], key
+        for key in ("corep", "unitary"):
+            assert full[key] <= u.residuals[key] + 1e-15, (key, full[key], u.residuals[key])
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    calls = []
+    validate = coreps.Corep.validate
+
+    def counted(self):
+        calls.append(self.space_dim)
+        return validate(self)
+
+    monkeypatch.setattr(coreps.Corep, "validate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("key", ["irrep_coproduct", "irrep_unitary"])
+def test_bounds_past_tol_fall_back_to_full_validation(key, validate_calls):
+    g = presets.load_preset("kac-paljutkin")
+    big = g.block_dims.index(2)
+    inflated = copy.copy(g)
+    inflated.residuals = dict(g.residuals, **{key: 1.01 * coreps.DEFAULT_TOL / 2})
+    u = coreps.block_corep(inflated, big)
+    assert validate_calls == [2]
+    assert max(u.residuals.values()) < 1e-12  # the full table, not the bounds
+    # a character's bound is n = 1 times the parent's: within tol, and the
+    # root-sum-square of four of them is not
+    chi = coreps.block_corep(inflated, 1)
+    coreps.direct_sum(chi, chi)
+    assert validate_calls == [2]
+    coreps.direct_sum(chi, chi, chi, chi)
+    assert validate_calls == [2, 4]
+
+
+def test_kazhdan_scenario_makes_no_corep_validation(tmp_path, validate_calls):
+    code, _ = cli.run_scenario({"name": "kz", "preset": "dual-Z(16)",
+                                "experiment": "kazhdan"}, str(tmp_path))
+    assert code == 0
+    assert validate_calls == []
 
 
 def _kp_phis():

@@ -99,16 +99,17 @@ def test_fock_suite_reports_repeat(tmp_path):
         assert reports(out) == first, f"{threads} BLAS threads"
 
 
-def test_v_matrices_and_axioms_reports_match_goldens_in_fresh_processes(tmp_path):
-    """Every v_matrices and axioms golden, whose reports print rounding-level
-    residuals, is written byte for byte again by a fresh process with one
-    and with two BLAS threads (the benchmark runs with one)."""
+def test_rounding_level_reports_match_goldens_in_fresh_processes(tmp_path):
+    """Every v_matrices, axioms, kazhdan and action_suite golden, whose
+    reports print rounding-level residuals and gaps, is written byte for
+    byte again by a fresh process with one and with two BLAS threads (the
+    benchmark runs with one)."""
     src = str(Path(qgwb.__file__).resolve().parents[1])
     for workload in ("small-mix", "qg-fock"):
         goldens = {}
         for path in sorted((GOLDENS / workload).glob("*.report.json")):
             golden = json.loads(path.read_text(encoding="utf-8"))
-            if golden["experiment"] in ("v_matrices", "axioms"):
+            if golden["experiment"] in ("v_matrices", "axioms", "kazhdan", "action_suite"):
                 goldens[path.name] = (_scenario(golden), path.read_bytes())
         assert goldens
         batch = tmp_path / f"{workload}.json"

@@ -234,6 +234,43 @@ def test_structure_sum_matches_triple_loop(make_c, pair):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def per_entry_structure_sum(c, x, y, pair):
+    """The per-entry loop structure_sum replaced: each row's runs of
+    consecutive j paired once, then out[k] += w * pair(x[i], y[j]) for each
+    nonzero c[i, j, k] in row-major order."""
+    probe = pair(x[0], y[0])
+    out = np.zeros((c.shape[2],) + probe.shape, dtype=np.result_type(c, probe))
+    for i, (js, ks, w) in enumerate(linalg.nonzero_rows(c, 1e-16)):
+        js = js.tolist()
+        need, prods = set(js), {}
+        for lo in js:
+            if lo not in prods:
+                hi = lo + 1
+                while hi in need:
+                    hi += 1
+                prods.update(zip(range(lo, hi), pair(x[i], y[lo:hi])))
+        for j, k, wk in zip(js, ks.tolist(), w.tolist()):
+            out[k] += wk * prods[j]
+    return out
+
+
+QG_PRESETS = [name for name in presets.preset_names() if not presets.is_window_preset(name)]
+
+
+@pytest.mark.parametrize("name", QG_PRESETS)
+def test_structure_sum_is_bit_identical_to_the_per_entry_loop(name):
+    # every tensor a call site passes, with every pair
+    g = presets.load_preset(name)
+    tensors = {"mult": g.mult, "star_mult": g.star_mult,
+               "mult.T(1,0,2)": g.mult.transpose(1, 0, 2), "dual.P": g.dual().P}
+    x, y = _stacks(g.d, 14)
+    for label, c in tensors.items():
+        for pair in (np.matmul, np.kron, linalg.kron):
+            got = linalg.structure_sum(c, x, y, pair)
+            assert np.array_equal(got, per_entry_structure_sum(c, x, y, pair)), \
+                (label, pair.__name__)
+
+
 @pytest.mark.parametrize("pair, shape", [
     (np.matmul, (4, 2, 2)), (np.kron, (4, 6, 6)), (linalg.kron, (4, 6, 6)),
 ], ids=["matmul", "kron", "linalg-kron"])
