@@ -103,7 +103,7 @@ class Action:
             star_images - np.einsum("ki,qiab->qkba", g.star, np.conj(images)))
         # alpha(e_q) alpha(e_y) for every pair, against e_q e_y = [c_q == r_y] e_(r_q, c_y)
         legs = np.moveaxis(self.images, -1, 1)               # [i, q]
-        prods = linalg.structure_sum(g.mult, legs[:, :, None], legs[:, None])  # [k, q, y]
+        prods = linalg.structure_sum(g.mult_nz, legs[:, :, None], legs[:, None])  # [k, q, y]
         composable = cols[:, None] == rows[None, :]
         target = composable * self.alpha[..., rows[:, None], cols[None, :]]
         res["homomorphism"] = linalg.max_frob(
@@ -181,7 +181,7 @@ class Implementation:
         # one norm call per unit: the residual is reported, and a batched norm
         # would sum in another order
         pis = self.pi(action.basis)
-        rhs = linalg.structure_sum(g.mult, ustar_coef[:, None] @ pis, u_coef[:, None])
+        rhs = linalg.structure_sum(g.mult_nz, ustar_coef[:, None] @ pis, u_coef[:, None])
         lhs = self.pi(np.moveaxis(action.images, -1, 0))
         diff = lhs - np.moveaxis(rhs, 0, 1)
         worst = max((float(np.linalg.norm(r)) for r in diff), default=0.0)
@@ -369,7 +369,7 @@ def action_from_corep(v: Corep) -> Action:
     vc = v.u_coef()
     # alpha_m(x) = sum (e_i^* e_j)[m] Vc_i^dag x Vc_j: the coefficient of
     # x[c,d] in entry [a,b] is (Vc_i^dag)[a,c] (Vc_j^T)[b,d], a kron entry
-    alpha = linalg.structure_sum(g.star_mult, np.conj(vc.transpose(0, 2, 1)),
+    alpha = linalg.structure_sum(g.star_mult_nz, np.conj(vc.transpose(0, 2, 1)),
                                  vc.transpose(0, 2, 1), linalg.kron)
     alpha = alpha.reshape(g.d, k, k, k, k)
     theta = np.eye(k) / k
@@ -388,7 +388,7 @@ def v_vbar_implementation_check(v: Corep, tol: float = 1e-8):
     action = action_from_corep(v)
     impl = action.implement()
     # coefficient i of V-topbar-V^c: sum_{j,k} m[j,k,i] Vc_k (x) Vcc_j
-    direct = linalg.structure_sum(g.mult.transpose(1, 0, 2), v.u_coef(),
+    direct = linalg.structure_sum(g.mult_nz.permuted((1, 0, 2)), v.u_coef(),
                                   contragredient(v).u_coef(), linalg.kron)
     direct_corep = corep_from_u_coef(g, direct)
     ok, resid = unitarily_equivalent(impl.corep, direct_corep, tol)

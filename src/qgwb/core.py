@@ -17,6 +17,14 @@ corepresentation calculus to Frobenius residual <= tol (default 1e-9),
 once, at construction; the residual table is kept as `residuals`.
 The dual object is the block algebra  (+)_a M_{n_a}  with the coproduct
 transported through the canonical pairing.
+
+The structure constants live twice: as the dense arrays above, which the
+public attributes, the serialisers and the Fock layer read, and as their
+exact nonzeros, the linalg.Structure stores `mult_nz`, `comult_nz` and
+`star_mult_nz` (the dual's `P_nz` and `product_nz`), built once per object.
+Products, residual kernels and the corep calculus read the stores, adding
+each sum's terms in the order of the dense contraction they replaced, so
+residuals and reports are the same to the last bit.
 """
 
 from __future__ import annotations
@@ -48,58 +56,100 @@ DEFAULT_TOL = 1e-9
 # m.transpose(2, 0, 1), a product m[i, j, k] has the algebra laws as the same
 # kernels: associativity, the unit law and a multiplicative counit are
 # coassociativity, the counit law and a unital coproduct.
+#
+# The sparse kernels take Structures (or arrays) and work on csr matrices
+# whose rows and columns are strings of indices.  Each sum runs over its
+# terms in ascending order of the summed indices, and each side of a law
+# comes out in canonical (row-major) entry order, so the norm of the
+# difference adds the same numbers in the same order for every layout.
 
-def _csr_sorted(flat, data, shape) -> sp.csr_matrix:
-    """The csr matrix with entries data at the ascending row-major positions
-    flat (the canonical entry order)."""
-    rows, cols = np.divmod(flat, shape[1])
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
-    return sp.csr_matrix((data, cols, indptr), shape=shape)
+def _block_diagonal(a, n: int) -> sp.csr_matrix:
+    """kron(identity(n), a) for a csr matrix a with sorted rows: n copies of
+    a down the diagonal, rows sorted."""
+    (rows, cols), nnz = a.shape, a.indptr[-1]
+    copy = np.arange(n)
+    indptr = np.append((copy * nnz)[:, None] + a.indptr[:-1], n * nnz)
+    indices = ((copy * cols)[:, None] + a.indices).ravel()
+    return sp.csr_matrix((np.tile(a.data, n), indices, indptr), shape=(n * rows, n * cols))
 
 
-def _csr(a2d) -> sp.csr_matrix:
-    flat = np.flatnonzero(a2d)
-    return _csr_sorted(flat, np.ravel(a2d)[flat], a2d.shape)
+def _row_lengths(mat):
+    # as np.intp: np.repeat is several times slower with int32 counts
+    return np.diff(mat.indptr).astype(np.intp)
 
 
-def _regroup(mat, d: int, axes, n_rows: int) -> sp.csr_matrix:
-    """Read a csr matrix as a tensor with len(axes) indices of range d (row
-    indices first), permute its indices to `axes` and regroup the first
-    n_rows of them as the rows of a new csr matrix."""
-    dims = (d,) * len(axes)
-    idx = np.unravel_index(np.repeat(np.arange(mat.shape[0]) * mat.shape[1],
-                                     np.diff(mat.indptr)) + mat.indices, dims)
-    flat = np.ravel_multi_index([idx[a] for a in axes], dims)
-    del idx                 # index arrays freed before the sort
+def _digits(mat, d: int, n_rows: int, n_cols: int):
+    """The digits (in range(d)) of the row and column indices of the entries
+    of a csr matrix, its indices n_rows and n_cols digits long."""
+    rows = np.repeat(np.arange(mat.shape[0]), _row_lengths(mat))
+    return np.unravel_index(rows, (d,) * n_rows) + np.unravel_index(mat.indices, (d,) * n_cols)
+
+
+def _regrouped(digits, data, d: int, rows, cols) -> sp.csr_matrix:
+    """The csr matrix of the entries data whose row index is made of the
+    digits at positions rows and the column index of those at cols."""
+    n_cols = d ** len(cols)
+    flat = (np.ravel_multi_index([digits[a] for a in rows], (d,) * len(rows)) * n_cols
+            + np.ravel_multi_index([digits[a] for a in cols], (d,) * len(cols)))
     order = np.argsort(flat)
-    return _csr_sorted(flat[order], mat.data[order],
-                       (d ** n_rows, d ** (len(axes) - n_rows)))
+    return linalg.csr_sorted(flat[order], data[order], (d ** len(rows), n_cols))
+
+
+def _pairs(a, b, n: int):
+    """All (x, y) with a[x] == b[y], for keys in range(n), x major."""
+    counts = np.bincount(b, minlength=n)
+    count = counts[a]
+    x = np.repeat(np.arange(a.size), count)
+    first = (np.cumsum(counts) - counts)[a] - (np.cumsum(count) - count)
+    return x, np.argsort(b, kind="stable")[np.repeat(first, count) + np.arange(x.size)]
+
+
+def _sorted(mat) -> sp.csr_matrix:
+    mat.sort_indices()
+    return mat
+
+
+def _merged(mat, k: int) -> sp.csr_matrix:
+    """A csr matrix with sorted rows as the matrix whose row r is its rows
+    k r, ..., k r + k - 1 side by side: the same entries in the same
+    row-major order."""
+    part = np.repeat(np.tile(np.arange(k), mat.shape[0] // k), _row_lengths(mat))
+    return sp.csr_matrix((mat.data, part * mat.shape[1] + mat.indices, mat.indptr[::k]),
+                         shape=(mat.shape[0] // k, mat.shape[1] * k))
 
 
 def coassoc_residual(c) -> float:
     """(Delta (x) id)Delta = (id (x) Delta)Delta for a coproduct c[i,a,b]."""
+    c = linalg.Structure.of(c)
     d = c.shape[0]
-    # (Delta (x) id)Delta: X[(i,k),(a,b)] = sum_p c[i,p,k] c[p,a,b]
-    x = _csr(np.transpose(c, (0, 2, 1)).reshape(d * d, d)) @ _csr(c.reshape(d, d * d))
+    # (Delta (x) id)Delta: X[(i,a,b),k] = sum_p c[p,a,b] c[i,p,k]
+    x = _block_diagonal(c.permuted((1, 2, 0)).csr(2), d) @ c.csr(2)
     # (id (x) Delta)Delta: Y[(i,a),(b,k)] = sum_p c[i,a,p] c[p,b,k]
-    y = _csr(c.reshape(d * d, d)) @ _csr(c.reshape(d, d * d))
-    # both as [(i,a),(b,k)]; canonical entry order fixes the norm's summation order
-    y.sort_indices()
-    return float(sp.linalg.norm(_regroup(x, d, (0, 2, 3, 1), 2) - y))
+    y = c.csr(2) @ c.csr(1)
+    return float(sp.linalg.norm(_merged(_sorted(x), d) - _sorted(y)))
 
 
 def hom_residual(m, c) -> float:
     """Residual of Delta(xy) = Delta(x)Delta(y) for product m, coproduct c."""
+    m, c = linalg.Structure.of(m), linalg.Structure.of(c)
     d = m.shape[0]
-    lhs = _csr(m.reshape(d * d, d)) @ _csr(c.reshape(d, d * d))
+    lhs = m.csr(2) @ c.csr(1)
     # rhs[(i,j),(a,b)] = sum c[i,p,q] c[j,r,s] m[p,r,a] m[q,s,b], in stages:
     # F[(i,q),(r,a)] = sum_p c[i,p,q] m[p,r,a]
-    f = _csr(np.transpose(c, (0, 2, 1)).reshape(d * d, d)) @ _csr(m.reshape(d, d * d))
-    # E[(i,q,a),(j,s)] = sum_r F[(i,q,a),r] c[j,r,s]
-    e = _regroup(f, d, (0, 1, 3, 2), 3) @ _csr(np.transpose(c, (1, 0, 2)).reshape(d, d * d))
-    # R[(i,a,j),b] = sum_{q,s} E[(i,a,j),(q,s)] m[q,s,b]
-    r = _regroup(e, d, (0, 2, 3, 1, 4), 3) @ _csr(m.reshape(d * d, d))
-    return float(sp.linalg.norm(lhs - _regroup(r, d, (0, 2, 1, 3), 2)))
+    f = c.permuted((0, 2, 1)).csr(2) @ m.csr(1)
+    # E[(i,q,a),(j,s)] = sum_r F[(i,q,a),r] c[j,r,s] reaches R only where
+    # some m[q,s,b] is nonzero.  With q also a column digit of F and a row
+    # digit of the factor C[(q,r),(j,s)] = c[j,r,s], kept for those (q, s)
+    # alone, one product forms just these entries.
+    live_q, live_s = np.divmod(np.flatnonzero(np.diff(m.csr(2).indptr)), d)
+    j, r, s = c.idx
+    x, y = _pairs(live_s, s, d)
+    cq = _regrouped((live_q[x], r[y], j[y], s[y]), c.w[y], d, (0, 1), (2, 3))
+    e = _regrouped(_digits(f, d, 2, 2), f.data, d, (1, 0, 3), (1, 2)) @ cq
+    # R[(i,j,a),b] = sum_{q,s} E[(i,j,a),(q,s)] m[q,s,b]
+    e = _regrouped(_digits(e, d, 3, 2), e.data, d, (1, 3, 2), (0, 4))
+    r = e @ m.csr(2)
+    return float(sp.linalg.norm(_sorted(lhs) - _merged(_sorted(r), d)))
 
 
 def counit_residual(c, counit) -> float:
@@ -121,6 +171,53 @@ def star_residual(c, star) -> float:
     rhs = np.tensordot(np.conj(c), star, axes=([1], [1]))         # (i, b, p)
     rhs = np.tensordot(rhs, star, axes=([1], [1]))                # (i, p, q)
     return float(np.linalg.norm(lhs - rhs))
+
+
+def antipode_residual(m, c, s, counit, unit) -> float:
+    """m(S (x) id)Delta = counit(.) 1 = m(id (x) S)Delta for product m,
+    coproduct c and antipode matrix s, each sum over its indices in
+    ascending order (a csr matrix times a dense one sums so)."""
+    m, c = linalg.Structure.of(m), linalg.Structure.of(c)
+    d = m.shape[0]
+    s_t = np.asarray(s).T
+    # SD[(i,k),p] = sum_j c[i,j,k] s[p,j]; left[i,q] = sum_{p,k} SD m[p,k,q]
+    sd = (c.permuted((0, 2, 1)).csr(2) @ s_t).reshape(d, d, d).transpose(0, 2, 1)
+    left = sd.reshape(d, d * d) @ m.csr(2)
+    # DS[(i,j),p] = sum_k c[i,j,k] s[p,k]; right[i,q] = sum_{j,p} DS m[j,p,q]
+    right = (c.csr(2) @ s_t).reshape(d, d * d) @ m.csr(2)
+    target = np.outer(counit, unit)
+    return max(float(np.linalg.norm(left - target)), float(np.linalg.norm(right - target)))
+
+
+def star_product_residual(m, star, star_mult) -> float:
+    """(xy)^* = y^* x^* on basis pairs, for product m and star_mult[j,r,p] =
+    sum_q star[q,j] m[q,r,p], the coefficients of e_j^* e_r."""
+    m, star_mult = linalg.Structure.of(m), linalg.Structure.of(star_mult)
+    d = m.shape[0]
+    st_t = np.asarray(star).T
+    # lhs[(i,j),p] = sum_k conj(m[i,j,k]) star[p,k]
+    lhs = m.csr(2).conj() @ st_t
+    # rhs[i,(j,p)] = sum_r star[r,i] star_mult[j,r,p]
+    rhs = st_t @ star_mult.permuted((1, 0, 2)).csr(1)
+    return float(np.linalg.norm(lhs.reshape(d, d * d) - rhs))
+
+
+def haar_residual(c, haar, unit) -> float:
+    """(h (x) id)Delta = h(.)1 = (id (x) h)Delta for coproduct c, each sum
+    over its index in ascending order."""
+    c = linalg.Structure.of(c)
+    d = c.shape[0]
+    target = np.outer(haar, unit)
+    left = (c.permuted((0, 2, 1)).csr(2) @ haar).reshape(d, d)    # sum over j
+    right = (c.csr(2) @ haar).reshape(d, d)                        # sum over k
+    return max(float(np.linalg.norm(left - target)), float(np.linalg.norm(right - target)))
+
+
+def _permuted_star_residual(c, perm) -> float:
+    """star_residual(c, np.eye(d)[perm]) for an involutive permutation perm:
+    each entry of its products has one term 1 * x, so the gathers give the
+    same numbers."""
+    return float(np.linalg.norm(c[perm] - np.conj(c)[:, perm][:, :, perm]))
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +271,8 @@ class FiniteQG:
                 raise SchemaError(f"irrep coeffs must be (n,n,d), got {coeff.shape}")
             self.irreps.append(Irrep(int(n), coeff))
         self.tol = float(tol)
+        self.mult_nz = linalg.Structure(self.mult)
+        self.comult_nz = linalg.Structure(self.comult)
 
         if sum(r.dim ** 2 for r in self.irreps) != d:
             raise AxiomViolation(
@@ -219,8 +318,12 @@ class FiniteQG:
 
     def mul(self, a, b):
         """The product ab of coefficient vectors, or of each pair of two
-        broadcasting stacks of them."""
-        return np.einsum("...i,...j,ijk->...k", np.asarray(a), np.asarray(b), self.mult)
+        broadcasting stacks of them: out[k] = sum_{i,j} a_i b_j mult[i,j,k],
+        each (a_i b_j) mult[i,j,k] added in (i, j) order."""
+        # einsum over the nonzeros, grouped by k: the same terms, added in
+        # the same order, as the einsum over all of mult
+        (i, j, _), w = self.mult_nz.grouped((2,))
+        return np.einsum("...lk,...lk,lk->...k", np.asarray(a)[..., i], np.asarray(b)[..., j], w)
 
     def form(self, coeffs, radius=None):
         """The matrix [mu(e_i^* e_j)] of the functional with coefficients
@@ -236,15 +339,16 @@ class FiniteQG:
         return out
 
     @functools.cached_property
-    def coproduct_rows(self):
-        """Per a, the entries (b, i, Delta[i, a, b]) of the coproduct, as
-        linalg.nonzero_rows gives them: U_a U_b = sum_i Delta[i, a, b] U_i."""
-        return linalg.nonzero_rows(self.comult.transpose(1, 2, 0))
+    def star_mult_nz(self):
+        """The nonzeros of star_mult."""
+        return linalg.Structure(self.star_mult)
 
     def lmat(self, a):
         """Left multiplication by a (or by each vector of a stack) in basis
-        coordinates."""
-        return np.einsum("...i,iqp->...pq", np.asarray(a), self.mult)
+        coordinates: out[p, q] = sum_i a_i mult[i,q,p], added in i order."""
+        (i, _, _), w = self.mult_nz.grouped((2, 1))
+        out = np.einsum("...ln,ln->...n", np.asarray(a)[..., i], w)
+        return out.reshape(out.shape[:-1] + (self.d, self.d))
 
     def reg(self, a):
         """Left regular representation on L^2(A, h), orthonormal coordinates;
@@ -303,45 +407,31 @@ class FiniteQG:
         """Check every axiom; returns the residual table, raises on failure."""
         tol = self.tol
         d = self.d
-        m, c = self.mult, self.comult
+        m, c = self.mult_nz, self.comult_nz
         st, s = self.star, self.antipode
         res = {}
 
-        mt = m.transpose(2, 0, 1)            # the product read as a coproduct
-        res["associativity"] = coassoc_residual(mt)
+        mt = self.mult.transpose(2, 0, 1)    # the product read as a coproduct
+        res["associativity"] = coassoc_residual(m.permuted((2, 0, 1)))
         res["unit"] = counit_residual(mt, self.unit)
         res["coassociativity"] = coassoc_residual(c)
-        res["counit"] = counit_residual(c, self.counit)
+        res["counit"] = counit_residual(self.comult, self.counit)
         res["coproduct_homomorphism"] = hom_residual(m, c)
-        res["coproduct_unital"] = unital_residual(c, self.unit)
+        res["coproduct_unital"] = unital_residual(self.comult, self.unit)
         res["counit_homomorphism"] = unital_residual(mt, self.counit)
 
-        # antipode: m(S (x) id)Delta = counit(.) 1 = m(id (x) S)Delta
-        sd = np.einsum("ijk,pj->ipk", c, s)
-        left = np.einsum("ipk,pkq->iq", sd, m)
-        ds = np.einsum("ijk,pk->ijp", c, s)
-        right = np.einsum("ijp,jpq->iq", ds, m)
-        target = np.outer(self.counit, self.unit)
-        res["antipode"] = max(float(np.linalg.norm(left - target)),
-                              float(np.linalg.norm(right - target)))
+        res["antipode"] = antipode_residual(m, c, s, self.counit, self.unit)
 
         # star: involutive, antimultiplicative, coproduct-compatible
         res["star_involutive"] = float(np.linalg.norm(st @ np.conj(st) - np.eye(d)))
-        lhs = np.einsum("ijk,pk->ijp", np.conj(m), st)
-        t1 = np.tensordot(st, m, axes=([0], [0]))       # t1[j,r,p] = sum_q st[q,j] m[q,r,p]
-        rhs = np.einsum("ri,jrp->ijp", st, t1)
-        res["star_antimultiplicative"] = float(np.linalg.norm(lhs - rhs))
-        res["star_coproduct"] = star_residual(c, st)
+        res["star_antimultiplicative"] = star_product_residual(m, st, self.star_mult_nz)
+        res["star_coproduct"] = star_residual(self.comult, st)
         # S(S(x*)*) = x  (standard Hopf *-compatibility)
         inner = st @ np.conj(s @ st)
         res["antipode_star"] = float(np.linalg.norm(s @ inner - np.eye(d)))
 
-        # Haar state
         res["haar_state"] = abs(self.haar @ self.unit - 1.0)
-        left_inv = np.einsum("ijk,j->ik", c, self.haar) - np.outer(self.haar, self.unit)
-        right_inv = np.einsum("ijk,k->ij", c, self.haar) - np.outer(self.haar, self.unit)
-        res["haar_invariance"] = max(float(np.linalg.norm(left_inv)),
-                                     float(np.linalg.norm(right_inv)))
+        res["haar_invariance"] = haar_residual(c, self.haar, self.unit)
 
         res["irrep_coproduct"] = self._irrep_coproduct_residual()
         res["irrep_unitary"] = self._irrep_unitarity_residual()
@@ -364,16 +454,19 @@ class FiniteQG:
         return float(max(resid(r.coeffs) for r in self.irreps))
 
     def _irrep_unitarity_residual(self):
-        # sum_k u_ik u_jk^* = sum_k u_ki^* u_kj = delta_ij 1, per entry (i, j)
+        # sum_k u_ik u_jk^* = sum_k u_ki^* u_kj = delta_ij 1, per entry (i, j),
+        # for the stack u of the irreps of one dimension n
         def resid(u):
-            n = len(u)
-            starred = np.einsum("pq,ijq->ijp", self.star, np.conj(u))
+            n = u.shape[1]
+            starred = np.einsum("pq,aijq->aijp", self.star, np.conj(u))
             target = np.where(np.eye(n, dtype=bool)[..., None], self.unit, 0.0)
-            acc1 = sum(self.mul(u[:, None, k], starred[None, :, k]) for k in range(n))
-            acc2 = sum(self.mul(starred[k, :, None], u[k, None, :]) for k in range(n))
+            acc1 = sum(self.mul(u[:, :, None, k], starred[:, None, :, k]) for k in range(n))
+            acc2 = sum(self.mul(starred[:, k, :, None], u[:, k, None, :]) for k in range(n))
             return max(linalg.norms(acc1 - target).max(),
                        linalg.norms(acc2 - target).max())
-        return float(max(resid(r.coeffs) for r in self.irreps))
+        dims = sorted(set(self.block_dims))
+        return float(max(resid(np.array([r.coeffs for r in self.irreps if r.dim == n]))
+                         for n in dims))
 
     def _irrep_counit_residual(self):
         worst = 0.0
@@ -429,6 +522,18 @@ def solve_haar(g: FiniteQG):
 # Dual block algebra
 # ---------------------------------------------------------------------------
 
+def _u_product(parent: FiniteQG):
+    """The product in the u-basis: u_p u_r = sum_q P[p,r,q] u_q."""
+    b, binv = parent.B, parent.Binv
+    # step 1: mB[i, r, k] = sum_j B[j,r] m[i,j,k]
+    mb = np.tensordot(parent.mult, b, axes=([1], [0]))  # (i, k, r)
+    mb = mb.transpose(0, 2, 1)                          # (i, r, k)
+    # step 2: P0[p, r, k] = sum_i B[i,p] mb[i,r,k]
+    p0 = np.tensordot(b, mb, axes=([0], [0]))           # (p, r, k)
+    # step 3: P[p, r, q] = sum_k Binv[q,k] P0[p,r,k]
+    return np.tensordot(p0, binv, axes=([2], [1]))      # (p, r, q)
+
+
 class DualBlockAlgebra:
     """The dual Hopf algebra (+)_a M_{n_a} of a FiniteQG.
 
@@ -444,30 +549,25 @@ class DualBlockAlgebra:
         self.blocks = list(parent.block_dims)
         self.offsets = list(parent.block_offsets)
 
-        # product-in-u-basis tensor: u_p u_r = sum_q P[p,r,q] u_q
-        b, binv, m = parent.B, parent.Binv, parent.mult
-        # step 1: mB[i, r, k] = sum_j B[j,r] m[i,j,k]
-        mb = np.tensordot(m, b, axes=([1], [0]))          # (i, k, r)
-        mb = mb.transpose(0, 2, 1)                        # (i, r, k)
-        # step 2: P0[p, r, k] = sum_i B[i,p] mb[i,r,k]
-        p0 = np.tensordot(b, mb, axes=([0], [0]))         # (p, r, k)
-        # step 3: P[p, r, q] = sum_k Binv[q,k] P0[p,r,k]
-        self.P = np.tensordot(p0, binv, axes=([2], [1]))  # (p, r, q)
+        b, binv = parent.B, parent.Binv
+        self.P = _u_product(parent)       # its d^3 temporaries go before _verify
+        self.P_nz = linalg.Structure(self.P)
 
         self.counit = binv @ parent.unit                  # pairing with 1
-        # in q-coords: the unit (+)_a 1_{n_a}, the involution as the index
-        # permutation (e^a_ij)^* = e^a_ji, and the block product as rows:
-        # e_q e_r = e_s for q = (a,i,j) and the (r, s) = ((a,j,k), (a,i,k))
-        self.unit = np.zeros(d)
-        self.star_perm = np.zeros(d, dtype=int)
-        self.product_rows = []
-        for n, off in zip(self.blocks, self.offsets):
-            self.unit[off + np.arange(n) * (n + 1)] = 1.0
-            i, j = np.indices((n, n)).reshape(2, -1)
-            self.star_perm[off + i * n + j] = off + j * n + i
-            k = np.arange(n)
-            self.product_rows += [(off + jj * n + k, off + ii * n + k, np.ones(n))
-                                  for ii, jj in zip(i.tolist(), j.tolist())]
+        # in q-coords, q = off_a + i n_a + j for e^a_ij: the unit (+)_a 1_{n_a},
+        # the involution as the index permutation (e^a_ij)^* = e^a_ji, and the
+        # block product e_q e_r = e_s for r = (a,j,k), s = (a,i,k)
+        sizes = np.array(self.blocks)
+        n = np.repeat(sizes, sizes ** 2)
+        off = np.repeat(self.offsets, sizes ** 2)
+        i, j = np.divmod(np.arange(d) - off, n)
+        self.unit = (i == j).astype(float)
+        self.star_perm = off + j * n + i
+        q = np.repeat(np.arange(d), n)
+        k = np.arange(q.size) - np.repeat(np.cumsum(n) - n, n)
+        self.product_nz = linalg.Structure.from_entries(
+            (d, d, d), (q, off[q] + j[q] * n[q] + k, off[q] + i[q] * n[q] + k),
+            np.ones(q.size, dtype=complex))
         s_u = binv @ parent.antipode @ b
         self.antipode = s_u.T                             # matrix on u-coords
         self.unitary_antipode = self.antipode             # Kac: R-hat = S-hat
@@ -482,23 +582,13 @@ class DualBlockAlgebra:
         """c[q, a, b]: coefficient of e_a (x) e_b in dual_comult(e_q)."""
         return self.P.transpose(2, 1, 0)
 
-    def block_mult_tensor(self):
-        """M[q, r, s]: structure constants of the concrete block product,
-        e_q e_r = sum_s M[q,r,s] e_s in q-coords."""
-        d = self.parent.d
-        out = np.zeros((d, d, d), dtype=complex)
-        for q, (r, s, w) in enumerate(self.product_rows):
-            out[q, r, s] = w
-        return out
-
     def _verify(self):
         tol = self.tol
-        c = self.comult_tensor()
+        c = self.P_nz.permuted((2, 1, 0))
         res = {"dual_coassociativity": coassoc_residual(c),
-               "dual_homomorphism": hom_residual(self.block_mult_tensor(), c),
-               "dual_counit": counit_residual(c, self.counit),
-               # the involution (e^a_ij)^* = e^a_ji as a permutation matrix
-               "dual_star": star_residual(c, np.eye(self.parent.d)[self.star_perm])}
+               "dual_homomorphism": hom_residual(self.product_nz, c),
+               "dual_counit": counit_residual(self.comult_tensor(), self.counit),
+               "dual_star": _permuted_star_residual(self.comult_tensor(), self.star_perm)}
         bad = {k: v for k, v in res.items() if v > tol}
         if bad:
             worst = max(bad, key=bad.get)

@@ -100,15 +100,15 @@ class Corep:
         res["star"] = linalg.max_frob(np.conj(phis.transpose(0, 2, 1)) - phis[dual.star_perm])
         res["unital"] = linalg.frob(self.phi(dual.unit) - eye)
         # product: phi(e_q) phi(e_r) = sum_s M[q,r,s] phi(e_s), max over (q, r)
-        rows = _product_rows(dual.product_rows, phis)
+        rows = _product_rows(dual.product_nz.rows(), phis)
         res["product"] = max(linalg.max_frob(diff) for diff in rows)
         # corep identity on coefficients: U_a U_b = sum_i Delta[i,a,b] U_i;
         # the residual is the Frobenius norm over all (a, b)
         uc = self.u_coef()
-        rows = _product_rows(g.coproduct_rows, uc)
+        rows = _product_rows(g.comult_nz.permuted((1, 2, 0)).rows(), uc)
         res["corep"] = float(np.sqrt(sum(linalg.frob(diff) ** 2 for diff in rows)))
         # U^* U = 1: sum_{i,j} (e_i^* e_j)[k] U_i^dag U_j = unit_k 1
-        acc = linalg.structure_sum(g.star_mult, np.conj(uc.transpose(0, 2, 1)), uc)
+        acc = linalg.structure_sum(g.star_mult_nz, np.conj(uc.transpose(0, 2, 1)), uc)
         res["unitary"] = linalg.max_frob(acc - g.unit[:, None, None] * eye)
         return named_residuals(res, self.tol, "corep")
 
@@ -230,9 +230,9 @@ def tensor(u: Corep, v: Corep, oracle_tol: float = DEFAULT_TOL) -> Corep:
         raise ParentMismatch("tensor needs a common parent")
     g = u.parent
     # u_p u_r = sum_q P[p,r,q] u_q
-    out = Corep(g, linalg.structure_sum(g.dual().P, u.phis, v.phis, linalg.kron))
+    out = Corep(g, linalg.structure_sum(g.dual().P_nz, u.phis, v.phis, linalg.kron))
     # oracle: coefficient tensor of U_12 V_13
-    direct = linalg.structure_sum(g.mult, u.u_coef(), v.u_coef(), linalg.kron)
+    direct = linalg.structure_sum(g.mult_nz, u.u_coef(), v.u_coef(), linalg.kron)
     if float(np.linalg.norm(direct - out.u_coef())) > oracle_tol:
         raise OracleMismatch("tensor legs and dual-coproduct routes disagree")
     return out
@@ -372,10 +372,10 @@ def gns(parent: FiniteQG, dual_state, tol: float = DEFAULT_TOL,
     r = f.shape[1]
     pinv_ft = np.linalg.pinv(f.T)
 
-    dual_mult = g.dual().block_mult_tensor()
     phis = np.zeros((d, r, r), dtype=complex)
-    for p in range(d):
-        fx = np.tensordot(dual_mult[p], f, axes=([1], [0]))  # rows Lambda(e_p e_q)
+    for p, (q, s, _) in enumerate(g.dual().product_nz.rows()):
+        fx = np.zeros((d, r), dtype=complex)                # rows Lambda(e_p e_q):
+        fx[q] = f[s]                                       # e_p e_q = e_s
         phis[p] = fx.T @ pinv_ft
     corep = Corep(g, phis)
 

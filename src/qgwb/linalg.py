@@ -7,11 +7,15 @@ in the Fock layer, whose operators are scipy sparse arrays that report the
 bytes they hold (`SparseMatrix`, `SparseStack`); tolerances are absolute
 unless stated relative.
 
-`structure_sum` is the one kernel for sums of coefficient matrices against
-structure constants, out[k] = sum_{i,j} c[i,j,k] X_i Y_j (or X_i (x) Y_j),
-with one np.add.at per row i;
-`structure_sum_sparse` is its form for sparse families.  `rowmul`, `vdots`
-and `norms` act on stacks of vectors, bit for bit as on each vector alone.
+Structure constants live in `Structure` stores: the exact nonzeros of a
+3-tensor as index arrays and values in canonical (row-major) order, with
+the forms kernels read (transposes, csr matrices, rows, per-output groups)
+built once and kept.  `structure_sum` is the one kernel for sums of
+coefficient matrices against structure constants, out[k] = sum_{i,j}
+c[i,j,k] X_i Y_j (or X_i (x) Y_j), over a store's triples with one
+np.add.at per row i; `structure_sum_sparse` is its form for sparse
+families.  `rowmul`, `vdots` and `norms` act on stacks of vectors, bit for
+bit as on each vector alone.
 """
 
 from __future__ import annotations
@@ -145,48 +149,147 @@ def kron(a, b) -> np.ndarray:
     return out.reshape(b.shape[:-2] + (m * p, n * q))
 
 
+def csr_sorted(flat, data, shape) -> sparse.csr_matrix:
+    """The csr matrix with entries data at the ascending row-major positions
+    flat (the canonical entry order)."""
+    rows, cols = np.divmod(flat, shape[1])
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+    return sparse.csr_matrix((data, cols, indptr), shape=shape)
+
+
+class Structure:
+    """The exact nonzeros of a structure-constant tensor t[i, j, k].
+
+    idx holds their positions (i, j, k) as three index arrays and w their
+    values, in canonical (row-major) order.  Every kernel that reads them
+    meets a tensor's terms in the order a dense loop over t would, so
+    skipping the zeros changes no sum.  The derived forms (`permuted`,
+    `cut`, `csr`, `rows`, `grouped`, `sum_plan`) are built once and kept;
+    a Structure is read-only.
+    """
+
+    def __init__(self, t):
+        t = np.asarray(t)
+        self.shape = t.shape
+        self.idx = np.nonzero(t)
+        self.w = t[self.idx]
+        self._kept = {}
+
+    @classmethod
+    def of(cls, t):
+        """t itself when it is a Structure, else the Structure of the array t."""
+        return t if isinstance(t, cls) else cls(t)
+
+    @classmethod
+    def from_entries(cls, shape, idx, w):
+        """The tensor of the given shape with values w at the distinct
+        positions idx (three index arrays), given in any order."""
+        out = cls.__new__(cls)
+        order = np.argsort(np.ravel_multi_index(idx, shape))
+        out.shape = tuple(shape)
+        out.idx = tuple(np.asarray(a)[order] for a in idx)
+        out.w = np.asarray(w)[order]
+        out._kept = {}
+        return out
+
+    def _keep(self, key, make):
+        if key not in self._kept:
+            self._kept[key] = make()
+        return self._kept[key]
+
+    def permuted(self, axes):
+        """The Structure of t.transpose(axes)."""
+        return self._keep(("permuted", tuple(axes)), lambda: Structure.from_entries(
+            [self.shape[a] for a in axes], [self.idx[a] for a in axes], self.w))
+
+    def cut(self, tol):
+        """The entries with |w| > tol, as a Structure."""
+        def make():
+            keep = np.abs(self.w) > tol
+            return Structure.from_entries(self.shape, [a[keep] for a in self.idx], self.w[keep])
+        return self._keep(("cut", tol), make)
+
+    def csr(self, n_rows):
+        """t as a csr matrix: its first n_rows indices (row-major) index the
+        rows, the others the columns."""
+        def make():
+            shape = (int(np.prod(self.shape[:n_rows])), int(np.prod(self.shape[n_rows:])))
+            return csr_sorted(np.ravel_multi_index(self.idx, self.shape), self.w, shape)
+        return self._keep(("csr", n_rows), make)
+
+    def rows(self):
+        """Per first index i, the entries (j, k, w) of row i as three arrays."""
+        def make():
+            i, j, k = self.idx
+            bounds = np.searchsorted(i, np.arange(self.shape[0] + 1)).tolist()
+            return [(j[a:b], k[a:b], self.w[a:b]) for a, b in zip(bounds, bounds[1:])]
+        return self._keep("rows", make)
+
+    def grouped(self, axes):
+        """The entries grouped by their indices at axes (groups in row-major
+        order), each group in canonical order, as tables with one column per
+        group: the positions (3, L, n) and the values (L, n).  Column g holds
+        group g, padded to length L >= 1 with value-0 entries at position
+        (0, 0, 0)."""
+        def make():
+            shape = [self.shape[a] for a in axes]
+            key = np.ravel_multi_index([self.idx[a] for a in axes], shape)
+            counts = np.bincount(key, minlength=int(np.prod(shape)))
+            order = np.argsort(key, kind="stable")
+            rank = np.arange(key.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            slot = np.full((counts.max(initial=1), counts.size), key.size)
+            slot[rank, key[order]] = order
+            idx = np.array(self.idx).reshape(3, -1)
+            return (np.concatenate((idx, np.zeros((3, 1), dtype=idx.dtype)), axis=1)[:, slot],
+                    np.append(self.w, 0)[slot])
+        return self._keep(("grouped", tuple(axes)), make)
+
+    def sum_plan(self):
+        """structure_sum's schedule for the entries with |w| > 1e-16: per row
+        i that has some, (i, the runs [lo, hi) of consecutive j it needs, the
+        positions of its entries, the product slot of each entry)."""
+        def make():
+            c = self.cut(1e-16)
+            plan, start = [], 0
+            for i, (j, _, _) in enumerate(c.rows()):
+                if j.size:
+                    # the row's products are its distinct j, ascending, made
+                    # by one pair call per run of consecutive j
+                    distinct, slot = np.unique(j, return_inverse=True)
+                    runs = np.split(distinct, np.flatnonzero(np.diff(distinct) != 1) + 1)
+                    spans = [(int(run[0]), int(run[-1]) + 1) for run in runs]
+                    plan.append((i, spans, slice(start, start + j.size), slot))
+                start += j.size
+            return c.idx[2], c.w, plan
+        return self._keep("sum_plan", make)
+
+
 def nonzero_rows(t, tol: float = 0.0):
     """Per first index p of a 3-tensor, the entries (j, k, t[p, j, k]) with
     |t[p, j, k]| > tol, as three arrays in row-major order."""
-    t = np.asarray(t)
-    p, j, k = np.nonzero(np.abs(t) > tol)
-    w = t[p, j, k]
-    bounds = np.searchsorted(p, np.arange(t.shape[0] + 1)).tolist()
-    return [(j[a:b], k[a:b], w[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return Structure(t).cut(tol).rows()
 
 
 def structure_sum(c, x, y, pair=np.matmul) -> np.ndarray:
     """out[k] = sum_{i,j} c[i,j,k] pair(x[i], y[j]) over |c[i,j,k]| > 1e-16.
 
-    pair is np.matmul or kron (this module's or numpy's): a map that takes
-    a matrix and a stack of matrices to the stack of pairs.  Row i makes one
-    call pair(x[i], y[lo:hi]) per run of consecutive j it needs, so every
-    product is formed once, and adds the row's weighted products with one
-    np.add.at.  add.at applies repeated k in order, so terms are added in
-    (i, j, k) order, bit for bit as a plain loop over np.argwhere(c) would.
+    c is a Structure or an array.  pair is np.matmul or kron (this module's
+    or numpy's): a map that takes a matrix and a stack of matrices to the
+    stack of pairs.  Row i makes one call pair(x[i], y[lo:hi]) per run of
+    consecutive j it needs, so every product is formed once, and adds the
+    row's weighted products with one np.add.at.  add.at applies repeated k
+    in order, so terms are added in (i, j, k) order, bit for bit as a plain
+    loop over np.argwhere(c) would.
     """
-    c, x, y = np.asarray(c), np.asarray(x), np.asarray(y)
+    x, y = np.asarray(x), np.asarray(y)
+    c = Structure.of(c)
+    k, w, plan = c.sum_plan()
     probe = pair(x[0], y[0])
-    out = np.zeros((c.shape[2],) + probe.shape, dtype=np.result_type(c, probe))
-    i, j, k = np.nonzero(np.abs(c) > 1e-16)
-    if not len(i):
-        return out
-    w = c[i, j, k].reshape((-1,) + (1,) * probe.ndim)
-    # entry e takes product slot[e], the distinct (i, j) in row-major
-    # order; a run of them starts where i changes or j skips
-    fresh = np.concatenate(([True], (i[1:] != i[:-1]) | (j[1:] != j[:-1])))
-    slot = np.cumsum(fresh) - 1
-    pi, pj = i[fresh], j[fresh]
-    run = np.flatnonzero(np.concatenate(([True], (pi[1:] != pi[:-1]) | (pj[1:] != pj[:-1] + 1))))
-    rows = np.arange(c.shape[0] + 1)
-    entry_at, pair_at, run_at = (np.searchsorted(a, rows).tolist() for a in (i, pi, pi[run]))
-    run, pj = run.tolist() + [len(pi)], pj.tolist()
-    for r in np.unique(i).tolist():
-        lo, hi = run_at[r], run_at[r + 1]
-        prods = np.concatenate([pair(x[r], y[pj[s]:pj[s] + t - s])
-                                for s, t in zip(run[lo:hi], run[lo + 1:hi + 1])])
-        a, b = entry_at[r], entry_at[r + 1]
-        np.add.at(out, k[a:b], w[a:b] * prods[slot[a:b] - pair_at[r]])
+    out = np.zeros((c.shape[2],) + probe.shape, dtype=np.result_type(w, probe))
+    w = w.reshape((-1,) + (1,) * probe.ndim)
+    for r, spans, entries, slot in plan:
+        prods = np.concatenate([pair(x[r], y[lo:hi]) for lo, hi in spans])
+        np.add.at(out, k[entries], w[entries] * prods[slot])
     return out
 
 

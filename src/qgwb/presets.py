@@ -216,21 +216,22 @@ def is_window_preset(name: str) -> bool:
 
 
 def load_preset(name: str, radius: int | None = None):
-    """Build a preset by name; windows take a radius (default 4)."""
+    """Build a preset by name; windows take a radius (default 4), and a
+    quantum group preset takes none (SchemaError)."""
     name = name.strip()
-    if name.startswith("dual-Z(") and name.endswith(")"):
-        return dual_z(int(name[7:-1]))
-    if name.startswith("fn-Z(") and name.endswith(")"):
-        return fn_z(int(name[5:-1]))
-    if name == "fn-S3":
-        return fn_s3()
-    if name == "grp-S3":
-        return grp_s3()
-    if name == "kac-paljutkin":
-        return kac_paljutkin()
     if is_window_preset(name):
         return _window(name, 4 if radius is None else radius)
-    raise UnknownPreset(f"unknown preset {name!r}")
+    if name.startswith("dual-Z(") and name.endswith(")"):
+        build = functools.partial(dual_z, int(name[7:-1]))
+    elif name.startswith("fn-Z(") and name.endswith(")"):
+        build = functools.partial(fn_z, int(name[5:-1]))
+    else:
+        build = {"fn-S3": fn_s3, "grp-S3": grp_s3, "kac-paljutkin": kac_paljutkin}.get(name)
+        if build is None:
+            raise UnknownPreset(f"unknown preset {name!r}")
+    if radius is not None:
+        raise SchemaError(f"{name!r} is a quantum group preset and takes no radius")
+    return build()
 
 
 @functools.lru_cache(maxsize=None, typed=True)

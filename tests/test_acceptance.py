@@ -24,11 +24,11 @@ def report(num, label, passed, detail=""):
 # -- 1: preset validation ------------------------------------------------------
 
 def test_criterion_01_preset_validation():
-    names = [row["name"] for row in presets.preset_table()]
     worst_time = 0.0
     worst_resid = 0.0
-    for name in names:
-        obj = presets.load_preset(name, radius=4)
+    for row in presets.preset_table():
+        name, radius = row["name"], 4 if row["kind"] == "window" else None
+        obj = presets.load_preset(name, radius=radius)
         t0 = time.time()
         if hasattr(obj, "validate"):
             resid = max(obj.validate().values())

@@ -1,5 +1,11 @@
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from qgwb import core, presets
 from qgwb.core import dense_image_report, solve_haar
@@ -437,6 +443,126 @@ def test_sparse_kernels_on_zero_tensors():
     assert core.hom_residual(z, z) == 0.0
 
 
+# The kernels as they were before the structure store: dense einsums, and csr
+# matrices rebuilt from dense arrays and regrouped by a sort.  The store's
+# kernels add the same terms in the same order, so they must agree bit for bit.
+
+def _ref_csr_sorted(flat, data, shape):
+    rows, cols = np.divmod(flat, shape[1])
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+    return sp.csr_matrix((data, cols, indptr), shape=shape)
+
+
+def _ref_csr(a2d):
+    flat = np.flatnonzero(a2d)
+    return _ref_csr_sorted(flat, np.ravel(a2d)[flat], a2d.shape)
+
+
+def _ref_regroup(mat, d, axes, n_rows):
+    dims = (d,) * len(axes)
+    idx = np.unravel_index(np.repeat(np.arange(mat.shape[0]) * mat.shape[1],
+                                     np.diff(mat.indptr)) + mat.indices, dims)
+    flat = np.ravel_multi_index([idx[a] for a in axes], dims)
+    order = np.argsort(flat)
+    return _ref_csr_sorted(flat[order], mat.data[order],
+                           (d ** n_rows, d ** (len(axes) - n_rows)))
+
+
+def _ref_coassoc(c):
+    d = c.shape[0]
+    x = _ref_csr(np.transpose(c, (0, 2, 1)).reshape(d * d, d)) @ _ref_csr(c.reshape(d, d * d))
+    y = _ref_csr(c.reshape(d * d, d)) @ _ref_csr(c.reshape(d, d * d))
+    y.sort_indices()
+    return float(spla.norm(_ref_regroup(x, d, (0, 2, 3, 1), 2) - y))
+
+
+def _ref_hom(m, c):
+    d = m.shape[0]
+    lhs = _ref_csr(m.reshape(d * d, d)) @ _ref_csr(c.reshape(d, d * d))
+    f = _ref_csr(np.transpose(c, (0, 2, 1)).reshape(d * d, d)) @ _ref_csr(m.reshape(d, d * d))
+    e = _ref_regroup(f, d, (0, 1, 3, 2), 3) @ _ref_csr(np.transpose(c, (1, 0, 2)).reshape(d, d * d))
+    r = _ref_regroup(e, d, (0, 2, 3, 1, 4), 3) @ _ref_csr(m.reshape(d * d, d))
+    return float(spla.norm(lhs - _ref_regroup(r, d, (0, 2, 1, 3), 2)))
+
+
+def _ref_antipode(m, c, s, counit, unit):
+    left = np.einsum("ipk,pkq->iq", np.einsum("ijk,pj->ipk", c, s), m)
+    right = np.einsum("ijp,jpq->iq", np.einsum("ijk,pk->ijp", c, s), m)
+    target = np.outer(counit, unit)
+    return max(float(np.linalg.norm(left - target)), float(np.linalg.norm(right - target)))
+
+
+def _ref_star_product(m, st):
+    lhs = np.einsum("ijk,pk->ijp", np.conj(m), st)
+    rhs = np.einsum("ri,jrp->ijp", st, np.tensordot(st, m, axes=([0], [0])))
+    return float(np.linalg.norm(lhs - rhs))
+
+
+def _ref_haar(c, h, unit):
+    return max(float(np.linalg.norm(np.einsum("ijk,j->ik", c, h) - np.outer(h, unit))),
+               float(np.linalg.norm(np.einsum("ijk,k->ij", c, h) - np.outer(h, unit))))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+def test_store_kernels_match_the_dense_kernels_bit_for_bit(d):
+    # many small draws: the antipode and Haar residuals are maxima over two
+    # sides, so a changed order of terms shows only where its side is larger
+    rng = np.random.default_rng(200 + d)
+    for density in np.linspace(0.05, 0.95, 24):
+
+        def tensor(shape):
+            t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            return t * (rng.random(shape) < density)
+
+        m, c, s, st = tensor((d, d, d)), tensor((d, d, d)), tensor((d, d)), tensor((d, d))
+        unit, counit, h = tensor(d), tensor(d), tensor(d)
+        star_mult = np.tensordot(st, m, axes=([0], [0]))
+        for t in (m, c, m.transpose(2, 0, 1)):
+            assert core.coassoc_residual(t) == _ref_coassoc(t)
+        assert core.hom_residual(m, c) == _ref_hom(m, c)
+        assert (core.antipode_residual(m, c, s, counit, unit)
+                == _ref_antipode(m, c, s, counit, unit))
+        assert core.star_product_residual(m, st, star_mult) == _ref_star_product(m, st)
+        assert core.haar_residual(c, h, unit) == _ref_haar(c, h, unit)
+        # the dual's star is the involutive index permutation of the matrix units
+        perm = np.arange(d)
+        perm[:d - d % 2] = perm[:d - d % 2].reshape(-1, 2)[:, ::-1].ravel()
+        assert core._permuted_star_residual(c, perm) == core.star_residual(c, np.eye(d)[perm])
+
+
+with open(Path(__file__).with_name("residual_tables.json")) as _f:
+    RESIDUAL_TABLES = json.load(_f)
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL_TABLES))
+def test_residual_tables_match_the_recorded_ones(name):
+    # recorded from the dense kernels: the rounding-level irrep, Schur and
+    # dual residuals of fn-Z(n) and fn-S3 pin the order of every sum
+    g = presets.load_preset(name)
+    assert {k: repr(v) for k, v in g.residuals.items()} == RESIDUAL_TABLES[name]["residuals"]
+    assert ({k: repr(v) for k, v in g.dual().residuals.items()}
+            == RESIDUAL_TABLES[name]["dual_residuals"])
+
+
+def test_dual_z64_load_and_dual_stay_within_50_mib():
+    # the gathers hold about d^3 numbers at once, never a stack times d^3
+    tracemalloc.start()
+    try:
+        presets.dual_z.__wrapped__(64).dual()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50 * 2 ** 20
+
+
+def test_quantum_group_preset_takes_no_radius():
+    with pytest.raises(SchemaError, match="takes no radius"):
+        presets.load_preset("dual-Z(4)", radius=3)
+    with pytest.raises(SchemaError, match="takes no radius"):
+        presets.load_preset("kac-paljutkin", radius=4)
+    assert presets.load_preset("dual-Z(4)", radius=None) is presets.load_preset("dual-Z(4)")
+
+
 @pytest.mark.parametrize("name,kind", [("kac-paljutkin", "haar"), ("fn-S3", "haar"),
                                        ("grp-S3", "antipode")])
 def test_check_morphism_multiplicativity_matches_basis_pair_loop(name, kind):
@@ -495,7 +621,10 @@ def test_irrep_residuals_match_entry_loops(name):
     assert g.residuals["irrep_unitary"] == _loop_irrep_unitarity_residual(g)
 
 
-@pytest.mark.parametrize("name", ["fn-S3", "kac-paljutkin", "dual-Z(8)", "grp-S3"])
+QG_PRESETS = [row["name"] for row in presets.preset_table() if row["kind"] == "qg"]
+
+
+@pytest.mark.parametrize("name", QG_PRESETS)
 def test_stacked_mul_matches_pairs(name):
     g = presets.load_preset(name)
     rng = np.random.default_rng(1)
@@ -505,3 +634,15 @@ def test_stacked_mul_matches_pairs(name):
     assert np.array_equal(g.mul(a[:, None], b[None]), pairs)
     assert np.array_equal(g.mul(a[0], b), pairs[0])
     assert np.array_equal(g.mul(a[0], b[0]), pairs[0, 0])
+
+
+@pytest.mark.parametrize("name", QG_PRESETS)
+def test_stacked_lmat_matches_einsum(name):
+    g = presets.load_preset(name)
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(2, 3, g.d)) + 1j * rng.normal(size=(2, 3, g.d))
+    for x in (a, a[0, 0], np.eye(g.d), -np.eye(g.d)[1]):
+        got, want = g.lmat(x), np.einsum("...i,iqp->...pq", x, g.mult)
+        assert np.array_equal(got, want)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))

@@ -411,9 +411,14 @@ def test_window_rule_matches_pair_loop(name, radius):
     assert tri.cocycle_rule_residual == _loop_window_rule_residual(tri)
 
 
-@pytest.mark.parametrize("name", ["fn-S3", "kac-paljutkin", "fn-Z(8)", "dual-Z(5)"])
-def test_stacked_triple_paths_match_entry_loops(name):
-    from qgwb.cli import _central_index_generator
+@pytest.mark.parametrize("name,v_alpha", [
+    ("fn-S3", None), ("kac-paljutkin", None), ("fn-Z(8)", None), ("dual-Z(5)", None),
+    # v_matrices with alpha on the 2-dim block, which no golden covers
+    ("fn-S3", 2), ("kac-paljutkin", 4),
+], ids=["fn-S3", "kac-paljutkin", "fn-Z(8)", "dual-Z(5)", "fn-S3-alpha=2",
+        "kac-paljutkin-alpha=4"])
+def test_stacked_triple_paths_match_entry_loops(name, v_alpha):
+    from qgwb.cli import _central_index_generator, _run_v_matrices
     g = presets.load_preset(name)
     gen = _central_index_generator(g)
     tri = genfun.schurmann_triple(gen)
@@ -440,3 +445,14 @@ def test_stacked_triple_paths_match_entry_loops(name):
     for gamma in blocks:
         assert genfun.cocycle_norm_residual(tri, gamma) == \
             _loop_cocycle_norm_residual(g, tri, cvals[gamma].real, gamma)
+    # the v_matrices report rows (alpha, beta as the experiment reads them)
+    params = {} if v_alpha is None else {"alpha": v_alpha}
+    alpha, beta = params.get("alpha", 1 % len(blocks)), 2 % len(blocks)
+    assert g.block_dims[alpha] == (1 if v_alpha is None else 2)
+    for row in _run_v_matrices(g, params, 1.0, 0)["per_stage"]:
+        args = (alpha, row["gamma"], beta)
+        direct = _loop_triple_form_direct(g, gen.base, *args)
+        cocycle = _loop_triple_form_cocycle(g, tri, cvals, *args)
+        assert row["route_residual"] == float(np.max(np.abs(cocycle - direct))), args
+        assert row["hermiticity"] == float(np.linalg.norm(direct - direct.conj().T)), args
+        assert row["min_eig"] == float(np.linalg.eigvalsh(0.5 * (direct + direct.conj().T))[0])
