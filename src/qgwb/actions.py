@@ -39,6 +39,11 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 
 
+def _adjoint(m):
+    """The conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.conj(m).swapaxes(-1, -2)
+
+
 class Action:
     """alpha : N -> A (x) N with N = (+)_i M_{n_i} inside M_n."""
 
@@ -291,15 +296,12 @@ def fixed_point_expectation(action: Action, tol: float = DEFAULT_TOL):
         linalg.max_frob(impl.pi(ex) @ p - p @ impl.pi(units) @ p),
         # averaging invariance: E(alpha_i(a)) = unit_i E(a)
         linalg.max_frob(expectation(images) - g.unit[:, None, None] * ex[:, None], lead=2))
-    # positivity on a deterministic PSD family
-    rng = CounterRNG(9)
-    for _ in range(6):
-        v = rng.complex_matrix(action.n, action.n)
-        mask = action.unvec(action.vec(v))  # compress to N
-        x = mask @ mask.conj().T
-        ex = expectation(x)
-        if linalg.min_eig(0.5 * (ex + ex.conj().T)) < -tol:
-            raise AxiomViolation("expectation fails positivity")
+    # positivity on a deterministic PSD family, tested as one stack
+    v = CounterRNG(9).complex_vector(6 * action.n ** 2).reshape(6, action.n, action.n)
+    mask = action.unvec(action.vec(v))  # compress to N
+    ex = expectation(mask @ _adjoint(mask))
+    if (linalg.min_eig(0.5 * (ex + _adjoint(ex))) < -tol).any():
+        raise AxiomViolation("expectation fails positivity")
     if worst > tol:
         raise AxiomViolation(f"expectation residual {worst:.3e}")
     return fixed_basis, expectation
@@ -309,24 +311,43 @@ def fixed_point_expectation(action: Action, tol: float = DEFAULT_TOL):
 # positive cone
 # ---------------------------------------------------------------------------
 
-def cone_member_test(rho_big, z_mat, tol: float = 1e-8) -> bool:
-    """Dual test for membership of Lambda(z) in the standard cone.
+def cone_member_test(rho_big, z_mat, tol: float = 1e-8):
+    """Dual test for membership of Lambda(z) in the standard cone, for a
+    matrix z or for each matrix of a stack (then an array of verdicts).
 
     Lambda(z) pairs with the generating cone elements Lambda(v v^* rho^(-1/2))
     through v |-> v^* (rho^(1/2) z^*) v, so membership means that matrix is
     Hermitian PSD within tolerance.
     """
-    k = linalg.psd_sqrt(rho_big) @ np.asarray(z_mat).conj().T
-    scale = max(1.0, linalg.frob(k))
-    if linalg.hermiticity_defect(k) > tol * scale:
-        return False
-    return linalg.min_eig(0.5 * (k + k.conj().T)) >= -tol
+    k = linalg.psd_sqrt(rho_big) @ _adjoint(np.asarray(z_mat))
+    scale = np.maximum(1.0, linalg.norms(k.reshape(k.shape[:-2] + (k.shape[-1] ** 2,))))
+    hermitian = linalg.hermiticity_defect(k) <= tol * scale
+    return hermitian & (linalg.min_eig(0.5 * (k + _adjoint(k))) >= -tol)
+
+
+def _vector_functionals(g: FiniteQG, xis):
+    """omega[k, i, j] = <xi_j, reg(e_k) xi_i> for the rows xi of xis.
+
+    With reg(e_k) = C L_k C^-1 and L_k[p, q] = mult[k, q, p], this is one
+    sparse product of mult (rows k, columns (q, p)) with the table of
+    (C^-1 xi_i)[q] conj(C^* xi_j)[p]; no regular-representation matrix is
+    formed.
+    """
+    right = xis @ g._Cinv.T                  # row i: C^-1 xi_i
+    left = np.conj(xis) @ g._C               # row j: conj(C^* xi_j)
+    pairs = np.einsum("iq,jp->qpij", right, left).reshape(g.d ** 2, -1)
+    return (g.mult_nz.csr(1) @ pairs).reshape(g.d, len(xis), len(xis))
 
 
 def cone_preservation_check(action: Action, xi_family, tol: float = 1e-8,
                             trials: int = 12) -> bool:
     """Check that the matrices ((omega_{xi_j, xi_i} (x) id)(U)) preserve the
-    standard positive cone of M_m (x) N in M_m (x) L^2(N)."""
+    standard positive cone of M_m (x) N in M_m (x) L^2(N).
+
+    The trials' generated elements and their images are tested as one
+    stack; the first failure in trial order decides: a failing element
+    raises AxiomViolation, a failing image returns False.
+    """
     g = action.parent
     if not g.kac:
         raise NotKac("cone preservation is stated for Kac parents")
@@ -335,25 +356,25 @@ def cone_preservation_check(action: Action, xi_family, tol: float = 1e-8,
     xis = np.asarray(xi_family, dtype=complex)
     m, n, nn = len(xis), action.n, action.dimN
     # u[i, j] = (omega_{xi_j, xi_i} (x) id)(U), omega_{a,b}(T) = <a, T b>
-    omegas = np.einsum("ja,kab,ib->kij", np.conj(xis), g.reg(np.eye(g.d)), xis)
-    u = np.einsum("kij,kab->ijab", omegas, u_coef)
+    u = np.einsum("kij,kab->ijab", _vector_functionals(g, xis), u_coef)
     # u[i, j] on the raw coordinates of the Lambda picture
     u_raw = impl.c_inv @ u @ impl.c_mat
     rho_big = np.kron(np.eye(m), action.theta)
     rho_half_inv = np.kron(np.eye(m), np.linalg.inv(linalg.psd_sqrt(action.theta)))
-    rng = CounterRNG(23)
-    for _ in range(trials):
-        v = rng.complex_vector(m * nn)
-        # X = v v^* inside M_m (x) N via the compressed coordinates: the
-        # blocks x_i of v stacked in a column, X = [x_i x_j^*]
-        col = action.unvec(v.reshape(m, nn)).reshape(m * n, n)
-        z = col @ col.conj().T @ rho_half_inv
-        if not cone_member_test(rho_big, z, tol):
+    v = CounterRNG(23).complex_vector(trials * m * nn).reshape(trials, m, nn)
+    # X = v v^* inside M_m (x) N via the compressed coordinates: the blocks
+    # x_i of v stacked in a column, X = [x_i x_j^*]
+    col = action.unvec(v).reshape(trials, m * n, n)
+    z = col @ _adjoint(col) @ rho_half_inv
+    # apply u entrywise on the Lambda picture, block (i, j) at [i, j]
+    blocks = action.vec(z.reshape(trials, m, n, m, n).transpose(0, 1, 3, 2, 4))
+    out = action.unvec(np.einsum("ijpq,tijq->tijp", u_raw, blocks))
+    images = out.transpose(0, 1, 3, 2, 4).reshape(trials, m * n, m * n)
+    verdicts = cone_member_test(rho_big, np.concatenate([z, images]), tol)
+    for element_ok, image_ok in zip(verdicts[:trials], verdicts[trials:]):
+        if not element_ok:
             raise AxiomViolation("generated element fails the cone test")
-        # apply u entrywise on the Lambda picture, block (i, j) at [i, j]
-        blocks = action.vec(z.reshape(m, n, m, n).transpose(0, 2, 1, 3))
-        out = action.unvec(np.einsum("ijpq,ijq->ijp", u_raw, blocks))
-        if not cone_member_test(rho_big, out.transpose(0, 2, 1, 3).reshape(m * n, m * n), tol):
+        if not image_ok:
             return False
     return True
 

@@ -373,6 +373,15 @@ class FiniteQG:
     def u_vec_of_blocks(self, blocks):
         return np.concatenate([np.asarray(b, dtype=complex).ravel() for b in blocks])
 
+    @functools.cached_property
+    def blocks_by_size(self):
+        """Per block size n, the u-coordinate positions of the blocks of
+        that size, in block order: an (count, n, n) index array."""
+        out = {}
+        for n, off in zip(self.block_dims, self.block_offsets):
+            out.setdefault(n, []).append(off + np.arange(n * n).reshape(n, n))
+        return {n: np.array(idx) for n, idx in out.items()}
+
     def q_index(self, alpha, i, j):
         return int(self.block_offsets[alpha] + i * self.block_dims[alpha] + j)
 

@@ -131,6 +131,22 @@ class TruncatedFock:
                                np.conj(self.apply_t(zeta)[self._letter])])
         return linalg.SparseMatrix((vals, (rows, cols)), shape=(n, n))
 
+    def _s_rows(self, zetas):
+        """The rows form of the family s(zeta_w) for a stack of vectors
+        zeta_w: row w holds s(zeta_w) flattened row-major, with the values
+        s_operator stores."""
+        zetas = np.asarray(zetas, dtype=complex).reshape(-1, self.base_dim)
+        n = self.total_dim
+        child = np.arange(1, n)
+        flat = np.concatenate([child * n + self._parent, self._parent * n + child])
+        t_zetas = linalg.rowmul(np.conj(zetas), self.t_conj.T)     # T zeta_w
+        vals = np.concatenate([zetas[:, self._letter],
+                               np.conj(t_zetas[:, self._letter])], axis=1)
+        order = np.argsort(flat)
+        return sparse.csr_array(
+            (vals[:, order].ravel(), np.tile(flat[order], len(zetas)),
+             np.arange(len(zetas) + 1) * flat.size), shape=(len(zetas), n * n))
+
     def vacuum_moments(self, op, orders):
         out = {}
         v = self.vacuum()
@@ -313,9 +329,11 @@ class InducedAction:
             c, self.coef_adj @ sparse.csr_array(x), self.coef)
 
     def _omega_table(self, omega_coeffs):
-        """omega(e_i^* e_j) as structure constants with one output."""
-        return np.einsum("ijk,k->ij", self.prodstar,
-                         np.asarray(omega_coeffs))[:, :, None]
+        """omega(e_i^* e_j) as structure constants with one output, or with
+        one output per omega of a stack (n_omega, d)."""
+        d = self.parent.d
+        return np.einsum("ijk,...k->ij...", self.prodstar,
+                         np.asarray(omega_coeffs)).reshape(d, d, -1)
 
     def alpha_of(self, x):
         """Full coefficient family of alpha_U(x), a dense (d, total, total)."""
@@ -340,20 +358,28 @@ class InducedAction:
         return out.toarray().reshape(total)
 
     def generator_intertwining_residual(self, zeta, omega_family):
-        """(omega (x) id) alpha_U(s(zeta)) = s((omega (x) id)(U^*) zeta)."""
+        """(omega (x) id) alpha_U(s(zeta)) = s((omega (x) id)(U^*) zeta).
+
+        The worst residual over the family.  One structure sum over the
+        (d, d, n_omega) table forms every left side; the right sides are
+        one rows-form family, as they share the pattern of s.
+        """
         fock = self.fock
-        total = fock.total_dim
-        s_op = fock.s_operator(zeta)
         g = self.parent
+        k = fock.base_dim
+        oms = np.asarray(omega_family, dtype=complex).reshape(-1, g.d)
+        lhs = self._alpha(fock.s_operator(zeta), self._omega_table(oms))
         ustar = np.einsum("ki,iba->kab", g.star, np.conj(self.lifted.base.u_coef()))
-        worst = 0.0
-        for om in omega_family:
-            om = np.asarray(om, dtype=complex)
-            lhs = self._alpha(s_op, self._omega_table(om))
-            moved = np.tensordot(om, ustar, axes=([0], [0])) @ np.asarray(zeta)
-            rhs = fock.s_operator(moved).reshape((1, total * total))
-            worst = max(worst, linalg.frob(lhs - rhs))
-        return worst
+        # (omega (x) id)(U^*) zeta, one vector-matrix product per omega
+        moved = linalg.rowmul(oms, ustar.reshape(g.d, k * k)).reshape(-1, k, k) \
+            @ np.asarray(zeta)
+        diff = lhs - fock._s_rows(moved)
+        # each row's entries in column order, as linalg.frob of that row
+        # alone sums them
+        diff.sum_duplicates()
+        ends = diff.indptr
+        return max((float(np.linalg.norm(diff.data[a:b])) for a, b in zip(ends, ends[1:])),
+                   default=0.0)
 
     def vacuum_invariance_residual(self, words):
         """(id (x) omega_Omega) alpha_U(w) = omega_Omega(w) 1 on test words."""
@@ -454,36 +480,49 @@ def trace_check(fock: TruncatedFock, words):
     Words are lists of selfadjoint field operators; the degree budget of
     each product must fit the truncation.  A word of length L takes the
     vacuum only to degrees <= L, so its vectors live on that prefix of the
-    Fock space.
+    Fock space.  The vectors of all words of one length are built as one
+    stack, each letter applied once per step to the words that carry it,
+    and the values of all word pairs of two lengths come from one vdots.
     """
     if not fock.tracial:
         raise NotTracial("vacuum traciality needs Q = I")
-    for ops in words:
-        for other in words:
-            if len(ops) + len(other) > fock.depth:
-                raise DepthExceeded("word pair exceeds the depth budget")
-    cut = {}                    # (id(op), n) -> op on the first n basis vectors
-    apply_cache = []
-    for ops in words:
-        n = int(fock.degree_offsets[len(ops)] + fock.degree_dims[len(ops)])
-        for op in ops:
-            if (id(op), n) not in cut:
-                cut[id(op), n] = op[:n, :n]
-        v = np.zeros(n, dtype=complex)
-        v[0] = 1.0
+    if 2 * max(map(len, words), default=0) > fock.depth:
+        raise DepthExceeded("word pair exceeds the depth budget")
+    stacks = []                 # per length: (W Omega, W^* Omega) of its words
+    for length in sorted({len(ops) for ops in words}):
+        group = [ops for ops in words if len(ops) == length]
+        n = int(fock.degree_offsets[length] + fock.degree_dims[length])
+        letters = {id(op): op for ops in group for op in ops}
+        cut = {key: op[:n, :n] for key, op in letters.items()}
+        v = np.zeros((len(group), n), dtype=complex)
+        v[:, 0] = 1.0
         w = v.copy()
-        for op in reversed(ops):
-            v = cut[id(op), n] @ v
-        for op in ops:
-            w = cut[id(op), n] @ w  # reversed word applied: w = op_1 ... acting
-        apply_cache.append((v, w))
+        for step in range(length):
+            # W Omega applies the word's letters last to first, W^* Omega
+            # first to last
+            v = _apply_letters(cut, [ops[length - 1 - step] for ops in group], v)
+            w = _apply_letters(cut, [ops[step] for ops in group], w)
+        stacks.append((v, w))
     worst = 0.0
-    for (v1, w1) in apply_cache:
-        for (v2, w2) in apply_cache:
+    for v1, w1 in stacks:
+        for v2, w2 in stacks:
             # <Omega, W1 W2 Omega> = <W1^* Omega, W2 Omega>; selfadjoint
             # letters make W^* Omega the reversed-word vector.  Past the
             # shorter of two prefixes one of the vectors vanishes.
-            val1 = complex(w1[:len(v2)].conj() @ v2[:len(w1)])
-            val2 = complex(w2[:len(v1)].conj() @ v1[:len(w2)])
-            worst = max(worst, abs(val1 - val2))
+            m = min(v1.shape[1], v2.shape[1])
+            val1 = linalg.vdots(w1[:, None, :m], v2[None, :, :m])
+            val2 = linalg.vdots(w2[None, :, :m], v1[:, None, :m])
+            worst = max(worst, float(np.abs(val1 - val2).max()))
     return worst
+
+
+def _apply_letters(cut, letters, vecs):
+    """Row r of vecs times its letter letters[r], each distinct letter
+    applied once to all the rows that carry it."""
+    rows = {}
+    for r, op in enumerate(letters):
+        rows.setdefault(id(op), []).append(r)
+    out = np.empty_like(vecs)
+    for key, idx in rows.items():
+        out[idx] = (cut[key] @ vecs[idx].T).T
+    return out

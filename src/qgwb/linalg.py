@@ -7,6 +7,12 @@ in the Fock layer, whose operators are scipy sparse arrays that report the
 bytes they hold (`SparseMatrix`, `SparseStack`); tolerances are absolute
 unless stated relative.
 
+The gates (`require_square`, `hermiticity_defect`, `require_hermitian`,
+`min_eig`) and `expm` take a matrix or a stack (..., n, n) of them,
+validate their input once, and give each matrix of a stack the bits it
+gets alone: `expm` makes one eigh call for a stack's Hermitian matrices
+and one scipy call for the rest.
+
 Structure constants live in `Structure` stores: the exact nonzeros of a
 3-tensor as index arrays and values in canonical (row-major) order, with
 the forms kernels read (transposes, csr matrices, rows, per-output groups)
@@ -80,25 +86,61 @@ def opnorm(m) -> float:
 
 
 def require_square(m) -> np.ndarray:
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    """m as a complex square matrix, or a stack (..., n, n) of them, with
+    finite entries."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2:
+        raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        raise DimensionMismatch("matrix entries must be finite")
+    if m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected square matrix, got {m.shape}")
     return m
 
 
-def hermiticity_defect(m) -> float:
+def _one_matrix(m):
+    """m, which must have the shape of one matrix (the gates also take
+    stacks)."""
+    if np.ndim(m) != 2:
+        raise DimensionMismatch(f"expected a matrix, got shape {np.shape(m)}")
+    return m
+
+
+def _adjoint(m):
+    """The conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.conj(m).swapaxes(-1, -2)
+
+
+def _frobs(m):
+    """frob of each matrix of a stack, bit for bit (0-d for one matrix)."""
+    return norms(m.reshape(m.shape[:-2] + (m.shape[-2] * m.shape[-1],)))
+
+
+def hermiticity_defect(m):
+    """||m - m^*||_F: a float for a matrix, an array for a stack."""
     m = require_square(m)
-    return frob(m - m.conj().T)
+    defect = _frobs(m - _adjoint(m))
+    return float(defect) if m.ndim == 2 else defect
+
+
+def _hermitian(m, rtol):
+    """Per matrix of the validated stack m, whether its defect is within
+    rtol * max(1, ||m||_F), with the defects and scales."""
+    defect, scale = _frobs(m - _adjoint(m)), np.maximum(1.0, _frobs(m))
+    return defect <= rtol * scale, defect, scale
 
 
 def require_hermitian(m, rtol: float = HERM_RTOL) -> np.ndarray:
+    """The symmetrised matrix (or stack), once every matrix passes the
+    Hermiticity gate; the input is validated once."""
     m = require_square(m)
-    defect = hermiticity_defect(m)
-    scale = max(1.0, frob(m))
-    if defect > rtol * scale:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {rtol:.1e}*{scale:.3e}")
+    ok, defect, scale = _hermitian(m, rtol)
+    if not ok.all():
+        i = np.argmin(ok)
+        raise NotHermitian(f"hermiticity defect {defect.flat[i]:.3e} exceeds "
+                           f"{rtol:.1e}*{scale.flat[i]:.3e}")
     # work with the symmetrised matrix so downstream residuals are clean
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + _adjoint(m))
 
 
 def hermitian_eig(m, rtol: float = HERM_RTOL):
@@ -108,33 +150,42 @@ def hermitian_eig(m, rtol: float = HERM_RTOL):
     m v_k = lambda_k v_k with residual <= 1e-8 * ||m||_F and orthonormal
     columns.  Raises NotHermitian when the input fails the Hermiticity gate.
     """
-    h = require_hermitian(m, rtol)
+    h = require_hermitian(_one_matrix(m), rtol)
     vals, vecs = np.linalg.eigh(h)
     return vals, vecs
 
 
-def min_eig(m, rtol: float = HERM_RTOL) -> float:
-    h = require_hermitian(m, rtol)
-    return float(np.linalg.eigvalsh(h)[0])
+def min_eig(m, rtol: float = HERM_RTOL):
+    """Smallest eigenvalue of a Hermitian matrix (a float), or of each
+    matrix of a stack (an array)."""
+    low = np.linalg.eigvalsh(require_hermitian(m, rtol))[..., 0]
+    return float(low) if low.ndim == 0 else low
 
 
 def psd_check(m, tol: float, rtol: float = HERM_RTOL) -> bool:
     """True iff m is Hermitian (within rtol) with min eigenvalue >= -tol."""
-    return min_eig(m, rtol) >= -tol
+    return min_eig(_one_matrix(m), rtol) >= -tol
 
 
 def expm(m) -> np.ndarray:
-    """Matrix exponential.
+    """Matrix exponential of a matrix or of each matrix of a stack (..., n, n).
 
-    Hermitian inputs go through the eigendecomposition (exact functional
-    calculus); everything else through scaling-and-squaring Pade.
+    Hermitian matrices go through the eigendecomposition (exact functional
+    calculus), the others through scaling-and-squaring Pade.  A stack makes
+    one eigh call for its Hermitian matrices and one scipy call for the
+    rest, and each matrix gets the bits it gets alone.
     """
     m = require_square(m)
-    scale = max(1.0, frob(m))
-    if hermiticity_defect(m) <= HERM_RTOL * scale:
-        vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
-        return (vecs * np.exp(vals)) @ vecs.conj().T
-    return scipy.linalg.expm(m)
+    stack = m.reshape((int(np.prod(m.shape[:-2])),) + m.shape[-2:])
+    herm = _hermitian(stack, HERM_RTOL)[0]
+    out = np.empty(stack.shape, dtype=complex)
+    if herm.any():
+        h = stack[herm]
+        vals, vecs = np.linalg.eigh(0.5 * (h + _adjoint(h)))
+        out[herm] = (vecs * np.exp(vals)[:, None, :]) @ _adjoint(vecs)
+    if not herm.all():
+        out[~herm] = scipy.linalg.expm(stack[~herm])
+    return out.reshape(m.shape)
 
 
 def kron(a, b) -> np.ndarray:

@@ -1,7 +1,10 @@
+import tracemalloc
+import types
+
 import numpy as np
 import pytest
 
-from qgwb import actions, coreps, presets
+from qgwb import actions, coreps, linalg, presets
 from qgwb._rng import CounterRNG
 from qgwb.cli import delta_action, grading_action
 from qgwb.errors import AxiomViolation, NoInvariantState, SchemaError
@@ -364,3 +367,146 @@ def test_quantitative_asymptotic_bridge(grading):
         scale = np.linalg.norm(vec)
         defect = u.defect(vec / scale, coreps.dual_matrix_units(g))
         assert defect * scale <= 2 * g.d * c_const * action_defect + 1e-12
+
+
+# -- stacked cone check against the per-trial loop ------------------------------------
+
+QG_PRESETS = [row["name"] for row in presets.preset_table() if row["kind"] == "qg"]
+
+
+def suite_actions(g):
+    """The actions the action suite checks on a preset: the grading action
+    over dual-Z(2), the coproduct self-action of a pointwise parent, and the
+    conjugation action of the first block corep it takes."""
+    acts = [grading_action(g)] if g.key == "dual-Z(2)" else []
+    try:
+        acts.append(delta_action(g))
+    except SchemaError:
+        pass
+    for a, n in enumerate(g.block_dims):
+        if n >= 2 or (n == 1 and a != g.trivial_block and not acts):
+            acts.append(actions.action_from_corep(coreps.block_corep(g, a)))
+            break
+    return acts
+
+
+def cone_member_per_matrix(rho_big, z, tol=1e-8):
+    """cone_member_test on one matrix, as it was written."""
+    k = linalg.psd_sqrt(rho_big) @ np.asarray(z).conj().T
+    scale = max(1.0, linalg.frob(k))
+    if linalg.hermiticity_defect(k) > tol * scale:
+        return False
+    return linalg.min_eig(0.5 * (k + k.conj().T)) >= -tol
+
+
+def cone_verdicts_per_trial(action, xi_family, tol=1e-8, trials=12):
+    """The (element, image) verdicts of each trial, from the per-trial loop
+    and the stack of regular-representation matrices: the reference of
+    cone_preservation_check."""
+    g = action.parent
+    impl = action.implement()
+    xis = np.asarray(xi_family, dtype=complex)
+    m, n, nn = len(xis), action.n, action.dimN
+    omegas = np.einsum("ja,kab,ib->kij", np.conj(xis), g.reg(np.eye(g.d)), xis)
+    u_raw = impl.c_inv @ np.einsum("kij,kab->ijab", omegas, impl.corep.u_coef()) @ impl.c_mat
+    rho_big = np.kron(np.eye(m), action.theta)
+    rho_half_inv = np.kron(np.eye(m), np.linalg.inv(linalg.psd_sqrt(action.theta)))
+    rng = CounterRNG(23)
+    verdicts = []
+    for _ in range(trials):
+        v = rng.complex_vector(m * nn)
+        col = action.unvec(v.reshape(m, nn)).reshape(m * n, n)
+        z = col @ col.conj().T @ rho_half_inv
+        blocks = action.vec(z.reshape(m, n, m, n).transpose(0, 2, 1, 3))
+        out = action.unvec(np.einsum("ijpq,ijq->ijp", u_raw, blocks))
+        image = out.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+        verdicts.append((cone_member_per_matrix(rho_big, z, tol),
+                         cone_member_per_matrix(rho_big, image, tol)))
+    return verdicts
+
+
+@pytest.mark.parametrize("name", QG_PRESETS)
+def test_vector_functionals_match_the_regular_representation(name):
+    g = presets.load_preset(name)
+    assert g.kac
+    rng = CounterRNG(41)
+    for xis in (np.eye(g.d)[:min(g.d, 2)], np.array([rng.unit_vector(g.d) for _ in range(2)])):
+        ref = np.einsum("ja,kab,ib->kij", np.conj(xis), g.reg(np.eye(g.d)), xis)
+        assert np.allclose(actions._vector_functionals(g, xis), ref, rtol=0, atol=1e-13)
+
+
+def test_vector_functionals_of_a_dense_document_stay_small():
+    """A dense d = 32 product with a general basis change C: no d x d x d
+    stack of regular-representation matrices (an 8.8 MiB gather) is built."""
+    d = 32
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = types.SimpleNamespace(d=d, mult_nz=linalg.Structure(rng.standard_normal((d, d, d))),
+                              _C=c, _Cinv=np.linalg.inv(c))
+    xis = np.array([CounterRNG(s).unit_vector(d) for s in (1, 2)])
+    g.mult_nz.csr(1)
+    tracemalloc.start()
+    try:
+        got = actions._vector_functionals(g, xis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    lmat = np.transpose(g.mult_nz.csr(1).toarray().reshape(d, d, d), (0, 2, 1))
+    ref = np.einsum("ja,kab,ib->kij", np.conj(xis), c @ lmat @ g._Cinv, xis)
+    assert np.allclose(got, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", QG_PRESETS)
+def test_cone_check_matches_the_per_trial_loop(name, monkeypatch):
+    g = presets.load_preset(name)
+    recorded = []
+    real = actions.cone_member_test
+
+    def recording(rho_big, z, tol=1e-8):
+        out = real(rho_big, z, tol)
+        recorded.append(out)
+        return out
+    monkeypatch.setattr(actions, "cone_member_test", recording)
+    basis = [np.eye(g.d)[i] for i in range(min(g.d, 2))]
+    for act in suite_actions(g):
+        recorded.clear()
+        ref = cone_verdicts_per_trial(act, basis)
+        assert actions.cone_preservation_check(act, basis) == all(e and i for e, i in ref)
+        verdicts, = recorded
+        assert [(bool(e), bool(i)) for e, i in zip(verdicts[:12], verdicts[12:])] == ref
+
+
+def test_stacked_cone_member_test_matches_each_matrix(grading):
+    rng = CounterRNG(43)
+    rho_big = np.kron(np.eye(2), grading.theta)
+    members = [x @ x.conj().T @ np.linalg.inv(linalg.psd_sqrt(rho_big)) for x in
+               (rng.complex_matrix(4, 4) for _ in range(3))]
+    stack = np.array(members + [-members[0], members[1] + 1e-3 * rng.complex_matrix(4, 4),
+                                np.zeros((4, 4))])
+    expected = [cone_member_per_matrix(rho_big, z) for z in stack]
+    assert expected == [True, True, True, False, False, True]
+    assert list(actions.cone_member_test(rho_big, stack)) == expected
+
+
+@pytest.mark.parametrize("fail, outcome", [
+    (None, True), (("element", 0), "raise"), (("image", 0), False),
+    (("element", 5), "raise"), (("image", 5), False),
+    # an earlier trial's failing image comes before a later failing element
+    (("image", 3, "element", 7), False), (("element", 3, "image", 7), "raise"),
+    # a trial's element comes before its own image
+    (("image", 4, "element", 4), "raise")])
+def test_cone_check_reports_the_first_failure_in_trial_order(grading, monkeypatch, fail, outcome):
+    def failing(rho_big, z, tol=1e-8):
+        verdicts = np.ones(len(z), dtype=bool)
+        spec = fail or ()
+        for kind, trial in zip(spec[::2], spec[1::2]):
+            verdicts[trial + (12 if kind == "image" else 0)] = False
+        return verdicts
+    monkeypatch.setattr(actions, "cone_member_test", failing)
+    basis = [np.eye(2)[0], np.eye(2)[1]]
+    if outcome == "raise":
+        with pytest.raises(AxiomViolation, match="generated element"):
+            actions.cone_preservation_check(grading, basis)
+    else:
+        assert actions.cone_preservation_check(grading, basis) is outcome

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qgwb import coreps, fock, presets
+from qgwb import coreps, fock, linalg, presets
 from qgwb._rng import CounterRNG
 from qgwb.errors import CompatibilityFailed, DepthExceeded, NotTracial
 
@@ -417,3 +417,101 @@ def test_over_budget_alpha_of_raises_before_allocating():
 def test_huge_depth_fails_fast():
     with pytest.raises(DepthExceeded):
         fock.TruncatedFock(2, 10 ** 9)
+
+
+# -- stacked checks against their per-item loops ---------------------------------
+
+def trace_check_per_pair(f, words):
+    """trace_check as a loop over word pairs, each word's vectors built alone
+    on its degree prefix: the reference of the stacked check."""
+    for ops in words:
+        for other in words:
+            if len(ops) + len(other) > f.depth:
+                raise DepthExceeded("word pair exceeds the depth budget")
+    vectors = []
+    for ops in words:
+        n = int(f.degree_offsets[len(ops)] + f.degree_dims[len(ops)])
+        v = np.zeros(n, dtype=complex)
+        v[0] = 1.0
+        w = v.copy()
+        for op in reversed(ops):
+            v = op[:n, :n] @ v
+        for op in ops:
+            w = op[:n, :n] @ w
+        vectors.append((v, w))
+    worst = 0.0
+    for v1, w1 in vectors:
+        for v2, w2 in vectors:
+            val1 = complex(w1[:len(v2)].conj() @ v2[:len(w1)])
+            val2 = complex(w2[:len(v1)].conj() @ v1[:len(w2)])
+            worst = max(worst, abs(val1 - val2))
+    return worst
+
+
+@pytest.mark.parametrize("letters", ["selfadjoint", "complex"])
+def test_trace_check_matches_the_per_pair_loop(f28, letters):
+    if letters == "selfadjoint":
+        zetas = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.6, 0.8])]
+    else:
+        zetas = [CounterRNG(s).unit_vector(2) for s in (5, 6, 7)]
+    ops = [f28.s_operator(z) for z in zetas]
+    every = [list(c) for n in range(5) for c in itertools.product(ops, repeat=n)]
+    rng = CounterRNG(11)
+    # mixed lengths in a scrambled order, with repeated words
+    words = [every[int(rng.uniform() * len(every))] for _ in range(40)]
+    for family in (every[:40], words, every[1:4], [[ops[0]] * 4]):
+        assert fock.trace_check(f28, family) == trace_check_per_pair(f28, family)
+    assert fock.trace_check(f28, []) == 0.0
+
+
+def test_trace_check_raises_as_the_per_pair_loop(f28):
+    s = f28.s_operator(np.array([1.0, 0.0]))
+    for words in ([[s], [s] * 5], [[s] * 5, [s] * 3, [s]]):
+        for check in (fock.trace_check, trace_check_per_pair):
+            with pytest.raises(DepthExceeded):
+                check(f28, words)
+    assert fock.trace_check(f28, [[s] * 4, [s]]) == trace_check_per_pair(f28, [[s] * 4, [s]])
+    f = fock.TruncatedFock(2, 4, j_conj=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                           q_mat=np.diag([2.0, 0.5]))
+    with pytest.raises(NotTracial):
+        fock.trace_check(f, [[f.s_operator(np.array([1.0, 0.0]))] * 3])
+
+
+def generator_intertwining_per_omega(act, zeta, omega_family):
+    """generator_intertwining_residual as a loop over the omegas: the
+    reference of the stacked check."""
+    f, g = act.fock, act.parent
+    total = f.total_dim
+    s_op = f.s_operator(zeta)
+    ustar = np.einsum("ki,iba->kab", g.star, np.conj(act.lifted.base.u_coef()))
+    worst = 0.0
+    for om in omega_family:
+        om = np.asarray(om, dtype=complex)
+        table = np.einsum("ijk,k->ij", act.prodstar, om)[:, :, None]
+        lhs = act._alpha(s_op, table)
+        moved = np.tensordot(om, ustar, axes=([0], [0])) @ np.asarray(zeta)
+        rhs = f.s_operator(moved).reshape((1, total * total))
+        worst = max(worst, linalg.frob(lhs - rhs))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["dual-Z(6)", "kac-paljutkin", "fn-S3:std"])
+def test_generator_intertwining_matches_the_per_omega_loop(name):
+    if name == "fn-S3:std":
+        u, jm = coreps.block_corep(presets.load_preset("fn-S3"), 2), np.eye(2)
+    else:
+        u, jm = gns_trace_corep(name)
+    g = u.parent
+    f = fock.TruncatedFock(u.space_dim, 2, j_conj=jm)
+    act = fock.induced_action(fock.lift_rep(f, u))
+    # the experiment's J-real unit vector, and a vector that is not J-real
+    v = np.ones(u.space_dim, dtype=complex)
+    v = v + f.apply_j(v)
+    rng = CounterRNG(13)
+    families = [list(np.eye(g.d)), [rng.complex_vector(g.d) for _ in range(3)],
+                [rng.unit_vector(g.d)]]
+    for zeta in (v / np.linalg.norm(v), rng.unit_vector(u.space_dim)):
+        for omegas in families:
+            got = act.generator_intertwining_residual(zeta, omegas)
+            assert got == generator_intertwining_per_omega(act, zeta, omegas)
+    assert act.generator_intertwining_residual(v, []) == 0.0

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from qgwb import functionals as F
-from qgwb import presets
+from qgwb import linalg, presets
 from qgwb._rng import CounterRNG
+from qgwb.core import FiniteQG
 from qgwb.errors import NotAState, ParentMismatch, WindowTruncation
 from qgwb.genfun import cnd_gram
 from qgwb.windows import build_window
@@ -348,3 +349,75 @@ def test_conv_exp_semigroup_full_grid_presets_and_window():
     wl = F.Functional(w, np.array([float(w.length(x)) for x in w.elements]))
     states = F.conv_exp_semigroup(wl, [0.0, 0.1, 1.0, 10.0])
     assert all(F.is_state(s) for s in states)
+
+
+# -- stacked semigroup path ------------------------------------------------------
+
+QG_PRESETS = [row["name"] for row in presets.preset_table() if row["kind"] == "qg"]
+GRID = [0.1, 0.5, 1.0]
+
+
+def _semigroup_state_per_block(lf, t):
+    """mu_t with each block exponentiated alone (a 2-d linalg.expm call):
+    the reference of the stacked path."""
+    if lf.is_window:
+        return F.Functional(lf.parent, np.exp(-t * lf.coeffs))
+    return F.from_blocks(lf.parent, [linalg.expm(-t * b) for b in lf.blocks()])
+
+
+def _semigroup_generator(parent, seed=0):
+    """The generator the semigroup experiment builds: 3 (eps - mu) for a
+    random vector state mu, or the word length on a window."""
+    if isinstance(parent, FiniteQG):
+        mu = F.vector_state(parent, CounterRNG(seed).unit_vector(parent.d))
+        return 3.0 * (F.counit_functional(parent) - mu)
+    return F.Functional(parent, parent.lengths)
+
+
+@pytest.mark.parametrize("name", QG_PRESETS + ["window:free(2) r=4"])
+def test_semigroup_state_over_times_is_bit_identical(name):
+    if name.startswith("window:"):
+        parent = build_window("free(2)", 4)
+    else:
+        parent = presets.load_preset(name)
+    lf = _semigroup_generator(parent)
+    times = GRID + [s + t for s in GRID for t in GRID] + [1e-4, 5e-5]
+    states = F.semigroup_state(lf, times)
+    assert len(states) == len(times)
+    for t, mu in zip(times, states):
+        one = F.semigroup_state(lf, t)
+        assert np.array_equal(mu.coeffs, one.coeffs)
+        assert np.array_equal(one.coeffs, _semigroup_state_per_block(lf, t).coeffs)
+    assert F.semigroup_state(lf, []) == []
+
+
+def test_exp_transform_blocks_match_each_block_alone():
+    g = presets.load_preset("kac-paljutkin")
+    a = F.re_transform(F.pd_element(F.vector_state(g, CounterRNG(8).unit_vector(g.d))))
+    e = F.exp_transform(a)
+    for b, out in zip(a.blocks, e.blocks):
+        assert np.array_equal(out, linalg.expm(b - np.eye(b.shape[0])))
+
+
+def _is_positive_reference(mu, tol=1e-9):
+    """is_positive as it was: the gram checked, then min_eig of the
+    symmetrised gram."""
+    gram = F.positivity_matrix(mu)
+    if linalg.hermiticity_defect(gram) > max(1.0, linalg.frob(gram)) * 1e-9:
+        return False
+    return linalg.min_eig(0.5 * (gram + gram.conj().T)) >= -tol
+
+
+@pytest.mark.parametrize("name", ["dual-Z(5)", "fn-S3", "grp-S3", "kac-paljutkin"])
+def test_is_positive_keeps_its_verdicts(name):
+    g = presets.load_preset(name)
+    rng = CounterRNG(31)
+    lf = _semigroup_generator(g, 4)
+    family = [rand_state(g, 60), rand_functional(g, 61), lf, -1.0 * lf,
+              F.Functional(g, rng.complex_vector(g.d))]
+    family += F.semigroup_state(lf, [0.0, 0.3, 2.0])
+    for mu in family:
+        for tol in (1e-9, 1e-3):
+            assert F.is_positive(mu, tol) == _is_positive_reference(mu, tol)
+    assert any(F.is_positive(mu) for mu in family)
+    assert not all(F.is_positive(mu) for mu in family)

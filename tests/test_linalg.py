@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qgwb import linalg, presets
 from qgwb._rng import CounterRNG
@@ -108,6 +109,103 @@ def test_expm_addition_on_commuting_diagonals():
 def test_expm_rejects_nonsquare():
     with pytest.raises(DimensionMismatch):
         linalg.expm(np.zeros((2, 3)))
+
+
+# -- stacked spectral path ---------------------------------------------------------
+
+def expm_per_matrix(m):
+    """The exponential of one matrix as it was computed matrix by matrix:
+    the reference of the stacked path."""
+    m = np.asarray(m, dtype=complex)
+    scale = max(1.0, float(np.linalg.norm(m)))
+    if float(np.linalg.norm(m - m.conj().T)) <= linalg.HERM_RTOL * scale:
+        vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+        return (vecs * np.exp(vals)) @ vecs.conj().T
+    return scipy.linalg.expm(m)
+
+
+def _spectral_stack(kind, n, count=12, seed=0):
+    """count n x n matrices: Hermitian, general, or a mix that also holds
+    nearly Hermitian (within the gate), triangular and diagonal ones."""
+    rng = CounterRNG(100 * n + seed)
+    out = []
+    for i in range(count):
+        pick = {"hermitian": 0, "general": 1}.get(kind, i % 5)
+        scale = 0.5 + 3.0 * rng.uniform()
+        if pick == 0:
+            m = rng.hermitian(n)
+        elif pick == 1:
+            m = rng.complex_matrix(n, n)
+        elif pick == 2:
+            m = rng.hermitian(n) + 1e-12 * rng.complex_matrix(n, n)
+        elif pick == 3:
+            m = np.triu(rng.complex_matrix(n, n))
+        else:
+            m = np.diag(rng.complex_vector(n))
+        out.append(scale * m)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "general", "mixed"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expm_stack_is_bit_identical_to_per_matrix(kind, n):
+    stack = _spectral_stack(kind, n)
+    ref = np.array([expm_per_matrix(m) for m in stack])
+    assert np.array_equal(linalg.expm(stack), ref)
+    # any leading shape, and each matrix alone
+    assert np.array_equal(linalg.expm(stack.reshape(3, 4, n, n)), ref.reshape(3, 4, n, n))
+    for m, r in zip(stack, ref):
+        assert np.array_equal(linalg.expm(m), r)
+
+
+def test_expm_of_an_empty_stack():
+    assert linalg.expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+
+def test_expm_rejects_a_nonfinite_stack():
+    stack = _spectral_stack("mixed", 2)
+    stack[5, 1, 0] = np.nan
+    with pytest.raises(DimensionMismatch):
+        linalg.expm(stack)
+
+
+def test_hermitian_gates_on_stacks_match_each_matrix():
+    stack = _spectral_stack("mixed", 3)
+    herm = stack[[0, 2, 5, 7]]
+    defects = linalg.hermiticity_defect(stack)
+    lows = linalg.min_eig(herm)
+    for m, dm in zip(stack, defects):
+        assert dm == linalg.hermiticity_defect(m) == float(np.linalg.norm(m - m.conj().T))
+    for m, low in zip(herm, lows):
+        assert low == linalg.min_eig(m) == float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+    assert np.array_equal(linalg.require_hermitian(herm),
+                          [linalg.require_hermitian(m) for m in herm])
+    with pytest.raises(NotHermitian, match="defect"):
+        linalg.min_eig(stack)
+
+
+def test_single_matrix_routines_reject_a_stack():
+    stack = np.array([np.eye(2), 2.0 * np.eye(2)])
+    for routine in (linalg.hermitian_eig, linalg.psd_sqrt, linalg.psd_factor_vectors,
+                    lambda m: linalg.psd_check(m, 1e-9)):
+        with pytest.raises(DimensionMismatch):
+            routine(stack)
+
+
+def test_hermitian_gates_validate_their_input_once(monkeypatch):
+    calls = []
+    real = linalg.require_square
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return real(m)
+    monkeypatch.setattr(linalg, "require_square", counted)
+    h = CounterRNG(12).hermitian(4)
+    for gate in (linalg.require_hermitian, linalg.min_eig, linalg.hermitian_eig,
+                 linalg.hermiticity_defect, linalg.expm):
+        calls.clear()
+        gate(h)
+        assert calls == [(4, 4)], gate.__name__
 
 
 def test_kron_identity():
