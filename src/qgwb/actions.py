@@ -37,18 +37,17 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
-
-
-def _adjoint(m):
-    """The conjugate transpose of a matrix or of each matrix of a stack."""
-    return np.conj(m).swapaxes(-1, -2)
+FAITHFUL_TOL = 1e-10      # find_invariant_state: the least accepted min eigenvalue
+CONE_TOL = 1e-8           # cone_member_test: Hermiticity and PSD slack
+CONE_TRIALS = 12          # cone_preservation_check: generated elements tested
+MEMBER_TOL = 1e-8         # spectral_gap_report: least-squares residual of p in the image
 
 
 class Action:
     """alpha : N -> A (x) N with N = (+)_i M_{n_i} inside M_n."""
 
     def __init__(self, parent: FiniteQG, block_pattern, alpha_tensor,
-                 invariant_state=None, tol: float = DEFAULT_TOL):
+                 invariant_state=None):
         self.parent = parent
         self.block_pattern = [int(b) for b in block_pattern]
         self.n = sum(self.block_pattern)
@@ -56,7 +55,6 @@ class Action:
         if self.alpha.shape != (parent.d, self.n, self.n, self.n, self.n):
             raise SchemaError(
                 f"alpha tensor must be (d, n, n, n, n), got {self.alpha.shape}")
-        self.tol = tol
         # the matrix units of N, block by block in row-major order: the
         # block-diagonal support of M_n
         block = np.repeat(np.arange(len(self.block_pattern)), self.block_pattern)
@@ -127,7 +125,7 @@ class Action:
                       - theta[cols, rows][:, None] * g.unit)
         res["invariant_state"] = max(linalg.frob(theta - theta.conj().T),
                                      abs(np.trace(theta) - 1.0), linalg.max_frob(invariance))
-        return named_residuals(res, self.tol, "action")
+        return named_residuals(res, DEFAULT_TOL, "action")
 
     # -- GNS of theta -----------------------------------------------------------
 
@@ -157,7 +155,7 @@ class Action:
 class Implementation:
     """The canonical unitary implementation of an action."""
 
-    def __init__(self, action: Action, tol: float = DEFAULT_TOL):
+    def __init__(self, action: Action):
         self.action = action
         g = action.parent
         rows, cols = action.rows, action.cols
@@ -190,7 +188,7 @@ class Implementation:
         lhs = self.pi(np.moveaxis(action.images, -1, 0))
         diff = lhs - np.moveaxis(rhs, 0, 1)
         worst = max((float(np.linalg.norm(r)) for r in diff), default=0.0)
-        if worst > tol:
+        if worst > DEFAULT_TOL:
             raise NotUnitary(f"implementation identity residual {worst:.3e}")
         self.implementation_residual = worst
 
@@ -213,15 +211,12 @@ class Implementation:
         raw = np.tensordot(self.action.vec(x), self.left_raw, axes=([-1], [0]))
         return self.c_mat @ raw @ self.c_inv
 
-    def lambda_vec(self, x):
-        return self.c_mat @ self.action.vec(x)
-
 
 # ---------------------------------------------------------------------------
 # invariant state search
 # ---------------------------------------------------------------------------
 
-def find_invariant_state(action: Action, tol: float = 1e-10):
+def find_invariant_state(action: Action):
     """Solve the invariance system and search its affine section for a
     strictly positive density matrix."""
     g = action.parent
@@ -254,7 +249,7 @@ def find_invariant_state(action: Action, tol: float = 1e-10):
         val = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
         if val > best_val:
             best_val, best = val, m
-    if best is None or best_val <= tol:
+    if best is None or best_val <= FAITHFUL_TOL:
         raise NoInvariantState(
             f"no faithful invariant state (best min eigenvalue {best_val:.3e})")
     return 0.5 * (best + best.conj().T)
@@ -264,7 +259,7 @@ def find_invariant_state(action: Action, tol: float = 1e-10):
 # fixed points and conditional expectation
 # ---------------------------------------------------------------------------
 
-def fixed_point_expectation(action: Action, tol: float = DEFAULT_TOL):
+def fixed_point_expectation(action: Action):
     """Fixed-point algebra basis and the conditional expectation onto it.
 
     E = (h (x) id) alpha; verified idempotent, unital, positive on a PSD
@@ -299,10 +294,10 @@ def fixed_point_expectation(action: Action, tol: float = DEFAULT_TOL):
     # positivity on a deterministic PSD family, tested as one stack
     v = CounterRNG(9).complex_vector(6 * action.n ** 2).reshape(6, action.n, action.n)
     mask = action.unvec(action.vec(v))  # compress to N
-    ex = expectation(mask @ _adjoint(mask))
-    if (linalg.min_eig(0.5 * (ex + _adjoint(ex))) < -tol).any():
+    ex = expectation(mask @ linalg.adjoint(mask))
+    if (linalg.min_eig(0.5 * (ex + linalg.adjoint(ex))) < -DEFAULT_TOL).any():
         raise AxiomViolation("expectation fails positivity")
-    if worst > tol:
+    if worst > DEFAULT_TOL:
         raise AxiomViolation(f"expectation residual {worst:.3e}")
     return fixed_basis, expectation
 
@@ -311,7 +306,7 @@ def fixed_point_expectation(action: Action, tol: float = DEFAULT_TOL):
 # positive cone
 # ---------------------------------------------------------------------------
 
-def cone_member_test(rho_big, z_mat, tol: float = 1e-8):
+def cone_member_test(rho_big, z_mat):
     """Dual test for membership of Lambda(z) in the standard cone, for a
     matrix z or for each matrix of a stack (then an array of verdicts).
 
@@ -319,10 +314,10 @@ def cone_member_test(rho_big, z_mat, tol: float = 1e-8):
     through v |-> v^* (rho^(1/2) z^*) v, so membership means that matrix is
     Hermitian PSD within tolerance.
     """
-    k = linalg.psd_sqrt(rho_big) @ _adjoint(np.asarray(z_mat))
+    k = linalg.psd_sqrt(rho_big) @ linalg.adjoint(np.asarray(z_mat))
     scale = np.maximum(1.0, linalg.norms(k.reshape(k.shape[:-2] + (k.shape[-1] ** 2,))))
-    hermitian = linalg.hermiticity_defect(k) <= tol * scale
-    return hermitian & (linalg.min_eig(0.5 * (k + _adjoint(k))) >= -tol)
+    hermitian = linalg.hermiticity_defect(k) <= CONE_TOL * scale
+    return hermitian & (linalg.min_eig(0.5 * (k + linalg.adjoint(k))) >= -CONE_TOL)
 
 
 def _vector_functionals(g: FiniteQG, xis):
@@ -339,8 +334,7 @@ def _vector_functionals(g: FiniteQG, xis):
     return (g.mult_nz.csr(1) @ pairs).reshape(g.d, len(xis), len(xis))
 
 
-def cone_preservation_check(action: Action, xi_family, tol: float = 1e-8,
-                            trials: int = 12) -> bool:
+def cone_preservation_check(action: Action, xi_family) -> bool:
     """Check that the matrices ((omega_{xi_j, xi_i} (x) id)(U)) preserve the
     standard positive cone of M_m (x) N in M_m (x) L^2(N).
 
@@ -361,17 +355,17 @@ def cone_preservation_check(action: Action, xi_family, tol: float = 1e-8,
     u_raw = impl.c_inv @ u @ impl.c_mat
     rho_big = np.kron(np.eye(m), action.theta)
     rho_half_inv = np.kron(np.eye(m), np.linalg.inv(linalg.psd_sqrt(action.theta)))
-    v = CounterRNG(23).complex_vector(trials * m * nn).reshape(trials, m, nn)
+    v = CounterRNG(23).complex_vector(CONE_TRIALS * m * nn).reshape(CONE_TRIALS, m, nn)
     # X = v v^* inside M_m (x) N via the compressed coordinates: the blocks
     # x_i of v stacked in a column, X = [x_i x_j^*]
-    col = action.unvec(v).reshape(trials, m * n, n)
-    z = col @ _adjoint(col) @ rho_half_inv
+    col = action.unvec(v).reshape(CONE_TRIALS, m * n, n)
+    z = col @ linalg.adjoint(col) @ rho_half_inv
     # apply u entrywise on the Lambda picture, block (i, j) at [i, j]
-    blocks = action.vec(z.reshape(trials, m, n, m, n).transpose(0, 1, 3, 2, 4))
+    blocks = action.vec(z.reshape(CONE_TRIALS, m, n, m, n).transpose(0, 1, 3, 2, 4))
     out = action.unvec(np.einsum("ijpq,tijq->tijp", u_raw, blocks))
-    images = out.transpose(0, 1, 3, 2, 4).reshape(trials, m * n, m * n)
-    verdicts = cone_member_test(rho_big, np.concatenate([z, images]), tol)
-    for element_ok, image_ok in zip(verdicts[:trials], verdicts[trials:]):
+    images = out.transpose(0, 1, 3, 2, 4).reshape(CONE_TRIALS, m * n, m * n)
+    verdicts = cone_member_test(rho_big, np.concatenate([z, images]))
+    for element_ok, image_ok in zip(verdicts[:CONE_TRIALS], verdicts[CONE_TRIALS:]):
         if not element_ok:
             raise AxiomViolation("generated element fails the cone test")
         if not image_ok:
@@ -397,7 +391,7 @@ def action_from_corep(v: Corep) -> Action:
     return Action(g, [k], alpha, invariant_state=theta)
 
 
-def v_vbar_implementation_check(v: Corep, tol: float = 1e-8):
+def v_vbar_implementation_check(v: Corep):
     """The implementation of alpha(x) = V^*(1 (x) x)V is V-topbar-V^c.
 
     Builds both corepresentations on the (dim K)^2-dimensional space and
@@ -412,15 +406,14 @@ def v_vbar_implementation_check(v: Corep, tol: float = 1e-8):
     direct = linalg.structure_sum(g.mult_nz.permuted((1, 0, 2)), v.u_coef(),
                                   contragredient(v).u_coef(), linalg.kron)
     direct_corep = corep_from_u_coef(g, direct)
-    ok, resid = unitarily_equivalent(impl.corep, direct_corep, tol)
-    return ok, resid
+    return unitarily_equivalent(impl.corep, direct_corep)
 
 
 # ---------------------------------------------------------------------------
 # spectral gap report
 # ---------------------------------------------------------------------------
 
-def spectral_gap_report(action: Action, tol: float = 1e-8):
+def spectral_gap_report(action: Action):
     """rank p^U, the Kazhdan gap on the complement, and whether p^U lies in
     the image of the dual representation; asserts the indicators agree."""
     impl = action.implement()
@@ -433,7 +426,7 @@ def spectral_gap_report(action: Action, tol: float = 1e-8):
     target = p.ravel()
     coeff, *_ = np.linalg.lstsq(basis, target, rcond=None)
     resid = float(np.linalg.norm(basis @ coeff - target))
-    member = resid < tol
+    member = resid < MEMBER_TOL
     consistent = member and (gap > 0 or rank == u.space_dim)
     if not consistent:
         raise AxiomViolation(

@@ -13,7 +13,7 @@ basis e_0..e_{d-1}, carrying
                      matrices, entries given as coefficient vectors
 
 Validation contracts every Hopf axiom, the Haar state, and the
-corepresentation calculus to Frobenius residual <= tol (default 1e-9),
+corepresentation calculus to Frobenius residual <= DEFAULT_TOL (1e-9),
 once, at construction; the residual table is kept as `residuals`.
 The dual object is the block algebra  (+)_a M_{n_a}  with the coproduct
 transported through the canonical pairing.
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from . import linalg
 from .errors import (
@@ -126,7 +125,7 @@ def coassoc_residual(c) -> float:
     x = _block_diagonal(c.permuted((1, 2, 0)).csr(2), d) @ c.csr(2)
     # (id (x) Delta)Delta: Y[(i,a),(b,k)] = sum_p c[i,a,p] c[p,b,k]
     y = c.csr(2) @ c.csr(1)
-    return float(sp.linalg.norm(_merged(_sorted(x), d) - _sorted(y)))
+    return linalg.frob(_merged(_sorted(x), d) - _sorted(y))
 
 
 def hom_residual(m, c) -> float:
@@ -149,7 +148,7 @@ def hom_residual(m, c) -> float:
     # R[(i,j,a),b] = sum_{q,s} E[(i,j,a),(q,s)] m[q,s,b]
     e = _regrouped(_digits(e, d, 3, 2), e.data, d, (1, 3, 2), (0, 4))
     r = e @ m.csr(2)
-    return float(sp.linalg.norm(_sorted(lhs) - _merged(_sorted(r), d)))
+    return linalg.frob(_sorted(lhs) - _merged(_sorted(r), d))
 
 
 def counit_residual(c, counit) -> float:
@@ -239,7 +238,7 @@ class FiniteQG:
     """
 
     def __init__(self, key, mult, unit, comult, counit, star, antipode,
-                 irreps, haar=None, basis_names=None, tol=DEFAULT_TOL):
+                 irreps, haar=None, basis_names=None):
         self.key = str(key)
         self.mult = np.asarray(mult, dtype=complex)
         self.d = self.mult.shape[0]
@@ -270,7 +269,6 @@ class FiniteQG:
             if coeff.shape != (n, n, d):
                 raise SchemaError(f"irrep coeffs must be (n,n,d), got {coeff.shape}")
             self.irreps.append(Irrep(int(n), coeff))
-        self.tol = float(tol)
         self.mult_nz = linalg.Structure(self.mult)
         self.comult_nz = linalg.Structure(self.comult)
 
@@ -293,11 +291,14 @@ class FiniteQG:
         if self.haar is None:
             self.haar = solve_haar(self)
 
+        # h(e_i e_j), which the GNS gram, the Kac check and the Schur
+        # orthogonality residual read
+        self._haar_mult = np.tensordot(self.mult, self.haar, axes=([2], [0]))
         # GNS data for the Haar state; e_i^* has coefficient vector star[:, i]
-        self.gram = self.form(self.haar)  # h(e_i* e_j)
+        self.gram = self.star.T @ self._haar_mult  # h(e_i* e_j), as form(haar)
         self.gram = 0.5 * (self.gram + self.gram.conj().T)
         vals = np.linalg.eigvalsh(self.gram)
-        if vals[0] < -self.tol:
+        if vals[0] < -DEFAULT_TOL:
             raise AxiomViolation(f"haar gram not PSD: min eigenvalue {vals[0]:.3e}")
         if vals[0] < 1e-12:
             raise AxiomViolation("haar state not faithful at working precision")
@@ -311,7 +312,7 @@ class FiniteQG:
         self.residuals = self.validate()
 
         for arr in (self.mult, self.unit, self.comult, self.counit, self.star,
-                    self.antipode, self.haar, self.B, self.Binv, self.gram):
+                    self.antipode, self.haar, self._haar_mult, self.B, self.Binv, self.gram):
             arr.flags.writeable = False
 
     # -- algebra operations ------------------------------------------------
@@ -382,9 +383,6 @@ class FiniteQG:
             out.setdefault(n, []).append(off + np.arange(n * n).reshape(n, n))
         return {n: np.array(idx) for n, idx in out.items()}
 
-    def q_index(self, alpha, i, j):
-        return int(self.block_offsets[alpha] + i * self.block_dims[alpha] + j)
-
     @property
     def max_block_dim(self):
         """Low-dual certificate: the largest irrep dimension."""
@@ -405,16 +403,15 @@ class FiniteQG:
 
     def _kac_check(self):
         s2 = self.antipode @ self.antipode
-        involutive = np.linalg.norm(s2 - np.eye(self.d)) <= self.tol * self.d
-        hm = np.tensordot(self.mult, self.haar, axes=([2], [0]))
-        tracial = np.linalg.norm(hm - hm.T) <= self.tol * self.d
+        involutive = np.linalg.norm(s2 - np.eye(self.d)) <= DEFAULT_TOL * self.d
+        hm = self._haar_mult
+        tracial = np.linalg.norm(hm - hm.T) <= DEFAULT_TOL * self.d
         return bool(involutive and tracial)
 
     # -- validation ----------------------------------------------------------
 
     def validate(self):
         """Check every axiom; returns the residual table, raises on failure."""
-        tol = self.tol
         d = self.d
         m, c = self.mult_nz, self.comult_nz
         st, s = self.star, self.antipode
@@ -447,10 +444,11 @@ class FiniteQG:
         res["irrep_counit"] = self._irrep_counit_residual()
         res["schur_orthogonality"] = self._schur_residual()
 
-        bad = {k: v for k, v in res.items() if v > tol}
+        bad = {k: v for k, v in res.items() if v > DEFAULT_TOL}
         if bad:
             worst = max(bad, key=bad.get)
-            raise AxiomViolation(f"axiom '{worst}' residual {bad[worst]:.3e} > {tol:.1e}")
+            raise AxiomViolation(
+                f"axiom '{worst}' residual {bad[worst]:.3e} > {DEFAULT_TOL:.1e}")
         return res
 
     def _irrep_coproduct_residual(self):
@@ -487,8 +485,7 @@ class FiniteQG:
     def _schur_residual(self):
         # h(u_w u_v^*) = delta_{ab} delta_{ik} delta_{jl} / n_a
         x = np.einsum("pq,qv->pv", self.star, np.conj(self.B))
-        h2 = np.tensordot(self.mult, self.haar, axes=([2], [0]))
-        mwv = self.B.T @ h2 @ x
+        mwv = self.B.T @ self._haar_mult @ x
         expected = np.zeros((self.d, self.d), dtype=complex)
         for n, off in zip(self.block_dims, self.block_offsets):
             expected[off:off + n * n, off:off + n * n] = np.eye(n * n) / n
@@ -551,9 +548,8 @@ class DualBlockAlgebra:
     W_13 W_12 for W = sum_q u_q (x) e_q.
     """
 
-    def __init__(self, parent: FiniteQG, tol=None):
+    def __init__(self, parent: FiniteQG):
         self.parent = parent
-        self.tol = parent.tol if tol is None else tol
         d = parent.d
         self.blocks = list(parent.block_dims)
         self.offsets = list(parent.block_offsets)
@@ -592,17 +588,16 @@ class DualBlockAlgebra:
         return self.P.transpose(2, 1, 0)
 
     def _verify(self):
-        tol = self.tol
         c = self.P_nz.permuted((2, 1, 0))
         res = {"dual_coassociativity": coassoc_residual(c),
                "dual_homomorphism": hom_residual(self.product_nz, c),
                "dual_counit": counit_residual(self.comult_tensor(), self.counit),
                "dual_star": _permuted_star_residual(self.comult_tensor(), self.star_perm)}
-        bad = {k: v for k, v in res.items() if v > tol}
+        bad = {k: v for k, v in res.items() if v > DEFAULT_TOL}
         if bad:
             worst = max(bad, key=bad.get)
             raise AxiomViolation(
-                f"dual axiom '{worst}' residual {bad[worst]:.3e} > {tol:.1e}")
+                f"dual axiom '{worst}' residual {bad[worst]:.3e} > {DEFAULT_TOL:.1e}")
         self.residuals = res
 
 
@@ -633,7 +628,7 @@ def check_morphism(source: FiniteQG, target: FiniteQG, pi, tol=1e-9):
     return res
 
 
-def dense_image_report(source: FiniteQG, target: FiniteQG, pi, tol=1e-10):
+def dense_image_report(source: FiniteQG, target: FiniteQG, pi):
     """Four equivalent dense-image verdicts for the dualised morphism.
 
     pi : source -> target is a coproduct-intertwining unital *-homomorphism;
@@ -654,17 +649,17 @@ def dense_image_report(source: FiniteQG, target: FiniteQG, pi, tol=1e-10):
 
     # dual morphism matrix on u-coordinates: target-dual -> source-dual
     mhat = (target.Binv @ pi @ source.B).T  # (d_source, d_target)
-    cond1 = linalg.matrix_rank(mhat, tol) == d_t
+    cond1 = linalg.matrix_rank(mhat) == d_t
 
     # reduced picture: realise each image as concrete block matrices
     cols = [source.u_vec_of_blocks(source.blocks_of(mhat[:, w])) for w in range(d_t)]
-    cond2 = linalg.matrix_rank(np.array(cols).T, tol) == d_t
+    cond2 = linalg.matrix_rank(np.array(cols).T) == d_t
 
     # bicharacter slices: N[q, e] = sum_w mhat[q,w] B_target[e,w]
     n_mat = mhat @ target.B.T
-    cond3 = linalg.matrix_rank(n_mat, tol) == d_t
+    cond3 = linalg.matrix_rank(n_mat) == d_t
 
-    cond4 = linalg.matrix_rank(pi, tol) == d_t
+    cond4 = linalg.matrix_rank(pi) == d_t
 
     verdicts = (cond1, cond2, cond3, cond4)
     if len(set(verdicts)) != 1:

@@ -28,6 +28,8 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
+EQUIVALENCE_TOL = 1e-8    # unitarily_equivalent: the accepted intertwiner residual
+CONDITION_R_TOL = 1e-8    # check_condition_r: ||(R (x) j)(U) - U||
 
 
 def named_residuals(res, tol, what):
@@ -55,18 +57,18 @@ class Corep:
     Construction validates, and the residual table is kept as `residuals`.
     The derived constructors block_corep and direct_sum pass _bounds, a
     table of upper bounds on those residuals drawn from tables already
-    checked; when every bound is within tol it stands in for the table and
-    validation is skipped, otherwise validation runs as for any input.
+    checked; when every bound is within DEFAULT_TOL it stands in for the
+    table and validation is skipped, otherwise validation runs as for any
+    input.
     """
 
-    def __init__(self, parent: FiniteQG, phis, tol: float = DEFAULT_TOL, *, _bounds=None):
+    def __init__(self, parent: FiniteQG, phis, *, _bounds=None):
         self.parent = parent
         self.phis = np.asarray(phis, dtype=complex)  # (d, N, N), index q
         if self.phis.ndim != 3 or self.phis.shape[0] != parent.d:
             raise AxiomViolation(f"phi data must be (d, N, N), got {self.phis.shape}")
         self.space_dim = self.phis.shape[1]
-        self.tol = tol
-        if _bounds is not None and max(_bounds.values()) <= tol:
+        if _bounds is not None and max(_bounds.values()) <= DEFAULT_TOL:
             self.residuals = _bounds
         else:
             self.residuals = self.validate()
@@ -110,7 +112,7 @@ class Corep:
         # U^* U = 1: sum_{i,j} (e_i^* e_j)[k] U_i^dag U_j = unit_k 1
         acc = linalg.structure_sum(g.star_mult_nz, np.conj(uc.transpose(0, 2, 1)), uc)
         res["unitary"] = linalg.max_frob(acc - g.unit[:, None, None] * eye)
-        return named_residuals(res, self.tol, "corep")
+        return named_residuals(res, DEFAULT_TOL, "corep")
 
     # -- invariant vectors -----------------------------------------------------
 
@@ -122,9 +124,8 @@ class Corep:
         """
         g = self.parent
         p = np.tensordot(g.haar, self.u_coef(), axes=([0], [0]))
-        tol = self.tol
-        if (np.linalg.norm(p @ p - p) > tol or
-                np.linalg.norm(p - p.conj().T) > tol):
+        if (np.linalg.norm(p @ p - p) > DEFAULT_TOL or
+                np.linalg.norm(p - p.conj().T) > DEFAULT_TOL):
             raise AxiomViolation("averaged operator is not an orthogonal projection")
         eps = g.dual().counit
         stack = np.vstack([self.phis[q] - eps[q] * np.eye(self.space_dim)
@@ -220,7 +221,7 @@ def regular_corep(parent: FiniteQG) -> Corep:
 # tensor product and contragredient
 # ---------------------------------------------------------------------------
 
-def tensor(u: Corep, v: Corep, oracle_tol: float = DEFAULT_TOL) -> Corep:
+def tensor(u: Corep, v: Corep) -> Corep:
     """Tensor product corep on H_u (x) H_v.
 
     Primary route: phi = (phi_u (x) phi_v) o flip o dual_comult.  Verified
@@ -233,7 +234,7 @@ def tensor(u: Corep, v: Corep, oracle_tol: float = DEFAULT_TOL) -> Corep:
     out = Corep(g, linalg.structure_sum(g.dual().P_nz, u.phis, v.phis, linalg.kron))
     # oracle: coefficient tensor of U_12 V_13
     direct = linalg.structure_sum(g.mult_nz, u.u_coef(), v.u_coef(), linalg.kron)
-    if float(np.linalg.norm(direct - out.u_coef())) > oracle_tol:
+    if float(np.linalg.norm(direct - out.u_coef())) > DEFAULT_TOL:
         raise OracleMismatch("tensor legs and dual-coproduct routes disagree")
     return out
 
@@ -261,7 +262,7 @@ def intertwiners(u: Corep, v: Corep):
     return linalg.solve_intertwiner(list(u.phis), list(v.phis))
 
 
-def unitarily_equivalent(u: Corep, v: Corep, tol: float = 1e-8):
+def unitarily_equivalent(u: Corep, v: Corep):
     """Search the intertwiner space for a unitary; returns (bool, residual).
 
     A generic invertible intertwiner T yields a unitary one through its
@@ -290,7 +291,7 @@ def unitarily_equivalent(u: Corep, v: Corep, tol: float = 1e-8):
         # would sum in another order
         resid = max(resid, float(max(map(np.linalg.norm, v.phis @ w - w @ u.phis))))
         best = min(best, resid)
-        if best <= tol:
+        if best <= EQUIVALENCE_TOL:
             return True, best
     return False, best
 
@@ -299,7 +300,7 @@ def unitarily_equivalent(u: Corep, v: Corep, tol: float = 1e-8):
 # spectral quantities
 # ---------------------------------------------------------------------------
 
-def kazhdan_gap(u: Corep, q_elements, tol: float = DEFAULT_TOL):
+def kazhdan_gap(u: Corep, q_elements):
     """min over unit xi orthogonal to the invariant subspace of
     max_{x in Q} ||phi(x) xi - dual_counit(x) xi||.
 
@@ -344,8 +345,7 @@ def is_weakly_mixing(u: Corep) -> bool:
 # GNS construction and condition-R
 # ---------------------------------------------------------------------------
 
-def gns(parent: FiniteQG, dual_state, tol: float = DEFAULT_TOL,
-        rank_tol: float = 1e-10):
+def gns(parent: FiniteQG, dual_state):
     """GNS corep of a state on the dual block algebra.
 
     dual_state: u-coordinate vector w with w_q = mu(e_q); positivity means
@@ -368,7 +368,7 @@ def gns(parent: FiniteQG, dual_state, tol: float = DEFAULT_TOL,
             # <e_ij, e_kl> = delta_ik w^a_{jl}
             span = slice(off + i * n, off + (i + 1) * n)
             gram[span, span] = blocks[a]
-    f = linalg.psd_factor_vectors(gram, rank_tol)  # rows = Lambda(e_q)
+    f = linalg.psd_factor_vectors(gram)  # rows = Lambda(e_q)
     r = f.shape[1]
     pinv_ft = np.linalg.pinv(f.T)
 
@@ -384,7 +384,7 @@ def gns(parent: FiniteQG, dual_state, tol: float = DEFAULT_TOL,
     # state recovery check
     for q in range(d):
         val = omega.conj() @ phis[q] @ omega
-        if abs(val - w[q]) > tol:
+        if abs(val - w[q]) > DEFAULT_TOL:
             raise OracleMismatch(f"GNS state mismatch at unit {q}: {abs(val - w[q]):.3e}")
 
     j_mat = None
@@ -407,7 +407,7 @@ def gns(parent: FiniteQG, dual_state, tol: float = DEFAULT_TOL,
     return corep, omega, j_mat
 
 
-def check_condition_r(u: Corep, j_conj, tol: float = 1e-8) -> bool:
+def check_condition_r(u: Corep, j_conj) -> bool:
     """(R (x) j)(U) = U for j(x) = J x^* J, with J xi = j_conj conj(xi)."""
     j_conj = np.asarray(j_conj, dtype=complex)
     if np.linalg.norm(j_conj @ np.conj(j_conj) - np.eye(u.space_dim)) > 1e-9:
@@ -418,4 +418,4 @@ def check_condition_r(u: Corep, j_conj, tol: float = 1e-8) -> bool:
     jx = np.einsum("ab,ibc,cd->iad", j_conj, np.transpose(uc, (0, 2, 1)),
                    np.conj(j_conj))
     lhs = np.tensordot(g.antipode, jx, axes=([1], [0]))
-    return float(np.linalg.norm(lhs - uc)) <= tol
+    return float(np.linalg.norm(lhs - uc)) <= CONDITION_R_TOL

@@ -28,6 +28,8 @@ from .errors import (
 # a field operator's storage, a dense (d, total, total) family or a dense
 # (total, total) matrix.  Checked before the allocation.
 BYTE_BUDGET = 32 * 2 ** 20
+FOLD_TOL = 1e-9     # lift_rep: the two folds of a topbar power
+DEFECT_TOL = 1e-9   # asymptotic_invariance_experiment: action vs corep defect
 
 
 def _reserve(nbytes, what):
@@ -264,7 +266,7 @@ def compatibility_residual(fock: TruncatedFock, u: Corep) -> float:
     return worst
 
 
-def lift_rep(fock: TruncatedFock, u: Corep, tol: float = 1e-9) -> LiftedRep:
+def lift_rep(fock: TruncatedFock, u: Corep) -> LiftedRep:
     """Lift a corep on K to the truncated Fock space, degreewise.
 
     Requires the compatibility of U with the involution T (for Kac parents
@@ -294,7 +296,7 @@ def lift_rep(fock: TruncatedFock, u: Corep, tol: float = 1e-9) -> LiftedRep:
             cur = _kron_sum(mt, uc, ushape, cur, (dp, dp))
             alt = _kron_sum(mt, alt, (dp, dp), uc, ushape)
             # two independent groupings of the same leg product
-            if linalg.frob(cur - alt) > tol:
+            if linalg.frob(cur - alt) > FOLD_TOL:
                 raise AxiomViolation("topbar power folds disagree")
         dim = k ** n
         p, a, b, v = _entries(cur, dim)
@@ -407,18 +409,6 @@ class InducedAction:
             g.mult, ax.reshape((g.d * total, total)), _hstack(ax, total, total))
         return linalg.frob(axx - prod)
 
-    def action_equation_residual(self, x):
-        """(Delta (x) id) alpha_U(x) = (id (x) alpha_U) alpha_U(x)."""
-        g = self.parent
-        total = self.fock.total_dim
-        ax = self._alpha(x, self.prodstar)
-        worst = 0.0
-        for j in range(g.d):
-            rhs = self._alpha(ax[[j]].reshape((total, total)), self.prodstar)
-            lhs = sparse.csr_array(g.comult[:, j, :].T) @ ax
-            worst = max(worst, linalg.frob(lhs - rhs))
-        return worst
-
 
 def induced_action(lifted: LiftedRep) -> InducedAction:
     return InducedAction(lifted)
@@ -429,7 +419,7 @@ def induced_action(lifted: LiftedRep) -> InducedAction:
 # ---------------------------------------------------------------------------
 
 def asymptotic_invariance_experiment(fock: TruncatedFock, u: Corep,
-                                     zetas, omega_coeffs, tol: float = 1e-9):
+                                     zetas, omega_coeffs):
     """Trace-zero, norm-one elements whose action defect matches the corep
     defect, exhibiting asymptotically invariant families.
 
@@ -461,7 +451,7 @@ def asymptotic_invariance_experiment(fock: TruncatedFock, u: Corep,
         corep_defect = float(np.linalg.norm(u_om @ zeta - zeta))
         lhs_vec = act.averaged_vector(om, s_op, vac)
         action_defect = float(np.linalg.norm(lhs_vec - s_op @ vac))
-        if abs(action_defect - corep_defect) > tol:
+        if abs(action_defect - corep_defect) > DEFECT_TOL:
             raise AxiomViolation(
                 f"defect mismatch: action {action_defect:.3e} vs "
                 f"corep {corep_defect:.3e}")

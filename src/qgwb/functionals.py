@@ -37,6 +37,8 @@ from .windows import GroupDualWindow
 
 SERIES_TERM_TOL = 1e-15
 SERIES_MAX_TERMS = 60
+STATE_TOL = 1e-9      # the state checks and conv_exp_semigroup's semigroup law
+CENTRAL_TOL = 1e-10   # ||a - tr(a)/n I|| of a central block
 
 
 class Functional:
@@ -135,19 +137,6 @@ def sharp(mu: Functional) -> Functional:
     return Functional(mu.parent, np.conj(mu.parent.antipode.T @ mu.coeffs))
 
 
-def antipode_adjoint(mu: Functional) -> Functional:
-    """The functional whose block form is the blockwise adjoint of mu's.
-
-    Equals the adjoint of mu o S; on Kac parents positivity is preserved.
-    """
-    if mu.is_window:
-        return Functional(mu.parent, np.conj(mu.coeffs))
-    g = mu.parent
-    # nu(e_i) = conj(mu(S(e_i^*)))
-    mat = g.antipode @ g.star
-    return Functional(g, np.conj(mat.T @ mu.coeffs))
-
-
 # -- convolution --------------------------------------------------------------
 
 def convolve(mu: Functional, nu: Functional) -> Functional:
@@ -199,7 +188,7 @@ def is_state(mu: Functional, tol: float = 1e-9) -> bool:
 class PDElement:
     """Normalised positive-definite element of the dual, as a block tuple."""
 
-    def __init__(self, parent, blocks, central_tol=1e-10):
+    def __init__(self, parent, blocks):
         self.parent = parent
         if isinstance(parent, GroupDualWindow):
             self.values = np.asarray(blocks, dtype=complex)
@@ -208,7 +197,7 @@ class PDElement:
         else:
             self.blocks = [np.asarray(b, dtype=complex) for b in blocks]
             self.central = all(
-                np.linalg.norm(b - np.trace(b) / b.shape[0] * np.eye(b.shape[0])) <= central_tol
+                np.linalg.norm(b - np.trace(b) / b.shape[0] * np.eye(b.shape[0])) <= CENTRAL_TOL
                 for b in self.blocks)
 
     def functional(self) -> Functional:
@@ -216,46 +205,17 @@ class PDElement:
             return Functional(self.parent, self.values)
         return from_blocks(self.parent, self.blocks)
 
-    def gauge_norm(self) -> float:
-        """max_a || a^a - I ||, the norm distance to the unit."""
-        return max(linalg.opnorm(b - np.eye(b.shape[0])) for b in self.blocks)
 
-    def gauge_strict(self, window) -> float:
-        """Same, but only over a finite set of block indices."""
-        return max(linalg.opnorm(self.blocks[a] - np.eye(self.blocks[a].shape[0]))
-                   for a in window)
-
-    def adjoint_blocks(self):
-        return [b.conj().T for b in self.blocks]
-
-
-def pd_element(mu: Functional, tol: float = 1e-9) -> PDElement:
+def pd_element(mu: Functional) -> PDElement:
     """The normalised positive-definite element attached to a state."""
-    if not is_state(mu, tol):
+    if not is_state(mu, STATE_TOL):
         raise NotAState("pd_element needs a positive normalised functional")
     if mu.is_window:
         return PDElement(mu.parent, mu.coeffs)
     return PDElement(mu.parent, mu.blocks())
 
 
-def re_transform(a: PDElement, tol: float = 1e-9) -> PDElement:
-    """(a + a^*)/2, again normalised positive-definite."""
-    parent = a.parent
-    if isinstance(parent, GroupDualWindow):
-        mu = a.functional()
-        nu = antipode_adjoint(mu)
-        half = 0.5 * (mu + nu)
-        if not is_state(half, tol):
-            raise PositivityLost("real part is not positive-definite")
-        return PDElement(parent, half.coeffs)
-    blocks = [0.5 * (b + bs) for b, bs in zip(a.blocks, a.adjoint_blocks())]
-    out = PDElement(parent, blocks)
-    if not is_state(out.functional(), tol):
-        raise PositivityLost("real part is not positive-definite")
-    return out
-
-
-def exp_transform(a: PDElement, tol: float = 1e-9) -> PDElement:
+def exp_transform(a: PDElement) -> PDElement:
     """exp(a - 1) blockwise; verified against the convolution series."""
     parent = a.parent
     mu = a.functional()
@@ -274,22 +234,21 @@ def exp_transform(a: PDElement, tol: float = 1e-9) -> PDElement:
         if resid > 1e-9:
             raise SeriesDivergence(f"series route residual {resid:.3e}")
         out = PDElement(parent, direct)
-    if not is_state(out.functional(), tol):
+    if not is_state(out.functional(), STATE_TOL):
         raise PositivityLost("exponential is not positive-definite")
     return out
 
 
 # -- convolution exponentials -----------------------------------------------------
 
-def exp_star(l: Functional, max_terms: int = SERIES_MAX_TERMS,
-             term_tol: float = SERIES_TERM_TOL) -> Functional:
+def exp_star(l: Functional) -> Functional:
     """exp_*(l) = sum_k l^{*k} / k!, adaptive truncation."""
     out = counit_functional(l.parent)
     term = counit_functional(l.parent)
-    for k in range(1, max_terms + 1):
+    for k in range(1, SERIES_MAX_TERMS + 1):
         term = convolve(term, l) * (1.0 / k)
         out = out + term
-        if term.block_norm() < term_tol:
+        if term.block_norm() < SERIES_TERM_TOL:
             break
     return out
 
@@ -316,12 +275,22 @@ def semigroup_state(l: Functional, t):
     return states[0] if times.ndim == 0 else states
 
 
-def conv_exp_semigroup(l, t_grid, check: bool = True, tol: float = 1e-9):
+def semigroup_law_residuals(l: Functional, times, states):
+    """max |mu_s * mu_t - mu_{s+t}| over the coefficients, for each pair
+    (s, t) of the grid times in row-major order; states are the mu_t."""
+    pairs = [(i, j) for i in range(len(times)) for j in range(len(times))]
+    sums = semigroup_state(l, [times[i] + times[j] for i, j in pairs])
+    return [((i, j), float(np.max(np.abs(convolve(states[i], states[j]).coeffs
+                                         - direct.coeffs))))
+            for (i, j), direct in zip(pairs, sums)]
+
+
+def conv_exp_semigroup(l, t_grid):
     """The convolution semigroup mu_t = exp_*(-t l) on a grid of times.
 
-    l may be a Functional or a validated GenFunctional.  With check=True the
-    generating property is (re)validated, each mu_t is confirmed to be a
-    state, and the semigroup law mu_s * mu_t = mu_{s+t} is spot-checked on
+    l may be a Functional or a validated GenFunctional.  The generating
+    property of a plain Functional is validated, each mu_t is confirmed to
+    be a state, and the semigroup law mu_s * mu_t = mu_{s+t} is checked on
     the grid.
     """
     from .genfun import validate_generating  # deferred: genfun imports us
@@ -329,24 +298,19 @@ def conv_exp_semigroup(l, t_grid, check: bool = True, tol: float = 1e-9):
         lf = l.base
     else:
         lf = l
-        if check:
-            validate_generating(lf)
+        validate_generating(lf)
     times = [float(t) for t in t_grid]
     out = semigroup_state(lf, times)
-    if check:
-        for t, mu_t in zip(t_grid, out):
-            if abs(t) < 1e-14:
-                eps = counit_functional(lf.parent)
-                if np.max(np.abs(mu_t.coeffs - eps.coeffs)) > tol:
-                    raise SeriesDivergence("mu_0 differs from the counit")
-            if not is_state(mu_t, tol):
-                raise NotAState(f"semigroup member at t={t} is not a state")
-    if check and len(times) >= 2:
-        pairs = [(i, j) for i in range(len(times)) for j in range(len(times))]
-        sums = semigroup_state(lf, [times[i] + times[j] for i, j in pairs])
-        for (i, j), direct in zip(pairs, sums):
-            prod = convolve(out[i], out[j])
-            if np.max(np.abs(prod.coeffs - direct.coeffs)) > tol:
+    for t, mu_t in zip(t_grid, out):
+        if abs(t) < 1e-14:
+            eps = counit_functional(lf.parent)
+            if np.max(np.abs(mu_t.coeffs - eps.coeffs)) > STATE_TOL:
+                raise SeriesDivergence("mu_0 differs from the counit")
+        if not is_state(mu_t, STATE_TOL):
+            raise NotAState(f"semigroup member at t={t} is not a state")
+    if len(times) >= 2:
+        for (i, j), resid in semigroup_law_residuals(lf, times, out):
+            if resid > STATE_TOL:
                 raise SeriesDivergence(
                     f"semigroup law fails at s={t_grid[i]}, t={t_grid[j]}")
     return out

@@ -37,6 +37,11 @@ from .windows import GroupDualWindow
 
 CND_TOL = 1e-9
 FLAG_TOL = 1e-10
+TRIPLE_TOL = 1e-8         # the Schurmann triple's cocycle rule residual
+TRIPLE_FORM_TOL = 1e-10   # triple forms: route agreement and Hermiticity
+PAIR_NORM_TOL = 1e-9      # pair bounds: |<zeta, zeta> - 1|
+MAX_STAGES = 40           # stages of the unbounded-generator growth
+SEARCH_LIMIT = 10 ** 7    # largest doubling integer searched for witnesses
 
 
 @dataclass
@@ -65,8 +70,7 @@ def cnd_gram(l: Functional, sub_radius=None):
     return -l.parent.form(l.coeffs, sub_radius)
 
 
-def validate_generating(l: Functional, tol: float = CND_TOL,
-                        sub_radius=None) -> GenFunctional:
+def validate_generating(l: Functional, sub_radius=None) -> GenFunctional:
     """Check the generating-functional axioms and compute structure flags."""
     parent = l.parent
     # vanishing at the unit
@@ -83,10 +87,10 @@ def validate_generating(l: Functional, tol: float = CND_TOL,
     kmat = np.array(linalg.null_space(counit.reshape(1, -1))).T
     comp = kmat.conj().T @ gram @ kmat
     herm = 0.5 * (comp + comp.conj().T)
-    if np.linalg.norm(comp - herm) > tol * max(1.0, np.linalg.norm(comp)):
+    if np.linalg.norm(comp - herm) > CND_TOL * max(1.0, np.linalg.norm(comp)):
         raise NotCND("restricted form is not Hermitian")
     vals, vecs = linalg.hermitian_eig(herm)
-    if vals[0] < -tol:
+    if vals[0] < -CND_TOL:
         witness = kmat @ vecs[:, 0]
         raise NotCND(f"negative-definiteness fails: form value {-vals[0]:.3e}",
                      witness=witness)
@@ -113,7 +117,7 @@ def validate_generating(l: Functional, tol: float = CND_TOL,
 class SchurmannTriple:
     """Representation rho and cocycle c reconstructing the generator."""
 
-    def __init__(self, gen: GenFunctional, tol: float = 1e-8):
+    def __init__(self, gen: GenFunctional):
         self.gen = gen
         parent = gen.parent
         l = gen.base
@@ -134,12 +138,12 @@ class SchurmannTriple:
         if isinstance(parent, GroupDualWindow):
             self.basis = parent.elements[:nb]
             self.rhos = None
-            self._verify_window_rule(tol)
+            self._verify_window_rule()
         else:
             self.basis = list(range(nb))
             c_products = self.cocycle(parent.mult)  # c(b_p b_q)
             self._build_rho(c_products)
-            self._verify(tol, c_products)
+            self._verify(c_products)
         if gen.s_invariant:
             imag = float(np.max(np.abs(self.cocycle_gram.imag)))
             if imag > 1e-8:
@@ -165,7 +169,7 @@ class SchurmannTriple:
                              self.rhos.reshape(len(self.rhos), -1))
         return flat.reshape(flat.shape[:-1] + self.rhos.shape[1:])
 
-    def _verify_window_rule(self, tol):
+    def _verify_window_rule(self):
         """Gram-level cocycle rule on windows.
 
         The rule c(bd) = rho(b)c(d) + c(b) with rho(b) unitary is, at the
@@ -188,18 +192,18 @@ class SchurmannTriple:
             shifted = f[bd[d]] - f[b]  # c(bd) - c(b)
             lhs = linalg.vdots(shifted[:, None], shifted[None, :])
             worst = max(worst, float(np.abs(lhs - rhs[np.ix_(d, d)]).max()))
-        if worst > tol:
+        if worst > TRIPLE_TOL:
             raise GramNotPSD(f"window cocycle rule residual {worst:.3e}")
         self.cocycle_rule_residual = worst
 
-    def _verify(self, tol, c_products):
+    def _verify(self, c_products):
         # cocycle rule residual on basis pairs:
         # c(bd) = rho(b) c(d) + eps(d) c(b)
         f = self.cocycle_vectors
         rhs = (linalg.rowmul(f, self.rhos[:, None].swapaxes(-1, -2))
                + self._parent.counit[:, None] * f[:, None, :])
         worst = float(linalg.norms(c_products - rhs).max())
-        if worst > tol:
+        if worst > TRIPLE_TOL:
             raise GramNotPSD(f"cocycle rule residual {worst:.3e}")
         self.cocycle_rule_residual = worst
         # defining identity residual: the gram is [<c(e_i), c(e_j)>]
@@ -224,8 +228,7 @@ def _require_central_kac(gen: GenFunctional):
 
 
 def triple_form_matrices(gen: GenFunctional, alpha, beta, gammas,
-                         triple: SchurmannTriple | None = None,
-                         tol: float = 1e-10):
+                         triple: SchurmannTriple | None = None):
     """Hermitian matrices V[(i,j,k),(p,r,s)] = L((u^a_ip)^* u^g_jr u^b_ks).
 
     Primary route: the cocycle expansion
@@ -242,7 +245,7 @@ def triple_form_matrices(gen: GenFunctional, alpha, beta, gammas,
     _require_central_kac(gen)
     parent = gen.parent
     if isinstance(parent, GroupDualWindow):
-        return _window_triple_forms(gen, alpha, beta, gammas, tol)
+        return _window_triple_forms(gen, alpha, beta, gammas)
     if triple is None:
         triple = SchurmannTriple(gen)
     cvals = gen.central_values
@@ -252,11 +255,11 @@ def triple_form_matrices(gen: GenFunctional, alpha, beta, gammas,
             gammas, _triple_forms_cocycle(parent, triple, cvals, alpha, gammas, beta),
             _triple_forms_direct(parent, gen.base, alpha, gammas, beta)):
         entry_resid = float(np.max(np.abs(v_primary - v_direct)))
-        if entry_resid > tol:
+        if entry_resid > TRIPLE_FORM_TOL:
             raise GramNotPSD(
                 f"triple-form routes disagree by {entry_resid:.3e} at gamma={gamma}")
         herm = float(np.linalg.norm(v_direct - v_direct.conj().T))
-        if herm > tol:
+        if herm > TRIPLE_FORM_TOL:
             raise GramNotPSD(f"triple form not Hermitian: {herm:.3e}")
         vals = np.linalg.eigvalsh(0.5 * (v_direct + v_direct.conj().T))
         ca, cg, cb = (max(float(cvals[alpha].real), 0.0),
@@ -317,7 +320,7 @@ def _triple_forms_cocycle(parent, triple, cvals, alpha, gammas, beta):
         yield _entry_matrix(v)
 
 
-def _window_triple_forms(gen, alpha, beta, gammas, tol):
+def _window_triple_forms(gen, alpha, beta, gammas):
     w = gen.parent
     l = gen.base
     out = []
@@ -346,7 +349,7 @@ def _window_triple_forms(gen, alpha, beta, gammas, tol):
     return out
 
 
-def cocycle_norm_residual(triple: SchurmannTriple, gamma, tol: float = 1e-8):
+def cocycle_norm_residual(triple: SchurmannTriple, gamma):
     """Residual of T^*T = 2 c_g I for the cocycle block operators.
 
     T(e_j) = sum_a c(u^g_{ja}) (x) e_a and the tilde version uses
@@ -385,7 +388,7 @@ def cocycle_norm_residual(triple: SchurmannTriple, gamma, tol: float = 1e-8):
 # ---------------------------------------------------------------------------
 
 def construct_unbounded_generator(block_at, eps, eval_windows, search_labels,
-                                  k_candidates, max_stages: int = 40):
+                                  k_candidates, max_stages: int = MAX_STAGES):
     """Grow a strongly unbounded central generator from a vanishing sequence.
 
     block_at(k, label) returns the block of the k-th element at an irrep
@@ -459,8 +462,7 @@ def construct_unbounded_generator(block_at, eps, eval_windows, search_labels,
     return {"stages": stages, "generator_block": generator_block}
 
 
-def unbounded_generator_on_z(a_fn, eps, n_windows, max_stages: int = 40,
-                             search_limit: int = 10 ** 7):
+def unbounded_generator_on_z(a_fn, eps, n_windows):
     """The integer-lattice specialisation of the unbounded-generator growth.
 
     a_fn(k, m) gives the (scalar) block of the k-th positive-definite
@@ -472,12 +474,11 @@ def unbounded_generator_on_z(a_fn, eps, n_windows, max_stages: int = 40,
     windows = [list(range(-n, n + 1)) for n in range(1, n_windows + 1)]
     search = []
     m = 1
-    while m <= search_limit:
+    while m <= SEARCH_LIMIT:
         search.append(m)
         m *= 2
     k_candidates = search  # doubling candidates work for smooth families
-    report = construct_unbounded_generator(a_fn, eps, windows, search,
-                                           k_candidates, max_stages)
+    report = construct_unbounded_generator(a_fn, eps, windows, search, k_candidates)
     gen_block = report["generator_block"]
     results = []
     largest = None
@@ -498,7 +499,7 @@ def unbounded_generator_on_z(a_fn, eps, n_windows, max_stages: int = 40,
 # ---------------------------------------------------------------------------
 
 def pair_invariance_bounds(gen: GenFunctional, t: float, zeta_spec,
-                           gamma_seq, tol: float = 1e-9):
+                           gamma_seq):
     """Lower bounds forcing ||(pi_t * pi_t)(z) zeta - zeta|| away from zero.
 
     On a group-dual window with semigroup mu_t = exp(-t L):
@@ -524,7 +525,7 @@ def pair_invariance_bounds(gen: GenFunctional, t: float, zeta_spec,
             if pa is None or pb is None:
                 raise WindowTruncation("zeta gram product escapes the window")
             norm_sq += (mu_at(pa) * mu_at(pb)).real
-    if abs(norm_sq - 1.0) > tol:
+    if abs(norm_sq - 1.0) > PAIR_NORM_TOL:
         raise NotNormalized(f"zeta norm^2 = {norm_sq:.6f}")
 
     bounds = []

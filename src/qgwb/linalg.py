@@ -30,18 +30,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
-from .errors import DimensionMismatch, NotHermitian
+from .errors import DimensionMismatch, GramNotPSD, NotHermitian
 
-HERM_RTOL = 1e-9
-
-
-def as_complex_matrix(m) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise DimensionMismatch("matrix entries must be finite")
-    return m
+HERM_RTOL = 1e-9   # the Hermiticity gate, relative to max(1, ||m||_F)
+RANK_TOL = 1e-10   # singular values and eigenvalues below this, relative, count as 0
 
 
 def frob(m) -> float:
@@ -106,7 +98,7 @@ def _one_matrix(m):
     return m
 
 
-def _adjoint(m):
+def adjoint(m):
     """The conjugate transpose of a matrix or of each matrix of a stack."""
     return np.conj(m).swapaxes(-1, -2)
 
@@ -119,52 +111,52 @@ def _frobs(m):
 def hermiticity_defect(m):
     """||m - m^*||_F: a float for a matrix, an array for a stack."""
     m = require_square(m)
-    defect = _frobs(m - _adjoint(m))
+    defect = _frobs(m - adjoint(m))
     return float(defect) if m.ndim == 2 else defect
 
 
-def _hermitian(m, rtol):
+def _hermitian(m):
     """Per matrix of the validated stack m, whether its defect is within
-    rtol * max(1, ||m||_F), with the defects and scales."""
-    defect, scale = _frobs(m - _adjoint(m)), np.maximum(1.0, _frobs(m))
-    return defect <= rtol * scale, defect, scale
+    HERM_RTOL * max(1, ||m||_F), with the defects and scales."""
+    defect, scale = _frobs(m - adjoint(m)), np.maximum(1.0, _frobs(m))
+    return defect <= HERM_RTOL * scale, defect, scale
 
 
-def require_hermitian(m, rtol: float = HERM_RTOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """The symmetrised matrix (or stack), once every matrix passes the
     Hermiticity gate; the input is validated once."""
     m = require_square(m)
-    ok, defect, scale = _hermitian(m, rtol)
+    ok, defect, scale = _hermitian(m)
     if not ok.all():
         i = np.argmin(ok)
         raise NotHermitian(f"hermiticity defect {defect.flat[i]:.3e} exceeds "
-                           f"{rtol:.1e}*{scale.flat[i]:.3e}")
+                           f"{HERM_RTOL:.1e}*{scale.flat[i]:.3e}")
     # work with the symmetrised matrix so downstream residuals are clean
-    return 0.5 * (m + _adjoint(m))
+    return 0.5 * (m + adjoint(m))
 
 
-def hermitian_eig(m, rtol: float = HERM_RTOL):
+def hermitian_eig(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvector columns).  Satisfies
     m v_k = lambda_k v_k with residual <= 1e-8 * ||m||_F and orthonormal
     columns.  Raises NotHermitian when the input fails the Hermiticity gate.
     """
-    h = require_hermitian(_one_matrix(m), rtol)
+    h = require_hermitian(_one_matrix(m))
     vals, vecs = np.linalg.eigh(h)
     return vals, vecs
 
 
-def min_eig(m, rtol: float = HERM_RTOL):
+def min_eig(m):
     """Smallest eigenvalue of a Hermitian matrix (a float), or of each
     matrix of a stack (an array)."""
-    low = np.linalg.eigvalsh(require_hermitian(m, rtol))[..., 0]
+    low = np.linalg.eigvalsh(require_hermitian(m))[..., 0]
     return float(low) if low.ndim == 0 else low
 
 
-def psd_check(m, tol: float, rtol: float = HERM_RTOL) -> bool:
-    """True iff m is Hermitian (within rtol) with min eigenvalue >= -tol."""
-    return min_eig(_one_matrix(m), rtol) >= -tol
+def psd_check(m, tol: float) -> bool:
+    """True iff m passes the Hermiticity gate with min eigenvalue >= -tol."""
+    return min_eig(_one_matrix(m)) >= -tol
 
 
 def expm(m) -> np.ndarray:
@@ -177,12 +169,12 @@ def expm(m) -> np.ndarray:
     """
     m = require_square(m)
     stack = m.reshape((int(np.prod(m.shape[:-2])),) + m.shape[-2:])
-    herm = _hermitian(stack, HERM_RTOL)[0]
+    herm = _hermitian(stack)[0]
     out = np.empty(stack.shape, dtype=complex)
     if herm.any():
         h = stack[herm]
-        vals, vecs = np.linalg.eigh(0.5 * (h + _adjoint(h)))
-        out[herm] = (vecs * np.exp(vals)[:, None, :]) @ _adjoint(vecs)
+        vals, vecs = np.linalg.eigh(0.5 * (h + adjoint(h)))
+        out[herm] = (vecs * np.exp(vals)[:, None, :]) @ adjoint(vecs)
     if not herm.all():
         out[~herm] = scipy.linalg.expm(stack[~herm])
     return out.reshape(m.shape)
@@ -315,12 +307,6 @@ class Structure:
         return self._keep("sum_plan", make)
 
 
-def nonzero_rows(t, tol: float = 0.0):
-    """Per first index p of a 3-tensor, the entries (j, k, t[p, j, k]) with
-    |t[p, j, k]| > tol, as three arrays in row-major order."""
-    return Structure(t).cut(tol).rows()
-
-
 def structure_sum(c, x, y, pair=np.matmul) -> np.ndarray:
     """out[k] = sum_{i,j} c[i,j,k] pair(x[i], y[j]) over |c[i,j,k]| > 1e-16.
 
@@ -388,23 +374,19 @@ def solve_intertwiner(left_blocks, right_blocks):
 
     left_blocks act on the source space, right_blocks on the target space.
     The solution space is returned as a list of target_dim x source_dim
-    matrices spanning {T : R_k T = T L_k for all k}.
+    matrices spanning {T : R_k T = T L_k for all k}; empty when a family is.
     """
-    left_blocks = [as_complex_matrix(x) for x in left_blocks]
-    right_blocks = [as_complex_matrix(x) for x in right_blocks]
-    ns = left_blocks[0].shape[0] if left_blocks else 0
-    nt = right_blocks[0].shape[0] if right_blocks else 0
-    rows = []
-    eye_s = np.eye(ns)
-    eye_t = np.eye(nt)
-    for lk, rk in zip(left_blocks, right_blocks):
-        # row-major vec: vec(R T) = (R kron I) vec T, vec(T L) = (I kron L^T) vec T
-        rows.append(np.kron(rk, eye_s) - np.kron(eye_t, lk.T))
-    system = np.vstack(rows) if rows else np.zeros((0, nt * ns))
-    return null_space(system, (nt, ns))
+    if len(left_blocks) == 0 or len(right_blocks) == 0:
+        return []
+    left, right = require_square(left_blocks), require_square(right_blocks)
+    eye_s, eye_t = np.eye(left.shape[-1]), np.eye(right.shape[-1])
+    # row-major vec: vec(R T) = (R kron I) vec T, vec(T L) = (I kron L^T) vec T
+    system = np.concatenate([np.kron(rk, eye_s) - np.kron(eye_t, lk.T)
+                             for lk, rk in zip(left, right)])
+    return null_space(system, (len(eye_t), len(eye_s)))
 
 
-def null_space(system, shape=None, tol: float = 1e-10):
+def null_space(system, shape=None, tol: float = RANK_TOL):
     """Orthonormal basis of ker(system); optionally reshaped to matrices."""
     system = np.asarray(system, dtype=complex)
     if system.size == 0:
@@ -423,35 +405,34 @@ def null_space(system, shape=None, tol: float = 1e-10):
     return [v.reshape(shape) for v in vectors]
 
 
-def matrix_rank(m, tol: float = 1e-10) -> int:
+def matrix_rank(m) -> int:
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
     if len(s) == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > tol * max(1.0, s[0])))
+    return int(np.sum(s > RANK_TOL * max(1.0, s[0])))
 
 
-def psd_sqrt(m, rtol: float = HERM_RTOL):
+def psd_sqrt(m):
     """Positive square root of a PSD matrix (eigenvalue clipping at 0)."""
-    vals, vecs = hermitian_eig(m, rtol)
+    vals, vecs = hermitian_eig(m)
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def psd_factor_vectors(gram, tol: float = 1e-10):
+def psd_factor_vectors(gram):
     """Vectors v_1..v_n with <v_i, v_j> = gram[i, j], via eigendecomposition.
 
     Tolerates rank deficiency: the returned vectors live in C^rank.
-    Small negative eigenvalues (>= -tol relative) are clipped to zero.
+    Small negative eigenvalues (>= -RANK_TOL relative) are clipped to zero.
     """
     vals, vecs = hermitian_eig(gram)
     scale = max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
-    if len(vals) and vals[0] < -tol * scale:
-        from .errors import GramNotPSD
+    if len(vals) and vals[0] < -RANK_TOL * scale:
         raise GramNotPSD(f"gram matrix has eigenvalue {vals[0]:.3e}")
-    keep = vals > tol * scale
+    keep = vals > RANK_TOL * scale
     root = np.sqrt(vals[keep])
     # rows are the realising vectors: v_i[k] = sqrt(lam_k) * conj(V[i,k])
     return vecs[:, keep].conj() * root[None, :]

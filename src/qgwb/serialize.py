@@ -4,12 +4,16 @@ The structure-constant document is the exchange format for finite quantum
 groups: fields dim, basis, mult, unit, comult, counit, star, antipode,
 optional haar, irreps.  Sparse tensors are arrays of [i, j, k, re, im]
 rows; coefficient vectors encode complex numbers as [re, im] pairs
-(plain numbers are accepted on input).  All indices are 0-based.
+(plain numbers are accepted on input).  All indices are 0-based.  On
+input, dimensions and indices must be integers (not booleans) and numbers
+finite; anything else raises SchemaError, never a truncated or coerced
+value.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -21,11 +25,29 @@ def _c2pair(z):
     return [float(np.real(z)), float(np.imag(z))]
 
 
+def _integer(x, what):
+    """x, which must be an integer and not a bool."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise SchemaError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _real(x):
+    """x as a float; x must be an int or float, not a bool, and finite."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            if math.isfinite(x):
+                return float(x)
+        except OverflowError:   # an int past the float range
+            pass
+    raise SchemaError(f"expected a finite number, got {x!r}")
+
+
 def _pair2c(v):
-    if isinstance(v, (int, float)):
-        return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        return complex(_real(v[0]), _real(v[1]))
+    if isinstance(v, (int, float)):
+        return complex(_real(v))
     raise SchemaError(f"expected number or [re, im] pair, got {v!r}")
 
 
@@ -55,9 +77,9 @@ def _sparse_tensor(doc, key, d):
         if len(row) != 5:
             raise SchemaError(f"{key!r} rows must be [i, j, k, re, im]")
         i, j, k, re, im = row
-        if not all(0 <= int(x) < d for x in (i, j, k)):
+        if not all(0 <= _integer(x, f"{key!r} index") < d for x in (i, j, k)):
             raise SchemaError(f"{key!r} index out of range in {row!r}")
-        out[int(i), int(j), int(k)] += complex(float(re), float(im))
+        out[i, j, k] += complex(_real(re), _real(im))
     return out
 
 
@@ -67,7 +89,7 @@ def qg_from_dict(doc, key="document") -> FiniteQG:
         raise SchemaError("document must be a JSON object")
     if "dim" not in doc:
         raise SchemaError("missing field 'dim'")
-    d = int(doc["dim"])
+    d = _integer(doc["dim"], "'dim'")
     if d < 1:
         raise SchemaError("dim must be positive")
     basis = doc.get("basis", [f"e{i}" for i in range(d)])
@@ -84,7 +106,7 @@ def qg_from_dict(doc, key="document") -> FiniteQG:
     for rec in doc["irreps"]:
         if "dim" not in rec or "matrix" not in rec:
             raise SchemaError("irrep records need 'dim' and 'matrix'")
-        n = int(rec["dim"])
+        n = _integer(rec["dim"], "irrep 'dim'")
         mat = rec["matrix"]
         if len(mat) != n or any(len(r) != n for r in mat):
             raise SchemaError("irrep matrix must be n x n of coefficient vectors")

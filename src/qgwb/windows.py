@@ -174,11 +174,11 @@ class GroupDualWindow:
 # constructors
 # ---------------------------------------------------------------------------
 
-def _ball(key, identity, gens, product, length, inv, radius, cap):
+def _ball(key, identity, gens, product, length, inv, radius):
     """The radius ball of a group, grown one sphere at a time by right
     multiplication with the generators; its `mul` is `product` cut to the
-    ball (by `GroupDualWindow.mul`).  Raises RadiusTooLarge beyond `cap`
-    elements."""
+    ball (by `GroupDualWindow.mul`).  Raises RadiusTooLarge beyond
+    ELEMENT_CAP elements."""
     elements, seen, start = [identity], {identity}, 0
     for _ in range(radius):
         frontier, start = elements[start:], len(elements)
@@ -188,8 +188,9 @@ def _ball(key, identity, gens, product, length, inv, radius, cap):
                 if t not in seen and length(t) == length(w) + 1:
                     seen.add(t)
                     elements.append(t)
-                    if len(elements) > cap:
-                        raise RadiusTooLarge(f"{key} radius {radius} exceeds cap {cap}")
+                    if len(elements) > ELEMENT_CAP:
+                        raise RadiusTooLarge(
+                            f"{key} radius {radius} exceeds cap {ELEMENT_CAP}")
     return GroupDualWindow(f"{key} r={radius}", elements, [length(t) for t in elements],
                            inv, product, radius)
 
@@ -205,14 +206,14 @@ def _free_product(a, b):
     return tuple(out)
 
 
-def _build_free(k, radius, cap):
+def _build_free(k, radius):
     letters = list(range(1, k + 1)) + list(range(-1, -k - 1, -1))
     return _ball(f"free({k})", (), [(x,) for x in letters],
                  _free_product, len,
-                 lambda w: tuple(-x for x in reversed(w)), radius, cap)
+                 lambda w: tuple(-x for x in reversed(w)), radius)
 
 
-def _build_zpow(d, m, radius, cap):
+def _build_zpow(d, m, radius):
     """Window in (Z_d)^m for d >= 2, or Z^m for d = 1."""
     def norm(t):
         return tuple(x % d for x in t) if d >= 2 else t
@@ -223,7 +224,7 @@ def _build_zpow(d, m, radius, cap):
     gens = [tuple(sgn if j == i else 0 for j in range(m)) for i in range(m) for sgn in (1, -1)]
     return _ball(f"Z({d})^{m}" if m > 1 else f"Z({d})", (0,) * m, gens,
                  lambda a, b: norm(tuple(p + q for p, q in zip(a, b))), length,
-                 lambda t: norm(tuple(-x for x in t)), radius, cap)
+                 lambda t: norm(tuple(-x for x in t)), radius)
 
 
 def _build_custom(table, radius):
@@ -238,7 +239,7 @@ def _build_custom(table, radius):
 _LEAST_ARGS = {"free": (1,), "Z": (1, 1), "cyclic": (2,)}
 
 
-def build_window(group, radius, cap=ELEMENT_CAP):
+def build_window(group, radius):
     """Build a GroupDualWindow.
 
     group: ("free", k) | ("Z", d, m) | ("cyclic", N) | ("custom", table)
@@ -258,9 +259,9 @@ def build_window(group, radius, cap=ELEMENT_CAP):
     if len(args) != len(least) or any(x < lo for x, lo in zip(args, least)):
         raise SchemaError(f"{kind} group arguments {args} out of range (least {least})")
     if kind == "free":
-        return _build_free(args[0], radius, cap)
+        return _build_free(args[0], radius)
     d, m = args if kind == "Z" else (args[0], 1)
-    return _build_zpow(d, m, radius, cap)
+    return _build_zpow(d, m, radius)
 
 
 def _parse_group_spec(s):

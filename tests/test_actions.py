@@ -231,7 +231,8 @@ def test_cone_violated_by_scrambled_unitary(grading):
         for i in range(2):
             for j in range(2):
                 zij = z[i * n:(i + 1) * n, j * n:(j + 1) * n]
-                wv = grading.unvec(impl.c_inv @ (u[i][j] @ impl.lambda_vec(zij)))
+                lam = impl.c_mat @ grading.vec(zij)     # Lambda(zij)
+                wv = grading.unvec(impl.c_inv @ (u[i][j] @ lam))
                 z_out[i * n:(i + 1) * n, j * n:(j + 1) * n] = wv
         if not actions.cone_member_test(np.kron(np.eye(2), grading.theta), z_out):
             violated = True
@@ -313,7 +314,7 @@ def test_asymptotic_invariance_bridge(grading):
                 om = np.eye(g.d)[omega_idx]
                 avg = sum(om[k] * grading.leg(k, x) for k in range(g.d))
                 delta = max(delta, np.linalg.norm(avg - g.unit[omega_idx] * x))
-        vec = impl.lambda_vec(x)
+        vec = impl.c_mat @ grading.vec(x)
         vec = vec / np.linalg.norm(vec)
         defect = u.defect(vec, coreps.dual_matrix_units(g))
         # fixed-point elements have defect 0
@@ -321,7 +322,7 @@ def test_asymptotic_invariance_bridge(grading):
             assert defect < 1e-9
     # exact bridge on a fixed point
     fixed, _ = actions.fixed_point_expectation(grading)
-    vec = impl.lambda_vec(fixed[0])
+    vec = impl.c_mat @ grading.vec(fixed[0])
     vec = vec / np.linalg.norm(vec)
     assert u.defect(vec, coreps.dual_matrix_units(g)) < 1e-9
 
@@ -363,7 +364,7 @@ def test_quantitative_asymptotic_bridge(grading):
             avg = grading.leg(i, x)
             action_defect = max(action_defect,
                                 np.linalg.norm(avg - g.unit[i] * x, 2))
-        vec = impl.lambda_vec(x)
+        vec = impl.c_mat @ grading.vec(x)
         scale = np.linalg.norm(vec)
         defect = u.defect(vec / scale, coreps.dual_matrix_units(g))
         assert defect * scale <= 2 * g.d * c_const * action_defect + 1e-12
@@ -463,8 +464,8 @@ def test_cone_check_matches_the_per_trial_loop(name, monkeypatch):
     recorded = []
     real = actions.cone_member_test
 
-    def recording(rho_big, z, tol=1e-8):
-        out = real(rho_big, z, tol)
+    def recording(rho_big, z):
+        out = real(rho_big, z)
         recorded.append(out)
         return out
     monkeypatch.setattr(actions, "cone_member_test", recording)
@@ -497,7 +498,7 @@ def test_stacked_cone_member_test_matches_each_matrix(grading):
     # a trial's element comes before its own image
     (("image", 4, "element", 4), "raise")])
 def test_cone_check_reports_the_first_failure_in_trial_order(grading, monkeypatch, fail, outcome):
-    def failing(rho_big, z, tol=1e-8):
+    def failing(rho_big, z):
         verdicts = np.ones(len(z), dtype=bool)
         spec = fail or ()
         for kind, trial in zip(spec[::2], spec[1::2]):

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -340,3 +342,40 @@ def test_readme_lists_every_experiment_with_its_parents_and_parameters():
         kinds = re.sub(r"`\w+`", "", listed[name])
         assert {kind for label, kind in labels.items() if label in kinds} == set(takes), name
         assert set(params) == set().union(*takes.values()), name
+
+
+@pytest.mark.parametrize("path,value", [
+    (("dim",), 2.7),
+    (("dim",), "2"),
+    (("irreps", 0, "dim"), 1.9),
+    (("mult", 1, 0), 0.5),
+    (("mult", 1, 0), True),
+    (("mult", 0, 3), float("nan")),
+    (("haar", 0, 0), float("nan")),
+    (("haar", 1, 0), 10 ** 400),
+    (("star", 0, 0, 0), float("inf")),
+], ids=["dim-float", "dim-string", "irrep-dim-float", "index-float", "index-bool",
+        "mult-nan", "haar-nan", "haar-huge-int", "star-infinity"])
+def test_malformed_document_exits_2(tmp_path, path, value):
+    # json writes and reads the NaN and Infinity literals
+    from qgwb import presets as P
+    from qgwb.serialize import qg_to_dict
+    doc = qg_to_dict(P.load_preset("fn-Z(2)"))
+    *outer, last = path
+    target = doc
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    code, report = run(tmp_path, {"name": "x", "preset": str(tmp_path / "doc.json"),
+                                  "experiment": "axioms"})
+    assert (code, report) == (2, None)
+    assert not (tmp_path / "x.report.json").exists()
+
+
+def test_importing_the_cli_leaves_out_scipy_sparse_linalg():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, qgwb.cli; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

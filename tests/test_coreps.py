@@ -106,8 +106,9 @@ def _diagonal_units_shifted():
     g, phis = _kp_phis()
     h = np.zeros((3, 3), dtype=complex)
     h[1, 1], h[1, 2], h[2, 1] = 0.1, 0.05, 0.05
-    phis[g.q_index(4, 0, 0)] += h
-    phis[g.q_index(4, 1, 1)] -= h
+    off = g.block_offsets[4]     # the 2-dim block: e_ij at off + 2 i + j
+    phis[off] += h
+    phis[off + 3] -= h
     return g, phis
 
 
@@ -117,7 +118,7 @@ def _block_transposed():
     g, phis = _kp_phis()
     for i in range(2):
         for j in range(2):
-            q = g.q_index(4, i, j)
+            q = g.block_offsets[4] + 2 * i + j
             phis[q, 1:, 1:] = phis[q, 1:, 1:].T.copy()
     return g, phis
 

@@ -319,22 +319,6 @@ def test_trace_check_memory_stays_on_the_word_prefix():
     assert peak < 16 * 2 ** 20
 
 
-def test_action_equation_on_generated_algebra():
-    g = presets.load_preset("fn-S3")
-    sig = coreps.block_corep(g, 2)
-    f = fock.TruncatedFock(2, 4)
-    act = fock.induced_action(fock.lift_rep(f, sig))
-    s = f.s_operator(np.array([1.0, 0.0]))
-    assert act.action_equation_residual(s) < 1e-8
-    assert act.action_equation_residual(s @ s) < 1e-8
-    g2 = presets.load_preset("dual-Z(2)")
-    sign = coreps.block_corep(g2, 1)
-    f2 = fock.TruncatedFock(1, 4)
-    act2 = fock.induced_action(fock.lift_rep(f2, sign))
-    s2 = f2.s_operator(np.array([1.0]))
-    assert act2.action_equation_residual(s2) < 1e-10
-
-
 # -- sparse storage and the byte budget ------------------------------------------------
 
 def test_creation_sparse_matches_dense_loop():

@@ -338,7 +338,7 @@ def per_entry_structure_sum(c, x, y, pair):
     nonzero c[i, j, k] in row-major order."""
     probe = pair(x[0], y[0])
     out = np.zeros((c.shape[2],) + probe.shape, dtype=np.result_type(c, probe))
-    for i, (js, ks, w) in enumerate(linalg.nonzero_rows(c, 1e-16)):
+    for i, (js, ks, w) in enumerate(linalg.Structure(c).cut(1e-16).rows()):
         js = js.tolist()
         need, prods = set(js), {}
         for lo in js:
