@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from ._rng import CounterRNG
-from .core import FiniteQG
+from .core import DEFAULT_TOL, FiniteQG
 from .coreps import Corep, check_condition_r, contragredient, corep_from_u_coef, \
     dual_matrix_units, kazhdan_gap, named_residuals, unitarily_equivalent
 from .errors import (
@@ -36,7 +36,6 @@ from .errors import (
     SchemaError,
 )
 
-DEFAULT_TOL = 1e-9
 FAITHFUL_TOL = 1e-10      # find_invariant_state: the least accepted min eigenvalue
 CONE_TOL = 1e-8           # cone_member_test: Hermiticity and PSD slack
 CONE_TRIALS = 12          # cone_preservation_check: generated elements tested

@@ -256,7 +256,8 @@ class FiniteQG:
         self.antipode = np.asarray(antipode, dtype=complex)
         if self.antipode.shape != (d, d):
             raise SchemaError(f"antipode must be (d,d), got {self.antipode.shape}")
-        self.basis_names = list(basis_names) if basis_names else [f"e{i}" for i in range(d)]
+        self.basis_names = ([f"e{i}" for i in range(d)] if basis_names is None
+                            else list(basis_names))
         if len(self.basis_names) != d:
             raise SchemaError("basis names length mismatch")
         self.irreps = []
@@ -552,7 +553,6 @@ class DualBlockAlgebra:
         self.parent = parent
         d = parent.d
         self.blocks = list(parent.block_dims)
-        self.offsets = list(parent.block_offsets)
 
         b, binv = parent.B, parent.Binv
         self.P = _u_product(parent)       # its d^3 temporaries go before _verify
@@ -564,7 +564,7 @@ class DualBlockAlgebra:
         # block product e_q e_r = e_s for r = (a,j,k), s = (a,i,k)
         sizes = np.array(self.blocks)
         n = np.repeat(sizes, sizes ** 2)
-        off = np.repeat(self.offsets, sizes ** 2)
+        off = np.repeat(parent.block_offsets, sizes ** 2)
         i, j = np.divmod(np.arange(d) - off, n)
         self.unit = (i == j).astype(float)
         self.star_perm = off + j * n + i
@@ -575,7 +575,6 @@ class DualBlockAlgebra:
             np.ones(q.size, dtype=complex))
         s_u = binv @ parent.antipode @ b
         self.antipode = s_u.T                             # matrix on u-coords
-        self.unitary_antipode = self.antipode             # Kac: R-hat = S-hat
 
         self._verify()
 

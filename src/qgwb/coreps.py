@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .core import FiniteQG
+from .core import DEFAULT_TOL, FiniteQG
 from .errors import (
     AxiomViolation,
     EmptyQ,
@@ -27,7 +27,6 @@ from .errors import (
     ParentMismatch,
 )
 
-DEFAULT_TOL = 1e-9
 EQUIVALENCE_TOL = 1e-8    # unitarily_equivalent: the accepted intertwiner residual
 CONDITION_R_TOL = 1e-8    # check_condition_r: ||(R (x) j)(U) - U||
 
@@ -389,7 +388,7 @@ def gns(parent: FiniteQG, dual_state):
 
     j_mat = None
     dual = g.dual()
-    rhat = dual.unitary_antipode
+    rhat = dual.antipode                    # Kac: R-hat = S-hat
     perm = dual.star_perm
     # R-hat invariance: mu(Rhat(x)) = mu(x) on the basis
     rw = rhat.T @ w

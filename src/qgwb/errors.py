@@ -58,14 +58,6 @@ class NotAState(QGWBError):
     pass
 
 
-class PositivityLost(QGWBError):
-    pass
-
-
-class SeriesDivergence(QGWBError):
-    pass
-
-
 class NotGenerating(QGWBError):
     pass
 

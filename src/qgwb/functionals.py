@@ -13,11 +13,12 @@ and positivity need no branch on the parent kind: the dimension `d`, the
 [mu(b_i^* b_j)] whose PSD-ness is positivity (on a window, the Bochner
 gram over the half-radius sub-window).
 
-`semigroup_state` takes one time or a sequence of them.  Over a FiniteQG
-it exponentiates the blocks of every time with one `linalg.expm` stack per
-block size (`FiniteQG.blocks_by_size`), each block getting the bits it
-gets alone; `conv_exp_semigroup`, `derivative_recovery` and
-`exp_transform` go through the same path.
+`semigroup_state` is the one exponential route: mu_t = exp_*(-t l) through
+the blockwise closed form.  It takes one time or a sequence of them; over a
+FiniteQG it exponentiates the blocks of every time with one `linalg.expm`
+stack per block size (`FiniteQG.blocks_by_size`), each block getting the
+bits it gets alone.  `semigroup_law_residuals` and `derivative_recovery`
+go through it.
 """
 
 from __future__ import annotations
@@ -26,19 +27,8 @@ import numpy as np
 
 from . import linalg
 from .core import FiniteQG
-from .errors import (
-    NotAState,
-    NotHermitian,
-    ParentMismatch,
-    PositivityLost,
-    SeriesDivergence,
-)
+from .errors import NotHermitian, ParentMismatch
 from .windows import GroupDualWindow
-
-SERIES_TERM_TOL = 1e-15
-SERIES_MAX_TERMS = 60
-STATE_TOL = 1e-9      # the state checks and conv_exp_semigroup's semigroup law
-CENTRAL_TOL = 1e-10   # ||a - tr(a)/n I|| of a central block
 
 
 class Functional:
@@ -71,12 +61,6 @@ class Functional:
         if self.is_window:
             return self.coeffs
         return self.parent.u_coords(self.coeffs)
-
-    def block_norm(self):
-        """Sup of the operator norms of the blocks."""
-        if self.is_window:
-            return float(np.max(np.abs(self.coeffs)))
-        return max(linalg.opnorm(b) for b in self.blocks())
 
     def at_unit(self):
         return complex(self.coeffs @ self.parent.unit)
@@ -130,13 +114,6 @@ def adjoint(mu: Functional) -> Functional:
     return Functional(mu.parent, np.conj(mu.parent.star.T @ mu.coeffs))
 
 
-def sharp(mu: Functional) -> Functional:
-    """The sharp involution conj o mu o S (exposed for test use)."""
-    if mu.is_window:
-        return adjoint(mu)
-    return Functional(mu.parent, np.conj(mu.parent.antipode.T @ mu.coeffs))
-
-
 # -- convolution --------------------------------------------------------------
 
 def convolve(mu: Functional, nu: Functional) -> Functional:
@@ -183,75 +160,7 @@ def is_state(mu: Functional, tol: float = 1e-9) -> bool:
     return abs(mu.at_unit() - 1.0) <= tol and is_positive(mu, tol)
 
 
-# -- positive-definite elements -------------------------------------------------
-
-class PDElement:
-    """Normalised positive-definite element of the dual, as a block tuple."""
-
-    def __init__(self, parent, blocks):
-        self.parent = parent
-        if isinstance(parent, GroupDualWindow):
-            self.values = np.asarray(blocks, dtype=complex)
-            self.blocks = [self.values[i].reshape(1, 1) for i in range(len(self.values))]
-            self.central = True
-        else:
-            self.blocks = [np.asarray(b, dtype=complex) for b in blocks]
-            self.central = all(
-                np.linalg.norm(b - np.trace(b) / b.shape[0] * np.eye(b.shape[0])) <= CENTRAL_TOL
-                for b in self.blocks)
-
-    def functional(self) -> Functional:
-        if isinstance(self.parent, GroupDualWindow):
-            return Functional(self.parent, self.values)
-        return from_blocks(self.parent, self.blocks)
-
-
-def pd_element(mu: Functional) -> PDElement:
-    """The normalised positive-definite element attached to a state."""
-    if not is_state(mu, STATE_TOL):
-        raise NotAState("pd_element needs a positive normalised functional")
-    if mu.is_window:
-        return PDElement(mu.parent, mu.coeffs)
-    return PDElement(mu.parent, mu.blocks())
-
-
-def exp_transform(a: PDElement) -> PDElement:
-    """exp(a - 1) blockwise; verified against the convolution series."""
-    parent = a.parent
-    mu = a.functional()
-    eps = counit_functional(parent)
-    series = exp_star(mu - eps)
-    if isinstance(parent, GroupDualWindow):
-        direct = np.exp(a.values - 1.0)
-        if np.max(np.abs(direct - series.coeffs)) > 1e-9:
-            raise SeriesDivergence("series and pointwise exponentials disagree")
-        out = PDElement(parent, direct)
-    else:
-        unit = parent.u_vec_of_blocks(np.eye(n) for n in parent.block_dims)
-        direct = parent.blocks_of(_block_expm(parent, parent.u_vec_of_blocks(a.blocks) - unit))
-        series_blocks = series.blocks()
-        resid = max(linalg.frob(x - y) for x, y in zip(direct, series_blocks))
-        if resid > 1e-9:
-            raise SeriesDivergence(f"series route residual {resid:.3e}")
-        out = PDElement(parent, direct)
-    if not is_state(out.functional(), STATE_TOL):
-        raise PositivityLost("exponential is not positive-definite")
-    return out
-
-
-# -- convolution exponentials -----------------------------------------------------
-
-def exp_star(l: Functional) -> Functional:
-    """exp_*(l) = sum_k l^{*k} / k!, adaptive truncation."""
-    out = counit_functional(l.parent)
-    term = counit_functional(l.parent)
-    for k in range(1, SERIES_MAX_TERMS + 1):
-        term = convolve(term, l) * (1.0 / k)
-        out = out + term
-        if term.block_norm() < SERIES_TERM_TOL:
-            break
-    return out
-
+# -- convolution semigroups -----------------------------------------------------
 
 def _block_expm(g: FiniteQG, u):
     """The u-coordinates of the blockwise exponential of each u-coordinate
@@ -283,37 +192,6 @@ def semigroup_law_residuals(l: Functional, times, states):
     return [((i, j), float(np.max(np.abs(convolve(states[i], states[j]).coeffs
                                          - direct.coeffs))))
             for (i, j), direct in zip(pairs, sums)]
-
-
-def conv_exp_semigroup(l, t_grid):
-    """The convolution semigroup mu_t = exp_*(-t l) on a grid of times.
-
-    l may be a Functional or a validated GenFunctional.  The generating
-    property of a plain Functional is validated, each mu_t is confirmed to
-    be a state, and the semigroup law mu_s * mu_t = mu_{s+t} is checked on
-    the grid.
-    """
-    from .genfun import validate_generating  # deferred: genfun imports us
-    if hasattr(l, "base"):
-        lf = l.base
-    else:
-        lf = l
-        validate_generating(lf)
-    times = [float(t) for t in t_grid]
-    out = semigroup_state(lf, times)
-    for t, mu_t in zip(t_grid, out):
-        if abs(t) < 1e-14:
-            eps = counit_functional(lf.parent)
-            if np.max(np.abs(mu_t.coeffs - eps.coeffs)) > STATE_TOL:
-                raise SeriesDivergence("mu_0 differs from the counit")
-        if not is_state(mu_t, STATE_TOL):
-            raise NotAState(f"semigroup member at t={t} is not a state")
-    if len(times) >= 2:
-        for (i, j), resid in semigroup_law_residuals(lf, times, out):
-            if resid > STATE_TOL:
-                raise SeriesDivergence(
-                    f"semigroup law fails at s={t_grid[i]}, t={t_grid[j]}")
-    return out
 
 
 def derivative_recovery(l, h: float, order: int = 2) -> Functional:

@@ -5,8 +5,9 @@ groups: fields dim, basis, mult, unit, comult, counit, star, antipode,
 optional haar, irreps.  Sparse tensors are arrays of [i, j, k, re, im]
 rows; coefficient vectors encode complex numbers as [re, im] pairs
 (plain numbers are accepted on input).  All indices are 0-based.  On
-input, dimensions and indices must be integers (not booleans) and numbers
-finite; anything else raises SchemaError, never a truncated or coerced
+input, dimensions and indices must be integers (not booleans), numbers
+finite, `name` a string and `basis` a list of dim strings (either may be
+absent); anything else raises SchemaError, never a truncated or coerced
 value.
 """
 
@@ -93,6 +94,12 @@ def qg_from_dict(doc, key="document") -> FiniteQG:
     if d < 1:
         raise SchemaError("dim must be positive")
     basis = doc.get("basis", [f"e{i}" for i in range(d)])
+    if not (isinstance(basis, list) and len(basis) == d
+            and all(isinstance(x, str) for x in basis)):
+        raise SchemaError(f"'basis' must be a list of {d} strings, got {basis!r}")
+    name = doc.get("name", key)
+    if not isinstance(name, str):
+        raise SchemaError(f"'name' must be a string, got {name!r}")
     mult = _sparse_tensor(doc, "mult", d)
     comult = _sparse_tensor(doc, "comult", d)
     unit = _vector(doc, "unit", d)
@@ -118,7 +125,7 @@ def qg_from_dict(doc, key="document") -> FiniteQG:
                     raise SchemaError("irrep coefficient vector has wrong length")
                 coeffs[i, j] = vec
         irreps.append(Irrep(n, coeffs))
-    return FiniteQG(doc.get("name", key), mult, unit, comult, counit, star,
+    return FiniteQG(name, mult, unit, comult, counit, star,
                     antipode, irreps, haar=haar, basis_names=basis)
 
 

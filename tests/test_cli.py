@@ -354,8 +354,17 @@ def test_readme_lists_every_experiment_with_its_parents_and_parameters():
     (("haar", 0, 0), float("nan")),
     (("haar", 1, 0), 10 ** 400),
     (("star", 0, 0, 0), float("inf")),
+    (("basis",), "ab"),
+    (("basis",), {"x": 1, "y": 2}),
+    (("basis",), [1, 2]),
+    (("basis",), []),
+    (("basis",), None),
+    (("name",), 5),
+    (("name",), [1]),
 ], ids=["dim-float", "dim-string", "irrep-dim-float", "index-float", "index-bool",
-        "mult-nan", "haar-nan", "haar-huge-int", "star-infinity"])
+        "mult-nan", "haar-nan", "haar-huge-int", "star-infinity", "basis-string",
+        "basis-object", "basis-numbers", "basis-empty", "basis-null", "name-number",
+        "name-list"])
 def test_malformed_document_exits_2(tmp_path, path, value):
     # json writes and reads the NaN and Infinity literals
     from qgwb import presets as P
@@ -371,6 +380,20 @@ def test_malformed_document_exits_2(tmp_path, path, value):
                                   "experiment": "axioms"})
     assert (code, report) == (2, None)
     assert not (tmp_path / "x.report.json").exists()
+
+
+def test_document_basis_and_name_are_kept_or_defaulted(tmp_path):
+    from qgwb import presets as P
+    from qgwb.serialize import load_qg, qg_to_dict
+    doc = qg_to_dict(P.load_preset("fn-Z(2)"))
+    doc.update(name="two points", basis=["a", "b"])
+    g = load_qg(doc)
+    assert (g.key, g.basis_names) == ("two points", ["a", "b"])
+    del doc["name"], doc["basis"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    g = load_qg(str(path))
+    assert (g.key, g.basis_names) == (str(path), ["e0", "e1"])
 
 
 def test_importing_the_cli_leaves_out_scipy_sparse_linalg():

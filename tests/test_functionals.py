@@ -5,8 +5,8 @@ from qgwb import functionals as F
 from qgwb import linalg, presets
 from qgwb._rng import CounterRNG
 from qgwb.core import FiniteQG
-from qgwb.errors import NotAState, ParentMismatch, WindowTruncation
-from qgwb.genfun import cnd_gram
+from qgwb.errors import ParentMismatch, WindowTruncation
+from qgwb.genfun import cnd_gram, validate_generating
 from qgwb.windows import build_window
 
 
@@ -178,72 +178,78 @@ def test_window_counit_unit_and_at_unit():
     assert F.counit_functional(w).at_unit() == 1.0
 
 
-# -- positive-definite elements ---------------------------------------------
+# -- block forms -------------------------------------------------------------
 
-def test_pd_element_of_counit_is_unit():
+def test_counit_blocks_are_identities():
     g = presets.load_preset("kac-paljutkin")
-    a = F.pd_element(F.counit_functional(g))
-    for b, n in zip(a.blocks, g.block_dims):
+    for b, n in zip(F.counit_functional(g).blocks(), g.block_dims):
         assert linalg.opnorm(b - np.eye(n)) < 1e-12
 
 
-def test_pd_element_dual_z_fourier_coefficients():
+def test_state_blocks_on_dual_z4_are_bounded_by_one():
     g = presets.load_preset("dual-Z(4)")
-    mu = rand_state(g, 30)
-    a = F.pd_element(mu)
+    blocks = rand_state(g, 30).blocks()
     # Fourier coefficients of a state are bounded by 1
-    for b in a.blocks:
+    for b in blocks:
         assert abs(b[0, 0]) <= 1 + 1e-12
-    assert abs(a.blocks[0][0, 0] - 1.0) < 1e-12  # normalisation at the unit
+    assert abs(blocks[0][0, 0] - 1.0) < 1e-12  # normalisation at the unit
+    assert not F.is_state(rand_functional(g, 31))
 
 
-def test_pd_element_rejects_non_state():
-    g = presets.load_preset("dual-Z(4)")
-    with pytest.raises(NotAState):
-        F.pd_element(rand_functional(g, 31))
-
-
-def test_pd_element_intertwines_convolution():
-    g = presets.load_preset("kac-paljutkin")
-    mu, nu = rand_state(g, 32), rand_state(g, 33)
-    a = F.pd_element(F.convolve(mu, nu))
-    b1, b2 = F.pd_element(mu), F.pd_element(nu)
-    prods = [x @ y for x, y in zip(b1.blocks, b2.blocks)]
-    resid = max(np.linalg.norm(x - y) for x, y in zip(a.blocks, prods))
-    assert resid < 1e-10
-
-
-def test_central_pd_element_on_kac_paljutkin():
+def test_central_state_blocks_on_kac_paljutkin():
     g = presets.load_preset("kac-paljutkin")
     # convex combination of haar and counit is central on every block
     mu = 0.5 * F.haar_functional(g) + 0.5 * F.counit_functional(g)
-    a = F.pd_element(mu)
-    assert a.central
-    for b in a.blocks:
+    assert F.is_state(mu)
+    for b in mu.blocks():
+        n = b.shape[0]
+        assert np.linalg.norm(b - np.trace(b) / n * np.eye(n)) <= 1e-10
         assert abs(b[0, 0]) <= 1 + 1e-12
 
 
-def test_exp_transform():
-    g = presets.load_preset("dual-Z(2)")
-    a = F.pd_element(F.counit_functional(g))
-    e = F.exp_transform(a)
-    for b in a.blocks + e.blocks:
-        assert linalg.opnorm(b - np.eye(len(b))) < 1e-12
-    # a = (1, -1): exp(a - 1) = (1, e^-2)
-    chi = F.Functional(g, np.array([1.0, -1.0]))
-    e2 = F.exp_transform(F.pd_element(chi))
-    assert abs(e2.blocks[1][0, 0] - np.exp(-2.0)) < 1e-10
-    # outputs are PSD blockwise
-    for b in e2.blocks:
-        assert b[0, 0].real >= -1e-12
+def test_adjoint_on_dual_z4_reads_inverses():
+    # on a group algebra the adjoint reads conjugate values at inverses
+    g = presets.load_preset("dual-Z(4)")
+    mu = F.Functional(g, CounterRNG(71).complex_vector(4))
+    bar = F.adjoint(mu)
+    for j in range(4):
+        assert abs(bar.coeffs[j] - np.conj(mu.coeffs[(-j) % 4])) < 1e-12
+    assert np.max(np.abs(F.adjoint(bar).coeffs - mu.coeffs)) < 1e-12
 
 
 # -- convolution semigroups ----------------------------------------------------
 
+def _checked_semigroup(lf, times):
+    """The members mu_t of the semigroup of lf on the grid, after checking
+    that lf is generating, that each mu_t is a state, that mu_0 is the
+    counit and that mu_s * mu_t = mu_{s+t} on the grid, within 1e-9."""
+    validate_generating(lf)
+    states = F.semigroup_state(lf, times)
+    eps = F.counit_functional(lf.parent)
+    for t, mu in zip(times, states):
+        assert F.is_state(mu)
+        if t == 0.0:
+            assert np.max(np.abs(mu.coeffs - eps.coeffs)) <= 1e-9
+    assert max(r for _, r in F.semigroup_law_residuals(lf, times, states)) <= 1e-9
+    return states
+
+
+def _exp_star_series(l, max_terms=60):
+    """exp_*(l) = sum_k l^{*k} / k!, summed until a term's coefficients fall
+    below 1e-16: the series oracle of semigroup_state's closed form."""
+    out = term = F.counit_functional(l.parent)
+    for k in range(1, max_terms + 1):
+        term = F.convolve(term, l) * (1.0 / k)
+        out = out + term
+        if np.max(np.abs(term.coeffs)) < 1e-16:
+            return out
+    raise AssertionError(f"the series has not converged after {max_terms} terms")
+
+
 def test_semigroup_of_zero_generator():
     g = presets.load_preset("kac-paljutkin")
     zero = F.Functional(g, np.zeros(g.d))
-    states = F.conv_exp_semigroup(zero, [0.0, 0.5, 2.0])
+    states = _checked_semigroup(zero, [0.0, 0.5, 2.0])
     eps = F.counit_functional(g)
     for s in states:
         assert np.max(np.abs(s.coeffs - eps.coeffs)) < 1e-12
@@ -252,11 +258,22 @@ def test_semigroup_of_zero_generator():
 def test_semigroup_on_window_word_length():
     w = build_window("Z(1)", 6)
     wl = F.Functional(w, np.array([float(w.length(g)) for g in w.elements]))
-    states = F.conv_exp_semigroup(wl, [0.1, 1.0, 10.0])
+    states = _checked_semigroup(wl, [0.1, 1.0, 10.0])
     mu1 = states[1]
     two = w.index[(2,)]
     assert abs(mu1.coeffs[two] - np.exp(-2.0)) < 1e-12
     assert abs(np.exp(-2.0) - 0.135335) < 1e-6
+
+
+def test_semigroup_of_dual_z2_character():
+    g = presets.load_preset("dual-Z(2)")
+    # a = (1, -1): exp(a - 1) = (1, e^-2), and mu_1 is a state
+    chi = F.Functional(g, np.array([1.0, -1.0]))
+    e = F.semigroup_state(F.counit_functional(g) - chi, 1.0)
+    blocks = e.blocks()
+    assert abs(blocks[0][0, 0] - 1.0) < 1e-12
+    assert abs(blocks[1][0, 0] - np.exp(-2.0)) < 1e-10
+    assert F.is_state(e)
 
 
 def test_semigroup_central_on_kac_paljutkin():
@@ -266,7 +283,7 @@ def test_semigroup_central_on_kac_paljutkin():
     lf = F.from_blocks(g, blocks)
     for t in (0.1, 1.0):
         mu_t = F.semigroup_state(lf, t)
-        series = F.exp_star(-t * lf)
+        series = _exp_star_series(-t * lf)
         assert np.max(np.abs(mu_t.coeffs - series.coeffs)) < 1e-10
         for a, b in enumerate(mu_t.blocks()):
             n = g.block_dims[a]
@@ -278,22 +295,7 @@ def test_semigroup_state_property_on_grid(name):
     g = presets.load_preset(name)
     mu = rand_state(g, 40)
     lf = 2.0 * (F.counit_functional(g) - mu)
-    states = F.conv_exp_semigroup(lf, [0.0, 0.1, 1.0, 10.0])
-    for s in states:
-        assert F.is_state(s)
-
-
-def test_sharp_involution():
-    # on a group algebra the sharp involution reads values at inverses
-    g = presets.load_preset("dual-Z(4)")
-    rng = CounterRNG(71)
-    mu = F.Functional(g, rng.complex_vector(4))
-    sh = F.sharp(mu)
-    for j in range(4):
-        assert abs(sh.coeffs[j] - np.conj(mu.coeffs[(-j) % 4])) < 1e-12
-    # involutive
-    back = F.sharp(sh)
-    assert np.max(np.abs(back.coeffs - mu.coeffs)) < 1e-12
+    _checked_semigroup(lf, [0.0, 0.1, 1.0, 10.0])
 
 
 def test_conv_exp_semigroup_full_grid_presets_and_window():
@@ -301,12 +303,10 @@ def test_conv_exp_semigroup_full_grid_presets_and_window():
         g = presets.load_preset(name)
         mu = F.vector_state(g, CounterRNG(5).unit_vector(g.d))
         lf = 1.5 * (F.counit_functional(g) - mu)
-        states = F.conv_exp_semigroup(lf, [0.0, 0.1, 1.0, 10.0])
-        assert all(F.is_state(s) for s in states)
+        _checked_semigroup(lf, [0.0, 0.1, 1.0, 10.0])
     w = build_window("Z(1)", 6)
     wl = F.Functional(w, np.array([float(w.length(x)) for x in w.elements]))
-    states = F.conv_exp_semigroup(wl, [0.0, 0.1, 1.0, 10.0])
-    assert all(F.is_state(s) for s in states)
+    _checked_semigroup(wl, [0.0, 0.1, 1.0, 10.0])
 
 
 # -- stacked semigroup path ------------------------------------------------------
@@ -332,13 +332,16 @@ def _semigroup_generator(parent, seed=0):
     return F.Functional(parent, parent.lengths)
 
 
+def _parent(name):
+    if name.startswith("window:"):
+        spec, radius = name[len("window:"):].split(" r=")
+        return build_window(spec, int(radius))
+    return presets.load_preset(name)
+
+
 @pytest.mark.parametrize("name", QG_PRESETS + ["window:free(2) r=4"])
 def test_semigroup_state_over_times_is_bit_identical(name):
-    if name.startswith("window:"):
-        parent = build_window("free(2)", 4)
-    else:
-        parent = presets.load_preset(name)
-    lf = _semigroup_generator(parent)
+    lf = _semigroup_generator(_parent(name))
     times = GRID + [s + t for s in GRID for t in GRID] + [1e-4, 5e-5]
     states = F.semigroup_state(lf, times)
     assert len(states) == len(times)
@@ -349,14 +352,22 @@ def test_semigroup_state_over_times_is_bit_identical(name):
     assert F.semigroup_state(lf, []) == []
 
 
-def test_exp_transform_blocks_match_each_block_alone():
-    g = presets.load_preset("kac-paljutkin")
-    # the real part (a + a^*)/2 of a state's element
-    state = F.pd_element(F.vector_state(g, CounterRNG(8).unit_vector(g.d)))
-    a = F.PDElement(g, [0.5 * (b + b.conj().T) for b in state.blocks])
-    e = F.exp_transform(a)
-    for b, out in zip(a.blocks, e.blocks):
-        assert np.array_equal(out, linalg.expm(b - np.eye(b.shape[0])))
+SERIES_PARENTS = ["kac-paljutkin", "fn-S3", "dual-Z(6)", "window:Z(1) r=6"]
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0])
+@pytest.mark.parametrize("name", SERIES_PARENTS)
+def test_semigroup_state_matches_the_series(name, t):
+    lf = _semigroup_generator(_parent(name))
+    series = _exp_star_series(-t * lf)
+    assert np.max(np.abs(F.semigroup_state(lf, t).coeffs - series.coeffs)) < 1e-10
+
+
+@pytest.mark.parametrize("name", SERIES_PARENTS)
+def test_semigroup_state_at_zero_is_the_counit(name):
+    parent = _parent(name)
+    mu_0 = F.semigroup_state(_semigroup_generator(parent), 0.0)
+    assert np.max(np.abs(mu_0.coeffs - F.counit_functional(parent).coeffs)) < 1e-12
 
 
 def _is_positive_reference(mu, tol=1e-9):
