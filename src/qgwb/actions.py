@@ -36,17 +36,17 @@ from .errors import (
     SchemaError,
 )
 
-FAITHFUL_TOL = 1e-10      # find_invariant_state: the least accepted min eigenvalue
 CONE_TOL = 1e-8           # cone_member_test: Hermiticity and PSD slack
 CONE_TRIALS = 12          # cone_preservation_check: generated elements tested
 MEMBER_TOL = 1e-8         # spectral_gap_report: least-squares residual of p in the image
 
 
 class Action:
-    """alpha : N -> A (x) N with N = (+)_i M_{n_i} inside M_n."""
+    """alpha : N -> A (x) N with N = (+)_i M_{n_i} inside M_n, given with
+    its faithful invariant state theta (a density matrix on M_n)."""
 
     def __init__(self, parent: FiniteQG, block_pattern, alpha_tensor,
-                 invariant_state=None):
+                 invariant_state):
         self.parent = parent
         self.block_pattern = [int(b) for b in block_pattern]
         self.n = sum(self.block_pattern)
@@ -63,10 +63,7 @@ class Action:
         self.basis.flags.writeable = False
         # images[i, a, b, q] = alpha_i(e_q)[a, b]
         self.images = self.alpha[..., self.rows, self.cols]
-        if invariant_state is not None:
-            self.theta = np.asarray(invariant_state, dtype=complex)
-        else:
-            self.theta = find_invariant_state(self)
+        self.theta = np.asarray(invariant_state, dtype=complex)
         self.validate()
         self._impl = None
 
@@ -75,9 +72,6 @@ class Action:
     def apply(self, x):
         """alpha(x) as the coefficient family (alpha_i(x))_i; x may be a stack."""
         return np.einsum("iabcd,...cd->...iab", self.alpha, np.asarray(x, dtype=complex))
-
-    def leg(self, i, x):
-        return np.einsum("abcd,cd->ab", self.alpha[i], np.asarray(x, dtype=complex))
 
     # -- validation ------------------------------------------------------------
 
@@ -209,49 +203,6 @@ class Implementation:
         L^2(N, theta), orthonormal coords."""
         raw = np.tensordot(self.action.vec(x), self.left_raw, axes=([-1], [0]))
         return self.c_mat @ raw @ self.c_inv
-
-
-# ---------------------------------------------------------------------------
-# invariant state search
-# ---------------------------------------------------------------------------
-
-def find_invariant_state(action: Action):
-    """Solve the invariance system and search its affine section for a
-    strictly positive density matrix."""
-    g = action.parent
-    n = action.n
-    # unknown rho (selfadjoint): equations Tr(rho alpha_i(x)) = Tr(rho x) unit_i,
-    # one row per (q, i)
-    system = (action.images.transpose(3, 0, 2, 1)
-              - g.unit[:, None, None] * action.basis.transpose(0, 2, 1)[:, None])
-    sols = linalg.null_space(system.reshape(-1, n * n), tol=1e-12)
-    candidates = []
-    for v in sols:
-        m = v.reshape(n, n)
-        for h in (0.5 * (m + m.conj().T), 0.5j * (m - m.conj().T)):
-            if np.linalg.norm(h) > 1e-12:
-                candidates.append(h / np.linalg.norm(h))
-    if not candidates:
-        raise NoInvariantState("invariance system has no selfadjoint solution")
-    # normalise and hunt for a strictly positive combination
-    best, best_val = None, -np.inf
-    rng = CounterRNG(3)
-    trials = [np.ones(len(candidates))]
-    for _ in range(200):
-        trials.append(np.array([rng.normal() for _ in candidates]))
-    for t in trials:
-        m = sum(c * cand for c, cand in zip(t, candidates))
-        tr = np.trace(m).real
-        if abs(tr) < 1e-9:
-            continue
-        m = m / tr
-        val = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-        if val > best_val:
-            best_val, best = val, m
-    if best is None or best_val <= FAITHFUL_TOL:
-        raise NoInvariantState(
-            f"no faithful invariant state (best min eigenvalue {best_val:.3e})")
-    return 0.5 * (best + best.conj().T)
 
 
 # ---------------------------------------------------------------------------

@@ -520,7 +520,7 @@ def solve_haar(g: FiniteQG):
         raise HaarNotFound("invariant functional is degenerate at the unit")
     h = h / norm
     # state check
-    if not linalg.psd_check(g.form(h), 1e-9):
+    if not linalg.psd_check(g.form(h)):
         raise HaarNotFound("bi-invariant functional is not positive")
     return h
 

@@ -29,6 +29,7 @@ from .errors import (
 
 EQUIVALENCE_TOL = 1e-8    # unitarily_equivalent: the accepted intertwiner residual
 CONDITION_R_TOL = 1e-8    # check_condition_r: ||(R (x) j)(U) - U||
+PROJECTION_TOL = 1e-8     # invariant_projection: averaging vs joint-eigenspace oracle
 
 
 def named_residuals(res, tol, what):
@@ -63,7 +64,8 @@ class Corep:
 
     def __init__(self, parent: FiniteQG, phis, *, _bounds=None):
         self.parent = parent
-        self.phis = np.asarray(phis, dtype=complex)  # (d, N, N), index q
+        # a private copy: read-only below, so the kept projection cannot go stale
+        self.phis = np.array(phis, dtype=complex)  # (d, N, N), index q
         if self.phis.ndim != 3 or self.phis.shape[0] != parent.d:
             raise AxiomViolation(f"phi data must be (d, N, N), got {self.phis.shape}")
         self.space_dim = self.phis.shape[1]
@@ -72,6 +74,7 @@ class Corep:
         else:
             self.residuals = self.validate()
         self.phis.flags.writeable = False
+        self._projection = None
 
     # -- assembly -----------------------------------------------------------
 
@@ -115,12 +118,16 @@ class Corep:
 
     # -- invariant vectors -----------------------------------------------------
 
-    def invariant_projection(self, oracle_tol: float = 1e-8):
+    def invariant_projection(self):
         """p = (h (x) id)(U), cross-checked against the joint eigenspace.
 
         The oracle computes ker{phi(e_q) - dual_counit(e_q) I} by brute
-        force and compares the two orthogonal projections.
+        force and compares the two orthogonal projections.  The read-only
+        result is kept after the first call; phis is read-only, so it
+        cannot go stale.
         """
+        if self._projection is not None:
+            return self._projection
         g = self.parent
         p = np.tensordot(g.haar, self.u_coef(), axes=([0], [0]))
         if (np.linalg.norm(p @ p - p) > DEFAULT_TOL or
@@ -137,10 +144,12 @@ class Corep:
             p_oracle = qmat @ qmat.conj().T
         else:
             p_oracle = np.zeros_like(p)
-        if np.linalg.norm(p - p_oracle) > oracle_tol:
+        if np.linalg.norm(p - p_oracle) > PROJECTION_TOL:
             raise OracleMismatch(
                 f"averaging and joint-eigenspace projections differ by "
                 f"{np.linalg.norm(p - p_oracle):.3e}")
+        p.flags.writeable = False
+        self._projection = p
         return p
 
     def invariant_rank(self):
@@ -355,7 +364,7 @@ def gns(parent: FiniteQG, dual_state):
     w = np.asarray(dual_state, dtype=complex).reshape(g.d)
     blocks = g.blocks_of(w)
     for b in blocks:
-        if not linalg.psd_check(b, 1e-9):
+        if not linalg.psd_check(b):
             raise NotAState("dual functional is not positive")
     if abs(sum(np.trace(b) for b in blocks) - 1.0) > 1e-9:
         raise NotAState("dual functional is not normalised")

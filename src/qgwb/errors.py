@@ -157,8 +157,4 @@ class DepthExceeded(QGWBError):
     pass
 
 
-class NotTracial(QGWBError):
-    pass
-
-
 RESOURCE_CAP_ERRORS = (WindowTruncation, DepthExceeded, StageOverflow, RadiusTooLarge)

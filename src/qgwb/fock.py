@@ -4,9 +4,9 @@ The Fock space over K = C^k truncated at depth N is
 (+)_{n=0}^{N} K^(x n), with the vacuum in degree 0.  Creation is cut hard
 at the top degree; every operation that could leak past the cutoff carries
 a degree budget and raises DepthExceeded instead of silently truncating.
-The field operators are s(zeta) = ell(zeta) + ell(T zeta)^* for a
-conjugate-linear involution T = J Q^(1/2); Q = I gives the tracial
-(free-group-factor) case used by the asymptotic-invariance experiments.
+The field operators are s(zeta) = ell(zeta) + ell(J zeta)^* for a
+conjugate-linear involution J on K: the involution T of the free Gaussian
+functor is J, the tracial (free-group-factor) case of a Kac parent.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import (
     AxiomViolation,
     CompatibilityFailed,
     DepthExceeded,
-    NotTracial,
     SchemaError,
 )
 
@@ -46,14 +45,14 @@ def _field_bytes(total):
 
 
 class TruncatedFock:
-    """(+)_{n<=N} K^(x n) with an involution T = J Q^(1/2) on K.
+    """(+)_{n<=N} K^(x n) with a conjugate-linear involution T = J on K.
 
     Basis vectors of degree n >= 1 are words: the one at local index
     letter * k^(n-1) + q is e_letter (x) (vector q of degree n-1), so
     creation maps each basis vector of degree < N to k children.
     """
 
-    def __init__(self, base_dim: int, depth: int, j_conj=None, q_mat=None):
+    def __init__(self, base_dim: int, depth: int, j_conj=None):
         self.base_dim = int(base_dim)
         self.depth = int(depth)
         if self.base_dim < 1 or self.depth < 1:
@@ -78,24 +77,8 @@ class TruncatedFock:
         self._parent = (self.degree_offsets[deg - 1] + local % below).astype(np.int32)
         self.j_conj = np.eye(k, dtype=complex) if j_conj is None else \
             np.asarray(j_conj, dtype=complex)
-        self.q_mat = np.eye(k, dtype=complex) if q_mat is None else \
-            np.asarray(q_mat, dtype=complex)
         if np.linalg.norm(self.j_conj @ np.conj(self.j_conj) - np.eye(k)) > 1e-10:
             raise AxiomViolation("J is not an involutive anti-unitary")
-        if not linalg.psd_check(self.q_mat, 0.0) or \
-                np.linalg.eigvalsh(0.5 * (self.q_mat + self.q_mat.conj().T))[0] <= 0:
-            raise AxiomViolation("Q must be positive definite")
-        # T xi = Jm conj(Q^(1/2)) conj(xi)
-        self.t_conj = self.j_conj @ np.conj(linalg.psd_sqrt(self.q_mat))
-        if np.linalg.norm(self.t_conj @ np.conj(self.t_conj) - np.eye(k)) > 1e-9:
-            raise AxiomViolation("T^2 is not the identity on K")
-
-    @property
-    def tracial(self):
-        return bool(np.linalg.norm(self.q_mat - np.eye(self.base_dim)) <= 1e-12)
-
-    def apply_t(self, zeta):
-        return self.t_conj @ np.conj(np.asarray(zeta, dtype=complex))
 
     def apply_j(self, zeta):
         return self.j_conj @ np.conj(np.asarray(zeta, dtype=complex))
@@ -123,14 +106,14 @@ class TruncatedFock:
                                    shape=(n, n))
 
     def s_operator(self, zeta):
-        """s(zeta) = ell(zeta) + ell(T zeta)^*; selfadjoint iff T zeta = zeta."""
+        """s(zeta) = ell(zeta) + ell(J zeta)^*; selfadjoint iff J zeta = zeta."""
         zeta = np.asarray(zeta, dtype=complex).reshape(self.base_dim)
         n = self.total_dim
         child = np.arange(1, n, dtype=np.int32)
         rows = np.concatenate([child, self._parent])
         cols = np.concatenate([self._parent, child])
         vals = np.concatenate([zeta[self._letter],
-                               np.conj(self.apply_t(zeta)[self._letter])])
+                               np.conj(self.apply_j(zeta)[self._letter])])
         return linalg.SparseMatrix((vals, (rows, cols)), shape=(n, n))
 
     def _s_rows(self, zetas):
@@ -141,9 +124,9 @@ class TruncatedFock:
         n = self.total_dim
         child = np.arange(1, n)
         flat = np.concatenate([child * n + self._parent, self._parent * n + child])
-        t_zetas = linalg.rowmul(np.conj(zetas), self.t_conj.T)     # T zeta_w
+        j_zetas = linalg.rowmul(np.conj(zetas), self.j_conj.T)     # J zeta_w
         vals = np.concatenate([zetas[:, self._letter],
-                               np.conj(t_zetas[:, self._letter])], axis=1)
+                               np.conj(j_zetas[:, self._letter])], axis=1)
         order = np.argsort(flat)
         return sparse.csr_array(
             (vals[:, order].ravel(), np.tile(flat[order], len(zetas)),
@@ -252,16 +235,16 @@ class LiftedRep:
 
 
 def compatibility_residual(fock: TruncatedFock, u: Corep) -> float:
-    """Residual of (omega (x) id)(U^*) T <= T (omega-bar (x) id)(U^*)."""
+    """Residual of (omega (x) id)(U^*) J <= J (omega-bar (x) id)(U^*)."""
     g = u.parent
     uc = u.u_coef()
     # U^* = sum_k e_k (x) W_k
     w = np.einsum("ki,iba->kab", g.star, np.conj(uc))
     worst = 0.0
-    tm = fock.t_conj
+    jm = fock.j_conj
     for i in range(g.d):
-        lhs = w[i] @ tm
-        rhs = tm @ np.conj(np.tensordot(g.star[i], w, axes=([0], [0])))
+        lhs = w[i] @ jm
+        rhs = jm @ np.conj(np.tensordot(g.star[i], w, axes=([0], [0])))
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
 
@@ -269,8 +252,8 @@ def compatibility_residual(fock: TruncatedFock, u: Corep) -> float:
 def lift_rep(fock: TruncatedFock, u: Corep) -> LiftedRep:
     """Lift a corep on K to the truncated Fock space, degreewise.
 
-    Requires the compatibility of U with the involution T (for Kac parents
-    and Q = I this is the conjugation symmetry).  The degree-n block is the
+    Requires the compatibility of U with the involution J (for Kac parents
+    this is the conjugation symmetry).  The degree-n block is the
     n-fold product U_{1(n+1)} ... U_{12}; the recursion is cross-checked
     against folding from the other end.
     """
@@ -429,8 +412,6 @@ def asymptotic_invariance_experiment(fock: TruncatedFock, u: Corep,
     ||[(omega (x) id) alpha_U(s(zeta)) - s(zeta)] Omega||; the two defects
     agree through the generator intertwining identity.
     """
-    if not fock.tracial:
-        raise NotTracial("the experiment needs Q = I")
     lifted = lift_rep(fock, u)
     act = InducedAction(lifted)
     g = u.parent
@@ -474,8 +455,6 @@ def trace_check(fock: TruncatedFock, words):
     stack, each letter applied once per step to the words that carry it,
     and the values of all word pairs of two lengths come from one vdots.
     """
-    if not fock.tracial:
-        raise NotTracial("vacuum traciality needs Q = I")
     if 2 * max(map(len, words), default=0) > fock.depth:
         raise DepthExceeded("word pair exceeds the depth budget")
     stacks = []                 # per length: (W Omega, W^* Omega) of its words

@@ -194,17 +194,11 @@ def semigroup_law_residuals(l: Functional, times, states):
             for (i, j), direct in zip(pairs, sums)]
 
 
-def derivative_recovery(l, h: float, order: int = 2) -> Functional:
-    """Recover the generator from the semigroup at step h.
-
-    order=1: (eps - mu_h)/h, error O(h).  order=2: Richardson extrapolation
-    2 D(h/2) - D(h), error O(h^2).
-    """
-    lf = l.base if hasattr(l, "base") else l
-    eps = counit_functional(lf.parent)
-    steps = [h] if order == 1 else [h, h / 2.0]
+def derivative_recovery(l: Functional, h: float) -> Functional:
+    """Recover the generator from the semigroup at step h: the Richardson
+    extrapolation 2 D(h/2) - D(h) of D(s) = (eps - mu_s)/s, error O(h^2)."""
+    eps = counit_functional(l.parent)
+    steps = [h, h / 2.0]
     diffs = [(eps - mu) * (1.0 / step)
-             for step, mu in zip(steps, semigroup_state(lf, steps))]
-    if order == 1:
-        return diffs[0]
+             for step, mu in zip(steps, semigroup_state(l, steps))]
     return 2.0 * diffs[1] - diffs[0]

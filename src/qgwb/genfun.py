@@ -120,14 +120,13 @@ class SchurmannTriple:
     def __init__(self, gen: GenFunctional):
         self.gen = gen
         parent = gen.parent
+        if isinstance(parent, GroupDualWindow):
+            raise NotCentral("Schurmann triples are built over a quantum-group parent")
         l = gen.base
         # <c(b_i), c(b_j)> = conj(L(b_i)) eps(b_j) + conj(eps(b_i)) L(b_j)
-        # - L(b_i^* b_j) over the form basis, a prefix of the parent's basis
-        star_prod = parent.form(l.coeffs)
-        nb = len(star_prod)
-        lvals, eps = l.coeffs[:nb], parent.counit[:nb]
-        gram = (np.outer(np.conj(lvals), eps) +
-                np.outer(np.conj(eps), lvals) - star_prod)
+        # - L(b_i^* b_j) over the coefficient basis
+        gram = (np.outer(np.conj(l.coeffs), parent.counit) +
+                np.outer(np.conj(parent.counit), l.coeffs) - parent.form(l.coeffs))
         self.cocycle_gram = gram
         try:
             self.cocycle_vectors = linalg.psd_factor_vectors(gram)
@@ -135,15 +134,9 @@ class SchurmannTriple:
             raise GramNotPSD(f"cocycle gram not PSD: {exc}") from exc
         self.dim = self.cocycle_vectors.shape[1]
         self._parent = parent
-        if isinstance(parent, GroupDualWindow):
-            self.basis = parent.elements[:nb]
-            self.rhos = None
-            self._verify_window_rule()
-        else:
-            self.basis = list(range(nb))
-            c_products = self.cocycle(parent.mult)  # c(b_p b_q)
-            self._build_rho(c_products)
-            self._verify(c_products)
+        c_products = self.cocycle(parent.mult)  # c(b_p b_q)
+        self._build_rho(c_products)
+        self._verify(c_products)
         if gen.s_invariant:
             imag = float(np.max(np.abs(self.cocycle_gram.imag)))
             if imag > 1e-8:
@@ -163,38 +156,9 @@ class SchurmannTriple:
 
     def rho(self, coeffs):
         """rho on a coefficient vector, or on each vector of a stack."""
-        if self.rhos is None:
-            raise WindowTruncation("window triples expose only the cocycle gram")
         flat = linalg.rowmul(np.asarray(coeffs, dtype=complex),
                              self.rhos.reshape(len(self.rhos), -1))
         return flat.reshape(flat.shape[:-1] + self.rhos.shape[1:])
-
-    def _verify_window_rule(self):
-        """Gram-level cocycle rule on windows.
-
-        The rule c(bd) = rho(b)c(d) + c(b) with rho(b) unitary is, at the
-        level of inner products, <c(bd) - c(b), c(bd') - c(b)> = <c(d), c(d')>
-        whenever the products stay inside the cocycle basis.  The basis is
-        the prefix of the form's sub-window, so bd has index diff[inv(b), d],
-        diff the form of the index vector.
-        """
-        diff = self._parent.form(np.arange(self._parent.d))
-        f = self.cocycle_vectors
-        nb = len(diff)
-        # <c(d), c(d')> on views of f (a gathered copy of its rows may round
-        # differently); one step per b, since all pairs of all b at once take
-        # nb^3 numbers (1.8 GB at free(2) r=10, nb = 485)
-        rhs = linalg.vdots(f[:, None], f[None, :])
-        worst = 0.0
-        for b in range(nb):
-            bd = diff[self._parent.inv_index[b]]
-            d = np.flatnonzero(bd < nb)
-            shifted = f[bd[d]] - f[b]  # c(bd) - c(b)
-            lhs = linalg.vdots(shifted[:, None], shifted[None, :])
-            worst = max(worst, float(np.abs(lhs - rhs[np.ix_(d, d)]).max()))
-        if worst > TRIPLE_TOL:
-            raise GramNotPSD(f"window cocycle rule residual {worst:.3e}")
-        self.cocycle_rule_residual = worst
 
     def _verify(self, c_products):
         # cocycle rule residual on basis pairs:
@@ -358,16 +322,6 @@ def cocycle_norm_residual(triple: SchurmannTriple, gamma):
     gen = triple.gen
     _require_central_kac(gen)
     parent = gen.parent
-    if isinstance(parent, GroupDualWindow):
-        # 1-dim blocks: ||c(g)||^2 = 2 L(g) and the same for the inverse;
-        # the basis is a length prefix, so it holds gamma^{-1} if it holds gamma
-        g_idx = parent.index.get(gamma, len(triple.basis))
-        if g_idx >= len(triple.basis):
-            raise WindowTruncation("gamma outside the cocycle basis window")
-        gi_idx = parent.inv_index[g_idx]
-        cg = gen.base.value(gamma).real
-        return max(abs(triple.cocycle_gram[g_idx, g_idx].real - 2.0 * cg),
-                   abs(triple.cocycle_gram[gi_idx, gi_idx].real - 2.0 * cg))
     ug = parent.irreps[gamma].coeffs
     ng = len(ug)
     cvecs = triple.cocycle(ug)
@@ -388,23 +342,21 @@ def cocycle_norm_residual(triple: SchurmannTriple, gamma):
 # ---------------------------------------------------------------------------
 
 def construct_unbounded_generator(block_at, eps, eval_windows, search_labels,
-                                  k_candidates, max_stages: int = MAX_STAGES):
+                                  k_candidates):
     """Grow a strongly unbounded central generator from a vanishing sequence.
 
     block_at(k, label) returns the block of the k-th element at an irrep
     label (a scalar or a matrix).  Stage l selects k_l with
     sup_{label in K_l} ||I - a_{k_l}|| <= eps/4^l (smallness) and a witness
     label with ||I - a_{k_l}|| >= eps (escape), then accumulates
-    L = sum_l 2^l (1 - a_{k_l}).  Stages are capped and weights guarded
-    against overflow.
+    L = sum_l 2^l (1 - a_{k_l}).  Stages are capped at MAX_STAGES and
+    weights guarded against overflow.
     """
-    if max_stages > 60:
-        raise StageOverflow("stage weights exceed double precision beyond 60")
     stages = []
     k_prev = -1
     k_list = list(k_candidates)
     search = list(search_labels)
-    n_stages = min(max_stages, len(eval_windows))
+    n_stages = min(MAX_STAGES, len(eval_windows))
 
     def gauge(k, label):
         b = np.asarray(block_at(k, label))

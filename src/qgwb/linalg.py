@@ -34,6 +34,7 @@ from .errors import DimensionMismatch, GramNotPSD, NotHermitian
 
 HERM_RTOL = 1e-9   # the Hermiticity gate, relative to max(1, ||m||_F)
 RANK_TOL = 1e-10   # singular values and eigenvalues below this, relative, count as 0
+PSD_TOL = 1e-9     # psd_check: the least accepted min eigenvalue is -PSD_TOL
 
 
 def frob(m) -> float:
@@ -154,9 +155,9 @@ def min_eig(m):
     return float(low) if low.ndim == 0 else low
 
 
-def psd_check(m, tol: float) -> bool:
-    """True iff m passes the Hermiticity gate with min eigenvalue >= -tol."""
-    return min_eig(_one_matrix(m)) >= -tol
+def psd_check(m) -> bool:
+    """True iff m passes the Hermiticity gate with min eigenvalue >= -PSD_TOL."""
+    return min_eig(_one_matrix(m)) >= -PSD_TOL
 
 
 def expm(m) -> np.ndarray:
@@ -386,7 +387,7 @@ def solve_intertwiner(left_blocks, right_blocks):
     return null_space(system, (len(eye_t), len(eye_s)))
 
 
-def null_space(system, shape=None, tol: float = RANK_TOL):
+def null_space(system, shape=None):
     """Orthonormal basis of ker(system); optionally reshaped to matrices."""
     system = np.asarray(system, dtype=complex)
     if system.size == 0:
@@ -397,7 +398,7 @@ def null_space(system, shape=None, tol: float = RANK_TOL):
         # unless the system has fewer rows than columns
         _, s, vh = np.linalg.svd(system, full_matrices=system.shape[0] < system.shape[1])
         scale = s[0] if len(s) and s[0] > 0 else 1.0
-        rank = int(np.sum(s > tol * max(1.0, scale)))
+        rank = int(np.sum(s > RANK_TOL * max(1.0, scale)))
         basis = vh[rank:].conj()
     vectors = list(basis)
     if shape is None:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qgwb import cli
+from qgwb import cli, presets
 from qgwb.errors import SchemaError
 
 
@@ -63,7 +63,7 @@ def test_reports_reproducible(tmp_path):
 
 
 def test_list_presets_contents():
-    rows = cli.list_presets_table()
+    rows = presets.preset_table()
     names = {r["name"]: r for r in rows}
     assert "kac-paljutkin" in names
     kp = names["kac-paljutkin"]
@@ -163,6 +163,11 @@ def test_main_exit_codes(tmp_path, preset, experiment, param, code, error):
     ("dual-Z(4)", "semigroup", "h=-0.001"),
     ("dual-Z(4)", "semigroup", "t_grid=[]"),       # an empty grid checks nothing
     ("free(2) r=4", "semigroup", "t_grid=[]"),
+    # json reads NaN, Infinity and 1e309 (inf) as floats; none is a finite number
+    ("free(2) r=6", "lemma74", "t=NaN"),
+    (None, "theorem69", "eps=Infinity"),
+    ("dual-Z(4)", "semigroup", "t_grid=[0.1,NaN]"),
+    ("Z(1) r=20", "semigroup", "t_grid=[1e308,1e309]"),
     # a parameter or parent the experiment never reads, rejected before any
     # parent is built (a window of radius 100000 would exit 5)
     ("fn-Z(2)", "axioms", "alhpa=1"),
@@ -206,6 +211,8 @@ def test_param_reader_rules():
                                     ({"n": 0}, 8, 1, None),
                                     ({"n": 4}, 8, 0, 4),
                                     ({"n": True}, 1.0, None, None),
+                                    ({"n": 10 ** 400}, 1.0, None, None),
+                                    ({"n": [0.1, -10 ** 400]}, [0.1], None, None),
                                     ({"n": (1, 2)}, [0.1], None, None),
                                     ({"n": []}, [0.1], None, None)]:
         with pytest.raises(SchemaError):

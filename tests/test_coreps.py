@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from qgwb import cli, coreps, presets
+from qgwb import cli, coreps, linalg, presets
 from qgwb._rng import CounterRNG
 from qgwb.errors import AxiomViolation, EmptyQ, NotAState
 
@@ -199,6 +199,23 @@ def test_trivial_projection_full():
     g = presets.load_preset("dual-Z(3)")
     c = coreps.trivial_corep(g, 3)
     assert np.allclose(c.invariant_projection(), np.eye(3))
+
+
+def test_invariant_projection_is_computed_once(monkeypatch):
+    u = coreps.regular_corep(presets.load_preset("kac-paljutkin"))
+    calls = []
+    null_space = linalg.null_space
+    monkeypatch.setattr(linalg, "null_space",
+                        lambda *args: calls.append(args) or null_space(*args))
+    first = u.invariant_projection()
+    second = u.invariant_projection()
+    assert len(calls) == 1 and np.array_equal(first, second)
+    assert not second.flags.writeable
+    # the corep copies phis, so a later write to the caller's array does not reach it
+    phis = np.array(u.phis)
+    v = coreps.Corep(u.parent, phis)
+    phis[:] = 0.0
+    assert np.array_equal(v.phis, u.phis)
 
 
 def test_sign_character_projection_zero():

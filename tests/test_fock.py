@@ -6,7 +6,7 @@ import pytest
 
 from qgwb import coreps, fock, linalg, presets
 from qgwb._rng import CounterRNG
-from qgwb.errors import CompatibilityFailed, DepthExceeded, NotTracial
+from qgwb.errors import AxiomViolation, CompatibilityFailed, DepthExceeded
 
 
 @pytest.fixture(scope="module")
@@ -22,12 +22,11 @@ def test_dimensions(f28):
 def test_involution_invariants():
     f = fock.TruncatedFock(3, 2)
     assert np.linalg.norm(f.j_conj @ np.conj(f.j_conj) - np.eye(3)) < 1e-12
-    assert np.linalg.norm(f.t_conj @ np.conj(f.t_conj) - np.eye(3)) < 1e-12
-    assert f.tracial
-    q = np.diag([2.0, 0.5])
     jswap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    f2 = fock.TruncatedFock(2, 2, j_conj=jswap, q_mat=q)
-    assert not f2.tracial
+    f2 = fock.TruncatedFock(2, 2, j_conj=jswap)
+    assert np.array_equal(f2.apply_j(np.array([1.0, 2.0j])), np.array([-2.0j, 1.0]))
+    with pytest.raises(AxiomViolation):
+        fock.TruncatedFock(2, 2, j_conj=np.diag([1.0, 2.0]))
 
 
 def test_cap():
@@ -54,7 +53,7 @@ def test_pair_moments(f28):
     for _ in range(4):
         z, e = rng.complex_vector(2), rng.complex_vector(2)
         lhs = f28.vacuum().conj() @ f28.s_operator(z) @ f28.s_operator(e) @ f28.vacuum()
-        assert abs(lhs - np.vdot(f28.apply_t(z), e)) < 1e-12
+        assert abs(lhs - np.vdot(f28.apply_j(z), e)) < 1e-12
 
 
 def test_selfadjoint_iff_t_fixed(f28):
@@ -239,15 +238,6 @@ def test_defect_formula(n, k):
     assert abs(r["action_defect"] - r["corep_defect"]) < 1e-9
 
 
-def test_experiment_needs_tracial():
-    g = presets.load_preset("dual-Z(2)")
-    u = coreps.direct_sum(coreps.block_corep(g, 0), coreps.block_corep(g, 1))
-    jm = np.array([[0.0, 1.0], [1.0, 0.0]])
-    f = fock.TruncatedFock(2, 2, j_conj=jm, q_mat=np.diag([2.0, 0.5]))
-    with pytest.raises(NotTracial):
-        fock.asymptotic_invariance_experiment(f, u, [np.eye(2)[0]], np.ones(2))
-
-
 # -- traciality -------------------------------------------------------------------
 
 def test_trace_check_single_generator(f28):
@@ -263,14 +253,6 @@ def test_trace_check_two_generators(f28):
         for combo in itertools.product([s1, s2], repeat=length):
             words.append(list(combo))
     assert fock.trace_check(f28, words) < 1e-12
-
-
-def test_trace_check_rejects_nontracial():
-    jswap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    f = fock.TruncatedFock(2, 4, j_conj=jswap, q_mat=np.diag([2.0, 0.5]))
-    s = f.s_operator(np.array([1.0, 1.0]) / np.sqrt(2))
-    with pytest.raises(NotTracial):
-        fock.trace_check(f, [[s]])
 
 
 def test_trace_check_depth_budget(f28):
@@ -455,10 +437,6 @@ def test_trace_check_raises_as_the_per_pair_loop(f28):
             with pytest.raises(DepthExceeded):
                 check(f28, words)
     assert fock.trace_check(f28, [[s] * 4, [s]]) == trace_check_per_pair(f28, [[s] * 4, [s]])
-    f = fock.TruncatedFock(2, 4, j_conj=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                           q_mat=np.diag([2.0, 0.5]))
-    with pytest.raises(NotTracial):
-        fock.trace_check(f, [[f.s_operator(np.array([1.0, 0.0]))] * 3])
 
 
 def generator_intertwining_per_omega(act, zeta, omega_family):
