@@ -26,33 +26,40 @@ _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 
 
+def _box_muller(u1, u2):
+    # guard against log(0); math, not numpy: the reports print last digits
+    u1 = max(u1, 2.0 ** -53)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
 class CounterRNG:
     """SplitMix64 stream with convenience samplers."""
 
     def __init__(self, seed: int = 0):
         self._state = seed & _MASK
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MUL1) & _MASK
-        z = ((z ^ (z >> 27)) * _MUL2) & _MASK
-        return (z ^ (z >> 31)) & _MASK
+    def u64s(self, count: int) -> np.ndarray:
+        """The next count outputs as a uint64 array.  Array arithmetic wraps
+        mod 2^64 silently, where numpy scalars would warn."""
+        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self._state)
+        self._state = (self._state + count * _GAMMA) & _MASK
+        z = (z ^ (z >> 30)) * _MUL1
+        z = (z ^ (z >> 27)) * _MUL2
+        return z ^ (z >> 31)
 
-    def uniform(self) -> float:
-        return (self.next_u64() >> 11) * (2.0 ** -53)
+    def uniforms(self, count: int) -> list:
+        """The next count doubles in [0, 1), as Python floats."""
+        return ((self.u64s(count) >> 11).astype(float) * 2.0 ** -53).tolist()
 
-    def normal(self) -> float:
-        # Box-Muller; guard against log(0)
-        u1 = max(self.uniform(), 2.0 ** -53)
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    def complex_normal(self) -> complex:
-        return complex(self.normal(), self.normal()) / math.sqrt(2.0)
+    def complex_normals(self, n: int) -> list:
+        """n complex normals, each from four uniforms: Box-Muller for the
+        real part, then for the imaginary part, over sqrt(2)."""
+        u = self.uniforms(4 * n)
+        return [complex(_box_muller(u[k], u[k + 1]), _box_muller(u[k + 2], u[k + 3]))
+                / math.sqrt(2.0) for k in range(0, 4 * n, 4)]
 
     def complex_vector(self, n: int) -> np.ndarray:
-        return np.array([self.complex_normal() for _ in range(n)])
+        return np.array(self.complex_normals(n))
 
     def unit_vector(self, n: int) -> np.ndarray:
         v = self.complex_vector(n)

@@ -108,13 +108,12 @@ def _word_length(window):
 def _generator_powers(window, l_max):
     """g, g^2, ..., g^l_max for the first generator g of a window; raises
     WindowTruncation when a power leaves the window."""
-    gen_label = window.elements[1]
-    powers, cur = [], window.identity
+    powers, cur = [], 0
     for l in range(1, l_max + 1):
-        cur = window.mul(cur, gen_label)
-        if cur is None:
-            raise WindowTruncation(f"power {l} of {gen_label!r} leaves the window")
-        powers.append(cur)
+        cur = int(window.products(cur, 1))
+        if cur < 0:
+            raise WindowTruncation(f"power {l} of {window.elements[1]!r} leaves the window")
+        powers.append(window.elements[cur])
     return powers
 
 

@@ -286,7 +286,7 @@ def unitarily_equivalent(u: Corep, v: Corep):
     rng = CounterRNG(41)
     candidates = list(basis)
     for _ in range(8):
-        candidates.append(sum(rng.complex_normal() * b for b in basis))
+        candidates.append(sum(c * b for c, b in zip(rng.complex_normals(len(basis)), basis)))
     best = np.inf
     n = u.space_dim
     for t in candidates:

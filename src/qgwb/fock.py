@@ -22,17 +22,17 @@ from .errors import (
     DepthExceeded,
     SchemaError,
 )
+from .linalg import BYTE_BUDGET
 
-# Bytes any one array of this layer that grows with the truncation may take:
-# a field operator's storage, a dense (d, total, total) family or a dense
-# (total, total) matrix.  Checked before the allocation.
-BYTE_BUDGET = 32 * 2 ** 20
 FOLD_TOL = 1e-9     # lift_rep: the two folds of a topbar power
 DEFECT_TOL = 1e-9   # asymptotic_invariance_experiment: action vs corep defect
 
 
 def _reserve(nbytes, what):
-    """Raise DepthExceeded before an allocation of more than BYTE_BUDGET."""
+    """Raise DepthExceeded before an allocation of more than BYTE_BUDGET:
+    an array of this layer that grows with the truncation, a field
+    operator's storage, a dense (d, total, total) family or a dense
+    (total, total) matrix."""
     if nbytes > BYTE_BUDGET:
         raise DepthExceeded(
             f"{what} needs {nbytes} bytes, over the budget of {BYTE_BUDGET}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .core import FiniteQG
-from .errors import NotHermitian, ParentMismatch
+from .errors import NotHermitian, ParentMismatch, SchemaError
 from .windows import GroupDualWindow
 
 
@@ -175,7 +175,16 @@ def semigroup_state(l: Functional, t):
     """mu_t = exp_*(-t l) through the blockwise closed form; for a sequence
     of times, the list of the mu_t."""
     times = np.asarray(t, dtype=float)
-    scaled = -times.reshape(-1, 1) * l.u_coords()
+    # reject a time whose scaled generator t l leaves the float range; on a
+    # quantum group, its norm must stay finite twice over, since expm's
+    # Hermiticity test forms m - m^*
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = -times.reshape(-1, 1) * l.u_coords()
+        finite = (np.isfinite(scaled).all(axis=1) if l.is_window
+                  else np.isfinite(linalg.norms(2.0 * scaled)))
+    if not finite.all():
+        raise SchemaError(f"time {float(times.flat[np.argmin(finite)])!r} scales the generator "
+                          f"past the float range")
     if l.is_window:
         coeffs = np.exp(scaled)
     else:

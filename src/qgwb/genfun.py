@@ -287,16 +287,15 @@ def _triple_forms_cocycle(parent, triple, cvals, alpha, gammas, beta):
 def _window_triple_forms(gen, alpha, beta, gammas):
     w = gen.parent
     l = gen.base
+    index = w.index
+    # -1 marks a label outside the window, and products pass it on
+    full = w.products(w.products(w.inv_index[index[alpha]],
+                                 [index.get(g, -1) for g in gammas]), index[beta])
+    if np.any(full < 0):
+        raise WindowTruncation("triple product escapes the window")
     out = []
-    ai = w.inv(alpha)
-    for gamma in gammas:
-        left = w.mul(ai, gamma)
-        if left is None:
-            raise WindowTruncation("triple product escapes the window")
-        full = w.mul(left, beta)
-        if full is None:
-            raise WindowTruncation("triple product escapes the window")
-        val = l.value(full)
+    for gamma, at in zip(gammas, full.tolist()):
+        val = complex(l.coeffs[at])
         ca, cg, cb = (l.value(alpha).real, l.value(gamma).real,
                       l.value(beta).real)
         bound = (ca + cg + cb - 2.0 * math.sqrt(max(ca * cg, 0.0))
@@ -465,34 +464,29 @@ def pair_invariance_bounds(gen: GenFunctional, t: float, zeta_spec,
         raise NotCentral("pair bounds are a window experiment")
     mu = semigroup_state(gen.base, t)
 
-    def mu_at(g):
-        return mu.value(g)
+    def pair_sum(pa, pb):
+        # sum_{i,j} Re[mu(pa[..., i, j]) mu(pb[..., i, j])], term by term
+        acc = 0.0
+        for x, y in zip(mu.coeffs[pa].ravel().tolist(), mu.coeffs[pb].ravel().tolist()):
+            acc += (x * y).real
+        return acc
 
-    pairs = list(zeta_spec)
-    norm_sq = 0.0
-    for (ai, bi) in pairs:
-        for (aj, bj) in pairs:
-            pa = w.mul(w.inv(aj), ai)
-            pb = w.mul(w.inv(bj), bi)
-            if pa is None or pb is None:
-                raise WindowTruncation("zeta gram product escapes the window")
-            norm_sq += (mu_at(pa) * mu_at(pb)).real
+    # [i, j] = pair i against pair j; -1 marks a label outside the window,
+    # and products pass it on
+    a, b = (np.array([w.index.get(g, -1) for g in side]) for side in zip(*zeta_spec))
+    a_inv, b_inv = (np.where(x < 0, -1, w.inv_index[x]) for x in (a, b))
+    pa, pb = w.products(a_inv, a[:, None]), w.products(b_inv, b[:, None])
+    if np.any(pa < 0) or np.any(pb < 0):
+        raise WindowTruncation("zeta gram product escapes the window")
+    norm_sq = pair_sum(pa, pb)
     if abs(norm_sq - 1.0) > PAIR_NORM_TOL:
         raise NotNormalized(f"zeta norm^2 = {norm_sq:.6f}")
 
-    bounds = []
-    for gamma in gamma_seq:
-        acc = 0.0
-        for (ai, bi) in pairs:
-            for (aj, bj) in pairs:
-                left = w.mul(w.inv(aj), gamma)
-                right = w.mul(w.inv(bj), gamma)
-                if left is None or right is None:
-                    raise WindowTruncation("gamma product escapes the window")
-                pa = w.mul(left, ai)
-                pb = w.mul(right, bi)
-                if pa is None or pb is None:
-                    raise WindowTruncation("gamma product escapes the window")
-                acc += (mu_at(pa) * mu_at(pb)).real
-        bounds.append({"gamma": gamma, "bound": 1.0 - 2.0 * acc})
-    return bounds
+    # [gamma, i, j] = a_j^-1 gamma a_i against b_j^-1 gamma b_i
+    gam = np.array([w.index.get(g, -1) for g in gamma_seq], dtype=int)[:, None, None]
+    pa = w.products(w.products(a_inv, gam), a[:, None])
+    pb = w.products(w.products(b_inv, gam), b[:, None])
+    if np.any(pa < 0) or np.any(pb < 0):
+        raise WindowTruncation("gamma product escapes the window")
+    return [{"gamma": gamma, "bound": 1.0 - 2.0 * pair_sum(x, y)}
+            for gamma, x, y in zip(gamma_seq, pa, pb)]

@@ -35,6 +35,17 @@ from .errors import DimensionMismatch, GramNotPSD, NotHermitian
 HERM_RTOL = 1e-9   # the Hermiticity gate, relative to max(1, ||m||_F)
 RANK_TOL = 1e-10   # singular values and eigenvalues below this, relative, count as 0
 PSD_TOL = 1e-9     # psd_check: the least accepted min eigenvalue is -PSD_TOL
+# Bytes one working array of a kernel that grows with its input may take:
+# the Fock layer checks its arrays against it, window products run in
+# slices of at most this many bytes.
+BYTE_BUDGET = 32 * 2 ** 20
+
+
+def budget_slices(n, item_bytes):
+    """Slices covering range(n), each of at most BYTE_BUDGET // item_bytes
+    items (at least one)."""
+    step = max(1, BYTE_BUDGET // item_bytes)
+    return [slice(k, k + step) for k in range(0, n, step)]
 
 
 def frob(m) -> float:

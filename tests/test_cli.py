@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,12 @@ def test_main_exit_codes(tmp_path, preset, experiment, param, code, error):
     (None, "theorem69", "eps=Infinity"),
     ("dual-Z(4)", "semigroup", "t_grid=[0.1,NaN]"),
     ("Z(1) r=20", "semigroup", "t_grid=[1e308,1e309]"),
+    # finite times whose scaled generator, or grid sum s + t, leaves the
+    # float range
+    ("dual-Z(4)", "semigroup", "t_grid=[1e200]"),
+    ("dual-Z(4)", "semigroup", "t_grid=[1e308,1e308]"),
+    ("Z(1) r=20", "semigroup", "t_grid=[1e308,1e308]"),
+    ("free(2) r=6", "lemma74", "t=1e308"),
     # a parameter or parent the experiment never reads, rejected before any
     # parent is built (a window of radius 100000 would exit 5)
     ("fn-Z(2)", "axioms", "alhpa=1"),
@@ -274,6 +281,24 @@ def test_radius_suffix_on_a_quantum_group_exits_2(tmp_path, capsys, monkeypatch)
                      "--name", "x", "--out", str(tmp_path)]) == 2
     assert "'dual-Z(4)' is no window preset" in capsys.readouterr().err
     assert not (tmp_path / "x.report.json").exists()
+
+
+@pytest.mark.parametrize("preset, t", [("dual-Z(4)", 1e6), ("Z(1) r=20", 1e6),
+                                       ("Z(1) r=20", 1e300)])
+def test_large_finite_time_passes(tmp_path, preset, t):
+    code, report = run(tmp_path, {"name": "x", "preset": preset, "experiment": "semigroup",
+                                  "parameters": {"t_grid": [t]}})
+    assert code == 0 and report["checks"]
+
+
+def test_radius_law_over_the_pair_cap_exits_5(tmp_path):
+    # 180,601 elements, under the element cap, but 5.4e9 radius-law products
+    start = time.perf_counter()
+    code, report = run(tmp_path, {"name": "x", "preset": "Z(1)^2 r=300",
+                                  "experiment": "axioms"})
+    assert time.perf_counter() - start < 1.0
+    assert code == 5 and report["error"]["type"] == "RadiusTooLarge"
+    assert "5436300801 products" in report["error"]["message"]
 
 
 def test_radius_sets_a_window_radius(tmp_path):

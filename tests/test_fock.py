@@ -424,7 +424,7 @@ def test_trace_check_matches_the_per_pair_loop(f28, letters):
     every = [list(c) for n in range(5) for c in itertools.product(ops, repeat=n)]
     rng = CounterRNG(11)
     # mixed lengths in a scrambled order, with repeated words
-    words = [every[int(rng.uniform() * len(every))] for _ in range(40)]
+    words = [every[int(u * len(every))] for u in rng.uniforms(40)]
     for family in (every[:40], words, every[1:4], [[ops[0]] * 4]):
         assert fock.trace_check(f28, family) == trace_check_per_pair(f28, family)
     assert fock.trace_check(f28, []) == 0.0

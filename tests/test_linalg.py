@@ -131,7 +131,7 @@ def _spectral_stack(kind, n, count=12, seed=0):
     out = []
     for i in range(count):
         pick = {"hermitian": 0, "general": 1}.get(kind, i % 5)
-        scale = 0.5 + 3.0 * rng.uniform()
+        scale = 0.5 + 3.0 * rng.uniforms(1)[0]
         if pick == 0:
             m = rng.hermitian(n)
         elif pick == 1:
@@ -232,8 +232,8 @@ def test_kron_associative_exactly():
     rng = CounterRNG(8)
     mats = []
     for _ in range(3):
-        m = np.array([[complex(rng.next_u64() % 5 - 2, rng.next_u64() % 5 - 2)
-                       for _ in range(2)] for _ in range(2)])
+        v = [int(x) % 5 - 2 for x in rng.u64s(8)]
+        m = (np.array(v[0::2]) + 1j * np.array(v[1::2])).reshape(2, 2)
         mats.append(m)
     a, b, c = mats
     assert np.array_equal(linalg.kron(linalg.kron(a, b), c),
