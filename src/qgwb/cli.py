@@ -67,8 +67,8 @@ def _param(params, key, default, lo=None, hi=None):
     """Read one experiment parameter, default when absent.  The default's
     type sets the rule: int, an int that is not a bool; float, a finite int
     or float, returned as a float; list, a non-empty list of finite numbers.
-    A value that breaks its rule or the bounds lo <= value < hi raises
-    SchemaError."""
+    A value (each element of a list) that breaks its rule or the bounds
+    lo <= value < hi raises SchemaError."""
     value = params.get(key, default)
 
     def number(x, kinds=(int, float)):
@@ -78,14 +78,19 @@ def _param(params, key, default, lo=None, hi=None):
         # an int past the float range is no finite float either
         return number(x) and abs(x) <= sys.float_info.max
 
+    def within(x):
+        return (lo is None or x >= lo) and (hi is None or x < hi)
+
     if isinstance(default, list):
         rule = "a non-empty list of finite numbers"
-        ok = isinstance(value, list) and len(value) > 0 and all(map(finite, value))
+        ok = (isinstance(value, list) and len(value) > 0
+              and all(finite(x) and within(x) for x in value))
     elif isinstance(default, float):
-        rule, ok = "a finite number", finite(value)
+        rule = "a finite number"
+        ok = finite(value) and within(value)
     else:
-        rule, ok = "an integer", number(value, int)
-    ok = ok and (lo is None or value >= lo) and (hi is None or value < hi)
+        rule = "an integer"
+        ok = number(value, int) and within(value)
     if not ok:
         bounds = " and".join(f" {op} {b}" for op, b in ((">=", lo), ("<", hi)) if b is not None)
         raise SchemaError(f"parameter {key!r} must be {rule}{bounds}, got {value!r}")
@@ -167,7 +172,7 @@ def _run_axioms(parent, params, tol_scale, seed):
 def _run_semigroup(parent, params, tol_scale, seed):
     checks = []
     if isinstance(parent, FiniteQG):
-        grid = _param(params, "t_grid", [0.1, 0.5, 1.0])
+        grid = _param(params, "t_grid", [0.1, 0.5, 1.0], 0)
         h = _positive(params, "h", 1e-4)
         rng = CounterRNG(seed)
         mu = functionals.vector_state(parent, rng.unit_vector(parent.d))
@@ -183,7 +188,7 @@ def _run_semigroup(parent, params, tol_scale, seed):
         err = float(np.max(np.abs(rec.coeffs - lf.coeffs)))
         checks.append(_check("derivative_recovery", err, 1e-5 * tol_scale))
     else:
-        grid = _param(params, "t_grid", [0.1, 1.0, 10.0])
+        grid = _param(params, "t_grid", [0.1, 1.0, 10.0], 0)
         wl = _word_length(parent)
         genfun.validate_generating(wl)
         checks.append(_check("generator_valid", 0.0, 0.5, True))
@@ -287,7 +292,8 @@ def _run_v_matrices(parent, params, tol_scale, seed):
 @experiment("theorem69", none=("eps", "n_windows"))
 def _run_unbounded_growth(parent, params, tol_scale, seed):
     eps = _param(params, "eps", 0.5)
-    n_windows = _param(params, "n_windows", 8, 1)
+    # no stage past genfun.MAX_STAGES is built, so no more windows are read
+    n_windows = _param(params, "n_windows", 8, 1, genfun.MAX_STAGES + 1)
     report, gen = genfun.unbounded_generator_on_z(
         lambda k, m: math.exp(-abs(m) / k), eps=eps, n_windows=n_windows)
     checks = []
@@ -309,7 +315,7 @@ def _run_unbounded_growth(parent, params, tol_scale, seed):
 
 @experiment("lemma74", window=("t", "l_max"))
 def _run_pair_bounds(parent, params, tol_scale, seed):
-    t = _param(params, "t", 1.0)
+    t = _param(params, "t", 1.0, 0)
     l_max = _param(params, "l_max", 3, 0)
     wl = _word_length(parent)
     gen = genfun.validate_generating(wl)

@@ -24,7 +24,14 @@ exact nonzeros, the linalg.Structure stores `mult_nz`, `comult_nz` and
 `star_mult_nz` (the dual's `P_nz` and `product_nz`), built once per object.
 Products, residual kernels and the corep calculus read the stores, adding
 each sum's terms in the order of the dense contraction they replaced, so
-residuals and reports are the same to the last bit.
+residuals and reports are the same to the last bit.  No dense derived
+tensor is kept: `star_mult` and the dual's `P` are formed when read, and
+the store forms that only validation reads are released when it returns.
+
+The kernels that grow with their input run in slices along their leading
+output index, cut by linalg.byte_slices from counts made before anything
+is formed; each output entry is summed within one slice, so slicing moves
+no bit, and a kernel that fits takes one slice.
 """
 
 from __future__ import annotations
@@ -77,21 +84,34 @@ def _row_lengths(mat):
     return np.diff(mat.indptr).astype(np.intp)
 
 
-def _digits(mat, d: int, n_rows: int, n_cols: int):
-    """The digits (in range(d)) of the row and column indices of the entries
-    of a csr matrix, its indices n_rows and n_cols digits long."""
+def _row_block(mat, lo: int, hi: int) -> sp.csr_matrix:
+    """Rows lo..hi-1 of a csr matrix, cut from its entry range (the matrix
+    itself when that is all of it)."""
+    if lo == 0 and hi == mat.shape[0]:
+        return mat
+    a, b = mat.indptr[lo], mat.indptr[hi]
+    return sp.csr_matrix((mat.data[a:b], mat.indices[a:b], mat.indptr[lo:hi + 1] - a),
+                         shape=(hi - lo, mat.shape[1]))
+
+
+def _digits(mat, row_shape, col_shape):
+    """The digits of the row and column indices of the entries of a csr
+    matrix, its rows indexed by row_shape (row-major) and its columns by
+    col_shape."""
     rows = np.repeat(np.arange(mat.shape[0]), _row_lengths(mat))
-    return np.unravel_index(rows, (d,) * n_rows) + np.unravel_index(mat.indices, (d,) * n_cols)
+    return np.unravel_index(rows, row_shape) + np.unravel_index(mat.indices, col_shape)
 
 
-def _regrouped(digits, data, d: int, rows, cols) -> sp.csr_matrix:
+def _regrouped(digits, data, sizes, rows, cols) -> sp.csr_matrix:
     """The csr matrix of the entries data whose row index is made of the
-    digits at positions rows and the column index of those at cols."""
-    n_cols = d ** len(cols)
-    flat = (np.ravel_multi_index([digits[a] for a in rows], (d,) * len(rows)) * n_cols
-            + np.ravel_multi_index([digits[a] for a in cols], (d,) * len(cols)))
+    digits at positions rows and the column index of those at cols, digit a
+    in range(sizes[a])."""
+    row_shape, col_shape = [sizes[a] for a in rows], [sizes[a] for a in cols]
+    n_cols = int(np.prod(col_shape))
+    flat = (np.ravel_multi_index([digits[a] for a in rows], row_shape) * n_cols
+            + np.ravel_multi_index([digits[a] for a in cols], col_shape))
     order = np.argsort(flat)
-    return linalg.csr_sorted(flat[order], data[order], (d ** len(rows), n_cols))
+    return linalg.csr_sorted(flat[order], data[order], (int(np.prod(row_shape)), n_cols))
 
 
 def _pairs(a, b, n: int):
@@ -117,38 +137,97 @@ def _merged(mat, k: int) -> sp.csr_matrix:
                          shape=(mat.shape[0] // k, mat.shape[1] * k))
 
 
+def _per_row(t, weights):
+    """Per first index i of a Structure, the sum of weights over the entries
+    of row t[i]."""
+    return np.bincount(t.idx[0], weights=weights, minlength=t.shape[0])
+
+
+def _stacked_frob(blocks) -> float:
+    """linalg.frob of the vertical stack of csr row blocks, given in order.
+    Each block's canonical entries are appended to one buffer as it comes,
+    so only the entries and one block are held, and the one norm adds them
+    as frob of the stack does."""
+    data = np.empty(0, dtype=complex)
+    for block in blocks:
+        block = sp.csr_array(block)
+        block.sum_duplicates()
+        n = data.size
+        data.resize(n + block.nnz, refcheck=False)   # no view of it exists
+        data[n:] = block.data
+    return float(np.linalg.norm(data))
+
+
 def coassoc_residual(c) -> float:
-    """(Delta (x) id)Delta = (id (x) Delta)Delta for a coproduct c[i,a,b]."""
+    """(Delta (x) id)Delta = (id (x) Delta)Delta for a coproduct c[i,a,b],
+    formed in slices along the leading output index i."""
     c = linalg.Structure.of(c)
     d = c.shape[0]
-    # (Delta (x) id)Delta: X[(i,a,b),k] = sum_p c[p,a,b] c[i,p,k]
-    x = _block_diagonal(c.permuted((1, 2, 0)).csr(2), d) @ c.csr(2)
-    # (id (x) Delta)Delta: Y[(i,a),(b,k)] = sum_p c[i,a,p] c[p,b,k]
-    y = c.csr(2) @ c.csr(1)
-    return linalg.frob(_merged(_sorted(x), d) - _sorted(y))
+    block, rows, cols = c.permuted((1, 2, 0)).csr(2), c.csr(2), c.csr(1)
+    # per i, the pairs each side forms, at most its d^3 output entries (48
+    # bytes each with the merged indices and the difference), and the
+    # slice's copy of the block with the row pointers of X's d^2 rows
+    sizes, cap = np.bincount(c.idx[0], minlength=d), d ** 3
+    nbytes = (48 * (np.minimum(_per_row(c, sizes[c.idx[1]]), cap)
+                    + np.minimum(_per_row(c, sizes[c.idx[2]]), cap))
+              + 24 * (block.nnz + d * d))
+
+    def parts():
+        for part in linalg.byte_slices(nbytes, "coassoc_residual"):
+            lo, hi = part.start * d, part.stop * d
+            # (Delta (x) id)Delta: X[(i,a,b),k] = sum_p c[p,a,b] c[i,p,k]
+            x = _block_diagonal(block, part.stop - part.start) @ _row_block(rows, lo, hi)
+            # (id (x) Delta)Delta: Y[(i,a),(b,k)] = sum_p c[i,a,p] c[p,b,k]
+            y = _row_block(rows, lo, hi) @ cols
+            yield _merged(_sorted(x), d) - _sorted(y)
+    return _stacked_frob(parts())
 
 
 def hom_residual(m, c) -> float:
-    """Residual of Delta(xy) = Delta(x)Delta(y) for product m, coproduct c."""
+    """Residual of Delta(xy) = Delta(x)Delta(y) for product m, coproduct c,
+    formed in slices along the leading output index i."""
     m, c = linalg.Structure.of(m), linalg.Structure.of(c)
     d = m.shape[0]
-    lhs = m.csr(2) @ c.csr(1)
+    m1, m2, c1, ct2 = m.csr(1), m.csr(2), c.csr(1), c.permuted((0, 2, 1)).csr(2)
     # rhs[(i,j),(a,b)] = sum c[i,p,q] c[j,r,s] m[p,r,a] m[q,s,b], in stages:
     # F[(i,q),(r,a)] = sum_p c[i,p,q] m[p,r,a]
-    f = c.permuted((0, 2, 1)).csr(2) @ m.csr(1)
     # E[(i,q,a),(j,s)] = sum_r F[(i,q,a),r] c[j,r,s] reaches R only where
     # some m[q,s,b] is nonzero.  With q also a column digit of F and a row
     # digit of the factor C[(q,r),(j,s)] = c[j,r,s], kept for those (q, s)
     # alone, one product forms just these entries.
-    live_q, live_s = np.divmod(np.flatnonzero(np.diff(m.csr(2).indptr)), d)
+    m_rows = _row_lengths(m2)
+    live_q, live_s = np.divmod(np.flatnonzero(m_rows), d)
     j, r, s = c.idx
     x, y = _pairs(live_s, s, d)
-    cq = _regrouped((live_q[x], r[y], j[y], s[y]), c.w[y], d, (0, 1), (2, 3))
-    e = _regrouped(_digits(f, d, 2, 2), f.data, d, (1, 0, 3), (1, 2)) @ cq
-    # R[(i,j,a),b] = sum_{q,s} E[(i,j,a),(q,s)] m[q,s,b]
-    e = _regrouped(_digits(e, d, 3, 2), e.data, d, (1, 3, 2), (0, 4))
-    r = e @ m.csr(2)
-    return linalg.frob(_sorted(lhs) - _merged(_sorted(r), d))
+    cq = _regrouped((live_q[x], r[y], j[y], s[y]), c.w[y], (d,) * 4, (0, 1), (2, 3))
+    # per i, the pairs each product forms, at most its output entries (96
+    # bytes each with the digits and the regrouped copy; each F term
+    # (i,p,q; p,r,a) meets the row (q, r) of C, and each E entry (q,s) the
+    # row (q, s) of m), and the row pointers of E's d^2 rows
+    p, q = c.idx[1], c.idx[2]
+    m_sizes, c_sizes = np.bincount(m.idx[0], minlength=d), np.bincount(c.idx[0], minlength=d)
+    ra = np.bincount(m.idx[0] * d + m.idx[1], minlength=d * d).reshape(d, d)
+    cq_row = np.repeat(np.arange(d * d), _row_lengths(cq))
+    to_e = _row_lengths(cq).reshape(d, d)
+    to_r = np.bincount(cq_row, weights=m_rows[cq_row // d * d + cq.indices % d],
+                       minlength=d * d).reshape(d, d)
+    nbytes = 96 * (np.minimum(_per_row(m, c_sizes[m.idx[2]]), d ** 3)
+                   + np.minimum(_per_row(c, m_sizes[p]), d ** 3)
+                   + np.minimum(_per_row(c, (ra @ to_e.T)[p, q]), d ** 4)
+                   + np.minimum(_per_row(c, (ra @ to_r.T)[p, q]), d ** 3)) + 24 * d * d
+
+    def parts():
+        for part in linalg.byte_slices(nbytes, "hom_residual"):
+            n, lo, hi = part.stop - part.start, part.start * d, part.stop * d
+            lhs = _row_block(m2, lo, hi) @ c1
+            f = _row_block(ct2, lo, hi) @ m1
+            e = _regrouped(_digits(f, (n, d), (d, d)), f.data, (n, d, d, d),
+                           (1, 0, 3), (1, 2)) @ cq
+            # R[(i,j,a),b] = sum_{q,s} E[(i,j,a),(q,s)] m[q,s,b]
+            e = _regrouped(_digits(e, (d, n, d), (d, d)), e.data, (d, n, d, d, d),
+                           (1, 3, 2), (0, 4))
+            yield _sorted(lhs) - _merged(_sorted(e @ m2), d)
+    return _stacked_frob(parts())
 
 
 def counit_residual(c, counit) -> float:
@@ -165,11 +244,15 @@ def unital_residual(c, unit) -> float:
 
 
 def star_residual(c, star) -> float:
-    """Delta(x^*) = (* (x) *)Delta(x) for x^* with coefficients star @ conj(x)."""
-    lhs = np.tensordot(star, c, axes=([0], [0]))                  # Delta(e_i^*)
-    rhs = np.tensordot(np.conj(c), star, axes=([1], [1]))         # (i, b, p)
-    rhs = np.tensordot(rhs, star, axes=([1], [1]))                # (i, p, q)
-    return float(np.linalg.norm(lhs - rhs))
+    """Delta(x^*) = (* (x) *)Delta(x) for x^* with coefficients star @ conj(x);
+    the right side in slices along i, subtracted in place."""
+    d = c.shape[0]
+    out = np.tensordot(star, c, axes=([0], [0]))                  # Delta(e_i^*)
+    # per i, the conjugate, the two products and a transposed copy: d^2 each
+    for part in linalg.byte_slices(np.full(d, 16 * 4 * d * d), "star_residual"):
+        rhs = np.tensordot(np.conj(c[part]), star, axes=([1], [1]))   # (i, b, p)
+        out[part] -= np.tensordot(rhs, star, axes=([1], [1]))          # (i, p, q)
+    return float(np.linalg.norm(out))
 
 
 def antipode_residual(m, c, s, counit, unit) -> float:
@@ -179,11 +262,18 @@ def antipode_residual(m, c, s, counit, unit) -> float:
     m, c = linalg.Structure.of(m), linalg.Structure.of(c)
     d = m.shape[0]
     s_t = np.asarray(s).T
-    # SD[(i,k),p] = sum_j c[i,j,k] s[p,j]; left[i,q] = sum_{p,k} SD m[p,k,q]
-    sd = (c.permuted((0, 2, 1)).csr(2) @ s_t).reshape(d, d, d).transpose(0, 2, 1)
-    left = sd.reshape(d, d * d) @ m.csr(2)
-    # DS[(i,j),p] = sum_k c[i,j,k] s[p,k]; right[i,q] = sum_{j,p} DS m[j,p,q]
-    right = (c.csr(2) @ s_t).reshape(d, d * d) @ m.csr(2)
+    ct2, c2, m2 = c.permuted((0, 2, 1)).csr(2), c.csr(2), m.csr(2)
+    left, right = np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex)
+    # in slices along i (each row i of a sparse-dense product is formed
+    # alone), four d^2 arrays per i: SD, its transposed copy, DS and scipy's
+    # copy of the dense factor
+    for part in linalg.byte_slices(np.full(d, 16 * 4 * d * d), "antipode_residual"):
+        lo, hi = part.start * d, part.stop * d
+        # SD[(i,k),p] = sum_j c[i,j,k] s[p,j]; left[i,q] = sum_{p,k} SD m[p,k,q]
+        sd = (_row_block(ct2, lo, hi) @ s_t).reshape(-1, d, d).transpose(0, 2, 1)
+        left[part] = sd.reshape(-1, d * d) @ m2
+        # DS[(i,j),p] = sum_k c[i,j,k] s[p,k]; right[i,q] = sum_{j,p} DS m[j,p,q]
+        right[part] = (_row_block(c2, lo, hi) @ s_t).reshape(-1, d * d) @ m2
     target = np.outer(counit, unit)
     return max(float(np.linalg.norm(left - target)), float(np.linalg.norm(right - target)))
 
@@ -194,11 +284,17 @@ def star_product_residual(m, star, star_mult) -> float:
     m, star_mult = linalg.Structure.of(m), linalg.Structure.of(star_mult)
     d = m.shape[0]
     st_t = np.asarray(star).T
-    # lhs[(i,j),p] = sum_k conj(m[i,j,k]) star[p,k]
-    lhs = m.csr(2).conj() @ st_t
-    # rhs[i,(j,p)] = sum_r star[r,i] star_mult[j,r,p]
-    rhs = st_t @ star_mult.permuted((1, 0, 2)).csr(1)
-    return float(np.linalg.norm(lhs.reshape(d, d * d) - rhs))
+    m2, sm1 = m.csr(2), star_mult.permuted((1, 0, 2)).csr(1)
+    out = np.empty((d, d * d), dtype=complex)
+    # in slices along i (each row i of a sparse-dense product is formed
+    # alone), three d^2 arrays per i: lhs, the product and scipy's copy
+    for part in linalg.byte_slices(np.full(d, 16 * 3 * d * d), "star_product_residual"):
+        # lhs[(i,j),p] = sum_k conj(m[i,j,k]) star[p,k]
+        lhs = _row_block(m2, part.start * d, part.stop * d).conj() @ st_t
+        out[part] = lhs.reshape(-1, d * d)
+        # rhs[i,(j,p)] = sum_r star[r,i] star_mult[j,r,p]
+        out[part] -= st_t[part] @ sm1
+    return float(np.linalg.norm(out))
 
 
 def haar_residual(c, haar, unit) -> float:
@@ -212,11 +308,19 @@ def haar_residual(c, haar, unit) -> float:
     return max(float(np.linalg.norm(left - target)), float(np.linalg.norm(right - target)))
 
 
-def _permuted_star_residual(c, perm) -> float:
-    """star_residual(c, np.eye(d)[perm]) for an involutive permutation perm:
-    each entry of its products has one term 1 * x, so the gathers give the
-    same numbers."""
-    return float(np.linalg.norm(c[perm] - np.conj(c)[:, perm][:, :, perm]))
+def _permuted_star_residual(p, perm) -> float:
+    """The dual's star law: star_residual(c, np.eye(d)[perm]) for its
+    coproduct c = P.transpose(2, 1, 0) and an involutive permutation perm,
+    from P or its store.  Each entry of the products has one term 1 * x, so
+    D[q,a,b] = c[perm[q],a,b] - conj(c[q,perm[a],perm[b]]) is placed from
+    the entries of P; the norm adds D in (q, b, a) order, the memory order
+    numpy gives those two gathers of c."""
+    p = linalg.Structure.of(p)
+    (x, y, z), w = p.idx, p.w
+    out = np.zeros(p.shape, dtype=complex)      # D[q, a, b] at out[q, b, a]
+    out[perm[z], x, y] = w                      # c[perm[q], a, b] = P[b, a, perm[q]]
+    out[z, perm[x], perm[y]] -= np.conj(w)      # c[q, perm[a], perm[b]] = P[perm[b], perm[a], q]
+    return float(np.linalg.norm(out))
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +415,11 @@ class FiniteQG:
         self._dual = None
 
         self.residuals = self.validate()
+        # the forms that only validation reads go; those the experiments read
+        # (products, the corep calculus) stay
+        self.mult_nz.release(keep=(("csr", 1), ("grouped", (2,))))
+        self.comult_nz.release(keep=(("permuted", (1, 2, 0)),))
+        self.star_mult_nz.release()
 
         for arr in (self.mult, self.unit, self.comult, self.counit, self.star,
                     self.antipode, self.haar, self._haar_mult, self.B, self.Binv, self.gram):
@@ -342,8 +451,9 @@ class FiniteQG:
 
     @functools.cached_property
     def star_mult_nz(self):
-        """The nonzeros of star_mult."""
-        return linalg.Structure(self.star_mult)
+        """The nonzeros of star_mult, taken from a product that is not kept
+        (the dense star_mult is built only when it is read)."""
+        return linalg.Structure(np.tensordot(self.star, self.mult, axes=([0], [0])))
 
     def lmat(self, a):
         """Left multiplication by a (or by each vector of a stack) in basis
@@ -463,15 +573,20 @@ class FiniteQG:
 
     def _irrep_unitarity_residual(self):
         # sum_k u_ik u_jk^* = sum_k u_ki^* u_kj = delta_ij 1, per entry (i, j),
-        # for the stack u of the irreps of one dimension n
+        # for the stack u of the irreps of one dimension n, in slices over the
+        # stack (mul gathers n^2 (L, d) tables per irrep)
         def resid(u):
             n = u.shape[1]
             starred = np.einsum("pq,aijq->aijp", self.star, np.conj(u))
             target = np.where(np.eye(n, dtype=bool)[..., None], self.unit, 0.0)
-            acc1 = sum(self.mul(u[:, :, None, k], starred[:, None, :, k]) for k in range(n))
-            acc2 = sum(self.mul(starred[:, k, :, None], u[:, k, None, :]) for k in range(n))
-            return max(linalg.norms(acc1 - target).max(),
-                       linalg.norms(acc2 - target).max())
+            gathered = 3 * self.mult_nz.grouped((2,))[1].size + 4 * self.d
+            worst = 0.0
+            for a in linalg.byte_slices(np.full(len(u), 16 * n * n * gathered), "irrep_unitary"):
+                acc1 = sum(self.mul(u[a, :, None, k], starred[a, None, :, k]) for k in range(n))
+                acc2 = sum(self.mul(starred[a, k, :, None], u[a, k, None, :]) for k in range(n))
+                worst = max(worst, linalg.norms(acc1 - target).max(),
+                            linalg.norms(acc2 - target).max())
+            return worst
         dims = sorted(set(self.block_dims))
         return float(max(resid(np.array([r.coeffs for r in self.irreps if r.dim == n]))
                          for n in dims))
@@ -530,13 +645,15 @@ def solve_haar(g: FiniteQG):
 # ---------------------------------------------------------------------------
 
 def _u_product(parent: FiniteQG):
-    """The product in the u-basis: u_p u_r = sum_q P[p,r,q] u_q."""
+    """The product in the u-basis: u_p u_r = sum_q P[p,r,q] u_q.  Each step
+    is one matrix product, holding its operand and its result alone."""
     b, binv = parent.B, parent.Binv
-    # step 1: mB[i, r, k] = sum_j B[j,r] m[i,j,k]
-    mb = np.tensordot(parent.mult, b, axes=([1], [0]))  # (i, k, r)
-    mb = mb.transpose(0, 2, 1)                          # (i, r, k)
+    # step 1: mB[i, r, k] = sum_j B[j,r] m[i,j,k], made contiguous in (i, r, k)
+    # as the next product reads it
+    mb = np.ascontiguousarray(np.tensordot(parent.mult, b, axes=([1], [0])).transpose(0, 2, 1))
     # step 2: P0[p, r, k] = sum_i B[i,p] mb[i,r,k]
     p0 = np.tensordot(b, mb, axes=([0], [0]))           # (p, r, k)
+    del mb
     # step 3: P[p, r, q] = sum_k Binv[q,k] P0[p,r,k]
     return np.tensordot(p0, binv, axes=([2], [1]))      # (p, r, q)
 
@@ -555,8 +672,7 @@ class DualBlockAlgebra:
         self.blocks = list(parent.block_dims)
 
         b, binv = parent.B, parent.Binv
-        self.P = _u_product(parent)       # its d^3 temporaries go before _verify
-        self.P_nz = linalg.Structure(self.P)
+        self.P_nz = linalg.Structure(_u_product(parent))   # P is rebuilt on demand
 
         self.counit = binv @ parent.unit                  # pairing with 1
         # in q-coords, q = off_a + i n_a + j for e^a_ij: the unit (+)_a 1_{n_a},
@@ -577,9 +693,17 @@ class DualBlockAlgebra:
         self.antipode = s_u.T                             # matrix on u-coords
 
         self._verify()
+        # the forms that only validation reads go
+        for store in (self.P_nz, self.product_nz):
+            store.release()
 
-        for arr in (self.P, self.counit, self.unit, self.star_perm):
+        for arr in (self.counit, self.unit, self.star_perm):
             arr.flags.writeable = False
+
+    @property
+    def P(self):
+        """P[p, r, q], rebuilt from P_nz on each read (read-only)."""
+        return self.P_nz.dense()
 
     # coproduct: dual_comult(e_q) = sum_{p,r} P[p,r,q] e_r (x) e_p
     def comult_tensor(self):
@@ -591,7 +715,7 @@ class DualBlockAlgebra:
         res = {"dual_coassociativity": coassoc_residual(c),
                "dual_homomorphism": hom_residual(self.product_nz, c),
                "dual_counit": counit_residual(self.comult_tensor(), self.counit),
-               "dual_star": _permuted_star_residual(self.comult_tensor(), self.star_perm)}
+               "dual_star": _permuted_star_residual(self.P_nz, self.star_perm)}
         bad = {k: v for k, v in res.items() if v > DEFAULT_TOL}
         if bad:
             worst = max(bad, key=bad.get)

@@ -157,4 +157,11 @@ class DepthExceeded(QGWBError):
     pass
 
 
-RESOURCE_CAP_ERRORS = (WindowTruncation, DepthExceeded, StageOverflow, RadiusTooLarge)
+# -- resources ---------------------------------------------------------------
+
+class BudgetExceeded(QGWBError):
+    """One slice of a sliced kernel needs more than linalg.BYTE_BUDGET."""
+
+
+RESOURCE_CAP_ERRORS = (WindowTruncation, DepthExceeded, StageOverflow, RadiusTooLarge,
+                       BudgetExceeded)

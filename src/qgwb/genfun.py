@@ -133,10 +133,7 @@ class SchurmannTriple:
         except GramNotPSD as exc:
             raise GramNotPSD(f"cocycle gram not PSD: {exc}") from exc
         self.dim = self.cocycle_vectors.shape[1]
-        self._parent = parent
-        c_products = self.cocycle(parent.mult)  # c(b_p b_q)
-        self._build_rho(c_products)
-        self._verify(c_products)
+        self._build(parent)
         if gen.s_invariant:
             imag = float(np.max(np.abs(self.cocycle_gram.imag)))
             if imag > 1e-8:
@@ -147,26 +144,24 @@ class SchurmannTriple:
         """c on a coefficient vector, or on each vector of a stack."""
         return linalg.rowmul(np.asarray(coeffs, dtype=complex), self.cocycle_vectors)
 
-    def _build_rho(self, c_products):
-        # rho(b_p) c(b_q) = c(b_p b_q) - eps(b_q) c(b_p), solved for rho(b_p)
-        # against the cocycle vectors
-        f = self.cocycle_vectors
-        targets = c_products - self._parent.counit[:, None] * f[:, None, :]
-        self.rhos = targets.swapaxes(1, 2) @ np.linalg.pinv(f.T)
-
-    def rho(self, coeffs):
-        """rho on a coefficient vector, or on each vector of a stack."""
-        flat = linalg.rowmul(np.asarray(coeffs, dtype=complex),
-                             self.rhos.reshape(len(self.rhos), -1))
-        return flat.reshape(flat.shape[:-1] + self.rhos.shape[1:])
-
-    def _verify(self, c_products):
-        # cocycle rule residual on basis pairs:
-        # c(bd) = rho(b) c(d) + eps(d) c(b)
-        f = self.cocycle_vectors
-        rhs = (linalg.rowmul(f, self.rhos[:, None].swapaxes(-1, -2))
-               + self._parent.counit[:, None] * f[:, None, :])
-        worst = float(linalg.norms(c_products - rhs).max())
+    def _build(self, parent):
+        """rho and the cocycle rule residual, in slices over p: each slice
+        forms c(b_p b_q) for its p alone."""
+        f, eps, d = self.cocycle_vectors, parent.counit, parent.d
+        solve = np.linalg.pinv(f.T)
+        self.rhos = np.empty((d, self.dim, self.dim), dtype=complex)
+        worst = 0.0
+        # per p, c(b_p b_q), the targets, rowmul's product, the right side and
+        # the difference, d x dim each, with room for numpy's temporaries
+        for p in linalg.byte_slices(np.full(d, 16 * 6 * d * self.dim), "schurmann_triple"):
+            c_products = self.cocycle(parent.mult[p])  # c(b_p b_q)
+            # rho(b_p) c(b_q) = c(b_p b_q) - eps(b_q) c(b_p), solved for rho(b_p)
+            # against the cocycle vectors
+            self.rhos[p] = (c_products - eps[:, None] * f[p, None, :]).swapaxes(1, 2) @ solve
+            # cocycle rule residual on basis pairs: c(bd) = rho(b) c(d) + eps(d) c(b)
+            rhs = (linalg.rowmul(f, self.rhos[p, None].swapaxes(-1, -2))
+                   + eps[:, None] * f[p, None, :])
+            worst = max(worst, float(linalg.norms(c_products - rhs).max()))
         if worst > TRIPLE_TOL:
             raise GramNotPSD(f"cocycle rule residual {worst:.3e}")
         self.cocycle_rule_residual = worst
@@ -174,6 +169,12 @@ class SchurmannTriple:
         resid = float(np.linalg.norm(self.cocycle_gram - np.conj(f) @ f.T))
         if resid > 1e-9:
             raise GramNotPSD(f"defining identity residual {resid:.3e}")
+
+    def rho(self, coeffs):
+        """rho on a coefficient vector, or on each vector of a stack."""
+        flat = linalg.rowmul(np.asarray(coeffs, dtype=complex),
+                             self.rhos.reshape(len(self.rhos), -1))
+        return flat.reshape(flat.shape[:-1] + self.rhos.shape[1:])
 
 
 def schurmann_triple(gen: GenFunctional) -> SchurmannTriple:
@@ -422,7 +423,8 @@ def unbounded_generator_on_z(a_fn, eps, n_windows):
     Validates the resulting generator on every evaluation window and
     returns (report, validated GenFunctional on the largest window).
     """
-    windows = [list(range(-n, n + 1)) for n in range(1, n_windows + 1)]
+    # the evaluation windows the stages read: no stage past MAX_STAGES is grown
+    windows = [list(range(-n, n + 1)) for n in range(1, min(n_windows, MAX_STAGES) + 1)]
     search = []
     m = 1
     while m <= SEARCH_LIMIT:

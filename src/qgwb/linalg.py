@@ -22,6 +22,11 @@ c[i,j,k] X_i Y_j (or X_i (x) Y_j), over a store's triples with one
 np.add.at per row i; `structure_sum_sparse` is its form for sparse
 families.  `rowmul`, `vdots` and `norms` act on stacks of vectors, bit for
 bit as on each vector alone.
+
+Working memory: `BYTE_BUDGET` bounds one working array, and `byte_slices`
+cuts a kernel's leading index range into slices of at most `SLICE_BYTES`,
+raising BudgetExceeded (a resource cap) when one index alone is over the
+budget.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
-from .errors import DimensionMismatch, GramNotPSD, NotHermitian
+from .errors import BudgetExceeded, DimensionMismatch, GramNotPSD, NotHermitian
 
 HERM_RTOL = 1e-9   # the Hermiticity gate, relative to max(1, ||m||_F)
 RANK_TOL = 1e-10   # singular values and eigenvalues below this, relative, count as 0
@@ -39,6 +44,9 @@ PSD_TOL = 1e-9     # psd_check: the least accepted min eigenvalue is -PSD_TOL
 # the Fock layer checks its arrays against it, window products run in
 # slices of at most this many bytes.
 BYTE_BUDGET = 32 * 2 ** 20
+# Bytes one slice of a kernel sliced along its leading output index takes:
+# a kernel that fits takes one slice, so small inputs run unsliced.
+SLICE_BYTES = BYTE_BUDGET // 16
 
 
 def budget_slices(n, item_bytes):
@@ -46,6 +54,28 @@ def budget_slices(n, item_bytes):
     items (at least one)."""
     step = max(1, BYTE_BUDGET // item_bytes)
     return [slice(k, k + step) for k in range(0, n, step)]
+
+
+def byte_slices(nbytes, kernel):
+    """Slices of consecutive leading indices covering range(len(nbytes)),
+    where the work for index i holds nbytes[i] bytes: each slice holds at
+    most SLICE_BYTES, or is one index.  Raises BudgetExceeded, naming the
+    kernel and the count, when one index alone holds more than
+    BYTE_BUDGET."""
+    nbytes = np.asarray(nbytes, dtype=float)
+    worst = int(np.argmax(nbytes))
+    if nbytes[worst] > BYTE_BUDGET:
+        raise BudgetExceeded(f"{kernel}: index {worst} needs {int(nbytes[worst])} bytes, "
+                             f"over the budget of {BYTE_BUDGET}")
+    if nbytes.sum() <= SLICE_BYTES:
+        return [slice(0, nbytes.size)]
+    out, lo, held = [], 0, 0.0
+    for i, b in enumerate(nbytes.tolist()):
+        if held + b > SLICE_BYTES and i > lo:
+            out.append(slice(lo, i))
+            lo, held = i, 0.0
+        held += b
+    return out + [slice(lo, nbytes.size)]
 
 
 def frob(m) -> float:
@@ -219,8 +249,8 @@ class Structure:
     values, in canonical (row-major) order.  Every kernel that reads them
     meets a tensor's terms in the order a dense loop over t would, so
     skipping the zeros changes no sum.  The derived forms (`permuted`,
-    `cut`, `csr`, `rows`, `grouped`, `sum_plan`) are built once and kept;
-    a Structure is read-only.
+    `cut`, `csr`, `rows`, `grouped`, `sum_plan`) are built once and kept
+    until `release`; a Structure is read-only.
     """
 
     def __init__(self, t):
@@ -251,6 +281,19 @@ class Structure:
         if key not in self._kept:
             self._kept[key] = make()
         return self._kept[key]
+
+    def release(self, keep=()):
+        """Drop the derived forms built so far but those keyed in keep (as
+        ("csr", 1) or ("permuted", (1, 2, 0))); a later read builds them
+        again."""
+        self._kept = {key: form for key, form in self._kept.items() if key in keep}
+
+    def dense(self):
+        """The tensor as a new read-only array."""
+        out = np.zeros(self.shape, dtype=self.w.dtype)
+        out[self.idx] = self.w
+        out.flags.writeable = False
+        return out
 
     def permuted(self, axes):
         """The Structure of t.transpose(axes)."""

@@ -28,9 +28,10 @@ def _group_algebra(key, table, names) -> FiniteQG:
     d = len(table)
     idx = np.arange(d)
     inv = np.argmax(table == 0, axis=1)
-    mult = np.zeros((d, d, d))
+    # complex from the start, so FiniteQG keeps these arrays and no copy
+    mult = np.zeros((d, d, d), dtype=complex)
     mult[idx[:, None], idx, table] = 1.0
-    comult = np.zeros((d, d, d))
+    comult = np.zeros((d, d, d), dtype=complex)
     comult[idx, idx, idx] = 1.0
     perm = np.zeros((d, d))
     perm[inv, idx] = 1.0
@@ -46,9 +47,9 @@ def _function_algebra(key, table, names, irreps) -> FiniteQG:
     d = len(table)
     idx = np.arange(d)
     inv = np.argmax(table == 0, axis=1)
-    mult = np.zeros((d, d, d))
+    mult = np.zeros((d, d, d), dtype=complex)
     mult[idx, idx, idx] = 1.0
-    comult = np.zeros((d, d, d))
+    comult = np.zeros((d, d, d), dtype=complex)
     comult[table, idx[:, None], idx] = 1.0
     antipode = np.zeros((d, d))
     antipode[inv, idx] = 1.0

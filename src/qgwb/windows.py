@@ -103,15 +103,21 @@ class GroupDualWindow:
         """Index of g_a^{-1} g_b for a, b over the elements of length <= radius.
 
         An m x m int array, m the size of that prefix; built once per radius
-        and kept.  Raises WindowTruncation when a product leaves the window.
+        and kept.  Raises WindowTruncation when a product leaves the window,
+        at the first row block (of rows whose products take the byte budget)
+        that holds one.
         """
         if radius not in self._diff_index:
             m = int(np.searchsorted(self.lengths, radius, side="right"))
-            table = self.products(self.inv_index[:m, None], np.arange(m))
-            if np.any(table < 0):
-                a, b = np.unravel_index(np.argmax(table < 0), table.shape)
-                gi, h = self.elements[self.inv_index[a]], self.elements[b]
-                raise WindowTruncation(f"product of {gi!r}, {h!r} leaves the window")
+            blocks, inv = [], self.inv_index[:m]
+            for rows in budget_slices(m, m * self._pair_bytes):
+                block = self.products(inv[rows, None], np.arange(m))
+                if np.any(block < 0):
+                    a, b = np.unravel_index(np.argmax(block < 0), block.shape)
+                    gi, h = self.elements[inv[rows.start + a]], self.elements[b]
+                    raise WindowTruncation(f"product of {gi!r}, {h!r} leaves the window")
+                blocks.append(block)
+            table = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
             table.flags.writeable = False
             self._diff_index[radius] = table
         return self._diff_index[radius]

@@ -175,6 +175,10 @@ def test_main_exit_codes(tmp_path, preset, experiment, param, code, error):
     ("dual-Z(4)", "semigroup", "t_grid=[1e308,1e308]"),
     ("Z(1) r=20", "semigroup", "t_grid=[1e308,1e308]"),
     ("free(2) r=6", "lemma74", "t=1e308"),
+    # a convolution semigroup lives on t >= 0
+    ("free(2) r=6", "lemma74", "t=-1000"),
+    ("Z(1) r=20", "semigroup", "t_grid=[-1000]"),
+    ("dual-Z(4)", "semigroup", "t_grid=[-1.0]"),
     # a parameter or parent the experiment never reads, rejected before any
     # parent is built (a window of radius 100000 would exit 5)
     ("fn-Z(2)", "axioms", "alhpa=1"),
@@ -191,6 +195,16 @@ def test_malformed_parameter_exits_2(tmp_path, preset, experiment, param):
     argv += [] if preset is None else ["--preset", preset]
     argv += [] if param is None else ["--param", param]
     assert cli.main(argv) == 2
+    assert not (tmp_path / "x.report.json").exists()
+
+
+@pytest.mark.parametrize("n_windows", [41, 10 ** 6])
+def test_theorem69_windows_past_the_stage_cap_exit_2(tmp_path, n_windows):
+    # no stage past genfun.MAX_STAGES (40) is grown, so no later window is read
+    start = time.perf_counter()
+    assert cli.main(["--experiment", "theorem69", "--param", f"n_windows={n_windows}",
+                     "--name", "x", "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 1.0
     assert not (tmp_path / "x.report.json").exists()
 
 
