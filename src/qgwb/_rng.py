@@ -71,7 +71,3 @@ class CounterRNG:
     def hermitian(self, n: int) -> np.ndarray:
         g = self.complex_matrix(n, n)
         return 0.5 * (g + g.conj().T)
-
-    def unitary(self, n: int) -> np.ndarray:
-        q, r = np.linalg.qr(self.complex_matrix(n, n))
-        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]

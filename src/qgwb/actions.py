@@ -25,9 +25,9 @@ import numpy as np
 
 from . import linalg
 from ._rng import CounterRNG
-from .core import DEFAULT_TOL, FiniteQG
+from .core import DEFAULT_TOL, FiniteQG, named_residuals
 from .coreps import Corep, check_condition_r, contragredient, corep_from_u_coef, \
-    dual_matrix_units, kazhdan_gap, named_residuals, unitarily_equivalent
+    dual_matrix_units, kazhdan_gap, unitarily_equivalent
 from .errors import (
     AxiomViolation,
     NoInvariantState,

@@ -54,6 +54,16 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 
 
+def named_residuals(res, tol, what):
+    """The residual table res, after raising AxiomViolation naming, worst
+    first, every identity of res whose residual exceeds tol."""
+    bad = sorted((k for k, v in res.items() if v > tol), key=res.get, reverse=True)
+    if bad:
+        named = ", ".join(f"'{k}' {res[k]:.3e}" for k in bad)
+        raise AxiomViolation(f"{what} identity residuals {named} > {tol:.1e}")
+    return res
+
+
 # ---------------------------------------------------------------------------
 # Hopf-axiom residual kernels
 # ---------------------------------------------------------------------------
@@ -173,7 +183,7 @@ def coassoc_residual(c) -> float:
               + 24 * (block.nnz + d * d))
 
     def parts():
-        for part in linalg.byte_slices(nbytes, "coassoc_residual"):
+        for part in linalg.byte_slices(d, nbytes, "coassoc_residual"):
             lo, hi = part.start * d, part.stop * d
             # (Delta (x) id)Delta: X[(i,a,b),k] = sum_p c[p,a,b] c[i,p,k]
             x = _block_diagonal(block, part.stop - part.start) @ _row_block(rows, lo, hi)
@@ -217,7 +227,7 @@ def hom_residual(m, c) -> float:
                    + np.minimum(_per_row(c, (ra @ to_r.T)[p, q]), d ** 3)) + 24 * d * d
 
     def parts():
-        for part in linalg.byte_slices(nbytes, "hom_residual"):
+        for part in linalg.byte_slices(d, nbytes, "hom_residual"):
             n, lo, hi = part.stop - part.start, part.start * d, part.stop * d
             lhs = _row_block(m2, lo, hi) @ c1
             f = _row_block(ct2, lo, hi) @ m1
@@ -249,7 +259,7 @@ def star_residual(c, star) -> float:
     d = c.shape[0]
     out = np.tensordot(star, c, axes=([0], [0]))                  # Delta(e_i^*)
     # per i, the conjugate, the two products and a transposed copy: d^2 each
-    for part in linalg.byte_slices(np.full(d, 16 * 4 * d * d), "star_residual"):
+    for part in linalg.byte_slices(d, 16 * 4 * d * d, "star_residual"):
         rhs = np.tensordot(np.conj(c[part]), star, axes=([1], [1]))   # (i, b, p)
         out[part] -= np.tensordot(rhs, star, axes=([1], [1]))          # (i, p, q)
     return float(np.linalg.norm(out))
@@ -267,7 +277,7 @@ def antipode_residual(m, c, s, counit, unit) -> float:
     # in slices along i (each row i of a sparse-dense product is formed
     # alone), four d^2 arrays per i: SD, its transposed copy, DS and scipy's
     # copy of the dense factor
-    for part in linalg.byte_slices(np.full(d, 16 * 4 * d * d), "antipode_residual"):
+    for part in linalg.byte_slices(d, 16 * 4 * d * d, "antipode_residual"):
         lo, hi = part.start * d, part.stop * d
         # SD[(i,k),p] = sum_j c[i,j,k] s[p,j]; left[i,q] = sum_{p,k} SD m[p,k,q]
         sd = (_row_block(ct2, lo, hi) @ s_t).reshape(-1, d, d).transpose(0, 2, 1)
@@ -288,7 +298,7 @@ def star_product_residual(m, star, star_mult) -> float:
     out = np.empty((d, d * d), dtype=complex)
     # in slices along i (each row i of a sparse-dense product is formed
     # alone), three d^2 arrays per i: lhs, the product and scipy's copy
-    for part in linalg.byte_slices(np.full(d, 16 * 3 * d * d), "star_product_residual"):
+    for part in linalg.byte_slices(d, 16 * 3 * d * d, "star_product_residual"):
         # lhs[(i,j),p] = sum_k conj(m[i,j,k]) star[p,k]
         lhs = _row_block(m2, part.start * d, part.stop * d).conj() @ st_t
         out[part] = lhs.reshape(-1, d * d)
@@ -337,8 +347,8 @@ class FiniteQG:
     """A finite quantum group given by structure constants.
 
     Immutable after construction; `validate()` runs at load time, raises
-    AxiomViolation naming the failing axiom, and its residual table is
-    kept as `residuals`.
+    AxiomViolation naming every failing axiom, worst first, and its
+    residual table is kept as `residuals`.
     """
 
     def __init__(self, key, mult, unit, comult, counit, star, antipode,
@@ -554,13 +564,7 @@ class FiniteQG:
         res["irrep_unitary"] = self._irrep_unitarity_residual()
         res["irrep_counit"] = self._irrep_counit_residual()
         res["schur_orthogonality"] = self._schur_residual()
-
-        bad = {k: v for k, v in res.items() if v > DEFAULT_TOL}
-        if bad:
-            worst = max(bad, key=bad.get)
-            raise AxiomViolation(
-                f"axiom '{worst}' residual {bad[worst]:.3e} > {DEFAULT_TOL:.1e}")
-        return res
+        return named_residuals(res, DEFAULT_TOL, "axiom")
 
     def _irrep_coproduct_residual(self):
         # Delta(u_ij) = sum_k u_ik (x) u_kj, per entry (i, j); the sum over k
@@ -581,7 +585,7 @@ class FiniteQG:
             target = np.where(np.eye(n, dtype=bool)[..., None], self.unit, 0.0)
             gathered = 3 * self.mult_nz.grouped((2,))[1].size + 4 * self.d
             worst = 0.0
-            for a in linalg.byte_slices(np.full(len(u), 16 * n * n * gathered), "irrep_unitary"):
+            for a in linalg.byte_slices(len(u), 16 * n * n * gathered, "irrep_unitary"):
                 acc1 = sum(self.mul(u[a, :, None, k], starred[a, None, :, k]) for k in range(n))
                 acc2 = sum(self.mul(starred[a, k, :, None], u[a, k, None, :]) for k in range(n))
                 worst = max(worst, linalg.norms(acc1 - target).max(),
@@ -619,12 +623,14 @@ def solve_haar(g: FiniteQG):
     normalisation and a PSD check of the GNS gram matrix.
     """
     d = g.d
-    c = g.comult
-    # unknown h_j: rows indexed by (i,k)
-    left = c.transpose(0, 2, 1).reshape(d * d, d) - np.kron(np.eye(d), g.unit.reshape(d, 1))
-    right = c.reshape(d * d, d) - np.kron(np.eye(d), g.unit.reshape(d, 1))
-    system = np.vstack([left, right])
-    basis = linalg.null_space(system)
+    # unknown h_j; the left law's rows (i, k) hold c[i,j,k], the right law's
+    # rows (i, k) hold c[i,k,j], less unit[k] in column i
+    system = np.empty((2, d, d, d), dtype=complex)
+    system[0] = g.comult.transpose(0, 2, 1)
+    system[1] = g.comult
+    i = np.arange(d)
+    system[:, i, :, i] -= g.unit
+    basis = linalg.null_space(system.reshape(2 * d * d, d))
     if not basis:
         raise HaarNotFound("invariance system has no solution")
     if len(basis) > 1:
@@ -716,12 +722,7 @@ class DualBlockAlgebra:
                "dual_homomorphism": hom_residual(self.product_nz, c),
                "dual_counit": counit_residual(self.comult_tensor(), self.counit),
                "dual_star": _permuted_star_residual(self.P_nz, self.star_perm)}
-        bad = {k: v for k, v in res.items() if v > DEFAULT_TOL}
-        if bad:
-            worst = max(bad, key=bad.get)
-            raise AxiomViolation(
-                f"dual axiom '{worst}' residual {bad[worst]:.3e} > {DEFAULT_TOL:.1e}")
-        self.residuals = res
+        self.residuals = named_residuals(res, DEFAULT_TOL, "dual axiom")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .core import DEFAULT_TOL, FiniteQG
+from .core import DEFAULT_TOL, FiniteQG, named_residuals
 from .errors import (
     AxiomViolation,
     EmptyQ,
@@ -30,16 +30,6 @@ from .errors import (
 EQUIVALENCE_TOL = 1e-8    # unitarily_equivalent: the accepted intertwiner residual
 CONDITION_R_TOL = 1e-8    # check_condition_r: ||(R (x) j)(U) - U||
 PROJECTION_TOL = 1e-8     # invariant_projection: averaging vs joint-eigenspace oracle
-
-
-def named_residuals(res, tol, what):
-    """The residual table res, after raising AxiomViolation naming, worst
-    first, every identity of res whose residual exceeds tol."""
-    bad = sorted((k for k, v in res.items() if v > tol), key=res.get, reverse=True)
-    if bad:
-        named = ", ".join(f"'{k}' {res[k]:.3e}" for k in bad)
-        raise AxiomViolation(f"{what} identity residuals {named} > {tol:.1e}")
-    return res
 
 
 def _product_rows(rows, x):

@@ -222,17 +222,6 @@ class LiftedRep:
             (vals, (np.concatenate(rows), np.concatenate(cols))),
             shape=(total, self.parent.d * total))
 
-    def dense(self):
-        """The (d, total, total) coefficient family as an ndarray."""
-        d, total = self.parent.d, self.fock.total_dim
-        _reserve(16 * d * total * total, "the dense lifted coefficients")
-        return self.coef.toarray().reshape(total, d, total).transpose(1, 0, 2)
-
-    def corep(self):
-        """The lifted corep object, validated like every corep."""
-        return Corep(self.parent, np.tensordot(
-            self.parent.Binv, self.dense(), axes=([1], [0])))
-
 
 def compatibility_residual(fock: TruncatedFock, u: Corep) -> float:
     """Residual of (omega (x) id)(U^*) J <= J (omega-bar (x) id)(U^*)."""

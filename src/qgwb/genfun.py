@@ -153,7 +153,7 @@ class SchurmannTriple:
         worst = 0.0
         # per p, c(b_p b_q), the targets, rowmul's product, the right side and
         # the difference, d x dim each, with room for numpy's temporaries
-        for p in linalg.byte_slices(np.full(d, 16 * 6 * d * self.dim), "schurmann_triple"):
+        for p in linalg.byte_slices(d, 16 * 6 * d * self.dim, "schurmann_triple"):
             c_products = self.cocycle(parent.mult[p])  # c(b_p b_q)
             # rho(b_p) c(b_q) = c(b_p b_q) - eps(b_q) c(b_p), solved for rho(b_p)
             # against the cocycle vectors
@@ -345,10 +345,10 @@ def construct_unbounded_generator(block_at, eps, eval_windows, search_labels,
                                   k_candidates):
     """Grow a strongly unbounded central generator from a vanishing sequence.
 
-    block_at(k, label) returns the block of the k-th element at an irrep
-    label (a scalar or a matrix).  Stage l selects k_l with
-    sup_{label in K_l} ||I - a_{k_l}|| <= eps/4^l (smallness) and a witness
-    label with ||I - a_{k_l}|| >= eps (escape), then accumulates
+    block_at(k, label) returns the (scalar) block of the k-th element at an
+    irrep label.  Stage l selects k_l with
+    sup_{label in K_l} |1 - a_{k_l}| <= eps/4^l (smallness) and a witness
+    label with |1 - a_{k_l}| >= eps (escape), then accumulates
     L = sum_l 2^l (1 - a_{k_l}).  Stages are capped at MAX_STAGES and
     weights guarded against overflow.
     """
@@ -359,10 +359,7 @@ def construct_unbounded_generator(block_at, eps, eval_windows, search_labels,
     n_stages = min(MAX_STAGES, len(eval_windows))
 
     def gauge(k, label):
-        b = np.asarray(block_at(k, label))
-        if b.ndim == 0:
-            return float(abs(1.0 - complex(b)))
-        return linalg.opnorm(b - np.eye(b.shape[0]))
+        return abs(1.0 - complex(block_at(k, label)))
 
     for l in range(1, n_stages + 1):
         window = list(eval_windows[l - 1])
@@ -395,17 +392,15 @@ def construct_unbounded_generator(block_at, eps, eval_windows, search_labels,
         acc = None
         for st in stages:
             b = np.asarray(block_at(st["k"], label), dtype=complex)
-            term = st["weight"] * ((np.eye(b.shape[0]) if b.ndim == 2 else 1.0) - b)
+            term = st["weight"] * (1.0 - b)
             acc = term if acc is None else acc + term
-            if np.max(np.abs(np.atleast_1d(acc))) > 1e300:
+            if abs(acc) > 1e300:
                 raise StageOverflow("generator value exceeded double precision")
         return acc
 
     for st in stages:
-        val = generator_block(st["witness"])
-        norm = (abs(complex(val)) if np.asarray(val).ndim == 0
-                else linalg.opnorm(np.asarray(val)))
-        st["witness_norm"] = float(norm)
+        norm = abs(complex(generator_block(st["witness"])))
+        st["witness_norm"] = norm
         st["witness_bound"] = st["weight"] * eps
         if norm < st["witness_bound"] - 1e-9:
             raise SelectionFailed(

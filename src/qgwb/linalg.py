@@ -23,10 +23,12 @@ np.add.at per row i; `structure_sum_sparse` is its form for sparse
 families.  `rowmul`, `vdots` and `norms` act on stacks of vectors, bit for
 bit as on each vector alone.
 
-Working memory: `BYTE_BUDGET` bounds one working array, and `byte_slices`
-cuts a kernel's leading index range into slices of at most `SLICE_BYTES`,
-raising BudgetExceeded (a resource cap) when one index alone is over the
-budget.
+Working memory: `byte_slices` is the one slicer of every kernel that
+grows with its input (the validation kernels, the Schurmann triple and
+the window products): it cuts the kernel's leading index range into
+slices of at most `SLICE_BYTES`, and raises BudgetExceeded (a resource
+cap) when one index alone needs more than `BYTE_BUDGET`, which also
+bounds each array of the Fock layer.
 """
 
 from __future__ import annotations
@@ -41,41 +43,39 @@ HERM_RTOL = 1e-9   # the Hermiticity gate, relative to max(1, ||m||_F)
 RANK_TOL = 1e-10   # singular values and eigenvalues below this, relative, count as 0
 PSD_TOL = 1e-9     # psd_check: the least accepted min eigenvalue is -PSD_TOL
 # Bytes one working array of a kernel that grows with its input may take:
-# the Fock layer checks its arrays against it, window products run in
-# slices of at most this many bytes.
+# the Fock layer checks its arrays against it, and byte_slices the work of
+# each index.
 BYTE_BUDGET = 32 * 2 ** 20
-# Bytes one slice of a kernel sliced along its leading output index takes:
-# a kernel that fits takes one slice, so small inputs run unsliced.
+# Bytes one slice of a kernel sliced along its leading index takes: a
+# kernel that fits takes one slice, so small inputs run unsliced.
 SLICE_BYTES = BYTE_BUDGET // 16
 
 
-def budget_slices(n, item_bytes):
-    """Slices covering range(n), each of at most BYTE_BUDGET // item_bytes
-    items (at least one)."""
-    step = max(1, BYTE_BUDGET // item_bytes)
-    return [slice(k, k + step) for k in range(0, n, step)]
-
-
-def byte_slices(nbytes, kernel):
-    """Slices of consecutive leading indices covering range(len(nbytes)),
-    where the work for index i holds nbytes[i] bytes: each slice holds at
-    most SLICE_BYTES, or is one index.  Raises BudgetExceeded, naming the
-    kernel and the count, when one index alone holds more than
-    BYTE_BUDGET."""
+def byte_slices(n, nbytes, kernel):
+    """Slices of consecutive leading indices covering range(n), where the
+    work for index i holds nbytes bytes (one number for every index) or
+    nbytes[i] (an array of n): each slice holds at most SLICE_BYTES, or is
+    one index; n = 0 gives none.  Raises BudgetExceeded, naming the kernel
+    and the count, when one index alone holds more than BYTE_BUDGET."""
+    if n == 0:
+        return []
     nbytes = np.asarray(nbytes, dtype=float)
-    worst = int(np.argmax(nbytes))
-    if nbytes[worst] > BYTE_BUDGET:
-        raise BudgetExceeded(f"{kernel}: index {worst} needs {int(nbytes[worst])} bytes, "
+    worst = 0 if nbytes.ndim == 0 else int(np.argmax(nbytes))
+    if nbytes.flat[worst] > BYTE_BUDGET:
+        raise BudgetExceeded(f"{kernel}: index {worst} needs {int(nbytes.flat[worst])} bytes, "
                              f"over the budget of {BYTE_BUDGET}")
-    if nbytes.sum() <= SLICE_BYTES:
-        return [slice(0, nbytes.size)]
-    out, lo, held = [], 0, 0.0
-    for i, b in enumerate(nbytes.tolist()):
-        if held + b > SLICE_BYTES and i > lo:
-            out.append(slice(lo, i))
-            lo, held = i, 0.0
-        held += b
-    return out + [slice(lo, nbytes.size)]
+    if nbytes.ndim == 0:
+        step = n if nbytes <= 0 else max(1, int(SLICE_BYTES // nbytes))
+        return [slice(k, min(k + step, n)) for k in range(0, n, step)]
+    # greedy packing: a slice from lo ends before the first index whose
+    # running total from lo passes SLICE_BYTES
+    ends, out, lo = np.cumsum(nbytes), [], 0
+    while lo < n:
+        held = ends[lo - 1] if lo else 0.0
+        hi = max(lo + 1, int(np.searchsorted(ends, held + SLICE_BYTES, side="right")))
+        out.append(slice(lo, hi))
+        lo = hi
+    return out
 
 
 def frob(m) -> float:
@@ -112,11 +112,6 @@ def norms(x) -> np.ndarray:
     (np.linalg.norm(x, axis=-1) sums in another order)."""
     re, im = np.real(x), np.imag(x)
     return np.sqrt(rowmul(re, re[..., None])[..., 0] + rowmul(im, im[..., None])[..., 0])
-
-
-def opnorm(m) -> float:
-    """Operator (spectral) norm."""
-    return float(np.linalg.norm(np.asarray(m), 2))
 
 
 def require_square(m) -> np.ndarray:

@@ -16,9 +16,9 @@ import functools
 
 import numpy as np
 
+from . import linalg
 from ._rng import CounterRNG
 from .errors import AxiomViolation, RadiusTooLarge, SchemaError, WindowTruncation
-from .linalg import budget_slices
 
 ELEMENT_CAP = 200_000
 # products the radius-law check may form, about 20 times those of
@@ -91,11 +91,11 @@ class GroupDualWindow:
     def products(self, a, b):
         """Index of g_a g_b over the broadcast index arrays a, b; -1 where the
         product leaves the window or an input index is -1.  Computed in
-        slices within the byte budget."""
+        the slices of linalg.byte_slices."""
         a, b = np.broadcast_arrays(np.asarray(a, dtype=int), np.asarray(b, dtype=int))
         shape, a, b = a.shape, a.ravel(), b.ravel()
         out = np.empty(a.size, dtype=int)
-        for part in budget_slices(a.size, self._pair_bytes):
+        for part in linalg.byte_slices(a.size, self._pair_bytes, "window_products"):
             out[part] = self._product(a[part], b[part])
         return out.reshape(shape)
 
@@ -104,13 +104,13 @@ class GroupDualWindow:
 
         An m x m int array, m the size of that prefix; built once per radius
         and kept.  Raises WindowTruncation when a product leaves the window,
-        at the first row block (of rows whose products take the byte budget)
-        that holds one.
+        at the first row block (of rows whose products fill one slice of
+        linalg.byte_slices) that holds one.
         """
         if radius not in self._diff_index:
             m = int(np.searchsorted(self.lengths, radius, side="right"))
             blocks, inv = [], self.inv_index[:m]
-            for rows in budget_slices(m, m * self._pair_bytes):
+            for rows in linalg.byte_slices(m, m * self._pair_bytes, "diff_index"):
                 block = self.products(inv[rows, None], np.arange(m))
                 if np.any(block < 0):
                     a, b = np.unravel_index(np.argmax(block < 0), block.shape)
@@ -295,7 +295,7 @@ def _build_zpow(d, m, radius):
     spheres, count = [np.zeros((1, m), dtype=int)], 1
     for l in range(1, radius + 1):
         found = [np.empty((0, m), dtype=int)]
-        for part in budget_slices(len(spheres[-1]), 16 * m * m):
+        for part in linalg.byte_slices(len(spheres[-1]), 16 * m * m, "sphere_growth"):
             grown = normal(spheres[-1][part, None] + gens).reshape(-1, m)
             found.append(grown[length(grown) == l])
         found = np.concatenate(found)

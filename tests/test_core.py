@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from qgwb import core, presets
+from qgwb import cli, core, linalg, presets
 from qgwb.core import dense_image_report, solve_haar
 from qgwb.errors import (
     HaarNotFound,
@@ -20,6 +21,7 @@ from qgwb.errors import (
 from qgwb.serialize import qg_from_dict, qg_to_dict
 from qgwb.windows import build_window
 
+QG_PRESETS = [name for name in presets.preset_names() if not presets.is_window_preset(name)]
 ALL_QG_PRESETS = ["dual-Z(2)", "dual-Z(3)", "dual-Z(4)", "dual-Z(8)",
                   "fn-Z(2)", "fn-Z(3)", "fn-Z(4)", "fn-S3", "grp-S3",
                   "kac-paljutkin"]
@@ -126,6 +128,37 @@ def test_solve_haar_no_solution_for_disjoint_union():
         solve_haar(f)
 
 
+def _kron_solve_haar(g):
+    """solve_haar's invariance system as it was once built, from two
+    np.kron(np.eye(d), unit) d^3 arrays, then solved as solve_haar does."""
+    d, c = g.d, g.comult
+    left = c.transpose(0, 2, 1).reshape(d * d, d) - np.kron(np.eye(d), g.unit.reshape(d, 1))
+    right = c.reshape(d * d, d) - np.kron(np.eye(d), g.unit.reshape(d, 1))
+    (h,) = linalg.null_space(np.vstack([left, right]))
+    return h / complex(h @ g.unit)
+
+
+@pytest.mark.parametrize("name", QG_PRESETS)
+def test_solve_haar_matches_the_kron_system(name):
+    doc = qg_to_dict(presets.load_preset(name))
+    del doc["haar"]
+    g = qg_from_dict(doc)
+    assert np.array_equal(g.haar, _kron_solve_haar(g))
+
+
+def test_dual_z48_without_haar_builds_within_8_mib():
+    g = presets.load_preset("dual-Z(48)")
+    args = (g.key, g.mult.copy(), g.unit.copy(), g.comult.copy(), g.counit.copy(),
+            g.star.copy(), g.antipode.copy(), g.irreps)
+    tracemalloc.start()
+    try:
+        core.FiniteQG(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+
+
 def test_document_roundtrip():
     g = presets.load_preset("kac-paljutkin")
     doc = qg_to_dict(g)
@@ -151,6 +184,26 @@ def test_document_bad_axioms():
     doc["counit"] = [[1.0, 0.0], [0.0, 0.0]]
     with pytest.raises(AxiomViolation):
         qg_from_dict(doc)
+
+
+def test_a_corrupted_coproduct_names_every_failing_law_worst_first(tmp_path):
+    doc = qg_to_dict(presets.load_preset("fn-Z(3)"))
+    doc["comult"][0][3] = 2.0
+    with pytest.raises(AxiomViolation) as err:
+        qg_from_dict(doc)
+    message = str(err.value)
+    assert message.startswith("axiom identity residuals ") and message.endswith(" > 1.0e-09")
+    named = re.findall(r"'(\w+)' ([0-9.e+-]+)", message)
+    assert {law for law, _ in named} == {
+        "coassociativity", "coproduct_homomorphism", "counit", "coproduct_unital",
+        "antipode", "irrep_coproduct", "haar_invariance"}
+    values = [float(v) for _, v in named]
+    assert values == sorted(values, reverse=True)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _ = cli.run_scenario({"name": "bad", "preset": str(path), "experiment": "axioms"},
+                               out_dir=str(tmp_path))
+    assert code == 3
 
 
 # -- dual block algebra ------------------------------------------------------

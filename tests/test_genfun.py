@@ -249,7 +249,7 @@ def test_derivative_round_trip(name):
     mu = F.vector_state(g, rng.unit_vector(g.d))
     lf = 3.0 * (F.counit_functional(g) - mu)
     genfun.validate_generating(lf)
-    norm = max(linalg.opnorm(b) for b in lf.blocks())
+    norm = max(np.linalg.norm(b, 2) for b in lf.blocks())
     for h in (1e-3, 1e-4):
         rec = F.derivative_recovery(lf, h)
         err = float(np.max(np.abs(rec.coeffs - lf.coeffs)))

@@ -1,10 +1,11 @@
 """Sliced kernels against the unsliced ones, and the memory they hold.
 
-The residual kernels, the dual product and the Schurmann triple run in
-slices along their leading output index, each of at most
-linalg.SLICE_BYTES.  The unsliced kernels they replaced are kept below as
-references.  With the slice size forced down to a few KiB every kernel
-takes many slices, and each result must equal the reference's with ==.
+The residual kernels, the dual product, the Schurmann triple and the
+window products run in slices along their leading index, each of at most
+linalg.SLICE_BYTES, cut by linalg.byte_slices.  The unsliced kernels they
+replaced are kept below as references.  With the slice size forced down to
+a few KiB every kernel takes many slices, and each result must equal the
+reference's with ==.
 """
 
 import json
@@ -134,14 +135,14 @@ def ref_triple(triple, parent):
 
 @pytest.fixture
 def small_slices(monkeypatch):
-    """Slices of SMALL_SLICE bytes, and a list of the slice count of every
-    sliced call."""
-    counts = []
+    """Slices of SMALL_SLICE bytes, and the most slices a call of each
+    kernel took, by kernel name."""
+    counts = {}
     real = linalg.byte_slices
 
-    def counting(nbytes, kernel):
-        out = real(nbytes, kernel)
-        counts.append(len(out))
+    def counting(n, nbytes, kernel):
+        out = real(n, nbytes, kernel)
+        counts[kernel] = max(counts.get(kernel, 0), len(out))
         return out
     monkeypatch.setattr(linalg, "SLICE_BYTES", SMALL_SLICE)
     monkeypatch.setattr(linalg, "byte_slices", counting)
@@ -193,7 +194,7 @@ def test_sliced_kernels_equal_the_unsliced_ones_on_presets(name, small_slices):
     assert core._permuted_star_residual(dual.P_nz, dual.star_perm) == ref_dual_star(
         p, dual.star_perm)
     if g.d >= 4:
-        assert max(small_slices) > 1
+        assert max(small_slices.values()) > 1
 
 
 @pytest.mark.parametrize("name", QG_PRESETS)
@@ -211,7 +212,7 @@ def test_schurmann_triple_in_small_slices(name, small_slices):
     rhos, worst = ref_triple(triple, g)
     assert np.array_equal(triple.rhos, rhos)
     assert triple.cocycle_rule_residual == worst
-    assert max(small_slices) > 1
+    assert small_slices["schurmann_triple"] > 1
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
@@ -237,7 +238,53 @@ def test_sliced_kernels_equal_the_unsliced_ones_on_dense_tensors(d, small_slices
         assert core._permuted_star_residual(p, perm) == ref_dual_star(p, perm)
         parent = types.SimpleNamespace(mult=m, B=b, Binv=np.linalg.inv(b))
         assert np.array_equal(core._u_product(parent), ref_u_product(parent))
-    assert max(small_slices) > 1
+    assert max(small_slices.values()) > 1
+
+
+# windows of the benchmark's small-mix workload, free(2) r=8, and Z(1)^3
+# r=4, whose spheres alone here outgrow one small slice
+SLICED_WINDOWS = [("free(1)", 6), ("free(2)", 4), ("free(2)", 6), ("free(3)", 4), ("Z(1)", 20),
+                  ("Z(1)", 40), ("Z(1)^2", 6), ("free(2)", 8), ("Z(1)^3", 4)]
+
+
+def window_tables(w):
+    return [w.lengths, w.inv_index] + [w.diff_index(s) for s in range(w.radius // 2 + 1)]
+
+
+@pytest.fixture(scope="module")
+def unsliced_window_tables():
+    return {spec: window_tables(build_window(*spec)) for spec in SLICED_WINDOWS}
+
+
+def test_windows_in_small_slices_keep_every_table(unsliced_window_tables, small_slices):
+    for spec, tables in unsliced_window_tables.items():
+        w = build_window(*spec)     # its _check passes, as unsliced
+        for got, want in zip(window_tables(w), tables, strict=True):
+            assert np.array_equal(got, want)
+    for kernel in ("window_products", "diff_index", "sphere_growth"):
+        assert small_slices[kernel] > 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 100, 5000])
+@pytest.mark.parametrize("x", [0, 1, 160, SMALL_SLICE, linalg.SLICE_BYTES // 3,
+                               linalg.SLICE_BYTES, linalg.SLICE_BYTES + 1, linalg.BYTE_BUDGET])
+def test_one_cost_for_every_index_slices_as_an_array_of_it(n, x):
+    slices = linalg.byte_slices(n, x, "k")
+    assert slices == linalg.byte_slices(n, np.full(n, x), "k")
+    assert [i for part in slices for i in range(n)[part]] == list(range(n))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_one_cost_over_the_budget_raises_as_an_array_of_it(n):
+    over = linalg.BYTE_BUDGET + 1
+    messages = []
+    for nbytes in (over, np.full(n, over)):
+        with pytest.raises(BudgetExceeded) as info:
+            linalg.byte_slices(n, nbytes, "k")
+        messages.append(str(info.value))
+    assert messages == [f"k: index 0 needs {over} bytes, "
+                        f"over the budget of {linalg.BYTE_BUDGET}"] * 2
+    assert linalg.byte_slices(0, over, "k") == linalg.byte_slices(0, np.full(0, over), "k") == []
 
 
 # -- resource caps ----------------------------------------------------------------
@@ -260,6 +307,22 @@ def test_a_document_over_the_budget_exits_5(tmp_path, monkeypatch):
     assert code == 5
     with open(report) as fh:
         assert "BudgetExceeded" in fh.read()
+
+
+# a sphere element of Z(1)^m holds 16 m^2 bytes of work, over the budget
+# from m = 1449 on
+@pytest.mark.parametrize("m", [1449, 1500])
+def test_a_sphere_element_over_the_budget_exits_5(m, tmp_path):
+    assert 16 * 1448 ** 2 <= linalg.BYTE_BUDGET < 16 * 1449 ** 2
+    start = time.perf_counter()
+    code, report = cli.run_scenario({"name": "x", "preset": f"Z(1)^{m} r=1",
+                                     "experiment": "axioms"}, out_dir=str(tmp_path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 5
+    error = json.loads(Path(report).read_text())["error"]
+    assert error["type"] == "BudgetExceeded"
+    assert error["message"] == (f"sphere_growth: index 0 needs {16 * m * m} bytes, "
+                                f"over the budget of {linalg.BYTE_BUDGET}")
 
 
 # -- memory -----------------------------------------------------------------------
@@ -343,7 +406,7 @@ def test_diff_index_in_row_blocks_matches_the_whole_table(radius, monkeypatch):
     m = int(np.searchsorted(w.lengths, radius, side="right"))
     whole = w.products(w.inv_index[:m, None], np.arange(m))
     # blocks of 7 rows, the last one short (no ball size here is a multiple of 7)
-    monkeypatch.setattr(linalg, "BYTE_BUDGET", 7 * m * w._pair_bytes)
+    monkeypatch.setattr(linalg, "SLICE_BYTES", 7 * m * w._pair_bytes)
     if np.all(whole >= 0):
         assert np.array_equal(w.diff_index(radius), whole)
         return
