@@ -12,8 +12,8 @@ Exit codes: 0 all contracts passed; 2 schema errors; 3 axiom violations;
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -34,15 +34,12 @@ from .errors import (
     NotAMorphism,
     QGWBError,
     SchemaError,
-    UnknownPreset,
     WindowTruncation,
 )
-from .serialize import load_qg
 
 EXPERIMENTS = {}  # id -> (body, {parent kind: parameter names})
 PARENT_KINDS = {"qg": "a quantum group parent", "window": "a window parent",
                 "none": "no parent"}
-PRESET_DIR_ENV = "QGWB_PRESET_DIR"
 NAME_MAX = 255  # bytes in one file name on common file systems
 
 
@@ -122,31 +119,6 @@ def _generator_powers(window, l_max):
     return powers
 
 
-def _resolve_parent(spec, radius):
-    """Preset name, 'NAME r=R' window form, or a document path.  Only a name
-    that is no preset is looked up as a document; a spec or document that
-    cannot be read raises SchemaError."""
-    spec = str(spec).strip()
-    try:
-        if " r=" in spec:
-            name, _, r = spec.rpartition(" r=")
-            return presets.load_preset(name.strip(), radius=int(r))
-        with contextlib.suppress(UnknownPreset):
-            return presets.load_preset(spec, radius=radius)
-        candidates = [spec]
-        extra = os.environ.get(PRESET_DIR_ENV)
-        if extra:
-            for root in extra.split(os.pathsep):
-                candidates.append(os.path.join(root, spec))
-                candidates.append(os.path.join(root, spec + ".json"))
-        for path in candidates:
-            if os.path.isfile(path):
-                return load_qg(path)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"cannot read parent {spec!r}: {exc}") from exc
-    raise SchemaError(f"unknown preset or document {spec!r}")
-
-
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -208,7 +180,7 @@ def _run_kazhdan(parent, params, tol_scale, seed):
     u = coreps.direct_sum(*[coreps.block_corep(parent, a) for a in nontrivial])
     gap_units = coreps.kazhdan_gap(u, coreps.dual_matrix_units(parent))
     checks.append(_check("gap_matrix_units_positive", 0.0 if gap_units > 0 else 1.0, 0.5))
-    if parent.key.startswith("dual-Z("):
+    if presets.is_dual_z(parent):
         n = parent.d
         xg = np.exp(2j * np.pi * np.arange(n) / n)
         gap = coreps.kazhdan_gap(u, [xg])
@@ -340,7 +312,7 @@ def _run_pair_bounds(parent, params, tol_scale, seed):
 def grading_action(parent: FiniteQG) -> actions.Action:
     """The degree action of the two-element dual on M_2."""
     if parent.d != 2 or not parent.key.startswith("dual-Z(2"):
-        raise SchemaError("the grading action lives over dual-Z(2)")
+        raise SchemaError("the grading action lives over C[Z_2]")
     alpha = np.zeros((2, 2, 2, 2, 2), dtype=complex)
     for a in range(2):
         for b in range(2):
@@ -415,11 +387,7 @@ def _run_fock_suite(parent, params, tol_scale, seed):
         checks.append(_check(f"catalan_m{k}", abs(moments[k] - catalan[k]),
                              1e-12 * tol_scale))
     s1, s2 = f2.s_operator(np.array([1.0, 0.0])), f2.s_operator(np.array([0.0, 1.0]))
-    words = []
-    import itertools as it
-    for length in range(1, 5):
-        for combo in it.product([s1, s2], repeat=length):
-            words.append(list(combo))
+    words = [list(w) for n in range(1, 5) for w in itertools.product([s1, s2], repeat=n)]
     checks.append(_check("vacuum_traciality", fock.trace_check(f2, words),
                          1e-9 * tol_scale))
     if parent is not None:
@@ -503,18 +471,14 @@ def run_scenario(scenario, out_dir="."):
         if experiment_id not in EXPERIMENTS:
             raise SchemaError(f"unknown experiment {experiment_id!r}")
         run, takes = EXPERIMENTS[experiment_id]
-        spec = str(parent_spec).strip()
-        kind = ("none" if parent_spec is None else
-                "window" if presets.is_window_preset(spec) else "qg")
-        if kind == "qg" and " r=" in spec:
-            raise SchemaError(f"a ' r=R' radius names a window, and "
-                              f"{spec.rpartition(' r=')[0].strip()!r} is no window preset")
+        spec = None if parent_spec is None else presets.parse(parent_spec)
+        kind = "none" if spec is None else spec.kind
         if kind not in takes:
             raise SchemaError(f"{experiment_id} takes "
                               f"{' or '.join(PARENT_KINDS[k] for k in takes)}, "
                               f"got {parent_spec!r}")
         # a window preset named without a radius takes it as a parameter
-        reads = takes[kind] + (("radius",) if kind == "window" and " r=" not in spec else ())
+        reads = takes[kind] + (("radius",) if kind == "window" and spec.radius is None else ())
         unknown = sorted(set(params) - set(reads))
         if unknown:
             raise SchemaError(f"{experiment_id} with {PARENT_KINDS[kind]} reads no "
@@ -528,7 +492,7 @@ def run_scenario(scenario, out_dir="."):
     parent, started = None, time.time()
     try:
         if parent_spec is not None:
-            parent = _resolve_parent(parent_spec, radius)
+            parent = presets.load_preset(parent_spec, radius)
         body = run(parent, params, tol_scale, seed)
         failure = None
     except RESOURCE_CAP_ERRORS as exc:

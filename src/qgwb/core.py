@@ -25,8 +25,10 @@ exact nonzeros, the linalg.Structure stores `mult_nz`, `comult_nz` and
 Products, residual kernels and the corep calculus read the stores, adding
 each sum's terms in the order of the dense contraction they replaced, so
 residuals and reports are the same to the last bit.  No dense derived
-tensor is kept: `star_mult` and the dual's `P` are formed when read, and
-the store forms that only validation reads are released when it returns.
+tensor is formed at construction: the dense `star_mult`, which the Fock
+layer reads, is formed on its first read and kept; the dual's `P` is
+formed on each read; and the store forms that only validation reads are
+released when it returns.
 
 The kernels that grow with their input run in slices along their leading
 output index, cut by linalg.byte_slices from counts made before anything

@@ -164,10 +164,18 @@ def is_state(mu: Functional, tol: float = 1e-9) -> bool:
 
 def _block_expm(g: FiniteQG, u):
     """The u-coordinates of the blockwise exponential of each u-coordinate
-    vector of the stack u: one linalg.expm call per block size."""
+    vector of the stack u: one linalg.expm call per block size; a stack
+    scipy gives up on is taken vector by vector, inf where it still does."""
     out = np.empty(u.shape, dtype=complex)
     for idx in g.blocks_by_size.values():
-        out[..., idx] = linalg.expm(u[..., idx])
+        try:
+            out[..., idx] = linalg.expm(u[..., idx])
+        except OverflowError:
+            for k, v in enumerate(u[..., idx]):
+                try:
+                    out[k, idx] = linalg.expm(v)
+                except OverflowError:
+                    out[k, idx] = np.inf
     return out
 
 
@@ -175,20 +183,20 @@ def semigroup_state(l: Functional, t):
     """mu_t = exp_*(-t l) through the blockwise closed form; for a sequence
     of times, the list of the mu_t."""
     times = np.asarray(t, dtype=float)
-    # reject a time whose scaled generator t l leaves the float range; on a
-    # quantum group, its norm must stay finite twice over, since expm's
-    # Hermiticity test forms m - m^*
+
+    def reject(finite, what):
+        if not finite.all():
+            raise SchemaError(f"time {float(times.flat[np.argmin(finite)])!r} {what} "
+                              f"past the float range")
+    # on a quantum group, the norm of t l must stay finite twice over, since
+    # expm's Hermiticity test forms m - m^*
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = -times.reshape(-1, 1) * l.u_coords()
-        finite = (np.isfinite(scaled).all(axis=1) if l.is_window
-                  else np.isfinite(linalg.norms(2.0 * scaled)))
-    if not finite.all():
-        raise SchemaError(f"time {float(times.flat[np.argmin(finite)])!r} scales the generator "
-                          f"past the float range")
-    if l.is_window:
-        coeffs = np.exp(scaled)
-    else:
-        coeffs = [l.parent.from_u_coords(u) for u in _block_expm(l.parent, scaled)]
+        reject(np.isfinite(scaled).all(axis=1) if l.is_window
+               else np.isfinite(linalg.norms(2.0 * scaled)), "scales the generator")
+        expo = np.exp(scaled) if l.is_window else _block_expm(l.parent, scaled)
+    reject(np.isfinite(expo).all(axis=1), "takes the exponential of the generator")
+    coeffs = expo if l.is_window else [l.parent.from_u_coords(u) for u in expo]
     states = [Functional(l.parent, c) for c in coeffs]
     return states[0] if times.ndim == 0 else states
 

@@ -1,21 +1,23 @@
-"""Built-in quantum groups and windows.
+"""Built-in quantum groups and windows, and the one reader of parent specs.
 
 The finite quantum group presets span the commutative (function algebras),
 cocommutative (group algebras) and genuinely quantum (the 8-dimensional
 Kac-Paljutkin algebra) Kac cases.  Windows cover free groups and free
-abelian / cyclic groups.  Every preset is validated on construction and
-built once per process.
+abelian / cyclic groups.  `parse` reads a parent spec without building
+anything; `load_preset` builds each preset or window once per process.
 """
 
 from __future__ import annotations
 
-import functools
+import os
+from collections import namedtuple
 
 import numpy as np
 
 from .core import FiniteQG, Irrep
 from .errors import SchemaError, UnknownPreset
-from .windows import build_window
+from .serialize import load_qg
+from .windows import build_window, names_group, parse_group_spec
 
 # ---------------------------------------------------------------------------
 # group algebras C[G] and function algebras C(G) of a finite group
@@ -62,19 +64,13 @@ def _cyclic_table(n):
     return np.add.outer(np.arange(n), np.arange(n)) % n
 
 
-@functools.lru_cache(maxsize=None)
 def dual_z(n: int) -> FiniteQG:
     """C[Z_n] with grouplike basis; irreps are the n grouplikes."""
-    if not 2 <= n <= 64:
-        raise SchemaError("dual-Z(n) shipped for 2 <= n <= 64")
     return _group_algebra(f"dual-Z({n})", _cyclic_table(n), [f"g{i}" for i in range(n)])
 
 
-@functools.lru_cache(maxsize=None)
 def fn_z(n: int) -> FiniteQG:
     """C(Z_n) with delta-function basis; irreps are the n characters."""
-    if not 2 <= n <= 64:
-        raise SchemaError("fn-Z(n) shipped for 2 <= n <= 64")
     k = np.arange(n)
     chars = np.exp(2j * np.pi / n) ** (k[:, None] * k)
     return _function_algebra(f"fn-Z({n})", _cyclic_table(n), [f"d{i}" for i in range(n)],
@@ -86,7 +82,6 @@ _S3 = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
 _S3_TABLE = np.array([[_S3.index(tuple(g[i] for i in h)) for h in _S3] for g in _S3])
 
 
-@functools.lru_cache(maxsize=None)
 def fn_s3() -> FiniteQG:
     """C(S_3); irreps: trivial, sign, and the 2-dim standard representation
     (real orthogonal, from the permutation action on sum-zero vectors)."""
@@ -99,7 +94,6 @@ def fn_s3() -> FiniteQG:
     return _function_algebra("fn-S3", _S3_TABLE, ["".join(map(str, g)) for g in _S3], irreps)
 
 
-@functools.lru_cache(maxsize=None)
 def grp_s3() -> FiniteQG:
     """C[S_3]; the six grouplikes are the irreducible corepresentations."""
     return _group_algebra("grp-S3", _S3_TABLE, ["l" + "".join(map(str, g)) for g in _S3])
@@ -109,17 +103,6 @@ def grp_s3() -> FiniteQG:
 # the 8-dimensional Kac-Paljutkin quantum group
 # ---------------------------------------------------------------------------
 
-def _kp_gmul(g1, g2):
-    # Z_2 x Z_2 coded as two bits
-    return g1 ^ g2
-
-
-def _kp_sigma(g):
-    # the x <-> y swap
-    return ((g & 1) << 1) | (g >> 1)
-
-
-@functools.lru_cache(maxsize=None)
 def kac_paljutkin() -> FiniteQG:
     """The 8-dimensional quantum group that is neither commutative nor
     cocommutative.
@@ -135,120 +118,158 @@ def kac_paljutkin() -> FiniteQG:
         u = 1/2 [[ z + xz,  yz - xyz ],
                  [ z - xz,  yz + xyz ]].
     """
-    d = 8
+    d, g = 8, np.arange(4)  # g in Z_2 x Z_2 coded as two bits: the product is XOR
+    sigma = ((g & 1) << 1) | (g >> 1)  # the x <-> y swap
     tvec = np.array([0.5, 0.5, 0.5, -0.5])  # z^2 = (1 + x + y - xy)/2
+    gi, ki = np.arange(d) & 3, np.arange(d) >> 2
 
+    # (g1 z^k1)(g2 z^k2) = g1 sigma^k1(g2) z^(k1 + k2), and z^2 = t
+    gg = gi[:, None] ^ np.where(ki[:, None] == 1, sigma[gi], gi)
+    kk = ki[:, None] + ki
     mult = np.zeros((d, d, d))
-    for g1 in range(4):
-        for k1 in range(2):
-            for g2 in range(4):
-                for k2 in range(2):
-                    i, j = g1 + 4 * k1, g2 + 4 * k2
-                    gg = _kp_gmul(g1, _kp_sigma(g2) if k1 else g2)
-                    if k1 + k2 < 2:
-                        mult[i, j, gg + 4 * (k1 + k2)] = 1.0
-                    else:
-                        for g3 in range(4):
-                            mult[i, j, _kp_gmul(gg, g3)] += tvec[g3]
-
-    unit = np.zeros(d)
-    unit[0] = 1.0
-    counit = np.ones(d)
+    i, j = np.nonzero(kk < 2)
+    mult[i, j, gg[i, j] + 4 * kk[i, j]] = 1.0
+    i, j = np.nonzero(kk == 2)
+    mult[i[:, None], j[:, None], gg[i, j][:, None] ^ g] = tvec
 
     comult = np.zeros((d, d, d))
-    for g in range(4):
-        comult[g, g, g] = 1.0
-    dz = {(4, 4): 0.5, (4, 5): 0.5, (6, 4): 0.5, (6, 5): -0.5}
-    for g in range(4):
-        for (p, q), v in dz.items():
-            gp, kp = p & 3, p >> 2
-            gq, kq = q & 3, q >> 2
-            comult[g + 4, _kp_gmul(g, gp) + 4 * kp, _kp_gmul(g, gq) + 4 * kq] += v
+    comult[g, g, g] = 1.0
+    # Delta(w z) = (w (x) w) Delta(z)
+    for (gp, gq), v in {(0, 0): 0.5, (0, 1): 0.5, (2, 0): 0.5, (2, 1): -0.5}.items():
+        comult[g + 4, (g ^ gp) + 4, (g ^ gq) + 4] = v
 
     antipode = np.zeros((d, d))
+    antipode[g, g] = antipode[sigma + 4, g + 4] = 1.0
     star = np.zeros((d, d))
-    for g in range(4):
-        antipode[g, g] = 1.0
-        star[g, g] = 1.0
-        antipode[_kp_sigma(g) + 4, g + 4] = 1.0
-        # (w z)^* = z^{-1} w = (z^2) z w = t sigma(w) z
-        for g3 in range(4):
-            star[_kp_gmul(g3, _kp_sigma(g)) + 4, g + 4] += tvec[g3]
+    star[g, g] = 1.0
+    # (w z)^* = z^{-1} w = (z^2) z w = t sigma(w) z
+    star[(g[:, None] ^ sigma) + 4, g + 4] = tvec[:, None]
 
-    haar = np.zeros(d)
-    haar[0] = 1.0
-
-    irreps = []
-    for g in range(4):
-        coeff = np.zeros((1, 1, d))
-        coeff[0, 0, g] = 1.0
-        irreps.append(Irrep(1, coeff))
     two = np.zeros((2, 2, d))
-    two[0, 0, 4] = two[0, 0, 5] = 0.5
-    two[0, 1, 6], two[0, 1, 7] = 0.5, -0.5
-    two[1, 0, 4], two[1, 0, 5] = 0.5, -0.5
-    two[1, 1, 6] = two[1, 1, 7] = 0.5
-    irreps.append(Irrep(2, two))
+    two[..., 4:] = 0.5 * np.array([[[1, 1, 0, 0], [0, 0, 1, -1]],
+                                   [[1, -1, 0, 0], [0, 0, 1, 1]]])
+    irreps = [Irrep(1, np.eye(d)[a].reshape(1, 1, d)) for a in range(4)] + [Irrep(2, two)]
 
     names = ["1", "x", "y", "xy", "z", "xz", "yz", "xyz"]
-    return FiniteQG("kac-paljutkin", mult, unit, comult, counit, star,
-                    antipode, irreps, haar=haar, basis_names=names)
+    return FiniteQG("kac-paljutkin", mult, np.eye(d)[0], comult, np.ones(d), star,
+                    antipode, irreps, haar=np.eye(d)[0], basis_names=names)
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
-_DUAL_Z_LISTED = list(range(2, 9)) + [12, 16, 24, 32, 48, 64]
-_FN_Z_LISTED = [2, 3, 4, 6, 8]
+PRESET_DIR_ENV = "QGWB_PRESET_DIR"
+WINDOW_RADIUS = 4  # the radius of a window spec that carries none
+# quantum-group family -> (constructor, argument range or None, listed arguments)
+_FAMILIES = {
+    "dual-Z": (dual_z, range(2, 65), [*range(2, 9), 12, 16, 24, 32, 48, 64]),
+    "fn-Z": (fn_z, range(2, 65), [2, 3, 4, 6, 8]),
+    "fn-S3": (fn_s3, None, [None]), "grp-S3": (grp_s3, None, [None]),
+    "kac-paljutkin": (kac_paljutkin, None, [None])}
+_WINDOWS_LISTED = ["free(1)", "free(2)", "free(3)", "Z(1)"]
+_BUILT = {}  # (kind, key, radius) -> the parent, built once per process
+Spec = namedtuple("Spec", "kind key radius")
+
+
+def parse(spec) -> Spec:
+    """Read a parent spec, building nothing.  kind is "window" or "qg" (a
+    quantum-group preset or a document); key is (family, *argument) of a
+    preset, the group tuple of a window and None for a document; radius is
+    the R of a "NAME r=R" window, else None.  A spec that names a family
+    but breaks its grammar or argument range raises SchemaError."""
+    text = str(spec).strip()
+    name, sep, r = text.rpartition(" r=")
+    name = name.strip() if sep else text
+    family, paren, arg = name.partition("(")
+    args = _FAMILIES.get(family, (None, None))[1]
+    try:
+        if names_group(name):
+            return Spec("window", parse_group_spec(name), int(r) if sep else None)
+        if sep:
+            raise SchemaError(f"a ' r=R' radius names a window, and {name!r} is no window preset")
+        if args is not None and paren and name.endswith(")"):
+            n = int(arg[:-1])
+            if n not in args:
+                raise SchemaError(f"{family}(n) shipped for {args.start} <= n <= {args[-1]}")
+            return Spec("qg", (family, n), None)
+    except ValueError as exc:
+        raise SchemaError(f"cannot read parent {text!r}: {exc}") from None
+    named = family in _FAMILIES and args is None and not paren
+    return Spec("qg", (family,) if named else None, None)
+
+
+def _target(spec, radius):
+    """(kind, key, radius) of a spec and a radius: a window's radius is the
+    spec's, else the given one, else WINDOW_RADIUS; a quantum group has none."""
+    kind, key, carried = parse(spec)
+    if radius is not None and (kind == "qg" or carried is not None):
+        raise SchemaError(f"{str(spec).strip()!r} takes no radius")
+    if kind == "window":
+        radius = next(r for r in (carried, radius, WINDOW_RADIUS) if r is not None)
+        if type(radius) is not int:
+            raise SchemaError(f"a window radius is an integer, got {radius!r}")
+    return kind, key, radius
+
+
+def _document(spec):
+    """The structure-constant document a spec names: the spec as a path,
+    then NAME and NAME.json under each directory of QGWB_PRESET_DIR."""
+    spec = str(spec).strip()
+    extra = os.environ.get(PRESET_DIR_ENV)
+    roots = extra.split(os.pathsep) if extra else []
+    for path in [spec] + [os.path.join(root, n) for root in roots for n in (spec, spec + ".json")]:
+        if os.path.isfile(path):
+            try:
+                return load_qg(path)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"cannot read parent {spec!r}: {exc}") from exc
+    raise UnknownPreset(f"unknown preset or document {spec!r}")
+
+
+def build(spec, radius=None):
+    """The parent a spec names, built anew; radius sets the radius of a
+    window spec that carries none."""
+    kind, key, radius = _target(spec, radius)
+    if key is None:
+        return _document(spec)
+    return build_window(key, radius) if kind == "window" else _FAMILIES[key[0]][0](*key[1:])
+
+
+def load_preset(spec, radius=None):
+    """The parent a spec names, as `build` gives it: a preset or window
+    built once per process and canonical key, a document read on each call."""
+    target = _target(spec, radius)
+    if target[1] is None:
+        return _document(spec)
+    if target not in _BUILT:
+        _BUILT[target] = build(spec, radius)
+    return _BUILT[target]
+
+
+def is_dual_z(g) -> bool:
+    """Whether g has the product, coproduct and irrep order (B) of the
+    dual-Z(d) preset, d = g.d, read from its structure, whatever its name."""
+    d, i = g.d, np.arange(g.d)
+    return bool(d in _FAMILIES["dual-Z"][1] and np.count_nonzero(g.mult) == d * d
+                and np.count_nonzero(g.comult) == d and np.array_equal(g.B, np.eye(d))
+                and np.all(g.mult[i[:, None], i, _cyclic_table(d)] == 1)
+                and np.all(g.comult[i, i, i] == 1))
 
 
 def preset_names():
     """Stable sorted list of the shipped preset names."""
-    names = [f"dual-Z({n})" for n in _DUAL_Z_LISTED]
-    names += [f"fn-Z({n})" for n in _FN_Z_LISTED]
-    names += ["fn-S3", "grp-S3", "kac-paljutkin"]
-    names += ["free(1)", "free(2)", "free(3)", "Z(1)"]
-    return sorted(names)
-
-
-def is_window_preset(name: str) -> bool:
-    return name.startswith("free(") or name.startswith("Z(") or name.startswith("cyclic(")
-
-
-def load_preset(name: str, radius: int | None = None):
-    """Build a preset by name; windows take a radius (default 4), and a
-    quantum group preset takes none (SchemaError)."""
-    name = name.strip()
-    if is_window_preset(name):
-        return _window(name, 4 if radius is None else radius)
-    if name.startswith("dual-Z(") and name.endswith(")"):
-        build = functools.partial(dual_z, int(name[7:-1]))
-    elif name.startswith("fn-Z(") and name.endswith(")"):
-        build = functools.partial(fn_z, int(name[5:-1]))
-    else:
-        build = {"fn-S3": fn_s3, "grp-S3": grp_s3, "kac-paljutkin": kac_paljutkin}.get(name)
-        if build is None:
-            raise UnknownPreset(f"unknown preset {name!r}")
-    if radius is not None:
-        raise SchemaError(f"{name!r} is a quantum group preset and takes no radius")
-    return build()
-
-
-@functools.lru_cache(maxsize=None, typed=True)
-def _window(name, radius):
-    return build_window(name, radius)
+    return sorted([family if n is None else f"{family}({n})"
+                   for family, (_, _, listed) in _FAMILIES.items() for n in listed]
+                  + _WINDOWS_LISTED)
 
 
 def preset_table():
     """Rows of (name, kind, dim, kac, max block dim) for every listed preset."""
     rows = []
     for name in preset_names():
-        if is_window_preset(name):
-            rows.append({"name": name, "kind": "window", "dim": None,
-                         "kac": True, "max_block_dim": 1})
-        else:
-            g = load_preset(name)
-            rows.append({"name": name, "kind": "qg", "dim": g.d,
-                         "kac": g.kac, "max_block_dim": g.max_block_dim})
+        g = load_preset(name) if parse(name).kind == "qg" else None
+        rows.append({"name": name, "kind": "window" if g is None else "qg",
+                     "dim": None if g is None else g.d, "kac": True if g is None else g.kac,
+                     "max_block_dim": 1 if g is None else g.max_block_dim})
     return rows

@@ -273,7 +273,7 @@ def _build_free(k, radius):
 def _build_zpow(d, m, radius):
     """Window in (Z_d)^m for d >= 2, or Z^m for d = 1: an (n, m) array of
     coordinates, in [0, d) for d >= 2.  A product adds coordinates (mod d)
-    and finds the sum by its raveled key."""
+    and finds the sum by its key, its coordinate row read as one np.void."""
     key = f"Z({d})^{m}" if m > 1 else f"Z({d})"
 
     def normal(c):
@@ -282,14 +282,10 @@ def _build_zpow(d, m, radius):
     def length(c):
         return (np.minimum(c, d - c) if d >= 2 else np.abs(c)).sum(-1)
 
-    # a product of two elements of Z^m has its coordinates in
-    # [-2 radius, 2 radius]; of (Z_d)^m, in [0, d) once reduced
-    base, shift = (d, 0) if d >= 2 else (4 * radius + 1, 2 * radius)
-    weights = np.array([base ** j for j in range(m)],
-                       dtype=object if base ** m > 2 ** 62 else int)
-
-    def ravel(c):
-        return (c + shift) @ weights
+    def row_keys(c):
+        # one coordinate is its own key, and an int compares faster than a void
+        return np.ascontiguousarray(c, dtype=np.int64).view(
+            np.int64 if m == 1 else np.dtype((np.void, 8 * m)))[:, 0]
 
     gens = np.concatenate([np.eye(m, dtype=int), -np.eye(m, dtype=int)])
     spheres, count = [np.zeros((1, m), dtype=int)], 1
@@ -301,7 +297,7 @@ def _build_zpow(d, m, radius):
         found = np.concatenate(found)
         if not len(found):
             break  # the ball is the whole group
-        spheres.append(found[np.unique(ravel(found), return_index=True)[1]])
+        spheres.append(found[np.unique(row_keys(found), return_index=True)[1]])
         count += len(spheres[-1])
         if count > ELEMENT_CAP:
             raise _too_large(key, radius)
@@ -314,12 +310,12 @@ def _build_zpow(d, m, radius):
     order = np.lexsort([*rank[np.searchsorted(values, coords)].T[::-1], lengths])
     coords, lengths = coords[order], lengths[order]
 
-    keys = ravel(coords)
+    keys = row_keys(coords)
     by_key = np.argsort(keys)
     keys = keys[by_key]
 
     def find(c):
-        k = ravel(c)
+        k = row_keys(c)
         pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
         return np.where(keys[pos] == k, by_key[pos], -1)
 
@@ -362,7 +358,7 @@ def build_window(group, radius):
     if radius < 1:
         raise SchemaError("radius must be >= 1")
     if isinstance(group, str):
-        group = _parse_group_spec(group)
+        group = parse_group_spec(group)
     kind = group[0]
     if kind == "custom":
         return _build_custom(group[1], radius)
@@ -377,15 +373,22 @@ def build_window(group, radius):
     return _build_zpow(d, m, radius)
 
 
-def _parse_group_spec(s):
+def names_group(s):
+    """Whether s starts with a group family: "free(", "Z(" or "cyclic("."""
+    return s.strip().startswith(tuple(k + "(" for k in _LEAST_ARGS))
+
+
+def parse_group_spec(s):
+    """The group tuple of a string group spec, for build_window; SchemaError
+    when it does not parse."""
     s = s.strip()
-    if s.startswith("free(") and s.endswith(")"):
-        return ("free", int(s[5:-1]))
-    if s.startswith("cyclic(") and s.endswith(")"):
-        return ("cyclic", int(s[7:-1]))
-    if s.startswith("Z("):
-        inner, _, power = s.partition(")^")
-        d = int(inner[2:].rstrip(")"))
-        m = int(power) if power else 1
-        return ("Z", d, m)
+    kind = next((k for k in _LEAST_ARGS if s.startswith(k + "(")), None)
+    try:
+        if kind == "Z":
+            inner, _, power = s.partition(")^")
+            return ("Z", int(inner[2:].rstrip(")")), int(power) if power else 1)
+        if kind is not None and s.endswith(")"):
+            return (kind, int(s[len(kind) + 1:-1]))
+    except ValueError:
+        pass
     raise SchemaError(f"cannot parse group spec {s!r}")

@@ -179,6 +179,10 @@ def test_main_exit_codes(tmp_path, preset, experiment, param, code, error):
     ("free(2) r=6", "lemma74", "t=-1000"),
     ("Z(1) r=20", "semigroup", "t_grid=[-1000]"),
     ("dual-Z(4)", "semigroup", "t_grid=[-1.0]"),
+    # finite times whose blockwise exponential (of t, or of the grid sum
+    # 2t) leaves the float range
+    ("kac-paljutkin", "semigroup", "t_grid=[1e18]"),
+    ("kac-paljutkin", "semigroup", "t_grid=[1e19]"),
     # a parameter or parent the experiment never reads, rejected before any
     # parent is built (a window of radius 100000 would exit 5)
     ("fn-Z(2)", "axioms", "alhpa=1"),
@@ -290,7 +294,7 @@ def test_conflicting_radius_exits_2(tmp_path, capsys, preset, experiment):
 
 def test_radius_suffix_on_a_quantum_group_exits_2(tmp_path, capsys, monkeypatch):
     # rejected before any parent is built
-    monkeypatch.setattr(cli, "_resolve_parent", lambda *a: pytest.fail("parent built"))
+    monkeypatch.setattr(presets, "load_preset", lambda *a: pytest.fail("parent built"))
     assert cli.main(["--preset", "dual-Z(4) r=3", "--experiment", "axioms",
                      "--name", "x", "--out", str(tmp_path)]) == 2
     assert "'dual-Z(4)' is no window preset" in capsys.readouterr().err
@@ -298,7 +302,8 @@ def test_radius_suffix_on_a_quantum_group_exits_2(tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("preset, t", [("dual-Z(4)", 1e6), ("Z(1) r=20", 1e6),
-                                       ("Z(1) r=20", 1e300)])
+                                       ("Z(1) r=20", 1e300), ("dual-Z(4)", 1e100),
+                                       ("dual-Z(6)", 1e100)])
 def test_large_finite_time_passes(tmp_path, preset, t):
     code, report = run(tmp_path, {"name": "x", "preset": preset, "experiment": "semigroup",
                                   "parameters": {"t_grid": [t]}})
@@ -448,3 +453,78 @@ def test_importing_the_cli_leaves_out_scipy_sparse_linalg():
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# -- the parent grammar ---------------------------------------------------------
+
+@pytest.mark.parametrize("spec,param,code,parent_id", [
+    # quantum-group names
+    ("kac-paljutkin", None, 0, "kac-paljutkin"),
+    ("dual-Z(4)", None, 0, "dual-Z(4)"),
+    ("fn-Z(3)", None, 0, "fn-Z(3)"),
+    ("fn-S3", None, 0, "fn-S3"),
+    ("grp-S3", None, 0, "grp-S3"),
+    # windows: NAME r=R, a radius parameter, the default radius 4
+    ("free(2) r=3", None, 0, "free(2) r=3"),
+    ("Z(1) r=5", None, 0, "Z(1) r=5"),
+    ("free(2)", "radius=3", 0, "free(2) r=3"),
+    ("free(1)", None, 0, "free(1) r=4"),
+    ("Z(3)^2", None, 0, "Z(3)^2 r=4"),
+    ("cyclic(6)", None, 0, "Z(6) r=4"),
+    # rejected before or while the parent is built
+    ("dual-Z(4) r=3", None, 2, None),
+    ("dual-Z(1)", None, 2, None),
+    ("fn-Z(65)", None, 2, None),
+    ("free(2) r=x", None, 2, None),
+    ("Z(0)", None, 2, None),
+    ("Z(3)^0", None, 2, None),
+    ("cyclic(1)", None, 2, None),
+    ("free(0)", None, 2, None),
+    ("no-such-parent", None, 2, None),
+    # a parent over the element cap: a report, naming no parent
+    ("free(2) r=11", None, 5, None),
+])
+def test_parent_spec_forms(tmp_path, spec, param, code, parent_id):
+    argv = ["--preset", spec, "--experiment", "axioms", "--name", "x", "--out", str(tmp_path)]
+    argv += [] if param is None else ["--param", param]
+    assert cli.main(argv) == code
+    path = tmp_path / "x.report.json"
+    report = json.loads(path.read_text()) if path.exists() else None
+    assert (report is None) == (code == 2)
+    assert (report or {}).get("parent_id") == parent_id
+
+
+def _document(directory, preset, name):
+    """A structure-constant document of a preset, under another name."""
+    from qgwb.serialize import qg_to_dict
+    doc = qg_to_dict(presets.load_preset(preset))
+    doc["name"] = name
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("by_env", [False, True])
+def test_parent_document_forms(tmp_path, monkeypatch, by_env):
+    path = _document(tmp_path, "fn-Z(2)", "two-points")
+    if by_env:
+        monkeypatch.setenv("QGWB_PRESET_DIR", str(tmp_path))
+    spec = "two-points" if by_env else str(path)
+    assert cli.main(["--preset", spec, "--experiment", "axioms", "--name", "x",
+                     "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "x.report.json").read_text())
+    assert report["parent_id"] == "two-points"
+
+
+@pytest.mark.parametrize("source,name,closed_form", [
+    ("kac-paljutkin", "dual-Z(8)", False),   # the name of C[Z_8], not its structure
+    ("dual-Z(5)", "mine", True),             # the structure of C[Z_5], under another name
+])
+def test_kazhdan_closed_form_reads_structure_not_the_name(tmp_path, source, name, closed_form):
+    path = _document(tmp_path, source, name)
+    assert cli.main(["--preset", str(path), "--experiment", "kazhdan", "--name", "x",
+                     "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "x.report.json").read_text())
+    assert report["parent_id"] == name
+    checks = {c["name"] for c in report["checks"]}
+    assert ("gap_generator_vs_closed_form" in checks) == closed_form

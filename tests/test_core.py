@@ -21,7 +21,7 @@ from qgwb.errors import (
 from qgwb.serialize import qg_from_dict, qg_to_dict
 from qgwb.windows import build_window
 
-QG_PRESETS = [name for name in presets.preset_names() if not presets.is_window_preset(name)]
+QG_PRESETS = [name for name in presets.preset_names() if presets.parse(name).kind == "qg"]
 ALL_QG_PRESETS = ["dual-Z(2)", "dual-Z(3)", "dual-Z(4)", "dual-Z(8)",
                   "fn-Z(2)", "fn-Z(3)", "fn-Z(4)", "fn-S3", "grp-S3",
                   "kac-paljutkin"]
@@ -605,7 +605,7 @@ def test_dual_z64_load_and_dual_stay_within_50_mib():
     # the gathers hold about d^3 numbers at once, never a stack times d^3
     tracemalloc.start()
     try:
-        presets.dual_z.__wrapped__(64).dual()
+        presets.build("dual-Z(64)").dual()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -618,6 +618,19 @@ def test_quantum_group_preset_takes_no_radius():
     with pytest.raises(SchemaError, match="takes no radius"):
         presets.load_preset("kac-paljutkin", radius=4)
     assert presets.load_preset("dual-Z(4)", radius=None) is presets.load_preset("dual-Z(4)")
+
+
+def test_one_cache_entry_per_canonical_key():
+    assert presets.load_preset("dual-Z( 04 )") is presets.load_preset("dual-Z(4)")
+    assert presets.build("dual-Z(4)") is not presets.load_preset("dual-Z(4)")
+    w = presets.load_preset("free(2)", radius=3)
+    assert presets.load_preset(" free(2)  r=3") is w and w.key == "free(2) r=3"
+    # a radius that is no integer is rejected, never served from the entry of 3
+    for radius in (3.0, True, "3"):
+        with pytest.raises(SchemaError, match="integer"):
+            presets.load_preset("free(2)", radius=radius)
+    with pytest.raises(SchemaError, match="takes no radius"):
+        presets.load_preset("free(2) r=3", radius=3)
 
 
 @pytest.mark.parametrize("name,kind", [("kac-paljutkin", "haar"), ("fn-S3", "haar"),

@@ -19,7 +19,7 @@ def test_block_coreps_validate(name):
         assert max(c.validate().values()) < 1e-9
 
 
-QG_PRESETS = [name for name in presets.preset_names() if not presets.is_window_preset(name)]
+QG_PRESETS = [name for name in presets.preset_names() if presets.parse(name).kind == "qg"]
 
 
 def _nontrivial_sum(g):

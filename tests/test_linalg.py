@@ -352,7 +352,7 @@ def per_entry_structure_sum(c, x, y, pair):
     return out
 
 
-QG_PRESETS = [name for name in presets.preset_names() if not presets.is_window_preset(name)]
+QG_PRESETS = [name for name in presets.preset_names() if presets.parse(name).kind == "qg"]
 
 
 @pytest.mark.parametrize("name", QG_PRESETS)

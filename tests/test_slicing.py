@@ -28,7 +28,7 @@ from qgwb.windows import build_window
 
 SMALL_SLICE = 4096
 MiB = 2 ** 20
-QG_PRESETS = [name for name in presets.preset_names() if not presets.is_window_preset(name)]
+QG_PRESETS = [name for name in presets.preset_names() if presets.parse(name).kind == "qg"]
 
 
 # -- the unsliced kernels ------------------------------------------------------
@@ -149,16 +149,6 @@ def small_slices(monkeypatch):
     return counts
 
 
-def fresh(name):
-    """The preset built anew, outside the preset cache."""
-    if name.startswith("dual-Z("):
-        return presets.dual_z.__wrapped__(int(name[7:-1]))
-    if name.startswith("fn-Z("):
-        return presets.fn_z.__wrapped__(int(name[5:-1]))
-    return {"fn-S3": presets.fn_s3, "grp-S3": presets.grp_s3,
-            "kac-paljutkin": presets.kac_paljutkin}[name].__wrapped__()
-
-
 def traced(build):
     """(result, tracemalloc peak, memory kept) of build()."""
     tracemalloc.start()
@@ -199,7 +189,7 @@ def test_sliced_kernels_equal_the_unsliced_ones_on_presets(name, small_slices):
 
 @pytest.mark.parametrize("name", QG_PRESETS)
 def test_builds_in_small_slices_keep_every_residual(name, small_slices):
-    g, built = presets.load_preset(name), fresh(name)
+    g, built = presets.load_preset(name), presets.build(name)   # anew, outside the cache
     assert built.residuals == g.residuals
     assert built.dual().residuals == g.dual().residuals
     assert np.array_equal(built.dual().P, g.dual().P)
@@ -328,7 +318,7 @@ def test_a_sphere_element_over_the_budget_exits_5(m, tmp_path):
 # -- memory -----------------------------------------------------------------------
 
 def test_dual_z48_load_and_dual_hold_at_most_9_mib():
-    (g, dual), peak, kept = traced(lambda: (lambda g: (g, g.dual()))(presets.dual_z.__wrapped__(48)))
+    (g, dual), peak, kept = traced(lambda: (lambda g: (g, g.dual()))(presets.build("dual-Z(48)")))
     assert peak <= 9 * MiB
     assert kept <= 6 * MiB
     # no dense derived d^3 tensor and no form that only validation reads
@@ -343,7 +333,7 @@ def test_dual_z48_load_and_dual_hold_at_most_9_mib():
 
 
 def test_dual_z64_load_and_dual_hold_at_most_20_mib():
-    _, peak, _ = traced(lambda: presets.dual_z.__wrapped__(64).dual())
+    _, peak, _ = traced(lambda: presets.build("dual-Z(64)").dual())
     assert peak <= 20 * MiB
 
 

@@ -6,16 +6,19 @@ concatenation for free groups and coordinate sums for Z(d)^m.  Each grows
 its ball by breadth-first search and sorts it by (length, repr).
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from qgwb import cli
+from qgwb.errors import WindowTruncation
 from qgwb.windows import GroupDualWindow, build_window
 
 WINDOWS = ([("free(1)", 6), ("free(2)", 4), ("free(2)", 6), ("free(2)", 8), ("free(3)", 4)]
            + [("Z(1)", r) for r in (1, 2, 4, 6, 8, 10, 12, 14, 16, 20, 40)]
            + [("Z(1)^2", 6), ("Z(3)^2", 4), ("cyclic(5)", 2), ("cyclic(6)", 3), ("Z(2)", 3)])
-# two-digit letters; coordinate keys in int64 and past the int64 range
+# two-digit letters; coordinate rows of 6 to 70 entries
 EXTRA_WINDOWS = [("free(11)", 2), ("Z(1)^6", 3), ("Z(1)^41", 1), ("Z(2)^70", 1)]
 
 
@@ -79,6 +82,38 @@ def test_array_product_matches_tuple_product(spec, radius):
     expected = [[w.index.get(product(g, elements[j]), -1) for j in cols.tolist()]
                 for g in elements]
     assert np.array_equal(w.products(np.arange(w.d)[:, None], cols), expected)
+
+
+# the windows of the benchmark's small-mix workload, and many-coordinate
+# Z^m windows, whose elements are each found by one coordinate-row key
+INDEXED_WINDOWS = [("free(1)", 6), ("free(2)", 4), ("free(2)", 6), ("free(3)", 4),
+                   ("Z(1)", 20), ("Z(1)", 40), ("Z(1)^2", 6), ("Z(1)^27", 1), ("Z(1)^200", 1)]
+
+
+@pytest.mark.parametrize("spec,radius", INDEXED_WINDOWS)
+def test_index_tables_match_the_oracle(spec, radius):
+    w = build_window(spec, radius)
+    elements, product, length, inverse = oracle_ball(spec, radius)
+    index = {g: i for i, g in enumerate(elements)}
+    assert w.lengths.tolist() == [length(g) for g in elements]
+    assert w.inv_index.tolist() == [index[inverse(g)] for g in elements]
+    for s in range(1, radius + 1):
+        prefix = [g for g in elements if length(g) <= s]
+        quotients = ((product(inverse(g), h) for h in prefix) for g in prefix)
+        if s <= radius // 2:
+            assert w.diff_index(s).tolist() == [[index[q] for q in row] for row in quotients]
+        else:
+            # in these infinite groups some g^-1 h leaves the ball once 2s > r
+            assert any(length(q) > radius for row in quotients for q in row)
+            with pytest.raises(WindowTruncation):
+                w.diff_index(s)
+
+
+def test_many_coordinate_window_builds_fast():
+    start = time.perf_counter()
+    w = build_window("Z(1)^1448", 1)
+    assert time.perf_counter() - start < 2.0
+    assert w.d == 2 * 1448 + 1
 
 
 def test_window_labels_and_index_are_lazy():
