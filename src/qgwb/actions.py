@@ -173,14 +173,13 @@ class Implementation:
                          & (rows[:, None, None] == rows[None, :, None])
                          & (cols[None, :, None] == cols[None, None, :])).astype(complex)
 
-        # implementation identity alpha(x) = U^*(1 (x) x)U on every matrix unit;
-        # one norm call per unit: the residual is reported, and a batched norm
-        # would sum in another order
+        # implementation identity alpha(x) = U^*(1 (x) x)U on every matrix unit,
+        # its norm per unit
         pis = self.pi(action.basis)
         rhs = linalg.structure_sum(g.mult_nz, ustar_coef[:, None] @ pis, u_coef[:, None])
         lhs = self.pi(np.moveaxis(action.images, -1, 0))
         diff = lhs - np.moveaxis(rhs, 0, 1)
-        worst = max((float(np.linalg.norm(r)) for r in diff), default=0.0)
+        worst = float(linalg.norms(diff.reshape(len(diff), -1)).max())
         if worst > DEFAULT_TOL:
             raise NotUnitary(f"implementation identity residual {worst:.3e}")
         self.implementation_residual = worst

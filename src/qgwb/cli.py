@@ -149,6 +149,13 @@ def _run_semigroup(parent, params, tol_scale, seed):
         rng = CounterRNG(seed)
         mu = functionals.vector_state(parent, rng.unit_vector(parent.d))
         lf = 3.0 * (functionals.counit_functional(parent) - mu)
+        # L(1) is 0 up to rounding, and exp(-t L(1)) scales each state's mass:
+        # a time that lifts that rounding past the states tolerance is out of range
+        drift = abs(lf.at_unit())
+        for t in grid:
+            if t * drift > 1e-9 * tol_scale:
+                raise SchemaError(f"time {t!r} times |L(1)| = {drift:.3e} passes the "
+                                  f"states tolerance {1e-9 * tol_scale:.1e}")
         gen = genfun.validate_generating(lf)
         states = functionals.semigroup_state(lf, grid)
         law = functionals.semigroup_law_residuals(lf, grid, states)
@@ -191,15 +198,12 @@ def _run_kazhdan(parent, params, tol_scale, seed):
     return {"checks": checks, "gap": float(gap_units)}
 
 
-def _conjugate_block(parent: FiniteQG, alpha: int) -> int:
-    """Index of the block carrying the conjugate irrep, via the dual antipode."""
-    q0 = int(parent.block_offsets[alpha])
-    col = np.abs(parent.dual().antipode[:, q0])
-    q_target = int(np.argmax(col))
-    for a, (n, off) in enumerate(zip(parent.block_dims, parent.block_offsets)):
-        if off <= q_target < off + n * n:
-            return a
-    raise AxiomViolation("dual antipode does not permute the blocks")
+def _conjugate_blocks(parent: FiniteQG):
+    """Per block, the index of the block carrying the conjugate irrep, via
+    the dual antipode."""
+    cols = np.abs(parent.dual().antipode[:, parent.block_offsets])
+    owner = np.repeat(np.arange(len(parent.block_dims)), np.square(parent.block_dims))
+    return owner[np.argmax(cols, axis=0)]
 
 
 def _central_index_generator(parent: FiniteQG):
@@ -208,8 +212,7 @@ def _central_index_generator(parent: FiniteQG):
     conditionally negative definite on every parent."""
     idx = np.arange(len(parent.block_dims), dtype=float)
     idx[parent.trivial_block] = 0.0
-    cvals = np.array([0.5 * (idx[a] + idx[_conjugate_block(parent, a)])
-                      for a in range(len(parent.block_dims))])
+    cvals = 0.5 * (idx + idx[_conjugate_blocks(parent)])
     blocks = [cvals[a] * np.eye(n) for a, n in enumerate(parent.block_dims)]
     try:
         return genfun.validate_generating(functionals.from_blocks(parent, blocks))
@@ -232,7 +235,8 @@ def _run_v_matrices(parent, params, tol_scale, seed):
         triple = genfun.schurmann_triple(gen)
         gammas = list(range(n_blocks))
         rows = genfun.triple_form_matrices(gen, alpha, beta, gammas, triple=triple)
-        for r in rows:
+        cocycle_norms = genfun.cocycle_norm_residual(triple, [int(r["gamma"]) for r in rows])
+        for r, tn in zip(rows, cocycle_norms):
             stage_rows.append({
                 "gamma": int(r["gamma"]),
                 "min_eig": r["min_eig"],
@@ -244,7 +248,6 @@ def _run_v_matrices(parent, params, tol_scale, seed):
                                  r["hermiticity"], 1e-10 * tol_scale))
             checks.append(_check(f"routes_agree:gamma={r['gamma']}",
                                  r["route_residual"], 1e-10 * tol_scale))
-            tn = genfun.cocycle_norm_residual(triple, int(r["gamma"]))
             checks.append(_check(f"cocycle_norms:gamma={r['gamma']}", tn,
                                  1e-8 * tol_scale))
     else:
@@ -528,8 +531,7 @@ def run_scenario(scenario, out_dir="."):
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, f"{name}.report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1, separators=(",", ": "))
-        fh.write("\n")
+        fh.write(json.dumps(report, sort_keys=True, indent=1, separators=(",", ": ")) + "\n")
     with open(os.path.join(out_dir, f"{name}.report.csv"), "w",
               encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -543,8 +545,8 @@ def run_scenario(scenario, out_dir="."):
             for row in report["per_stage"]:
                 writer.writerow([repr(row.get(c, "")) for c in cols])
     with open(os.path.join(out_dir, f"{name}.meta.json"), "w", encoding="utf-8") as fh:
-        json.dump({"elapsed_seconds": elapsed, "version": "0.1.0"}, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps({"elapsed_seconds": elapsed, "version": "0.1.0"}, sort_keys=True)
+                 + "\n")
     if failure is not None:
         sys.stderr.write(f"{type(failure[1]).__name__}: {failure[1]}\n")
         return failure[0], report_path

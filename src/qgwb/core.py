@@ -30,6 +30,14 @@ layer reads, is formed on its first read and kept; the dual's `P` is
 formed on each read; and the store forms that only validation reads are
 released when it returns.
 
+Where every entry of a d^3 or d^4 contraction has one nonzero term with a
+factor in {1, -1, i, -i} (`single_terms`), it is formed from the stores:
+such a product is exact, so the dense contraction gives it to the bit.
+That holds for the counit and star-coproduct laws, the irrep coproduct,
+`star_mult_nz` and the dual's u-basis product on every dual-Z(n) (B = I,
+a permutation star, a diagonal coproduct); a parent that fails the count,
+or a contraction under STORE_MIN_WORK, takes the dense contraction.
+
 The kernels that grow with their input run in slices along their leading
 output index, cut by linalg.byte_slices from counts made before anything
 is formed; each output entry is summed within one slice, so slicing moves
@@ -133,6 +141,57 @@ def _pairs(a, b, n: int):
     x = np.repeat(np.arange(a.size), count)
     first = (np.cumsum(counts) - counts)[a] - (np.cumsum(count) - count)
     return x, np.argsort(b, kind="stable")[np.repeat(first, count) + np.arange(x.size)]
+
+
+# single_terms leaves a contraction of fewer multiply-adds (tensor entries
+# times output columns) to the dense call, which costs less there than the
+# store route's bookkeeping: d^4 kernels take the store from d = 16
+STORE_MIN_WORK = 2 ** 16
+
+
+def _units(w):
+    """Whether each value is 1, -1, i or -i."""
+    re, im = np.abs(np.real(w)), np.abs(np.imag(w))
+    return ((re == 1) & (im == 0)) | ((re == 0) & (im == 1))
+
+
+def single_terms(t, axis: int, mat):
+    """The Structure of sum_j t[..., j, ...] mat[j, x], x in place of j at
+    axis, when every entry of it has one nonzero term and each term a factor
+    1, -1, i or -i; else None, and None for a contraction under
+    STORE_MIN_WORK.  Such a product is exact, and so is a dense
+    contraction's sum of it and exact zeros in any order, so a kernel that
+    takes this route has the bits of the dense one."""
+    t, mat = linalg.Structure.of(t), np.asarray(mat)
+    if np.prod(t.shape) * mat.shape[1] < STORE_MIN_WORK:
+        return None
+    j, x = np.nonzero(mat)
+    n = t.shape[axis]
+    shape = list(t.shape)
+    shape[axis] = mat.shape[1]
+    # more terms than entries: some entry has two
+    if np.bincount(t.idx[axis], minlength=n) @ np.bincount(j, minlength=n) > np.prod(shape):
+        return None
+    a, b = _pairs(t.idx[axis], j, n)
+    left, right = t.w[a], mat[j[b], x[b]]
+    if not (_units(left) | _units(right)).all():
+        return None
+    idx = [k[a] for k in t.idx]
+    idx[axis] = x[b]
+    flat = np.ravel_multi_index(idx, shape)
+    order = np.argsort(flat)
+    if (flat[order[1:]] == flat[order[:-1]]).any():
+        return None
+    return linalg.Structure.from_entries(shape, idx, left * right)
+
+
+def _placed(*terms):
+    """The dense array of the first Structure less the others."""
+    out = np.zeros(terms[0].shape, dtype=complex)
+    out[terms[0].idx] = terms[0].w
+    for t in terms[1:]:
+        out[t.idx] -= t.w
+    return out
 
 
 def _sorted(mat) -> sp.csr_matrix:
@@ -243,10 +302,18 @@ def hom_residual(m, c) -> float:
 
 
 def counit_residual(c, counit) -> float:
-    """(counit (x) id)Delta = id = (id (x) counit)Delta."""
-    eye = np.eye(c.shape[0])
-    return max(float(np.linalg.norm(np.tensordot(c, counit, axes=([1], [0])) - eye)),
-               float(np.linalg.norm(np.tensordot(c, counit, axes=([2], [0])) - eye)))
+    """(counit (x) id)Delta = id = (id (x) counit)Delta, through the store
+    where single_terms takes both sides, else dense."""
+    c = linalg.Structure.of(c)
+    d = c.shape[0]
+    eye, col = np.eye(d), np.asarray(counit)[:, None]
+    sides = [single_terms(c, axis, col) for axis in (1, 2)]
+    if all(sides):
+        sides = [_placed(side).reshape(d, d) for side in sides]
+    else:
+        dense = c.dense()
+        sides = [np.tensordot(dense, counit, axes=([axis], [0])) for axis in (1, 2)]
+    return max(float(np.linalg.norm(side - eye)) for side in sides)
 
 
 def unital_residual(c, unit) -> float:
@@ -256,10 +323,19 @@ def unital_residual(c, unit) -> float:
 
 
 def star_residual(c, star) -> float:
-    """Delta(x^*) = (* (x) *)Delta(x) for x^* with coefficients star @ conj(x);
+    """Delta(x^*) = (* (x) *)Delta(x) for x^* with coefficients star @ conj(x),
+    through the store where single_terms takes every product, else dense,
     the right side in slices along i, subtracted in place."""
-    d = c.shape[0]
-    out = np.tensordot(star, c, axes=([0], [0]))                  # Delta(e_i^*)
+    c = linalg.Structure.of(c)
+    d, st_t = c.shape[0], np.asarray(star).T
+    lhs = single_terms(c, 0, star)                                 # Delta(e_i^*)
+    rhs = lhs and single_terms(
+        linalg.Structure.from_entries(c.shape, c.idx, np.conj(c.w)), 1, st_t)
+    rhs = rhs and single_terms(rhs, 2, st_t)
+    if lhs and rhs:
+        return float(np.linalg.norm(_placed(lhs, rhs)))
+    c = c.dense()
+    out = np.tensordot(star, c, axes=([0], [0]))
     # per i, the conjugate, the two products and a transposed copy: d^2 each
     for part in linalg.byte_slices(d, 16 * 4 * d * d, "star_residual"):
         rhs = np.tensordot(np.conj(c[part]), star, axes=([1], [1]))   # (i, b, p)
@@ -463,9 +539,11 @@ class FiniteQG:
 
     @functools.cached_property
     def star_mult_nz(self):
-        """The nonzeros of star_mult, taken from a product that is not kept
-        (the dense star_mult is built only when it is read)."""
-        return linalg.Structure(np.tensordot(self.star, self.mult, axes=([0], [0])))
+        """The nonzeros of star_mult, through the store where single_terms
+        takes it, else taken from a product that is not kept (the dense
+        star_mult is built only when it is read)."""
+        return (single_terms(self.mult_nz, 0, self.star)
+                or linalg.Structure(np.tensordot(self.star, self.mult, axes=([0], [0]))))
 
     def lmat(self, a):
         """Left multiplication by a (or by each vector of a stack) in basis
@@ -542,9 +620,9 @@ class FiniteQG:
 
         mt = self.mult.transpose(2, 0, 1)    # the product read as a coproduct
         res["associativity"] = coassoc_residual(m.permuted((2, 0, 1)))
-        res["unit"] = counit_residual(mt, self.unit)
+        res["unit"] = counit_residual(m.permuted((2, 0, 1)), self.unit)
         res["coassociativity"] = coassoc_residual(c)
-        res["counit"] = counit_residual(self.comult, self.counit)
+        res["counit"] = counit_residual(c, self.counit)
         res["coproduct_homomorphism"] = hom_residual(m, c)
         res["coproduct_unital"] = unital_residual(self.comult, self.unit)
         res["counit_homomorphism"] = unital_residual(mt, self.counit)
@@ -554,7 +632,7 @@ class FiniteQG:
         # star: involutive, antimultiplicative, coproduct-compatible
         res["star_involutive"] = float(np.linalg.norm(st @ np.conj(st) - np.eye(d)))
         res["star_antimultiplicative"] = star_product_residual(m, st, self.star_mult_nz)
-        res["star_coproduct"] = star_residual(self.comult, st)
+        res["star_coproduct"] = star_residual(c, st)
         # S(S(x*)*) = x  (standard Hopf *-compatibility)
         inner = st @ np.conj(s @ st)
         res["antipode_star"] = float(np.linalg.norm(s @ inner - np.eye(d)))
@@ -569,13 +647,23 @@ class FiniteQG:
         return named_residuals(res, DEFAULT_TOL, "axiom")
 
     def _irrep_coproduct_residual(self):
-        # Delta(u_ij) = sum_k u_ik (x) u_kj, per entry (i, j); the sum over k
-        # is kept in its order
-        def resid(u):
-            lhs = linalg.rowmul(u, self.comult.reshape(self.d, -1))
-            rhs = sum(u[:, k, None, :, None] * u[None, k, :, None, :] for k in range(len(u)))
-            return linalg.norms(lhs - rhs.reshape(lhs.shape)).max()
-        return float(max(resid(r.coeffs) for r in self.irreps))
+        # Delta(u_ij) = sum_k u_ik (x) u_kj, per entry (i, j), for the stack u
+        # of the irreps of one dimension n, in slices over the stack; the sum
+        # over k is kept in its order.  Delta(u_q) (column q of B is u_q) is
+        # placed from the store where single_terms takes it, else a rowmul.
+        d = self.d
+        store = single_terms(self.comult_nz, 0, self.B)
+        placed = None if store is None else _placed(store).reshape(d, d * d)
+        worst = 0.0
+        for n, idx in self.blocks_by_size.items():
+            u = np.array([r.coeffs for r in self.irreps if r.dim == n])
+            # per irrep, both sides, their difference and a product: n^2 d^2 each
+            for a in linalg.byte_slices(len(u), 16 * 4 * n * n * d * d, "irrep_coproduct"):
+                lhs = (linalg.rowmul(u[a], self.comult.reshape(d, -1)) if placed is None
+                       else placed[idx[a]])
+                rhs = sum(u[a, :, k, None, :, None] * u[a, None, k, :, None, :] for k in range(n))
+                worst = max(worst, linalg.norms(lhs - rhs.reshape(lhs.shape)).max())
+        return float(worst)
 
     def _irrep_unitarity_residual(self):
         # sum_k u_ik u_jk^* = sum_k u_ki^* u_kj = delta_ij 1, per entry (i, j),
@@ -653,9 +741,15 @@ def solve_haar(g: FiniteQG):
 # ---------------------------------------------------------------------------
 
 def _u_product(parent: FiniteQG):
-    """The product in the u-basis: u_p u_r = sum_q P[p,r,q] u_q.  Each step
-    is one matrix product, holding its operand and its result alone."""
+    """The store of the product in the u-basis: u_p u_r = sum_q P[p,r,q] u_q.
+    Through the stores where single_terms takes each step, else dense, each
+    step one matrix product, holding its operand and its result alone."""
     b, binv = parent.B, parent.Binv
+    mb = single_terms(parent.mult_nz, 1, b)
+    p0 = mb and single_terms(mb, 0, b)
+    p = p0 and single_terms(p0, 2, binv.T)
+    if p:
+        return p
     # step 1: mB[i, r, k] = sum_j B[j,r] m[i,j,k], made contiguous in (i, r, k)
     # as the next product reads it
     mb = np.ascontiguousarray(np.tensordot(parent.mult, b, axes=([1], [0])).transpose(0, 2, 1))
@@ -663,7 +757,7 @@ def _u_product(parent: FiniteQG):
     p0 = np.tensordot(b, mb, axes=([0], [0]))           # (p, r, k)
     del mb
     # step 3: P[p, r, q] = sum_k Binv[q,k] P0[p,r,k]
-    return np.tensordot(p0, binv, axes=([2], [1]))      # (p, r, q)
+    return linalg.Structure(np.tensordot(p0, binv, axes=([2], [1])))      # (p, r, q)
 
 
 class DualBlockAlgebra:
@@ -680,7 +774,7 @@ class DualBlockAlgebra:
         self.blocks = list(parent.block_dims)
 
         b, binv = parent.B, parent.Binv
-        self.P_nz = linalg.Structure(_u_product(parent))   # P is rebuilt on demand
+        self.P_nz = _u_product(parent)                  # P is rebuilt on demand
 
         self.counit = binv @ parent.unit                  # pairing with 1
         # in q-coords, q = off_a + i n_a + j for e^a_ij: the unit (+)_a 1_{n_a},
@@ -722,7 +816,7 @@ class DualBlockAlgebra:
         c = self.P_nz.permuted((2, 1, 0))
         res = {"dual_coassociativity": coassoc_residual(c),
                "dual_homomorphism": hom_residual(self.product_nz, c),
-               "dual_counit": counit_residual(self.comult_tensor(), self.counit),
+               "dual_counit": counit_residual(c, self.counit),
                "dual_star": _permuted_star_residual(self.P_nz, self.star_perm)}
         self.residuals = named_residuals(res, DEFAULT_TOL, "dual axiom")
 

@@ -32,12 +32,21 @@ CONDITION_R_TOL = 1e-8    # check_condition_r: ||(R (x) j)(U) - U||
 PROJECTION_TOL = 1e-8     # invariant_projection: averaging vs joint-eigenspace oracle
 
 
-def _product_rows(rows, x):
-    """Residual of x_p x_r = sum_s t[p,r,s] x_s, one row p (all r) at a time,
-    from the entries (r, s, t[p,r,s]) of each row p of t."""
-    for p, (r, s, w) in enumerate(rows):
-        diff = x[p] @ x
-        np.subtract.at(diff, r, w[:, None, None] * x[s])
+def _product_diffs(t, x, kernel):
+    """x_p x_r - sum_s t[p,r,s] x_s for every (p, r), from the entries of the
+    store t: one stack (P, r, N, N) per byte_slices slice of the rows p.  A
+    slice forms x[p] @ x for all its (p, r) with one stacked product and
+    subtracts its rows' terms with one np.subtract.at, in the order each row
+    alone takes them, so every difference has the bits of its row alone."""
+    p, r, s = t.idx
+    n = x.shape[-1]
+    counts = np.bincount(p, minlength=t.shape[0])
+    ends = np.concatenate(([0], np.cumsum(counts)))
+    # per p, its products and its weighted terms
+    for part in linalg.byte_slices(t.shape[0], 16 * n * n * (t.shape[1] + counts), kernel):
+        diff = x[part, None] @ x
+        e = slice(ends[part.start], ends[part.stop])
+        np.subtract.at(diff, (p[e] - part.start, r[e]), t.w[e, None, None] * x[s[e]])
         yield diff
 
 
@@ -94,13 +103,15 @@ class Corep:
         res["star"] = linalg.max_frob(np.conj(phis.transpose(0, 2, 1)) - phis[dual.star_perm])
         res["unital"] = linalg.frob(self.phi(dual.unit) - eye)
         # product: phi(e_q) phi(e_r) = sum_s M[q,r,s] phi(e_s), max over (q, r)
-        rows = _product_rows(dual.product_nz.rows(), phis)
-        res["product"] = max(linalg.max_frob(diff) for diff in rows)
+        diffs = _product_diffs(dual.product_nz, phis, "corep_product")
+        res["product"] = max(linalg.max_frob(diff, lead=2) for diff in diffs)
         # corep identity on coefficients: U_a U_b = sum_i Delta[i,a,b] U_i;
-        # the residual is the Frobenius norm over all (a, b)
+        # the residual is the Frobenius norm over all (a, b), its squares
+        # summed per a in order
         uc = self.u_coef()
-        rows = _product_rows(g.comult_nz.permuted((1, 2, 0)).rows(), uc)
-        res["corep"] = float(np.sqrt(sum(linalg.frob(diff) ** 2 for diff in rows)))
+        diffs = _product_diffs(g.comult_nz.permuted((1, 2, 0)), uc, "corep_identity")
+        frobs = [float(v) for diff in diffs for v in linalg.norms(diff.reshape(len(diff), -1))]
+        res["corep"] = float(np.sqrt(sum(v ** 2 for v in frobs)))
         # U^* U = 1: sum_{i,j} (e_i^* e_j)[k] U_i^dag U_j = unit_k 1
         acc = linalg.structure_sum(g.star_mult_nz, np.conj(uc.transpose(0, 2, 1)), uc)
         res["unitary"] = linalg.max_frob(acc - g.unit[:, None, None] * eye)
@@ -124,9 +135,8 @@ class Corep:
                 np.linalg.norm(p - p.conj().T) > DEFAULT_TOL):
             raise AxiomViolation("averaged operator is not an orthogonal projection")
         eps = g.dual().counit
-        stack = np.vstack([self.phis[q] - eps[q] * np.eye(self.space_dim)
-                           for q in range(g.d)])
-        basis = linalg.null_space(stack)
+        stack = self.phis - eps[:, None, None] * np.eye(self.space_dim)
+        basis = linalg.null_space(stack.reshape(-1, self.space_dim))
         if basis:
             vs = np.array(basis)
             # orthonormalise for safety
@@ -285,9 +295,8 @@ def unitarily_equivalent(u: Corep, v: Corep):
             continue
         w = t @ np.linalg.inv(linalg.psd_sqrt(t.conj().T @ t))
         resid = float(np.linalg.norm(w.conj().T @ w - np.eye(n)))
-        # one norm call per q: the residual is reported, and a batched norm
-        # would sum in another order
-        resid = max(resid, float(max(map(np.linalg.norm, v.phis @ w - w @ u.phis))))
+        defects = (v.phis @ w - w @ u.phis).reshape(len(u.phis), -1)
+        resid = max(resid, float(linalg.norms(defects).max()))
         best = min(best, resid)
         if best <= EQUIVALENCE_TOL:
             return True, best
@@ -317,12 +326,17 @@ def kazhdan_gap(u: Corep, q_elements):
     if not comp:
         return np.inf
     w = np.array(comp).T  # (n, m) isometry onto the complement
+    xs = np.array(q_elements, dtype=complex)
     acc = np.zeros((w.shape[1], w.shape[1]), dtype=complex)
-    for x in q_elements:
-        x = np.asarray(x, dtype=complex)
-        dx = u.phi(x) - complex(eps @ x) * np.eye(n)
+    # per x, phi(x) - eps(x), its product with w and the gram: one stack per
+    # slice, each x with the bits it gets alone, the grams added in Q order
+    for part in linalg.byte_slices(len(xs), 16 * 2 * (n * n + 2 * n * w.shape[1]), "kazhdan_gap"):
+        x = xs[part]
+        dx = (linalg.rowmul(x, u.phis.reshape(g.d, -1)).reshape(-1, n, n)
+              - linalg.rowmul(x, eps[:, None])[..., None] * np.eye(n))
         dxw = dx @ w
-        acc += dxw.conj().T @ dxw
+        for gram in linalg.adjoint(dxw) @ dxw:
+            acc += gram
     lam = linalg.min_eig(acc)
     return float(np.sqrt(max(lam, 0.0)))
 
@@ -370,20 +384,25 @@ def gns(parent: FiniteQG, dual_state):
     r = f.shape[1]
     pinv_ft = np.linalg.pinv(f.T)
 
-    phis = np.zeros((d, r, r), dtype=complex)
-    for p, (q, s, _) in enumerate(g.dual().product_nz.rows()):
-        fx = np.zeros((d, r), dtype=complex)                # rows Lambda(e_p e_q):
-        fx[q] = f[s]                                       # e_p e_q = e_s
-        phis[p] = fx.T @ pinv_ft
+    # phi(e_p) = F_p^T pinv(F^T), the rows of F_p the Lambda(e_p e_q): e_p e_q
+    # = e_s for the entries (p, q, s) of the dual product, else 0
+    p, q, s = g.dual().product_nz.idx
+    phis = np.empty((d, r, r), dtype=complex)
+    for part in linalg.byte_slices(d, 16 * 2 * d * r, "gns"):
+        fx = np.zeros((part.stop - part.start, d, r), dtype=complex)
+        e = (p >= part.start) & (p < part.stop)
+        fx[p[e] - part.start, q[e]] = f[s[e]]
+        phis[part] = fx.swapaxes(1, 2) @ pinv_ft
     corep = Corep(g, phis)
 
     # cyclic vector: Lambda(1) with 1 = sum of diagonal matrix units
     omega = g.dual().unit @ f
-    # state recovery check
-    for q in range(d):
-        val = omega.conj() @ phis[q] @ omega
-        if abs(val - w[q]) > DEFAULT_TOL:
-            raise OracleMismatch(f"GNS state mismatch at unit {q}: {abs(val - w[q]):.3e}")
+    # state recovery check: <Omega, phi(e_q) Omega> = w_q
+    vals = linalg.rowmul(linalg.rowmul(omega.conj(), phis), omega[:, None])[:, 0]
+    bad = np.abs(vals - w) > DEFAULT_TOL
+    if bad.any():
+        q = int(np.argmax(bad))
+        raise OracleMismatch(f"GNS state mismatch at unit {q}: {abs(vals[q] - w[q]):.3e}")
 
     j_mat = None
     dual = g.dual()
@@ -393,10 +412,7 @@ def gns(parent: FiniteQG, dual_state):
     rw = rhat.T @ w
     if np.max(np.abs(rw - w)) <= 1e-9:
         # J Lambda(x) = Lambda(Rhat(x^*)), antiunitary involution
-        targets = np.zeros((d, r), dtype=complex)
-        for q in range(d):
-            coords = rhat[:, perm[q]]
-            targets[q] = coords @ f
+        targets = linalg.rowmul(rhat[:, perm].T, f)
         j_mat = targets.T @ np.linalg.pinv(np.conj(f).T)
         if np.linalg.norm(j_mat @ np.conj(j_mat) - np.eye(r)) > 1e-8:
             raise NotInvolutive("constructed conjugation is not involutive")

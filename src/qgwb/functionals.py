@@ -102,8 +102,14 @@ def vector_state(parent: FiniteQG, xi) -> Functional:
     """The state a |-> <xi, reg(a) xi> of the regular representation."""
     xi = np.asarray(xi, dtype=complex)
     xi = xi / np.linalg.norm(xi)
-    coeffs = np.array([xi.conj() @ parent.reg(np.eye(parent.d)[i]) @ xi
-                       for i in range(parent.d)])
+    d = parent.d
+    coeffs = np.empty(d, dtype=complex)
+    # per basis element, lmat's gather of the (L, d^2) table of products,
+    # lmat(e_i), reg(e_i) and a product in between
+    gathered = parent.mult_nz.grouped((2, 1))[1].size
+    for part in linalg.byte_slices(d, 16 * (gathered + 3 * d * d), "vector_state"):
+        reg = parent.reg(np.eye(d)[part])
+        coeffs[part] = linalg.rowmul(linalg.rowmul(xi.conj(), reg), xi[:, None])[..., 0]
     return Functional(parent, coeffs)
 
 

@@ -215,18 +215,19 @@ def triple_form_matrices(gen: GenFunctional, alpha, beta, gammas,
         triple = SchurmannTriple(gen)
     cvals = gen.central_values
     gammas = list(gammas)
+    direct = list(_triple_forms_direct(parent, gen.base, alpha, gammas, beta))
+    entry_resid, herm, low = (np.empty(len(gammas)) for _ in range(3))
+    # the checks take the stacks of the primary route
+    for pos, v_primary in _triple_forms_cocycle(parent, triple, cvals, alpha, gammas, beta):
+        entry_resid[pos], herm[pos], low[pos] = _form_checks(
+            v_primary, np.array([direct[k] for k in pos]))
     out = []
-    for gamma, v_primary, v_direct in zip(
-            gammas, _triple_forms_cocycle(parent, triple, cvals, alpha, gammas, beta),
-            _triple_forms_direct(parent, gen.base, alpha, gammas, beta)):
-        entry_resid = float(np.max(np.abs(v_primary - v_direct)))
-        if entry_resid > TRIPLE_FORM_TOL:
+    for gamma, v_direct, resid, h, lam in zip(gammas, direct, entry_resid, herm, low):
+        if resid > TRIPLE_FORM_TOL:
             raise GramNotPSD(
-                f"triple-form routes disagree by {entry_resid:.3e} at gamma={gamma}")
-        herm = float(np.linalg.norm(v_direct - v_direct.conj().T))
-        if herm > TRIPLE_FORM_TOL:
-            raise GramNotPSD(f"triple form not Hermitian: {herm:.3e}")
-        vals = np.linalg.eigvalsh(0.5 * (v_direct + v_direct.conj().T))
+                f"triple-form routes disagree by {float(resid):.3e} at gamma={gamma}")
+        if h > TRIPLE_FORM_TOL:
+            raise GramNotPSD(f"triple form not Hermitian: {float(h):.3e}")
         ca, cg, cb = (max(float(cvals[alpha].real), 0.0),
                       max(float(cvals[gamma].real), 0.0),
                       max(float(cvals[beta].real), 0.0))
@@ -235,12 +236,34 @@ def triple_form_matrices(gen: GenFunctional, alpha, beta, gammas,
         out.append({
             "gamma": gamma,
             "matrix": v_direct,
-            "hermiticity": herm,
-            "route_residual": entry_resid,
-            "min_eig": float(vals[0]),
+            "hermiticity": float(h),
+            "route_residual": float(resid),
+            "min_eig": float(lam),
             "lower_bound": bound,
         })
     return out
+
+
+def _form_checks(v_primary, v_direct):
+    """Per matrix of two stacks of triple forms: the largest entry difference
+    of the routes, the Hermiticity defect of v_direct and the least
+    eigenvalue of its Hermitian part, each with the bits it gets alone."""
+    entry_resid = np.max(np.abs(v_primary - v_direct), axis=(1, 2))
+    defect = v_direct - linalg.adjoint(v_direct)
+    herm = linalg.norms(defect.reshape(len(defect), -1))
+    return entry_resid, herm, np.linalg.eigvalsh(0.5 * (v_direct + linalg.adjoint(v_direct)))[:, 0]
+
+
+def _by_dimension(parent, gammas, nbytes, kernel):
+    """Stacks of gammas whose blocks have one dimension n, cut by
+    linalg.byte_slices where one gamma's work holds nbytes(n) bytes: per
+    stack, (n, the positions of its gammas, their irreps' coefficients)."""
+    dims = np.array([parent.block_dims[g] for g in gammas], dtype=int)
+    for n in sorted(set(dims.tolist())):
+        same = np.flatnonzero(dims == n)
+        for part in linalg.byte_slices(len(same), nbytes(n), kernel):
+            pos = same[part]
+            yield n, pos, np.array([parent.irreps[gammas[k]].coeffs for k in pos])
 
 
 def _star(parent, x):
@@ -264,25 +287,34 @@ def _triple_forms_direct(parent, l, alpha, gammas, beta):
 
 
 def _triple_forms_cocycle(parent, triple, cvals, alpha, gammas, beta):
-    """Per gamma, the cocycle expansion of the triple form (the primary route)."""
+    """The cocycle expansion of the triple form (the primary route): per
+    dimension of the gamma blocks, (the positions of those gammas, the stack
+    of their matrices), each matrix with the bits it gets alone."""
     ua, ub = parent.irreps[alpha].coeffs, parent.irreps[beta].coeffs
     ca, cb = cvals[alpha].real, cvals[beta].real
-    # axes (i, p, j, r, k, s) of the entry (u^a_ip)^* u^g_jr u^b_ks
+    # axes (gamma, i, p, j, r, k, s) of the entry (u^a_ip)^* u^g_jr u^b_ks
     c_a = triple.cocycle(ua)[:, :, None, None, None, None]
     c_b = triple.cocycle(ub)
     ip = np.eye(len(ua), dtype=bool)[:, :, None, None, None, None]
     ks = np.eye(len(ub), dtype=bool)
-    for gamma in gammas:
-        ug, cg = parent.irreps[gamma].coeffs, cvals[gamma].real
-        c_g = triple.cocycle(ug)[:, :, None, None]
-        c_g_star = triple.cocycle(_star(parent, ug))[:, :, None, None]
-        rho_c_b = linalg.rowmul(c_b, triple.rho(ug)[:, :, None, None].swapaxes(-1, -2))
-        jr = np.eye(len(ug), dtype=bool)[:, :, None, None]
-        v = np.where(ip & jr & ks, ca + cg + cb, 0.0)
+    dim, na, nb = triple.dim, len(ua), len(ub)
+
+    def nbytes(n):
+        # per gamma, rho on its block, the cocycles, rho c_b and the form
+        return 16 * n * n * (dim * dim + 3 * dim + nb * nb * dim + 4 * (na * nb) ** 2)
+    for n, pos, ug in _by_dimension(parent, gammas, nbytes, "triple_forms"):
+        cg = cvals[[gammas[k] for k in pos]].real
+        at_jr = (slice(None), None, None, slice(None), slice(None), None, None)
+        c_g = triple.cocycle(ug)[at_jr]
+        c_g_star = triple.cocycle(_star(parent, ug))[at_jr]
+        rho_c_b = linalg.rowmul(c_b, triple.rho(ug)[at_jr].swapaxes(-1, -2))
+        jr = np.eye(n, dtype=bool)[:, :, None, None]
+        v = np.where(ip & jr & ks, (ca + cg + cb)[:, None, None, None, None, None, None], 0.0)
         v = v - np.where(ip, linalg.vdots(c_g_star, c_b), 0.0)
         v = v - np.where(ks, linalg.vdots(c_a, c_g), 0.0)
         v = v - linalg.vdots(c_a, rho_c_b)
-        yield _entry_matrix(v)
+        rows = v.shape[1] * v.shape[3] * v.shape[5]
+        yield pos, v.transpose(0, 1, 3, 5, 2, 4, 6).reshape(len(pos), rows, rows)
 
 
 def _window_triple_forms(gen, alpha, beta, gammas):
@@ -317,24 +349,31 @@ def cocycle_norm_residual(triple: SchurmannTriple, gamma):
     """Residual of T^*T = 2 c_g I for the cocycle block operators.
 
     T(e_j) = sum_a c(u^g_{ja}) (x) e_a and the tilde version uses
-    c((u^g_{aj})^*); both must have squared norm 2 c_g.
+    c((u^g_{aj})^*); both must have squared norm 2 c_g.  For a sequence of
+    gammas, the list of their residuals, from one stack per dimension of
+    the gamma blocks, each with the bits it gets alone.
     """
     gen = triple.gen
     _require_central_kac(gen)
     parent = gen.parent
-    ug = parent.irreps[gamma].coeffs
-    ng = len(ug)
-    cvecs = triple.cocycle(ug)
-    cvecs_star = triple.cocycle(_star(parent, ug))
-    # t_mat[i, j] = sum_a <c(u_ia), c(u_ja)>, tt_mat[i, j] = sum_a
-    # <c(u_ai^*), c(u_aj^*)>; the sum over a is kept in its order
-    terms = linalg.vdots(cvecs[:, None], cvecs[None, :])
-    terms_star = linalg.vdots(cvecs_star[:, :, None], cvecs_star[:, None, :])
-    t_mat = sum(terms[:, :, a] for a in range(ng))
-    tt_mat = sum(terms_star[a] for a in range(ng))
-    target = 2.0 * gen.central_values[gamma].real * np.eye(ng)
-    return max(float(np.linalg.norm(t_mat - target)),
-               float(np.linalg.norm(tt_mat - target)))
+    gammas = np.atleast_1d(gamma).tolist()
+    out = np.empty(len(gammas))
+    # per gamma, the cocycles and the terms of the two matrices
+    for n, pos, ug in _by_dimension(parent, gammas, lambda n: 16 * 4 * n * n * (triple.dim + n),
+                                    "cocycle_norms"):
+        cvecs = triple.cocycle(ug)
+        cvecs_star = triple.cocycle(_star(parent, ug))
+        # t_mat[i, j] = sum_a <c(u_ia), c(u_ja)>, tt_mat[i, j] = sum_a
+        # <c(u_ai^*), c(u_aj^*)>; the sum over a is kept in its order
+        terms = linalg.vdots(cvecs[:, :, None], cvecs[:, None, :])
+        terms_star = linalg.vdots(cvecs_star[:, :, :, None], cvecs_star[:, :, None, :])
+        t_mat = sum(terms[..., a] for a in range(n))
+        tt_mat = sum(terms_star[:, a] for a in range(n))
+        cg = gen.central_values[[gammas[k] for k in pos]].real
+        target = (2.0 * cg)[:, None, None] * np.eye(n)
+        out[pos] = np.maximum(linalg.norms((t_mat - target).reshape(len(pos), -1)),
+                              linalg.norms((tt_mat - target).reshape(len(pos), -1)))
+    return float(out[0]) if np.ndim(gamma) == 0 else out.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -430,10 +430,17 @@ def solve_intertwiner(left_blocks, right_blocks):
         return []
     left, right = require_square(left_blocks), require_square(right_blocks)
     eye_s, eye_t = np.eye(left.shape[-1]), np.eye(right.shape[-1])
-    # row-major vec: vec(R T) = (R kron I) vec T, vec(T L) = (I kron L^T) vec T
-    system = np.concatenate([np.kron(rk, eye_s) - np.kron(eye_t, lk.T)
-                             for lk, rk in zip(left, right)])
-    return null_space(system, (len(eye_t), len(eye_s)))
+    (s, t), k = (len(eye_s), len(eye_t)), min(len(left), len(right))
+    # row-major vec: vec(R T) = (R kron I) vec T, vec(T L) = (I kron L^T) vec T;
+    # the rows (k, a) of both krons by broadcast products, as np.kron forms
+    # them, in slices of those rows (two products and a transpose per row)
+    rows, left_t = right[:k].reshape(k * t, t), left[:k].swapaxes(-1, -2)
+    system = np.empty((k * t, s, t * s), dtype=complex)
+    for part in byte_slices(k * t, 16 * (2 * s * t * s + s * s), "solve_intertwiner"):
+        lk, a = np.divmod(np.arange(part.start, part.stop), t)
+        system[part] = (rows[part, None, :, None] * eye_s[:, None, :]
+                        - eye_t[a, None, :, None] * left_t[lk, :, None, :]).reshape(-1, s, t * s)
+    return null_space(system.reshape(k * t * s, t * s), (t, s))
 
 
 def null_space(system, shape=None):

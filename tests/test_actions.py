@@ -505,3 +505,31 @@ def test_cone_check_reports_the_first_failure_in_trial_order(grading, monkeypatc
             actions.cone_preservation_check(grading, basis)
     else:
         assert actions.cone_preservation_check(grading, basis) is outcome
+
+
+def loop_implementation_residual(impl):
+    """The implementation identity's residual with one norm call per unit."""
+    action, g = impl.action, impl.action.parent
+    ustar_coef = np.einsum("ab,ibc,cd->iad", impl.c_mat, impl.a_raw, impl.c_inv)
+    u_coef = np.einsum("ki,iba->kab", g.star, np.conj(ustar_coef))
+    rhs = linalg.structure_sum(g.mult_nz, ustar_coef[:, None] @ impl.pi(action.basis),
+                               u_coef[:, None])
+    diff = impl.pi(np.moveaxis(action.images, -1, 0)) - np.moveaxis(rhs, 0, 1)
+    return max(float(np.linalg.norm(r)) for r in diff)
+
+
+@pytest.mark.parametrize("name", QG_PRESETS)
+def test_implementation_residual_matches_the_unit_loop(name):
+    g = presets.load_preset(name)
+    acts = suite_actions(g)
+    # a block corep in a random basis, so the identity's residual is inexact
+    a = int(np.argmax(g.block_dims))
+    n = g.block_dims[a]
+    w = np.linalg.qr(CounterRNG(5).complex_matrix(n + 1, n + 1))[0]
+    phis = coreps.direct_sum(coreps.block_corep(g, a), coreps.trivial_corep(g)).phis
+    acts.append(actions.action_from_corep(coreps.Corep(g, w @ phis @ w.conj().T)))
+    if g.d <= 6:
+        acts.append(actions.action_from_corep(coreps.regular_corep(g)))
+    for act in acts:
+        impl = act.implement()
+        assert impl.implementation_residual == loop_implementation_residual(impl)

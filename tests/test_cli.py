@@ -183,6 +183,10 @@ def test_main_exit_codes(tmp_path, preset, experiment, param, code, error):
     # 2t) leaves the float range
     ("kac-paljutkin", "semigroup", "t_grid=[1e18]"),
     ("kac-paljutkin", "semigroup", "t_grid=[1e19]"),
+    # finite times that lift the rounding of L(1) past the states tolerance
+    ("fn-S3", "semigroup", "t_grid=[1e7]"),
+    ("fn-S3", "semigroup", "t_grid=[1e20]"),
+    ("kac-paljutkin", "semigroup", "t_grid=[1e16]"),
     # a parameter or parent the experiment never reads, rejected before any
     # parent is built (a window of radius 100000 would exit 5)
     ("fn-Z(2)", "axioms", "alhpa=1"),
@@ -303,7 +307,7 @@ def test_radius_suffix_on_a_quantum_group_exits_2(tmp_path, capsys, monkeypatch)
 
 @pytest.mark.parametrize("preset, t", [("dual-Z(4)", 1e6), ("Z(1) r=20", 1e6),
                                        ("Z(1) r=20", 1e300), ("dual-Z(4)", 1e100),
-                                       ("dual-Z(6)", 1e100)])
+                                       ("dual-Z(6)", 1e100), ("fn-S3", 1e6)])
 def test_large_finite_time_passes(tmp_path, preset, t):
     code, report = run(tmp_path, {"name": "x", "preset": preset, "experiment": "semigroup",
                                   "parameters": {"t_grid": [t]}})

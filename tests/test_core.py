@@ -716,3 +716,85 @@ def test_stacked_lmat_matches_einsum(name):
         assert np.array_equal(got, want)
         for part in (np.real, np.imag):
             assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+# -- single-term contractions through the stores ------------------------------------
+
+def store_sites(g):
+    """Every (name, store, axis, matrix) contraction that validation and the
+    dual take through core.single_terms, in chains as the kernels take them."""
+    c, m, dual = g.comult_nz, g.mult_nz, g.dual()
+    conj_c = linalg.Structure.from_entries(c.shape, c.idx, np.conj(c.w))
+    yield "counit", [(c, 1, g.counit[:, None])], [(c, 2, g.counit[:, None])]
+    yield "unit", [(m.permuted((2, 0, 1)), 1, g.unit[:, None])], \
+        [(m.permuted((2, 0, 1)), 2, g.unit[:, None])]
+    yield "dual_counit", [(dual.P_nz.permuted((2, 1, 0)), 1, dual.counit[:, None])], \
+        [(dual.P_nz.permuted((2, 1, 0)), 2, dual.counit[:, None])]
+    yield "star_coproduct", [(c, 0, g.star)], [(conj_c, 1, g.star.T), (None, 2, g.star.T)]
+    yield "irrep_coproduct", [(c, 0, g.B)]
+    yield "star_mult", [(m, 0, g.star)]
+    yield "u_product", [(m, 1, g.B), (None, 0, g.B), (None, 2, g.Binv.T)]
+
+
+UNITS = (1, -1, 1j, -1j)
+
+
+def dense_single_terms(t, axis, mat):
+    """single_terms from the dense tensor: the contraction, or None when some
+    entry has two nonzero terms or a term has no factor in UNITS."""
+    t, mat = np.asarray(t), np.asarray(mat)
+    count = np.moveaxis(np.tensordot((t != 0).astype(int), (mat != 0).astype(int),
+                                     axes=([axis], [0])), -1, axis)
+    odd_t, odd_m = ~np.isin(t, UNITS) & (t != 0), ~np.isin(mat, UNITS) & (mat != 0)
+    inexact = np.tensordot(odd_t.astype(int), odd_m.astype(int), axes=([axis], [0]))
+    if count.max(initial=0) > 1 or inexact.any():
+        return None
+    return np.moveaxis(np.tensordot(t, mat, axes=([axis], [0])), -1, axis)
+
+
+@pytest.mark.parametrize("name", QG_PRESETS)
+def test_store_routes_count_their_terms(name, monkeypatch):
+    # every contraction, however small, so the count runs on all presets
+    monkeypatch.setattr(core, "STORE_MIN_WORK", 0)
+    g = presets.load_preset(name)
+    routes = {}
+    for name_, *chains in store_sites(g):
+        taken = True
+        for chain in chains:
+            store, dense = None, None
+            for t, axis, mat in chain:
+                if t is None:
+                    if store is None:
+                        break
+                    t, dense_t = store, dense
+                else:
+                    dense_t = t.dense()
+                store, dense = core.single_terms(t, axis, mat), dense_single_terms(dense_t, axis, mat)
+                assert (store is None) == (dense is None), (name_, axis)
+                if store is not None:
+                    # the store's products are those of the dense contraction
+                    assert np.array_equal(store.dense(), dense)
+                    assert np.count_nonzero(dense) == store.w.size
+            taken &= store is not None
+        routes[name_] = taken
+    if presets.is_dual_z(g):
+        assert all(routes.values())
+    if name == "kac-paljutkin":
+        assert [k for k, v in routes.items() if v] == ["unit", "dual_counit"]
+
+
+@pytest.mark.parametrize("name", QG_PRESETS)
+def test_store_routes_keep_the_residual_tables(name, monkeypatch):
+    # the stores at every size give the recorded (dense) residuals
+    monkeypatch.setattr(core, "STORE_MIN_WORK", 0)
+    g = presets.build(name)
+    assert {k: repr(v) for k, v in g.residuals.items()} == RESIDUAL_TABLES[name]["residuals"]
+    assert ({k: repr(v) for k, v in g.dual().residuals.items()}
+            == RESIDUAL_TABLES[name]["dual_residuals"])
+
+
+def test_small_contractions_stay_dense():
+    g = presets.load_preset("dual-Z(8)")     # d^4 = 4096 multiply-adds
+    assert core.single_terms(g.comult_nz, 0, g.star) is None
+    g = presets.load_preset("dual-Z(16)")    # d^4 = 65536
+    assert core.single_terms(g.comult_nz, 0, g.star) is not None

@@ -428,3 +428,188 @@ def test_defect_gauge():
     assert u.defect(inv, family) < 1e-12
     other = np.eye(4)[1]
     assert u.defect(other, family) > 0.5
+
+
+# -- stacked checks against the per-item loops they replaced -----------------------
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def loop_product_rows(rows, x):
+    """The residual x_p x_r - sum_s t[p,r,s] x_s, one row p at a time."""
+    for p, (r, s, w) in enumerate(rows):
+        diff = x[p] @ x
+        np.subtract.at(diff, r, w[:, None, None] * x[s])
+        yield diff
+
+
+def loop_product_and_corep(c):
+    g = c.parent
+    rows = loop_product_rows(g.dual().product_nz.rows(), c.phis)
+    product = max(linalg.max_frob(diff) for diff in rows)
+    rows = loop_product_rows(g.comult_nz.permuted((1, 2, 0)).rows(), c.u_coef())
+    return product, float(np.sqrt(sum(linalg.frob(diff) ** 2 for diff in rows)))
+
+
+def suite_coreps(g):
+    """Block coreps, a contragredient, the implementation of a block's
+    conjugation action and, for d <= 16, the nontrivial sum and the regular
+    corep."""
+    from qgwb import actions
+    blocks = [coreps.block_corep(g, a) for a in range(len(g.block_dims))]
+    out = blocks + [coreps.contragredient(blocks[-1]),
+                    actions.action_from_corep(blocks[-1]).implement().corep]
+    if g.d <= 16:
+        out += [_nontrivial_sum(g), coreps.regular_corep(g)]
+    return out
+
+
+@pytest.mark.parametrize("name", QG_PRESETS)
+def test_stacked_corep_validation_matches_the_row_loop(name):
+    g = presets.load_preset(name)
+    for c in suite_coreps(g):
+        res = c.validate()
+        assert (res["product"], res["corep"]) == loop_product_and_corep(c)
+
+
+@pytest.mark.parametrize("name", QG_PRESETS)
+def test_product_diffs_match_the_row_loop_on_random_families(name, monkeypatch):
+    # random families make every sum inexact, so a change of order shows
+    g = presets.load_preset(name)
+    rng = np.random.default_rng(7)
+    dense = linalg.Structure(rng.normal(size=(g.d, g.d, g.d)) * (rng.random((g.d,) * 3) < 0.5))
+    for store, n in ((g.dual().product_nz, 3), (g.comult_nz.permuted((1, 2, 0)), 2), (dense, 2)):
+        x = rng.normal(size=(g.d, n, n)) + 1j * rng.normal(size=(g.d, n, n))
+        ref = np.array(list(loop_product_rows(store.rows(), x)))
+        assert same_bits(np.concatenate(list(coreps._product_diffs(store, x, "k"))), ref)
+        monkeypatch.setattr(linalg, "SLICE_BYTES", 1)
+        assert same_bits(np.concatenate(list(coreps._product_diffs(store, x, "k"))), ref)
+        monkeypatch.undo()
+
+
+def test_stacked_corep_validation_in_small_slices(monkeypatch):
+    g = presets.load_preset("kac-paljutkin")
+    cs = suite_coreps(g)
+    ref = [c.validate() for c in cs]
+    monkeypatch.setattr(linalg, "SLICE_BYTES", 64)
+    assert [c.validate() for c in cs] == ref
+
+
+def loop_kazhdan_gap(u, q_elements):
+    """kazhdan_gap with one phi, product and gram per element of Q."""
+    eps = u.parent.dual().counit
+    n = u.space_dim
+    comp = linalg.null_space(u.invariant_projection())
+    if not comp:
+        return np.inf
+    w = np.array(comp).T
+    acc = np.zeros((w.shape[1], w.shape[1]), dtype=complex)
+    for x in q_elements:
+        x = np.asarray(x, dtype=complex)
+        dx = u.phi(x) - complex(eps @ x) * np.eye(n)
+        dxw = dx @ w
+        acc += dxw.conj().T @ dxw
+    return float(np.sqrt(max(linalg.min_eig(acc), 0.0)))
+
+
+@pytest.mark.parametrize("name", QG_PRESETS)
+def test_stacked_kazhdan_gap_matches_the_element_loop(name):
+    g = presets.load_preset(name)
+    rng = CounterRNG(3)
+    families = [coreps.dual_matrix_units(g), [np.exp(2j * np.pi * np.arange(g.d) / g.d)],
+                [rng.complex_vector(g.d) for _ in range(3)]]
+    corep_list = [coreps.block_corep(g, len(g.block_dims) - 1)]
+    if g.d <= 16:
+        corep_list += [_nontrivial_sum(g), coreps.regular_corep(g)]
+    for u in corep_list:
+        for q in families:
+            assert coreps.kazhdan_gap(u, q) == loop_kazhdan_gap(u, q)
+
+
+def loop_gns(g, w):
+    """The phis, Omega and J of gns, one row, unit and target at a time."""
+    w = np.asarray(w, dtype=complex)
+    d = g.d
+    gram = np.zeros((d, d), dtype=complex)
+    for a, (n, off) in enumerate(zip(g.block_dims, g.block_offsets)):
+        for i in range(n):
+            span = slice(off + i * n, off + (i + 1) * n)
+            gram[span, span] = g.blocks_of(w)[a]
+    f = linalg.psd_factor_vectors(gram)
+    r = f.shape[1]
+    pinv_ft = np.linalg.pinv(f.T)
+    phis = np.zeros((d, r, r), dtype=complex)
+    for p, (q, s, _) in enumerate(g.dual().product_nz.rows()):
+        fx = np.zeros((d, r), dtype=complex)
+        fx[q] = f[s]
+        phis[p] = fx.T @ pinv_ft
+    omega = g.dual().unit @ f
+    vals = [omega.conj() @ phis[q] @ omega for q in range(d)]
+    rhat, perm = g.dual().antipode, g.dual().star_perm
+    targets = np.zeros((d, r), dtype=complex)
+    for q in range(d):
+        targets[q] = rhat[:, perm[q]] @ f
+    return phis, omega, np.array(vals), targets.T @ np.linalg.pinv(np.conj(f).T)
+
+
+@pytest.mark.parametrize("name", QG_PRESETS)
+def test_stacked_gns_matches_the_row_loops(name, monkeypatch):
+    g = presets.load_preset(name)
+    trace = np.zeros(g.d)
+    for n, off in zip(g.block_dims, g.block_offsets):
+        trace[off + np.arange(n) * (n + 1)] = n / g.d
+    # a random state: blocks x x^* / trace, so every sum is inexact
+    rng = np.random.default_rng(11)
+    blocks = [x @ x.conj().T for x in (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                                       for n in g.block_dims)]
+    mixed = g.u_vec_of_blocks(blocks) / sum(np.trace(b) for b in blocks)
+    # the GNS space of a faithful state is C^d, whose corep validation takes d^4 n^2
+    for w in [g.dual().counit] + ([trace, mixed] if g.d <= 16 else []):
+        phis, omega, vals, j_mat = loop_gns(g, w)
+        corep, got_omega, got_j = coreps.gns(g, w)
+        assert same_bits(corep.phis, phis) and same_bits(got_omega, omega)
+        assert got_j is None or same_bits(got_j, j_mat)
+    # the state recovery reads <Omega, phi(e_q) Omega> for every q at once
+    recorded = []
+    real = linalg.rowmul
+
+    def recording(x, m):
+        out = real(x, m)
+        recorded.append(out)
+        return out
+    monkeypatch.setattr(linalg, "rowmul", recording)
+    coreps.gns(g, w)
+    assert any(same_bits(out[..., 0], vals) for out in recorded)
+
+
+@pytest.mark.parametrize("name", QG_PRESETS)
+def test_intertwiner_system_matches_the_kron_concatenation(name, monkeypatch):
+    from qgwb import actions
+    g = presets.load_preset(name)
+    calls, systems = [], []
+    real_null, real_solve = linalg.null_space, linalg.solve_intertwiner
+
+    def null_space(system, shape=None):
+        systems.append(np.array(system))
+        return real_null(system, shape)
+
+    def solve_intertwiner(left, right):
+        out = real_solve(left, right)
+        calls.append((np.array(left), np.array(right), systems[-1]))
+        return out
+    monkeypatch.setattr(linalg, "null_space", null_space)
+    monkeypatch.setattr(linalg, "solve_intertwiner", solve_intertwiner)
+    blocks = [coreps.block_corep(g, a) for a in range(min(len(g.block_dims), 3))]
+    sums = [(_nontrivial_sum(g),) * 2] if g.d <= 16 else []
+    for u, v in [(u, v) for u in blocks for v in blocks] + sums:
+        coreps.intertwiners(u, v)
+    # the unitary search of the action suite's comparison
+    actions.v_vbar_implementation_check(coreps.block_corep(g, int(np.argmax(g.block_dims))))
+    assert len(calls) == len(blocks) ** 2 + len(sums) + 1
+    for left, right, system in calls:
+        eye_s, eye_t = np.eye(left.shape[-1]), np.eye(right.shape[-1])
+        ref = np.concatenate([np.kron(rk, eye_s) - np.kron(eye_t, lk.T)
+                              for lk, rk in zip(left, right)])
+        assert same_bits(system, ref)

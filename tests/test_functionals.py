@@ -392,3 +392,20 @@ def test_is_positive_keeps_its_verdicts(name):
             assert F.is_positive(mu, tol) == _is_positive_reference(mu, tol)
     assert any(F.is_positive(mu) for mu in family)
     assert not all(F.is_positive(mu) for mu in family)
+
+
+QG_PRESETS = [name for name in presets.preset_names() if presets.parse(name).kind == "qg"]
+
+
+@pytest.mark.parametrize("name", QG_PRESETS)
+def test_vector_state_matches_the_basis_loop(name, monkeypatch):
+    # rowmul(rowmul(conj(xi), R), xi) over the stack R of reg(e_i) has the
+    # bits of <xi, reg(e_i) xi> taken one i at a time, also in small slices
+    g = presets.load_preset(name)
+    for seed in range(3):
+        xi = CounterRNG(seed).unit_vector(g.d)
+        x = xi / np.linalg.norm(xi)
+        ref = np.array([x.conj() @ g.reg(np.eye(g.d)[i]) @ x for i in range(g.d)])
+        assert np.array_equal(F.vector_state(g, xi).coeffs, ref)
+    monkeypatch.setattr(linalg, "SLICE_BYTES", 1)
+    assert np.array_equal(F.vector_state(g, xi).coeffs, ref)

@@ -403,7 +403,8 @@ def test_stacked_triple_paths_match_entry_loops(name, v_alpha):
         for beta in blocks:
             # one call over all gammas, as triple_form_matrices makes it
             direct = list(genfun._triple_forms_direct(g, gen.base, alpha, blocks, beta))
-            cocycle = list(genfun._triple_forms_cocycle(g, tri, cvals, alpha, blocks, beta))
+            cocycle = {int(k): v for pos, stack in genfun._triple_forms_cocycle(
+                g, tri, cvals, alpha, blocks, beta) for k, v in zip(pos, stack)}
             for gamma in blocks:
                 args = (alpha, gamma, beta)
                 assert np.array_equal(direct[gamma],
@@ -424,3 +425,129 @@ def test_stacked_triple_paths_match_entry_loops(name, v_alpha):
         assert row["route_residual"] == float(np.max(np.abs(cocycle - direct))), args
         assert row["hermiticity"] == float(np.linalg.norm(direct - direct.conj().T)), args
         assert row["min_eig"] == float(np.linalg.eigvalsh(0.5 * (direct + direct.conj().T))[0])
+
+
+# -- the v_matrices rows against the per-gamma loops they replaced --------------------
+
+def loop_triple_forms_cocycle(g, triple, cvals, alpha, gamma, beta):
+    """The cocycle route for one gamma, as it was made before the stacks."""
+    ua, ub = g.irreps[alpha].coeffs, g.irreps[beta].coeffs
+    ca, cb = cvals[alpha].real, cvals[beta].real
+    c_a = triple.cocycle(ua)[:, :, None, None, None, None]
+    c_b = triple.cocycle(ub)
+    ip = np.eye(len(ua), dtype=bool)[:, :, None, None, None, None]
+    ks = np.eye(len(ub), dtype=bool)
+    ug, cg = g.irreps[gamma].coeffs, cvals[gamma].real
+    c_g = triple.cocycle(ug)[:, :, None, None]
+    c_g_star = triple.cocycle(genfun._star(g, ug))[:, :, None, None]
+    rho_c_b = linalg.rowmul(c_b, triple.rho(ug)[:, :, None, None].swapaxes(-1, -2))
+    jr = np.eye(len(ug), dtype=bool)[:, :, None, None]
+    v = np.where(ip & jr & ks, ca + cg + cb, 0.0)
+    v = v - np.where(ip, linalg.vdots(c_g_star, c_b), 0.0)
+    v = v - np.where(ks, linalg.vdots(c_a, c_g), 0.0)
+    v = v - linalg.vdots(c_a, rho_c_b)
+    return genfun._entry_matrix(v)
+
+
+def loop_cocycle_norm(triple, gamma):
+    g, cvals = triple.gen.parent, triple.gen.central_values
+    ug = g.irreps[gamma].coeffs
+    ng = len(ug)
+    cvecs = triple.cocycle(ug)
+    cvecs_star = triple.cocycle(genfun._star(g, ug))
+    terms = linalg.vdots(cvecs[:, None], cvecs[None, :])
+    terms_star = linalg.vdots(cvecs_star[:, :, None], cvecs_star[:, None, :])
+    t_mat = sum(terms[:, :, a] for a in range(ng))
+    tt_mat = sum(terms_star[a] for a in range(ng))
+    target = 2.0 * cvals[gamma].real * np.eye(ng)
+    return max(float(np.linalg.norm(t_mat - target)), float(np.linalg.norm(tt_mat - target)))
+
+
+def loop_v_rows(g, gen, alpha, beta):
+    """The v_matrices rows, one gamma at a time."""
+    triple = genfun.schurmann_triple(gen)
+    rows = []
+    for gamma in range(len(g.block_dims)):
+        v_direct, = genfun._triple_forms_direct(g, gen.base, alpha, [gamma], beta)
+        v_primary = loop_triple_forms_cocycle(g, triple, gen.central_values, alpha, gamma, beta)
+        rows.append({
+            "gamma": gamma,
+            "route_residual": float(np.max(np.abs(v_primary - v_direct))),
+            "hermiticity": float(np.linalg.norm(v_direct - v_direct.conj().T)),
+            "min_eig": float(np.linalg.eigvalsh(0.5 * (v_direct + v_direct.conj().T))[0]),
+            "cocycle_norms": loop_cocycle_norm(triple, gamma)})
+    return rows
+
+
+V_QG_PRESETS = [name for name in presets.preset_names() if presets.parse(name).kind == "qg"]
+
+
+def scaled_generator(g):
+    """A central generator with inexact values: 1.2345 (counit - haar)."""
+    return genfun.validate_generating(
+        1.2345 * (F.counit_functional(g) - F.haar_functional(g)))
+
+
+@pytest.mark.parametrize("name", V_QG_PRESETS)
+def test_v_matrices_rows_match_the_gamma_loop(name):
+    from qgwb.cli import _central_index_generator, _run_v_matrices
+    g = presets.load_preset(name)
+    n_blocks = len(g.block_dims)
+    gammas = list(range(n_blocks))
+    # the experiment's default (alpha, beta), and a 2-dim alpha where one exists
+    pairs = [(1 % n_blocks, 2 % n_blocks)]
+    pairs += [(a, 2 % n_blocks) for a in range(n_blocks) if g.block_dims[a] == 2][:1]
+    for alpha, beta in pairs:
+        report = _run_v_matrices(g, {"alpha": alpha, "beta": beta}, 1.0, 0)
+        norms = {c["name"]: c["value"] for c in report["checks"]}
+        ref_rows = loop_v_rows(g, _central_index_generator(g), alpha, beta)
+        for row, ref in zip(report["per_stage"], ref_rows, strict=True):
+            assert row["gamma"] == ref["gamma"]
+            for key in ("route_residual", "hermiticity", "min_eig"):
+                assert row[key] == ref[key], (alpha, beta, row["gamma"], key)
+            assert norms[f"cocycle_norms:gamma={row['gamma']}"] == ref["cocycle_norms"]
+        gen = scaled_generator(g)
+        triple = genfun.schurmann_triple(gen)
+        rows = genfun.triple_form_matrices(gen, alpha, beta, gammas, triple=triple)
+        cocycle_norms = genfun.cocycle_norm_residual(triple, gammas)
+        for row, tn, ref in zip(rows, cocycle_norms, loop_v_rows(g, gen, alpha, beta),
+                                strict=True):
+            assert [row[k] for k in ("gamma", "route_residual", "hermiticity", "min_eig")] \
+                == [ref[k] for k in ("gamma", "route_residual", "hermiticity", "min_eig")]
+            assert tn == ref["cocycle_norms"]
+
+
+def test_cocycle_norm_residual_takes_a_gamma_or_a_sequence():
+    from qgwb.cli import _central_index_generator
+    g = presets.load_preset("kac-paljutkin")
+    triple = genfun.schurmann_triple(_central_index_generator(g))
+    gammas = [4, 0, 4, 2]
+    got = genfun.cocycle_norm_residual(triple, gammas)
+    assert isinstance(got, list) and got == [loop_cocycle_norm(triple, k) for k in gammas]
+    assert isinstance(genfun.cocycle_norm_residual(triple, 4), float)
+
+
+def test_form_checks_match_each_matrix():
+    rng = np.random.default_rng(13)
+    for n in range(1, 9):
+        a, b = (rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n)) for _ in range(2))
+        b[0] = b[0] + b[0].conj().T        # a Hermitian one, as the routes give
+        entry, herm, low = genfun._form_checks(a, b)
+        for k in range(5):
+            assert entry[k] == float(np.max(np.abs(a[k] - b[k])))
+            assert herm[k] == float(np.linalg.norm(b[k] - b[k].conj().T))
+            assert low[k] == float(np.linalg.eigvalsh(0.5 * (b[k] + b[k].conj().T))[0])
+
+
+@pytest.mark.parametrize("name", ["fn-S3", "kac-paljutkin", "dual-Z(5)"])
+def test_stacked_cocycle_norms_match_the_gamma_loop_on_random_cocycles(name):
+    # random cocycle vectors make every sum inexact, so a change of order shows
+    from qgwb.cli import _central_index_generator
+    g = presets.load_preset(name)
+    triple = genfun.schurmann_triple(_central_index_generator(g))
+    rng = np.random.default_rng(17)
+    shape = (g.d, max(triple.dim, 3))
+    triple.cocycle_vectors = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    gammas = list(range(len(g.block_dims)))
+    assert genfun.cocycle_norm_residual(triple, gammas) == [
+        loop_cocycle_norm(triple, k) for k in gammas]
