@@ -528,25 +528,30 @@ def run_scenario(scenario, out_dir="."):
     if failure is not None:
         report["error"] = {"type": type(failure[1]).__name__,
                            "message": str(failure[1])}
-    os.makedirs(out_dir, exist_ok=True)
-    report_path = os.path.join(out_dir, f"{name}.report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=1, separators=(",", ": ")) + "\n")
-    with open(os.path.join(out_dir, f"{name}.report.csv"), "w",
-              encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "value", "tol", "passed"])
-        for c in report["checks"]:
-            writer.writerow([c["name"], repr(c["value"]), repr(c["tol"]), c["passed"]])
-        if report["per_stage"]:
-            cols = sorted({k for row in report["per_stage"] for k in row})
-            writer.writerow([])
-            writer.writerow(cols)
-            for row in report["per_stage"]:
-                writer.writerow([repr(row.get(c, "")) for c in cols])
-    with open(os.path.join(out_dir, f"{name}.meta.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"elapsed_seconds": elapsed, "version": "0.1.0"}, sort_keys=True)
-                 + "\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        report_path = os.path.join(out_dir, f"{name}.report.json")
+        with open(report_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(report, sort_keys=True, indent=1, separators=(",", ": ")) + "\n")
+        with open(os.path.join(out_dir, f"{name}.report.csv"), "w",
+                  encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["check", "value", "tol", "passed"])
+            for c in report["checks"]:
+                writer.writerow([c["name"], repr(c["value"]), repr(c["tol"]), c["passed"]])
+            if report["per_stage"]:
+                cols = sorted({k for row in report["per_stage"] for k in row})
+                writer.writerow([])
+                writer.writerow(cols)
+                for row in report["per_stage"]:
+                    writer.writerow([repr(row.get(c, "")) for c in cols])
+        with open(os.path.join(out_dir, f"{name}.meta.json"), "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"elapsed_seconds": elapsed, "version": "0.1.0"}, sort_keys=True)
+                     + "\n")
+    except OSError as exc:
+        # an unusable output path ends this scenario, not the batch
+        sys.stderr.write(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}\n")
+        return 2, None
     if failure is not None:
         sys.stderr.write(f"{type(failure[1]).__name__}: {failure[1]}\n")
         return failure[0], report_path

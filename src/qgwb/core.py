@@ -38,10 +38,12 @@ That holds for the counit and star-coproduct laws, the irrep coproduct,
 a permutation star, a diagonal coproduct); a parent that fails the count,
 or a contraction under STORE_MIN_WORK, takes the dense contraction.
 
+The sparse Hopf-law kernels are chains of linalg.contract over the
+stores, each sum over its terms in ascending order of the summed indices.
 The kernels that grow with their input run in slices along their leading
 output index, cut by linalg.byte_slices from counts made before anything
-is formed; each output entry is summed within one slice, so slicing moves
-no bit, and a kernel that fits takes one slice.
+is formed (BudgetExceeded, naming the kernel, past linalg.BYTE_BUDGET);
+each output entry is summed within one slice, so slicing moves no bit.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg
 from .errors import (
@@ -81,58 +82,10 @@ def named_residuals(res, tol, what):
 # c[i, a, b], Delta(e_i) = sum c[i,a,b] e_a (x) e_b.  Read as a coproduct,
 # m.transpose(2, 0, 1), a product m[i, j, k] has the algebra laws as the same
 # kernels: associativity, the unit law and a multiplicative counit are
-# coassociativity, the counit law and a unital coproduct.
-#
-# The sparse kernels take Structures (or arrays) and work on csr matrices
-# whose rows and columns are strings of indices.  Each sum runs over its
-# terms in ascending order of the summed indices, and each side of a law
-# comes out in canonical (row-major) entry order, so the norm of the
-# difference adds the same numbers in the same order for every layout.
-
-def _block_diagonal(a, n: int) -> sp.csr_matrix:
-    """kron(identity(n), a) for a csr matrix a with sorted rows: n copies of
-    a down the diagonal, rows sorted."""
-    (rows, cols), nnz = a.shape, a.indptr[-1]
-    copy = np.arange(n)
-    indptr = np.append((copy * nnz)[:, None] + a.indptr[:-1], n * nnz)
-    indices = ((copy * cols)[:, None] + a.indices).ravel()
-    return sp.csr_matrix((np.tile(a.data, n), indices, indptr), shape=(n * rows, n * cols))
-
-
-def _row_lengths(mat):
-    # as np.intp: np.repeat is several times slower with int32 counts
-    return np.diff(mat.indptr).astype(np.intp)
-
-
-def _row_block(mat, lo: int, hi: int) -> sp.csr_matrix:
-    """Rows lo..hi-1 of a csr matrix, cut from its entry range (the matrix
-    itself when that is all of it)."""
-    if lo == 0 and hi == mat.shape[0]:
-        return mat
-    a, b = mat.indptr[lo], mat.indptr[hi]
-    return sp.csr_matrix((mat.data[a:b], mat.indices[a:b], mat.indptr[lo:hi + 1] - a),
-                         shape=(hi - lo, mat.shape[1]))
-
-
-def _digits(mat, row_shape, col_shape):
-    """The digits of the row and column indices of the entries of a csr
-    matrix, its rows indexed by row_shape (row-major) and its columns by
-    col_shape."""
-    rows = np.repeat(np.arange(mat.shape[0]), _row_lengths(mat))
-    return np.unravel_index(rows, row_shape) + np.unravel_index(mat.indices, col_shape)
-
-
-def _regrouped(digits, data, sizes, rows, cols) -> sp.csr_matrix:
-    """The csr matrix of the entries data whose row index is made of the
-    digits at positions rows and the column index of those at cols, digit a
-    in range(sizes[a])."""
-    row_shape, col_shape = [sizes[a] for a in rows], [sizes[a] for a in cols]
-    n_cols = int(np.prod(col_shape))
-    flat = (np.ravel_multi_index([digits[a] for a in rows], row_shape) * n_cols
-            + np.ravel_multi_index([digits[a] for a in cols], col_shape))
-    order = np.argsort(flat)
-    return linalg.csr_sorted(flat[order], data[order], (int(np.prod(row_shape)), n_cols))
-
+# coassociativity, the counit law and a unital coproduct.  The sparse
+# kernels take Structures (or arrays); each side of a law comes out in
+# canonical entry order, so the norm adds the same numbers in the same
+# order for every layout.
 
 def _pairs(a, b, n: int):
     """All (x, y) with a[x] == b[y], for keys in range(n), x major."""
@@ -194,39 +147,10 @@ def _placed(*terms):
     return out
 
 
-def _sorted(mat) -> sp.csr_matrix:
-    mat.sort_indices()
-    return mat
-
-
-def _merged(mat, k: int) -> sp.csr_matrix:
-    """A csr matrix with sorted rows as the matrix whose row r is its rows
-    k r, ..., k r + k - 1 side by side: the same entries in the same
-    row-major order."""
-    part = np.repeat(np.tile(np.arange(k), mat.shape[0] // k), _row_lengths(mat))
-    return sp.csr_matrix((mat.data, part * mat.shape[1] + mat.indices, mat.indptr[::k]),
-                         shape=(mat.shape[0] // k, mat.shape[1] * k))
-
-
 def _per_row(t, weights):
     """Per first index i of a Structure, the sum of weights over the entries
     of row t[i]."""
     return np.bincount(t.idx[0], weights=weights, minlength=t.shape[0])
-
-
-def _stacked_frob(blocks) -> float:
-    """linalg.frob of the vertical stack of csr row blocks, given in order.
-    Each block's canonical entries are appended to one buffer as it comes,
-    so only the entries and one block are held, and the one norm adds them
-    as frob of the stack does."""
-    data = np.empty(0, dtype=complex)
-    for block in blocks:
-        block = sp.csr_array(block)
-        block.sum_duplicates()
-        n = data.size
-        data.resize(n + block.nnz, refcheck=False)   # no view of it exists
-        data[n:] = block.data
-    return float(np.linalg.norm(data))
 
 
 def coassoc_residual(c) -> float:
@@ -234,24 +158,18 @@ def coassoc_residual(c) -> float:
     formed in slices along the leading output index i."""
     c = linalg.Structure.of(c)
     d = c.shape[0]
-    block, rows, cols = c.permuted((1, 2, 0)).csr(2), c.csr(2), c.csr(1)
     # per i, the pairs each side forms, at most its d^3 output entries (48
     # bytes each with the merged indices and the difference), and the
-    # slice's copy of the block with the row pointers of X's d^2 rows
+    # slice's copies of c down the diagonal with the row pointers of X's d^2 rows
     sizes, cap = np.bincount(c.idx[0], minlength=d), d ** 3
     nbytes = (48 * (np.minimum(_per_row(c, sizes[c.idx[1]]), cap)
                     + np.minimum(_per_row(c, sizes[c.idx[2]]), cap))
-              + 24 * (block.nnz + d * d))
-
-    def parts():
-        for part in linalg.byte_slices(d, nbytes, "coassoc_residual"):
-            lo, hi = part.start * d, part.stop * d
-            # (Delta (x) id)Delta: X[(i,a,b),k] = sum_p c[p,a,b] c[i,p,k]
-            x = _block_diagonal(block, part.stop - part.start) @ _row_block(rows, lo, hi)
-            # (id (x) Delta)Delta: Y[(i,a),(b,k)] = sum_p c[i,a,p] c[p,b,k]
-            y = _row_block(rows, lo, hi) @ cols
-            yield _merged(_sorted(x), d) - _sorted(y)
-    return _stacked_frob(parts())
+              + 24 * (c.w.size + d * d))
+    # sum_p c[p,a,b] c[i,p,k] - sum_p c[i,a,p] c[p,b,k]
+    return linalg.frob_stack(
+        linalg.contract(c, "pab", c, "ipk", "iabk", part)
+        - linalg.contract(c, "iap", c, "pbk", "iabk", part)
+        for part in linalg.byte_slices(d, nbytes, "coassoc_residual"))
 
 
 def hom_residual(m, c) -> float:
@@ -259,29 +177,26 @@ def hom_residual(m, c) -> float:
     formed in slices along the leading output index i."""
     m, c = linalg.Structure.of(m), linalg.Structure.of(c)
     d = m.shape[0]
-    m1, m2, c1, ct2 = m.csr(1), m.csr(2), c.csr(1), c.permuted((0, 2, 1)).csr(2)
-    # rhs[(i,j),(a,b)] = sum c[i,p,q] c[j,r,s] m[p,r,a] m[q,s,b], in stages:
-    # F[(i,q),(r,a)] = sum_p c[i,p,q] m[p,r,a]
-    # E[(i,q,a),(j,s)] = sum_r F[(i,q,a),r] c[j,r,s] reaches R only where
-    # some m[q,s,b] is nonzero.  With q also a column digit of F and a row
-    # digit of the factor C[(q,r),(j,s)] = c[j,r,s], kept for those (q, s)
-    # alone, one product forms just these entries.
-    m_rows = _row_lengths(m2)
-    live_q, live_s = np.divmod(np.flatnonzero(m_rows), d)
+    # rhs[i,j,a,b] = sum c[i,p,q] c[j,r,s] m[p,r,a] m[q,s,b] in stages F, E,
+    # R below; E reaches R only where some m[q,s,b] is nonzero, so its factor
+    # C[q,r,j,s] = c[j,r,s] is kept for those (q, s) alone
+    ra = np.bincount(m.idx[0] * d + m.idx[1], minlength=d * d)
+    live_q, live_s = np.divmod(np.flatnonzero(ra), d)
     j, r, s = c.idx
     x, y = _pairs(live_s, s, d)
-    cq = _regrouped((live_q[x], r[y], j[y], s[y]), c.w[y], (d,) * 4, (0, 1), (2, 3))
+    # C as its csr matrix alone: the index arrays of a store would outlast it
+    cq = linalg.Lettered(linalg.Structure.from_entries(
+        (d,) * 4, (live_q[x], r[y], j[y], s[y]), c.w[y]).csr(2), "qrjs", (d,) * 4, 2)
     # per i, the pairs each product forms, at most its output entries (96
     # bytes each with the digits and the regrouped copy; each F term
     # (i,p,q; p,r,a) meets the row (q, r) of C, and each E entry (q,s) the
     # row (q, s) of m), and the row pointers of E's d^2 rows
     p, q = c.idx[1], c.idx[2]
     m_sizes, c_sizes = np.bincount(m.idx[0], minlength=d), np.bincount(c.idx[0], minlength=d)
-    ra = np.bincount(m.idx[0] * d + m.idx[1], minlength=d * d).reshape(d, d)
-    cq_row = np.repeat(np.arange(d * d), _row_lengths(cq))
-    to_e = _row_lengths(cq).reshape(d, d)
-    to_r = np.bincount(cq_row, weights=m_rows[cq_row // d * d + cq.indices % d],
-                       minlength=d * d).reshape(d, d)
+    q_r = live_q[x] * d + r[y]
+    to_e = np.bincount(q_r, minlength=d * d).reshape(d, d)
+    to_r = np.bincount(q_r, weights=ra[live_q[x] * d + s[y]], minlength=d * d).reshape(d, d)
+    ra = ra.reshape(d, d)
     nbytes = 96 * (np.minimum(_per_row(m, c_sizes[m.idx[2]]), d ** 3)
                    + np.minimum(_per_row(c, m_sizes[p]), d ** 3)
                    + np.minimum(_per_row(c, (ra @ to_e.T)[p, q]), d ** 4)
@@ -289,16 +204,11 @@ def hom_residual(m, c) -> float:
 
     def parts():
         for part in linalg.byte_slices(d, nbytes, "hom_residual"):
-            n, lo, hi = part.stop - part.start, part.start * d, part.stop * d
-            lhs = _row_block(m2, lo, hi) @ c1
-            f = _row_block(ct2, lo, hi) @ m1
-            e = _regrouped(_digits(f, (n, d), (d, d)), f.data, (n, d, d, d),
-                           (1, 0, 3), (1, 2)) @ cq
-            # R[(i,j,a),b] = sum_{q,s} E[(i,j,a),(q,s)] m[q,s,b]
-            e = _regrouped(_digits(e, (d, n, d), (d, d)), e.data, (d, n, d, d, d),
-                           (1, 3, 2), (0, 4))
-            yield _sorted(lhs) - _merged(_sorted(e @ m2), d)
-    return _stacked_frob(parts())
+            lhs = linalg.contract(m, "ijk", c, "kab", "ijab", part)
+            f = linalg.contract(c, "ipq", m, "pra", "iqra", part)     # sum over p
+            e = linalg.contract(f, "iqra", cq, "qrjs", "qiajs")       # over r
+            yield lhs - linalg.contract(e, "qiajs", m, "qsb", "ijab")  # over (q, s)
+    return linalg.frob_stack(parts())
 
 
 def counit_residual(c, counit) -> float:
@@ -346,22 +256,18 @@ def star_residual(c, star) -> float:
 def antipode_residual(m, c, s, counit, unit) -> float:
     """m(S (x) id)Delta = counit(.) 1 = m(id (x) S)Delta for product m,
     coproduct c and antipode matrix s, each sum over its indices in
-    ascending order (a csr matrix times a dense one sums so)."""
-    m, c = linalg.Structure.of(m), linalg.Structure.of(c)
+    ascending order."""
+    m, c, s = linalg.Structure.of(m), linalg.Structure.of(c), np.asarray(s)
     d = m.shape[0]
-    s_t = np.asarray(s).T
-    ct2, c2, m2 = c.permuted((0, 2, 1)).csr(2), c.csr(2), m.csr(2)
     left, right = np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex)
-    # in slices along i (each row i of a sparse-dense product is formed
-    # alone), four d^2 arrays per i: SD, its transposed copy, DS and scipy's
-    # copy of the dense factor
+    # in slices along i, four d^2 arrays per i
     for part in linalg.byte_slices(d, 16 * 4 * d * d, "antipode_residual"):
-        lo, hi = part.start * d, part.stop * d
-        # SD[(i,k),p] = sum_j c[i,j,k] s[p,j]; left[i,q] = sum_{p,k} SD m[p,k,q]
-        sd = (_row_block(ct2, lo, hi) @ s_t).reshape(-1, d, d).transpose(0, 2, 1)
-        left[part] = sd.reshape(-1, d * d) @ m2
-        # DS[(i,j),p] = sum_k c[i,j,k] s[p,k]; right[i,q] = sum_{j,p} DS m[j,p,q]
-        right[part] = (_row_block(c2, lo, hi) @ s_t).reshape(-1, d * d) @ m2
+        # left[i,q] = sum_{p,k} (sum_j c[i,j,k] s[p,j]) m[p,k,q]
+        sd = linalg.contract(c, "ijk", s, "pj", "ikp", part)
+        left[part] = linalg.contract(sd, "ikp", m, "pkq", "iq").dense()
+        # right[i,q] = sum_{j,p} (sum_k c[i,j,k] s[p,k]) m[j,p,q]
+        ds = linalg.contract(c, "ijk", s, "pk", "ijp", part)
+        right[part] = linalg.contract(ds, "ijp", m, "jpq", "iq").dense()
     target = np.outer(counit, unit)
     return max(float(np.linalg.norm(left - target)), float(np.linalg.norm(right - target)))
 
@@ -369,30 +275,27 @@ def antipode_residual(m, c, s, counit, unit) -> float:
 def star_product_residual(m, star, star_mult) -> float:
     """(xy)^* = y^* x^* on basis pairs, for product m and star_mult[j,r,p] =
     sum_q star[q,j] m[q,r,p], the coefficients of e_j^* e_r."""
-    m, star_mult = linalg.Structure.of(m), linalg.Structure.of(star_mult)
+    m, star_mult, star = linalg.Structure.of(m), linalg.Structure.of(star_mult), np.asarray(star)
     d = m.shape[0]
-    st_t = np.asarray(star).T
-    m2, sm1 = m.csr(2), star_mult.permuted((1, 0, 2)).csr(1)
-    out = np.empty((d, d * d), dtype=complex)
-    # in slices along i (each row i of a sparse-dense product is formed
-    # alone), three d^2 arrays per i: lhs, the product and scipy's copy
+    # lhs[i,j,p] = sum_k conj(m[i,j,k]) star[p,k] is taken as the conjugate
+    # of sum_k m[i,j,k] conj(star[p,k]): conjugation commutes with each
+    # rounded product and sum, so the two are equal bit for bit
+    star_conj, out = np.conj(star), np.empty((d, d, d), dtype=complex)
+    # in slices along i, three d^2 arrays per i
     for part in linalg.byte_slices(d, 16 * 3 * d * d, "star_product_residual"):
-        # lhs[(i,j),p] = sum_k conj(m[i,j,k]) star[p,k]
-        lhs = _row_block(m2, part.start * d, part.stop * d).conj() @ st_t
-        out[part] = lhs.reshape(-1, d * d)
-        # rhs[i,(j,p)] = sum_r star[r,i] star_mult[j,r,p]
-        out[part] -= st_t[part] @ sm1
+        out[part] = np.conj(linalg.contract(m, "ijk", star_conj, "pk", "ijp", part).dense())
+        # rhs[i,j,p] = sum_r star[r,i] star_mult[j,r,p]
+        out[part] -= linalg.contract(star, "ri", star_mult, "jrp", "ijp", part).dense()
     return float(np.linalg.norm(out))
 
 
 def haar_residual(c, haar, unit) -> float:
     """(h (x) id)Delta = h(.)1 = (id (x) h)Delta for coproduct c, each sum
     over its index in ascending order."""
-    c = linalg.Structure.of(c)
-    d = c.shape[0]
+    c, haar = linalg.Structure.of(c), np.asarray(haar)
     target = np.outer(haar, unit)
-    left = (c.permuted((0, 2, 1)).csr(2) @ haar).reshape(d, d)    # sum over j
-    right = (c.csr(2) @ haar).reshape(d, d)                        # sum over k
+    left = linalg.contract(c, "ijk", haar, "j", "ik").dense()
+    right = linalg.contract(c, "ijk", haar, "k", "ij").dense()
     return max(float(np.linalg.norm(left - target)), float(np.linalg.norm(right - target)))
 
 

@@ -20,8 +20,11 @@ built once and kept.  `structure_sum` is the one kernel for sums of
 coefficient matrices against structure constants, out[k] = sum_{i,j}
 c[i,j,k] X_i Y_j (or X_i (x) Y_j), over a store's triples with one
 np.add.at per row i; `structure_sum_sparse` is its form for sparse
-families.  `rowmul`, `vdots` and `norms` act on stacks of vectors, bit for
-bit as on each vector alone.
+families.  `contract` is the one contraction of two stores behind the
+sparse Hopf-law kernels: one csr product per call, each sum in ascending
+order of its summed letters, the result a csr matrix tagged with its
+letters (`Lettered`).  `rowmul`, `vdots` and `norms` act on stacks of
+vectors, bit for bit as on each vector alone.
 
 Working memory: `byte_slices` is the one slicer of every kernel that
 grows with its input (the validation kernels, the Schurmann triple and
@@ -32,6 +35,9 @@ bounds each array of the Fock layer.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -229,12 +235,19 @@ def kron(a, b) -> np.ndarray:
     return out.reshape(b.shape[:-2] + (m * p, n * q))
 
 
+def _csr(data, indices, indptr, shape) -> sparse.csr_matrix:
+    """The csr matrix of these arrays, indices cast to scipy's dtype first."""
+    dtype = np.int32 if max(*shape, len(data)) < 2 ** 31 else np.int64
+    return sparse.csr_matrix((data, indices.astype(dtype, copy=False),
+                              indptr.astype(dtype, copy=False)), shape=shape)
+
+
 def csr_sorted(flat, data, shape) -> sparse.csr_matrix:
     """The csr matrix with entries data at the ascending row-major positions
     flat (the canonical entry order)."""
     rows, cols = np.divmod(flat, shape[1])
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
-    return sparse.csr_matrix((data, cols, indptr), shape=shape)
+    return _csr(data, cols, indptr, shape)
 
 
 class Structure:
@@ -291,7 +304,9 @@ class Structure:
         return out
 
     def permuted(self, axes):
-        """The Structure of t.transpose(axes)."""
+        """The Structure of t.transpose(axes) (t itself for the identity)."""
+        if tuple(axes) == tuple(range(len(self.shape))):
+            return self
         return self._keep(("permuted", tuple(axes)), lambda: Structure.from_entries(
             [self.shape[a] for a in axes], [self.idx[a] for a in axes], self.w))
 
@@ -355,6 +370,122 @@ class Structure:
                 start += j.size
             return c.idx[2], c.w, plan
         return self._keep("sum_plan", make)
+
+
+class Lettered:
+    """A tensor whose axes letters name, held as a matrix (csr or dense)
+    whose rows its first n_rows axes index, row-major, and whose columns
+    the others: contract's results, and their differences."""
+
+    def __init__(self, mat, letters, shape, n_rows):
+        self.mat, self.letters, self.shape, self.n_rows = mat, letters, tuple(shape), n_rows
+
+    def matrix(self, n_rows):
+        """The matrix whose rows the first n_rows <= self.n_rows axes index,
+        csr with sorted rows: each row k old ones side by side, so the
+        entries keep their row-major order."""
+        mat, k = self.mat, math.prod(self.shape[n_rows:self.n_rows])
+        if not sparse.issparse(mat):
+            return mat.reshape(mat.shape[0] // k, -1)
+        mat.sort_indices()
+        if k == 1:
+            return mat
+        # as np.intp: np.repeat is several times slower with int32 counts
+        part = np.repeat(np.tile(np.arange(k), mat.shape[0] // k),
+                         np.diff(mat.indptr).astype(np.intp))
+        return _csr(mat.data, part * mat.shape[1] + mat.indices, mat.indptr[::k],
+                    (mat.shape[0] // k, mat.shape[1] * k))
+
+    def __sub__(self, other):
+        n = min(self.n_rows, other.n_rows)
+        return Lettered(self.matrix(n) - other.matrix(n), self.letters, self.shape, n)
+
+    def dense(self):
+        return (self.mat.toarray() if sparse.issparse(self.mat) else self.mat).reshape(self.shape)
+
+
+def _layout(t, axes, n_rows, part):
+    """t (a Structure, a Lettered or an array) as the matrix whose rows its
+    axes[:n_rows] index and whose columns the others (a batch axis may do
+    both), cut to the rows whose first axis lies in the slice part.  Only a
+    Lettered whose axes change order is sorted anew."""
+    mat, shape = getattr(t, "mat", t), t.shape
+    if isinstance(t, Structure):
+        mat = t.permuted(axes).csr(n_rows)
+    elif isinstance(t, Lettered) and axes == tuple(range(len(shape))) and n_rows <= t.n_rows:
+        mat = t.matrix(n_rows)
+    else:
+        rows, cols = [shape[a] for a in axes[:n_rows]], [shape[a] for a in axes[n_rows:]]
+        size = math.prod(rows), math.prod(cols)
+        if isinstance(mat, np.ndarray):
+            mat = mat.reshape(shape).transpose(axes).reshape(size)
+        else:
+            row = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr).astype(np.intp))
+            digits = (np.unravel_index(row, shape[:t.n_rows])
+                      + np.unravel_index(mat.indices, shape[t.n_rows:]))
+            flat = (np.ravel_multi_index([digits[a] for a in axes[:n_rows]], rows) * size[1]
+                    + np.ravel_multi_index([digits[a] for a in axes[n_rows:]], cols))
+            keep = np.argsort(flat)
+            mat = csr_sorted(flat[keep], mat.data[keep], size)
+    if part is None or part == slice(0, shape[axes[0]]):
+        return mat
+    lo, hi = (x * mat.shape[0] // shape[axes[0]] for x in (part.start, part.stop))
+    if not sparse.issparse(mat):
+        return mat[lo:hi]
+    a, b = mat.indptr[lo], mat.indptr[hi]
+    return _csr(mat.data[a:b], mat.indices[a:b], mat.indptr[lo:hi + 1] - a, (hi - lo, mat.shape[1]))
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(a_letters, b_letters, out):
+    """contract's reading of its letters: how many leading letters of out
+    only b names, how many letters index the rows, and a's and b's layouts."""
+    lead = len(out) - len(out.lstrip("".join(set(b_letters) - set(a_letters))))
+    rows = out[:lead] + "".join(x for x in out[lead:] if x in a_letters)
+    if not out.startswith(rows) or (set(a_letters) ^ set(b_letters)) - set(out):
+        raise ValueError(f"cannot contract {a_letters},{b_letters}->{out}")
+    batch = out[:lead] + "".join(x for x in rows[lead:] if x in b_letters)
+    summed = "".join(x for x in b_letters if x in a_letters and x not in out)
+    left = tuple(map(a_letters.index, rows[lead:] + batch[lead:] + summed)), len(rows) - lead
+    right = tuple(map(b_letters.index, batch + summed + out[len(rows):])), len(batch + summed)
+    return lead, len(rows), left, right
+
+
+def contract(a, a_letters, b, b_letters, out, part=None) -> Lettered:
+    """out = sum of a b over the letters both name and out drops, by one
+    scipy product of a csr matrix and a csr or dense one, so each entry
+    adds its terms in ascending order of the summed letters (in b's order).
+    a and b are Structures, Lettereds or arrays (then the result is dense)
+    whose axes a_letters and b_letters name.  out takes a's letters before
+    those only b names; a letter of both that out keeps is a batch index,
+    as is a leading letter of out that only b names, which puts copies of
+    a (a sparse one) down the diagonal.  With part, only that slice of
+    out's leading letter is formed."""
+    lead, n_rows, left, right = _plan(a_letters, b_letters, out)
+    left = _layout(a, *left, None if lead else part)
+    right = _layout(b, *right, part if lead else None)
+    size = dict(zip(a_letters + b_letters, a.shape + b.shape))
+    if part is not None:
+        size[out[0]] = part.stop - part.start
+    if lead:
+        n, (rows, cols), nnz = math.prod(size[x] for x in out[:lead]), left.shape, left.nnz
+        copy = np.arange(n)
+        left = _csr(np.tile(left.data, n), ((copy * cols)[:, None] + left.indices).ravel(),
+                    np.append((copy * nnz)[:, None] + left.indptr[:-1], n * nnz),
+                    (n * rows, n * cols))
+    return Lettered(left @ right, out, [size[x] for x in out], n_rows)
+
+
+def frob_stack(parts) -> float:
+    """frob of the vertical stack of the sparse Lettereds parts, in order;
+    each part's entries join one buffer as it comes, so one part is held."""
+    data = np.empty(0, dtype=complex)
+    for part in parts:
+        part.mat.sum_duplicates()
+        n = data.size
+        data.resize(n + part.mat.nnz, refcheck=False)   # no view of it exists
+        data[n:] = part.mat.data
+    return float(np.linalg.norm(data))
 
 
 def structure_sum(c, x, y, pair=np.matmul) -> np.ndarray:
@@ -429,8 +560,11 @@ def solve_intertwiner(left_blocks, right_blocks):
     if len(left_blocks) == 0 or len(right_blocks) == 0:
         return []
     left, right = require_square(left_blocks), require_square(right_blocks)
-    eye_s, eye_t = np.eye(left.shape[-1]), np.eye(right.shape[-1])
-    (s, t), k = (len(eye_s), len(eye_t)), min(len(left), len(right))
+    (s, t), k = (left.shape[-1], right.shape[-1]), min(len(left), len(right))
+    # the (k t s, t s) system and the SVD's thin factor of its size, counted
+    # before either is formed
+    byte_slices(1, 2 * 16 * k * (t * s) ** 2, "solve_intertwiner")
+    eye_s, eye_t = np.eye(s), np.eye(t)
     # row-major vec: vec(R T) = (R kron I) vec T, vec(T L) = (I kron L^T) vec T;
     # the rows (k, a) of both krons by broadcast products, as np.kron forms
     # them, in slices of those rows (two products and a transpose per row)

@@ -229,6 +229,27 @@ def test_rejected_scenario_does_not_abort_a_batch(tmp_path, capsys):
     assert good["checks"] and all(c["passed"] for c in good["checks"])
 
 
+def test_an_unusable_output_path_exits_2_and_the_batch_goes_on(tmp_path, capsys, monkeypatch):
+    attempted = []
+    real = cli.run_scenario
+
+    def counting(scenario, out_dir="."):
+        attempted.append(scenario["name"])
+        return real(scenario, out_dir=out_dir)
+    monkeypatch.setattr(cli, "run_scenario", counting)
+    batch = [{"name": "first", "preset": "dual-Z(2)", "experiment": "axioms"},
+             {"name": "second", "preset": "fn-Z(2)", "experiment": "axioms"}]
+    (tmp_path / "batch.json").write_text(json.dumps(batch))
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+    assert cli.main([str(tmp_path / "batch.json"), "--out", str(out)]) == 2
+    assert attempted == ["first", "second"]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count(f"cannot write {out}") == 2
+    assert out.read_text() == "a file, not a directory"
+
+
 def test_param_reader_rules():
     assert cli._param({}, "n", 8, 1) == 8
     assert cli._param({"n": 3}, "n", 8, 1, 4) == 3

@@ -491,9 +491,12 @@ def test_residual_kernels_match_dense_einsum(d):
 
 
 def test_sparse_kernels_on_zero_tensors():
-    z = np.zeros((3, 3, 3), dtype=complex)
+    z, eye, ones = np.zeros((3, 3, 3), dtype=complex), np.eye(3), np.ones(3)
     assert core.coassoc_residual(z) == 0.0
     assert core.hom_residual(z, z) == 0.0
+    assert core.antipode_residual(z, z, eye, ones, ones) == 3.0
+    assert core.star_product_residual(z, eye, z) == 0.0
+    assert core.haar_residual(z, ones, ones) == 3.0
 
 
 # The kernels as they were before the structure store: dense einsums, and csr

@@ -1,11 +1,13 @@
 import copy
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qgwb import cli, coreps, linalg, presets
 from qgwb._rng import CounterRNG
-from qgwb.errors import AxiomViolation, EmptyQ, NotAState
+from qgwb.errors import AxiomViolation, BudgetExceeded, EmptyQ, NotAState
 
 
 def all_block_coreps(g):
@@ -613,3 +615,26 @@ def test_intertwiner_system_matches_the_kron_concatenation(name, monkeypatch):
         ref = np.concatenate([np.kron(rk, eye_s) - np.kron(eye_t, lk.T)
                               for lk, rk in zip(left, right)])
         assert same_bits(system, ref)
+
+
+# the nontrivial block sum of dual-Z(n) has k = n generators on t = s = n - 1,
+# so its system and the SVD's thin factor hold 2 * 16 * n (n - 1)^4 bytes:
+# 24.7 MiB at n = 16, 205 MiB at n = 24
+def test_an_intertwiner_system_over_the_budget_raises_before_it_is_formed():
+    u = _nontrivial_sum(presets.load_preset("dual-Z(24)"))
+    held = 2 * 16 * 24 * 23 ** 4
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as info:
+            coreps.intertwiners(u, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2 * 2 ** 20
+    assert str(info.value) == (f"solve_intertwiner: index 0 needs {held} bytes, "
+                               f"over the budget of {linalg.BYTE_BUDGET}")
+    u16 = _nontrivial_sum(presets.load_preset("dual-Z(16)"))
+    assert 2 * 16 * 16 * 15 ** 4 <= linalg.BYTE_BUDGET
+    assert len(coreps.intertwiners(u16, u16)) == 15

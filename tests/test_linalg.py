@@ -393,3 +393,70 @@ def test_null_space_of_a_tall_system_needs_no_full_u():
     assert len(basis) == 3
     assert np.linalg.norm(system @ np.array(basis).T) < 1e-9
     assert peak < 32 * 2 ** 20
+
+
+# -- contract -------------------------------------------------------------------
+
+SIZES = dict(zip("abijkpqrs", (2, 3, 4, 3, 2, 3, 2, 4, 3)))
+# (a's letters, b's letters, out): one summed letter, two summed letters, a
+# batch letter both operands name, and out led by a letter only b names
+CONTRACTIONS = [("ijk", "kab", "ijab"), ("ipk", "pkq", "iq"), ("iqra", "qrjs", "qiajs"),
+                ("pab", "ipk", "iabk")]
+
+
+def _sparse_tensor(rng, letters, density=0.4):
+    shape = [SIZES[x] for x in letters]
+    t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return np.where(rng.random(shape) < density, t, 0)
+
+
+def _lettered(t, letters):
+    """t as a Lettered, by a contraction with the identity on its last axis."""
+    z = linalg.Structure(np.eye(t.shape[-1]))
+    return linalg.contract(linalg.Structure(t), letters[:-1] + "z", z, "z" + letters[-1], letters)
+
+
+@pytest.mark.parametrize("a_letters, b_letters, out", CONTRACTIONS)
+@pytest.mark.parametrize("form", ["stores", "dense b", "lettered a"])
+def test_contract_matches_einsum(a_letters, b_letters, out, form):
+    rng = np.random.default_rng(len(out) + 7 * len(form))
+    for _ in range(3):
+        a, b = _sparse_tensor(rng, a_letters), _sparse_tensor(rng, b_letters)
+        want = np.einsum(f"{a_letters},{b_letters}->{out}", a, b)
+        left = _lettered(a, a_letters) if form == "lettered a" else linalg.Structure(a)
+        right = b if form == "dense b" else linalg.Structure(b)
+        got = linalg.contract(left, a_letters, right, b_letters, out)
+        assert got.letters == out and got.shape == want.shape
+        np.testing.assert_allclose(got.dense(), want, rtol=1e-12, atol=1e-14)
+        part = slice(1, SIZES[out[0]] - 1)
+        got = linalg.contract(left, a_letters, right, b_letters, out, part)
+        np.testing.assert_allclose(got.dense(), want[part], rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("a_letters, b_letters, out", CONTRACTIONS)
+def test_contract_of_an_operand_with_no_entries(a_letters, b_letters, out):
+    rng = np.random.default_rng(5)
+    a, b = np.zeros([SIZES[x] for x in a_letters], dtype=complex), _sparse_tensor(rng, b_letters)
+    got = linalg.contract(linalg.Structure(a), a_letters, linalg.Structure(b), b_letters, out)
+    assert got.mat.nnz == 0
+    assert np.array_equal(got.dense(), np.einsum(f"{a_letters},{b_letters}->{out}", a, b))
+
+
+def test_contract_rejects_a_letter_it_cannot_place():
+    t = linalg.Structure(np.ones((2, 2, 2)))
+    with pytest.raises(ValueError, match="cannot contract"):
+        linalg.contract(t, "ijk", t, "kab", "iajb")     # a letter of a after one of b
+    with pytest.raises(ValueError, match="cannot contract"):
+        linalg.contract(t, "ijk", t, "kab", "ija")      # b's b neither summed nor kept
+
+
+def test_contract_differences_merge_rows_in_order():
+    rng = np.random.default_rng(11)
+    c = _sparse_tensor(rng, "ppp")
+    x = linalg.contract(linalg.Structure(c), "pab", linalg.Structure(c), "ipk", "iabk")
+    y = linalg.contract(linalg.Structure(c), "iap", linalg.Structure(c), "pbk", "iabk")
+    assert (x.n_rows, y.n_rows) == (3, 2)
+    diff = x - y
+    assert diff.n_rows == 2 and diff.mat.has_canonical_format
+    np.testing.assert_allclose(diff.dense(), x.dense() - y.dense(), rtol=1e-12, atol=1e-14)
+    assert linalg.frob_stack([diff]) == linalg.frob(diff.mat)

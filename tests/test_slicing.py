@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import qgwb
 from qgwb import cli, core, genfun, linalg, presets, serialize
-from qgwb.core import _block_diagonal, _merged, _pairs, _sorted
 from qgwb.errors import BudgetExceeded, WindowTruncation
 from qgwb.windows import build_window
 
@@ -32,6 +32,45 @@ QG_PRESETS = [name for name in presets.preset_names() if presets.parse(name).kin
 
 
 # -- the unsliced kernels ------------------------------------------------------
+# The csr staging the kernels used before linalg.contract, kept here so the
+# references share no code with the kernels they check.
+
+def _block_diagonal(a, n: int) -> sp.csr_matrix:
+    """kron(identity(n), a) for a csr matrix a with sorted rows: n copies of
+    a down the diagonal, rows sorted."""
+    (rows, cols), nnz = a.shape, a.indptr[-1]
+    copy = np.arange(n)
+    indptr = np.append((copy * nnz)[:, None] + a.indptr[:-1], n * nnz)
+    indices = ((copy * cols)[:, None] + a.indices).ravel()
+    return sp.csr_matrix((np.tile(a.data, n), indices, indptr), shape=(n * rows, n * cols))
+
+
+def _row_lengths(mat):
+    # as np.intp: np.repeat is several times slower with int32 counts
+    return np.diff(mat.indptr).astype(np.intp)
+
+
+def _pairs(a, b, n: int):
+    """All (x, y) with a[x] == b[y], for keys in range(n), x major."""
+    counts = np.bincount(b, minlength=n)
+    count = counts[a]
+    x = np.repeat(np.arange(a.size), count)
+    first = (np.cumsum(counts) - counts)[a] - (np.cumsum(count) - count)
+    return x, np.argsort(b, kind="stable")[np.repeat(first, count) + np.arange(x.size)]
+
+
+def _sorted(mat) -> sp.csr_matrix:
+    mat.sort_indices()
+    return mat
+
+
+def _merged(mat, k: int) -> sp.csr_matrix:
+    """A csr matrix with sorted rows as the matrix whose row r is its rows
+    k r, ..., k r + k - 1 side by side: the same entries in the same
+    row-major order."""
+    part = np.repeat(np.tile(np.arange(k), mat.shape[0] // k), _row_lengths(mat))
+    return sp.csr_matrix((mat.data, part * mat.shape[1] + mat.indices, mat.indptr[::k]),
+                         shape=(mat.shape[0] // k, mat.shape[1] * k))
 
 def _ref_digits(mat, d, n_rows, n_cols):
     rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr).astype(np.intp))
