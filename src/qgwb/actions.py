@@ -273,14 +273,14 @@ def _vector_functionals(g: FiniteQG, xis):
     """omega[k, i, j] = <xi_j, reg(e_k) xi_i> for the rows xi of xis.
 
     With reg(e_k) = C L_k C^-1 and L_k[p, q] = mult[k, q, p], this is one
-    sparse product of mult (rows k, columns (q, p)) with the table of
-    (C^-1 xi_i)[q] conj(C^* xi_j)[p]; no regular-representation matrix is
-    formed.
+    contraction of mult with the table of (C^-1 xi_i)[q] conj(C^* xi_j)[p]
+    over (q, p); no regular-representation matrix is formed.
     """
     right = xis @ g._Cinv.T                  # row i: C^-1 xi_i
     left = np.conj(xis) @ g._C               # row j: conj(C^* xi_j)
-    pairs = np.einsum("iq,jp->qpij", right, left).reshape(g.d ** 2, -1)
-    return (g.mult_nz.csr(1) @ pairs).reshape(g.d, len(xis), len(xis))
+    pairs = np.einsum("iq,jp->qpij", right, left).reshape(g.d, g.d, -1)
+    return linalg.contract(g.mult_nz, "kqp", pairs, "qpx", "kx").dense() \
+        .reshape(g.d, len(xis), len(xis))
 
 
 def cone_preservation_check(action: Action, xi_family) -> bool:

@@ -19,16 +19,15 @@ The dual object is the block algebra  (+)_a M_{n_a}  with the coproduct
 transported through the canonical pairing.
 
 The structure constants live twice: as the dense arrays above, which the
-public attributes, the serialisers and the Fock layer read, and as their
-exact nonzeros, the linalg.Structure stores `mult_nz`, `comult_nz` and
-`star_mult_nz` (the dual's `P_nz` and `product_nz`), built once per object.
-Products, residual kernels and the corep calculus read the stores, adding
-each sum's terms in the order of the dense contraction they replaced, so
-residuals and reports are the same to the last bit.  No dense derived
-tensor is formed at construction: the dense `star_mult`, which the Fock
-layer reads, is formed on its first read and kept; the dual's `P` is
-formed on each read; and the store forms that only validation reads are
-released when it returns.
+public attributes and the serialisers read, and as their exact nonzeros,
+the linalg.Structure stores `mult_nz`, `comult_nz` and `star_mult_nz`
+(the dual's `P_nz` and `product_nz`), built once per object.  Products,
+residual kernels, the corep calculus and the Fock sums read the stores,
+adding each sum's terms in the order of the dense contraction they
+replaced, so residuals and reports are the same to the last bit.  No
+dense derived tensor is kept: `star_mult_nz` is taken from a product that
+is dropped, the dual's `P` is formed on each read, and the store forms
+that only validation reads are released when it returns.
 
 Where every entry of a d^3 or d^4 contraction has one nonzero term with a
 factor in {1, -1, i, -i} (`single_terms`), it is formed from the stores:
@@ -185,8 +184,7 @@ def hom_residual(m, c) -> float:
     j, r, s = c.idx
     x, y = _pairs(live_s, s, d)
     # C as its csr matrix alone: the index arrays of a store would outlast it
-    cq = linalg.Lettered(linalg.Structure.from_entries(
-        (d,) * 4, (live_q[x], r[y], j[y], s[y]), c.w[y]).csr(2), "qrjs", (d,) * 4, 2)
+    cq = linalg.Lettered.from_entries("qrjs", (d,) * 4, (live_q[x], r[y], j[y], s[y]), c.w[y], 2)
     # per i, the pairs each product forms, at most its output entries (96
     # bytes each with the digits and the regrouped copy; each F term
     # (i,p,q; p,r,a) meets the row (q, r) of C, and each E entry (q,s) the
@@ -434,17 +432,10 @@ class FiniteQG:
         return self.star.T @ np.tensordot(self.mult, coeffs, axes=([2], [0]))
 
     @functools.cached_property
-    def star_mult(self):
-        """c[i, j, k]: coefficient of e_k in e_i^* e_j (read-only)."""
-        out = np.tensordot(self.star, self.mult, axes=([0], [0]))
-        out.flags.writeable = False
-        return out
-
-    @functools.cached_property
     def star_mult_nz(self):
-        """The nonzeros of star_mult, through the store where single_terms
-        takes it, else taken from a product that is not kept (the dense
-        star_mult is built only when it is read)."""
+        """c[i, j, k], the coefficient of e_k in e_i^* e_j, as its nonzeros:
+        through the store where single_terms takes it, else taken from a
+        dense product that is not kept."""
         return (single_terms(self.mult_nz, 0, self.star)
                 or linalg.Structure(np.tensordot(self.star, self.mult, axes=([0], [0]))))
 

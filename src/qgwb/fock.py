@@ -7,6 +7,11 @@ a degree budget and raises DepthExceeded instead of silently truncating.
 The field operators are s(zeta) = ell(zeta) + ell(J zeta)^* for a
 conjugate-linear involution J on K: the involution T of the free Gaussian
 functor is J, the tracial (free-group-factor) case of a Kac parent.
+
+Every sum over structure constants here (the lift's folds, the induced
+action's sandwiches and pair products) is a linalg.contract chain: the
+products of two families first, then one contraction of those with the
+constants' store, cut at |c| > 1e-16.
 """
 
 from __future__ import annotations
@@ -157,44 +162,33 @@ class TruncatedFock:
 # ---------------------------------------------------------------------------
 # sparse families
 # ---------------------------------------------------------------------------
-# A family X_0..X_{d-1} of m x n matrices is held in rows form: the csr array
-# (d, m*n) whose row i is X_i flattened row-major.
+# A family X_0..X_{d-1} of m x n matrices is a Structure or a linalg.Lettered
+# over (i, a, b), whose csr matrix (d, m*n) holds X_i flattened row-major in
+# row i (its rows form).  contract sorts a Lettered's rows in place when it
+# regroups them, so a family owns its matrix: no other array shares its
+# buffers.
 
-def _entries(rows, n):
-    """(i, a, b, value) of the stored entries X_i[a, b] of a rows-form family."""
-    rows = sparse.coo_array(rows)
-    i, ab = (c.astype(np.int64) for c in rows.coords)
-    a, b = np.divmod(ab, n)
-    return i, a, b, rows.data
-
-
-def _hstack(rows, m, n):
-    """[X_0 | ... | X_{d-1}] (m x d*n) of a rows-form family.  (The vertical
-    stack is rows.reshape((d*m, n)).)"""
-    i, a, b, v = _entries(rows, n)
-    return sparse.csr_array((v, (a, i * n + b)), shape=(m, rows.shape[0] * n))
+def _family(mat, d, m, n):
+    return linalg.Lettered(mat, "iab", (d, m, n), 1)
 
 
-def _kron_sum(c, x, xshape, y, yshape):
-    """Rows form of out[p] = sum_{i,j} c[i,j,p] X_i (x) Y_j.
+def _stack(family):
+    """The (d, m, n) coo stack of a Lettered family, on a copy of its
+    entries."""
+    entries = family.mat.tocoo(copy=True)
+    i, ab = (c.astype(np.int64) for c in entries.coords)
+    a, b = np.divmod(ab, family.shape[2])
+    return linalg.SparseStack((entries.data, (i, a, b)), shape=family.shape)
 
-    x and y are rows-form families.  The sum goes through
-    linalg.structure_sum_sparse as X_i (x) Y_j = (X_i (x) 1)(1 (x) Y_j).
-    """
-    (m1, n1), (m2, n2) = xshape, yshape
-    i, a, b, v = _entries(x, n1)
-    t = np.arange(m2)[:, None]
-    rows, cols = (i * m1 + a) * m2 + t, b * m2 + t
-    left = sparse.csr_array(
-        (np.broadcast_to(v, rows.shape).ravel(), (rows.ravel(), cols.ravel())),
-        shape=(x.shape[0] * m1 * m2, n1 * m2))
-    j, a, b, v = _entries(y, n2)
-    t = np.arange(n1)[:, None]
-    rows, cols = t * m2 + a, j * (n1 * n2) + t * n2 + b
-    right = sparse.csr_array(
-        (np.broadcast_to(v, rows.shape).ravel(), (rows.ravel(), cols.ravel())),
-        shape=(n1 * m2, y.shape[0] * n1 * n2))
-    return linalg.structure_sum_sparse(c, left, right)
+
+def _kron_sum(c, x, y):
+    """out[p] = sum_{i,j} c[i,j,p] X_i (x) Y_j as a family: the outer product
+    of the two families, then one contraction with the constants
+    (|c| > 1e-16), over (i, j) in ascending order."""
+    (_, m1, n1), (_, m2, n2) = x.shape, y.shape
+    pairs = linalg.contract(x, "iab", y, "jce", "iabjce")
+    out = linalg.contract(linalg.Structure.of(c).cut(1e-16), "ijp", pairs, "iabjce", "pacbe")
+    return _family(out.mat, c.shape[2], m1 * m2, n1 * n2)
 
 
 # ---------------------------------------------------------------------------
@@ -253,26 +247,21 @@ def lift_rep(fock: TruncatedFock, u: Corep) -> LiftedRep:
         raise CompatibilityFailed(
             f"involution compatibility fails: {resid:.3e}", worst_residual=resid)
     g = u.parent
-    k = fock.base_dim
-    ushape = (k, k)
-    uc = sparse.csr_array(u.u_coef().reshape(g.d, k * k))
+    uc = linalg.Structure(u.u_coef())
     # m[i, j, p] with the two factors swapped: both folds sum over it
-    mt = np.transpose(g.mult, (1, 0, 2))
-    cur = alt = sparse.csr_array(g.unit.reshape(g.d, 1))
+    mt = g.mult_nz.permuted((1, 0, 2))
+    cur = alt = _family(sparse.csr_array(g.unit.reshape(g.d, 1)), g.d, 1, 1)
     blocks = []
     for n in range(fock.depth + 1):
         if n:
-            dp = k ** (n - 1)
             # the new K leg in front (sum m[k,j,p] U[j] (x) prev[k]), and
             # peeling the highest leg instead (sum m[j,k,p] prev[k] (x) U[j])
-            cur = _kron_sum(mt, uc, ushape, cur, (dp, dp))
-            alt = _kron_sum(mt, alt, (dp, dp), uc, ushape)
+            cur = _kron_sum(mt, uc, cur)
+            alt = _kron_sum(mt, alt, uc)
             # two independent groupings of the same leg product
-            if linalg.frob(cur - alt) > FOLD_TOL:
+            if linalg.frob((cur - alt).mat) > FOLD_TOL:
                 raise AxiomViolation("topbar power folds disagree")
-        dim = k ** n
-        p, a, b, v = _entries(cur, dim)
-        blocks.append(linalg.SparseStack((v, (p, a, b)), shape=(g.d, dim, dim)))
+        blocks.append(_stack(cur))
     return LiftedRep(fock, u, blocks)
 
 
@@ -283,8 +272,9 @@ def lift_rep(fock: TruncatedFock, u: Corep) -> LiftedRep:
 class InducedAction:
     """alpha_U(x) = F(U)^*(1 (x) x)F(U) on the truncated algebra.
 
-    With H = [F_0 | ... | F_{d-1}], one sparse product H^* x H holds every
-    sandwich F_i^* x F_j; structure constants then sum them.
+    Every sum is a linalg.contract chain: F_i^* x, then the sandwiches
+    F_i^* x F_j (or pair products), then one contraction of those with the
+    structure constants (|c| > 1e-16) over (i, j) in ascending order.
     """
 
     def __init__(self, lifted: LiftedRep):
@@ -292,15 +282,26 @@ class InducedAction:
         self.fock = lifted.fock
         g = lifted.parent
         self.parent = g
-        self.coef = lifted.coef
-        self.coef_adj = sparse.csr_array(lifted.coef.conj().T)
+        d, total = g.d, self.fock.total_dim
+        # [F_0 | ... | F_{d-1}] over (n, j, b) and its adjoint over (i, a, n)
+        self.coef = linalg.Lettered(lifted.coef, "njb", (total, d, total), 1)
+        self.coef_adj = linalg.Lettered(sparse.csr_array(lifted.coef.conj().T), "ian",
+                                        (d, total, total), 2)
         # products e_i^* e_j expressed over the basis
-        self.prodstar = g.star_mult
+        self.prodstar = g.star_mult_nz.dense()
+
+    def _left(self, x):
+        """F_i^* x over (i, a, m) for an operator x, which contract reads
+        as it is stored."""
+        x = sparse.csr_array(x)
+        return linalg.contract(self.coef_adj, "ian", linalg.Lettered(x, "nm", x.shape, 1),
+                               "nm", "iam")
 
     def _alpha(self, x, c):
         """Rows form of sum_{i,j} c[i,j,k] F_i^* x F_j."""
-        return linalg.structure_sum_sparse(
-            c, self.coef_adj @ sparse.csr_array(x), self.coef)
+        sandwich = linalg.contract(self._left(x), "iam", self.coef, "mjb", "iajb")
+        return linalg.contract(linalg.Structure.of(c).cut(1e-16), "ijk",
+                               sandwich, "iajb", "kab").mat
 
     def _omega_table(self, omega_coeffs):
         """omega(e_i^* e_j) as structure constants with one output, or with
@@ -313,7 +314,7 @@ class InducedAction:
         """Full coefficient family of alpha_U(x), a dense (d, total, total)."""
         d, total = self.parent.d, self.fock.total_dim
         _reserve(16 * d * total * total, "the coefficient family of alpha_U(x)")
-        return self._alpha(x, self.prodstar).toarray().reshape(d, total, total)
+        return self._alpha(x, self.parent.star_mult_nz).toarray().reshape(d, total, total)
 
     def averaged(self, omega_coeffs, x):
         """(omega (x) id) alpha_U(x) without materialising alpha_U."""
@@ -324,12 +325,11 @@ class InducedAction:
 
     def averaged_vector(self, omega_coeffs, x, vec):
         """[(omega (x) id) alpha_U(x)] vec through matrix-vector products."""
-        d, total = self.parent.d, self.fock.total_dim
         # column j is F_j vec
-        fv = (self.coef.reshape((total * d, total)) @ vec).reshape(total, d)
-        out = linalg.structure_sum_sparse(
-            self._omega_table(omega_coeffs), self.coef_adj @ sparse.csr_array(x), fv)
-        return out.toarray().reshape(total)
+        fv = linalg.contract(self.coef, "mjb", np.asarray(vec), "b", "mj")
+        pairs = linalg.contract(self._left(x), "iam", fv, "mj", "iaj")
+        table = linalg.Structure(self._omega_table(omega_coeffs)).cut(1e-16)
+        return linalg.contract(table, "ijk", pairs, "iaj", "ka").dense()[0]
 
     def generator_intertwining_residual(self, zeta, omega_family):
         """(omega (x) id) alpha_U(s(zeta)) = s((omega (x) id)(U^*) zeta).
@@ -365,7 +365,7 @@ class InducedAction:
                 raise DepthExceeded("test word too long for the truncation")
             x = fock.word_operator(ops)
             # omega_Omega reads entry (0, 0), column 0 of the rows form
-            vals = self._alpha(x, self.prodstar)[:, [0]].toarray()[:, 0]
+            vals = self._alpha(x, g.star_mult_nz)[:, [0]].toarray()[:, 0]
             target = complex(x[0, 0]) * g.unit
             worst = max(worst, float(np.linalg.norm(vals - target)))
         return worst
@@ -375,11 +375,11 @@ class InducedAction:
         total = self.fock.total_dim
         g = self.parent
         x = self.fock.word_operator(ops)
-        ax = self._alpha(x, self.prodstar)
-        axx = self._alpha(x @ x, self.prodstar)
-        prod = linalg.structure_sum_sparse(
-            g.mult, ax.reshape((g.d * total, total)), _hstack(ax, total, total))
-        return linalg.frob(axx - prod)
+        ax = _family(self._alpha(x, g.star_mult_nz), g.d, total, total)
+        axx = self._alpha(x @ x, g.star_mult_nz)
+        pairs = linalg.contract(ax, "iab", ax, "jbc", "iajc")
+        prod = linalg.contract(g.mult_nz.cut(1e-16), "ijk", pairs, "iajc", "kac")
+        return linalg.frob(axx - prod.mat)
 
 
 def induced_action(lifted: LiftedRep) -> InducedAction:

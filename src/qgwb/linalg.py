@@ -4,8 +4,8 @@ All other modules go through these wrappers instead of calling numpy/scipy
 directly for spectral work, so the Hermiticity gates and tolerance
 conventions live in one place.  Matrices are plain complex ndarrays, except
 in the Fock layer, whose operators are scipy sparse arrays that report the
-bytes they hold (`SparseMatrix`, `SparseStack`); tolerances are absolute
-unless stated relative.
+bytes they hold (`SparseMatrix`, `SparseStack`), and contract's results;
+tolerances are absolute unless stated relative.
 
 The gates (`require_square`, `hermiticity_defect`, `require_hermitian`,
 `min_eig`) and `expm` take a matrix or a stack (..., n, n) of them,
@@ -16,15 +16,17 @@ and one scipy call for the rest.
 Structure constants live in `Structure` stores: the exact nonzeros of a
 3-tensor as index arrays and values in canonical (row-major) order, with
 the forms kernels read (transposes, csr matrices, rows, per-output groups)
-built once and kept.  `structure_sum` is the one kernel for sums of
-coefficient matrices against structure constants, out[k] = sum_{i,j}
-c[i,j,k] X_i Y_j (or X_i (x) Y_j), over a store's triples with one
-np.add.at per row i; `structure_sum_sparse` is its form for sparse
-families.  `contract` is the one contraction of two stores behind the
-sparse Hopf-law kernels: one csr product per call, each sum in ascending
-order of its summed letters, the result a csr matrix tagged with its
-letters (`Lettered`).  `rowmul`, `vdots` and `norms` act on stacks of
-vectors, bit for bit as on each vector alone.
+built once and kept; only this module reads their csr forms.
+`structure_sum` is the one kernel for sums of dense coefficient matrices
+against structure constants, out[k] = sum_{i,j} c[i,j,k] X_i Y_j (or
+X_i (x) Y_j), over a store's triples with one np.add.at per row i.
+`contract` is the one sparse product, behind the sparse Hopf-law kernels,
+the Fock sums and the cone functionals: one csr product per call, each
+sum in ascending order of its summed letters, the result a csr matrix
+tagged with its letters (`Lettered`); a result read again in the layout
+it was formed in keeps its stored order, so a chain of contractions sums
+as the chain of scipy products does.  `rowmul`, `vdots` and `norms` act
+on stacks of vectors, bit for bit as on each vector alone.
 
 Working memory: `byte_slices` is the one slicer of every kernel that
 grows with its input (the validation kernels, the Schurmann triple and
@@ -380,6 +382,12 @@ class Lettered:
     def __init__(self, mat, letters, shape, n_rows):
         self.mat, self.letters, self.shape, self.n_rows = mat, letters, tuple(shape), n_rows
 
+    @classmethod
+    def from_entries(cls, letters, shape, idx, w, n_rows):
+        """The tensor with values w at the distinct positions idx (given in
+        any order) as its csr matrix alone: no store outlasts it."""
+        return cls(Structure.from_entries(shape, idx, w).csr(n_rows), letters, shape, n_rows)
+
     def matrix(self, n_rows):
         """The matrix whose rows the first n_rows <= self.n_rows axes index,
         csr with sorted rows: each row k old ones side by side, so the
@@ -407,13 +415,15 @@ class Lettered:
 def _layout(t, axes, n_rows, part):
     """t (a Structure, a Lettered or an array) as the matrix whose rows its
     axes[:n_rows] index and whose columns the others (a batch axis may do
-    both), cut to the rows whose first axis lies in the slice part.  Only a
-    Lettered whose axes change order is sorted anew."""
+    both), cut to the rows whose first axis lies in the slice part.  A
+    Lettered in the layout it was formed in is taken as stored, one whose
+    rows merge is sorted in place, and one whose axes change order is laid
+    out anew."""
     mat, shape = getattr(t, "mat", t), t.shape
     if isinstance(t, Structure):
         mat = t.permuted(axes).csr(n_rows)
     elif isinstance(t, Lettered) and axes == tuple(range(len(shape))) and n_rows <= t.n_rows:
-        mat = t.matrix(n_rows)
+        mat = mat if n_rows == t.n_rows else t.matrix(n_rows)
     else:
         rows, cols = [shape[a] for a in axes[:n_rows]], [shape[a] for a in axes[n_rows:]]
         size = math.prod(rows), math.prod(cols)
@@ -425,6 +435,7 @@ def _layout(t, axes, n_rows, part):
                       + np.unravel_index(mat.indices, shape[t.n_rows:]))
             flat = (np.ravel_multi_index([digits[a] for a in axes[:n_rows]], rows) * size[1]
                     + np.ravel_multi_index([digits[a] for a in axes[n_rows:]], cols))
+            del row, digits    # the largest working arrays go before the copy
             keep = np.argsort(flat)
             mat = csr_sorted(flat[keep], mat.data[keep], size)
     if part is None or part == slice(0, shape[axes[0]]):
@@ -454,7 +465,9 @@ def _plan(a_letters, b_letters, out):
 def contract(a, a_letters, b, b_letters, out, part=None) -> Lettered:
     """out = sum of a b over the letters both name and out drops, by one
     scipy product of a csr matrix and a csr or dense one, so each entry
-    adds its terms in ascending order of the summed letters (in b's order).
+    adds its terms in ascending order of the summed letters (in b's order),
+    but that a Lettered a read in the layout it was formed in adds them in
+    its stored order.
     a and b are Structures, Lettereds or arrays (then the result is dense)
     whose axes a_letters and b_letters name.  out takes a's letters before
     those only b names; a letter of both that out keeps is a batch index,
@@ -509,28 +522,6 @@ def structure_sum(c, x, y, pair=np.matmul) -> np.ndarray:
         prods = np.concatenate([pair(x[r], y[lo:hi]) for lo, hi in spans])
         np.add.at(out, k[entries], w[entries] * prods[slot])
     return out
-
-
-def structure_sum_sparse(c, left, right):
-    """out[k] = sum_{i,j} c[i,j,k] X_i Y_j over |c[i,j,k]| > 1e-16, sparse.
-
-    The form of structure_sum (pair np.matmul) for sparse families.  left
-    is the vertical stack [X_0; X_1; ...] (d1*m x n) and right the
-    horizontal stack [Y_0 | Y_1 | ...] (n x d2*p), sparse or dense.  One
-    product left @ right forms every X_i Y_j at once (block (i, j)), and one
-    sparse product with c sums them.  Returns the csr array of shape
-    (c.shape[2], m*p) whose row k is out[k] flattened row-major.
-    """
-    c = np.asarray(c)
-    d1, d2, nk = c.shape
-    m, p = left.shape[0] // d1, right.shape[1] // d2
-    prod = sparse.coo_array(left @ right)
-    i, a = np.divmod(prod.coords[0].astype(np.int64), m)
-    j, b = np.divmod(prod.coords[1].astype(np.int64), p)
-    pairs = sparse.csr_array((prod.data, (i * d2 + j, a * p + b)),
-                             shape=(d1 * d2, m * p))
-    weights = np.where(np.abs(c) > 1e-16, c, 0).reshape(d1 * d2, nk).T
-    return sparse.csr_array(weights) @ pairs
 
 
 class SparseMatrix(sparse.csr_array):

@@ -344,7 +344,8 @@ def _build_custom(table, radius):
                            lambda a, b: lookup[a, b], 8, radius)
 
 
-# the least arguments of each group kind: free(k), Z(d)^m, cyclic(N)
+# the least arguments of each group kind: free(k), Z(d)^m, cyclic(N); every
+# argument is also below 2^63, as the window's index arrays are int64
 _LEAST_ARGS = {"free": (1,), "Z": (1, 1), "cyclic": (2,)}
 
 
@@ -353,7 +354,8 @@ def build_window(group, radius):
 
     group: ("free", k) | ("Z", d, m) | ("cyclic", N) | ("custom", table)
            or a string like "free(2)", "Z(1)", "Z(3)^2", "cyclic(6)".
-    Raises SchemaError for k, d or m < 1 and for N < 2.
+    Raises SchemaError for k, d or m < 1, for N < 2 and for an argument
+    >= 2^63.
     """
     if radius < 1:
         raise SchemaError("radius must be >= 1")
@@ -365,8 +367,9 @@ def build_window(group, radius):
     if kind not in _LEAST_ARGS:
         raise SchemaError(f"unknown group kind {kind!r}")
     args, least = tuple(int(x) for x in group[1:]), _LEAST_ARGS[kind]
-    if len(args) != len(least) or any(x < lo for x, lo in zip(args, least)):
-        raise SchemaError(f"{kind} group arguments {args} out of range (least {least})")
+    if len(args) != len(least) or any(not lo <= x < 2 ** 63 for x, lo in zip(args, least)):
+        raise SchemaError(f"{kind} group arguments {args} out of range "
+                          f"(least {least}, below 2^63)")
     if kind == "free":
         return _build_free(args[0], radius)
     d, m = args if kind == "Z" else (args[0], 1)

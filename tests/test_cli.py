@@ -302,6 +302,20 @@ def test_out_of_range_window_exits_2(tmp_path, capsys, preset, param, named):
     assert not (tmp_path / "x.report.json").exists()
 
 
+@pytest.mark.parametrize("preset", [
+    "cyclic(9223372036854775808) r=1",
+    "free(9223372036854775808) r=1",
+    "Z(9223372036854775808) r=1",
+    "Z(1)^9223372036854775808 r=1",
+])
+def test_a_group_argument_past_int64_exits_2(tmp_path, capsys, preset):
+    assert cli.main(["--preset", preset, "--experiment", "axioms", "--name", "x",
+                     "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "below 2^63" in err
+    assert not (tmp_path / "x.report.json").exists()
+
+
 @pytest.mark.parametrize("preset,experiment", [
     ("free(2) r=6", "lemma74"),   # the spec already carries a radius
     ("fn-Z(2)", "axioms"),        # no window

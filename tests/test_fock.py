@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from qgwb import coreps, fock, linalg, presets
 from qgwb._rng import CounterRNG
@@ -484,3 +485,130 @@ def test_generator_intertwining_matches_the_per_omega_loop(name):
             got = act.generator_intertwining_residual(zeta, omegas)
             assert got == generator_intertwining_per_omega(act, zeta, omegas)
     assert act.generator_intertwining_residual(v, []) == 0.0
+
+
+# -- the Fock sums against the staged sparse products they replaced ------------------
+# structure_sum_sparse, _entries, _hstack and _kron_sum as they stood before
+# the Fock sums became linalg.contract chains, copied verbatim: the reference
+# of every == below.
+
+def structure_sum_sparse(c, left, right):
+    c = np.asarray(c)
+    d1, d2, nk = c.shape
+    m, p = left.shape[0] // d1, right.shape[1] // d2
+    prod = sparse.coo_array(left @ right)
+    i, a = np.divmod(prod.coords[0].astype(np.int64), m)
+    j, b = np.divmod(prod.coords[1].astype(np.int64), p)
+    pairs = sparse.csr_array((prod.data, (i * d2 + j, a * p + b)),
+                             shape=(d1 * d2, m * p))
+    weights = np.where(np.abs(c) > 1e-16, c, 0).reshape(d1 * d2, nk).T
+    return sparse.csr_array(weights) @ pairs
+
+
+def _entries(rows, n):
+    rows = sparse.coo_array(rows)
+    i, ab = (c.astype(np.int64) for c in rows.coords)
+    a, b = np.divmod(ab, n)
+    return i, a, b, rows.data
+
+
+def _hstack(rows, m, n):
+    i, a, b, v = _entries(rows, n)
+    return sparse.csr_array((v, (a, i * n + b)), shape=(m, rows.shape[0] * n))
+
+
+def _kron_sum(c, x, xshape, y, yshape):
+    (m1, n1), (m2, n2) = xshape, yshape
+    i, a, b, v = _entries(x, n1)
+    t = np.arange(m2)[:, None]
+    rows, cols = (i * m1 + a) * m2 + t, b * m2 + t
+    left = sparse.csr_array(
+        (np.broadcast_to(v, rows.shape).ravel(), (rows.ravel(), cols.ravel())),
+        shape=(x.shape[0] * m1 * m2, n1 * m2))
+    j, a, b, v = _entries(y, n2)
+    t = np.arange(n1)[:, None]
+    rows, cols = t * m2 + a, j * (n1 * n2) + t * n2 + b
+    right = sparse.csr_array(
+        (np.broadcast_to(v, rows.shape).ravel(), (rows.ravel(), cols.ravel())),
+        shape=(n1 * m2, y.shape[0] * n1 * n2))
+    return structure_sum_sparse(c, left, right)
+
+
+def staged_degree_blocks(u, depth):
+    """The lift's degree blocks by the staged fold, as dense stacks."""
+    g, k = u.parent, u.space_dim
+    uc = sparse.csr_array(u.u_coef().reshape(g.d, k * k))
+    mt = np.transpose(g.mult, (1, 0, 2))
+    cur = sparse.csr_array(g.unit.reshape(g.d, 1))
+    blocks = [cur.toarray().reshape(g.d, 1, 1)]
+    for n in range(1, depth + 1):
+        dp = k ** (n - 1)
+        cur = _kron_sum(mt, uc, (k, k), cur, (dp, dp))
+        blocks.append(cur.toarray().reshape(g.d, k ** n, k ** n))
+    return blocks
+
+
+def staged_alpha(act, x, c):
+    coef = act.lifted.coef
+    return structure_sum_sparse(c, sparse.csr_array(coef.conj().T) @ sparse.csr_array(x), coef)
+
+
+def staged_averaged_vector(act, omega, x, vec):
+    d, total = act.parent.d, act.fock.total_dim
+    coef = act.lifted.coef
+    fv = (coef.reshape((total * d, total)) @ vec).reshape(total, d)
+    out = structure_sum_sparse(act._omega_table(omega),
+                               sparse.csr_array(coef.conj().T) @ sparse.csr_array(x), fv)
+    return out.toarray().reshape(total)
+
+
+def staged_multiplicativity(act, ops, star_mult):
+    g, total = act.parent, act.fock.total_dim
+    x = act.fock.word_operator(ops)
+    ax = staged_alpha(act, x, star_mult)
+    axx = staged_alpha(act, x @ x, star_mult)
+    prod = structure_sum_sparse(g.mult, ax.reshape((g.d * total, total)),
+                                _hstack(ax, total, total))
+    return linalg.frob(axx - prod)
+
+
+@pytest.mark.parametrize("name", ["dual-Z(6)", "dual-Z(8)", "kac-paljutkin", "grp-S3", "fn-S3"])
+def test_fock_sums_equal_the_staged_sparse_products(name):
+    # the fock_suite lift: the GNS corep of the dimension-weighted trace at
+    # depth 2, and its J-real unit vector
+    u, jm = gns_trace_corep(name)
+    g = u.parent
+    f = fock.TruncatedFock(u.space_dim, 2, j_conj=jm)
+    lifted = fock.lift_rep(f, u)
+    for got, ref in zip(lifted.degree_blocks, staged_degree_blocks(u, 2), strict=True):
+        assert np.array_equal(got.toarray(), ref)
+    act = fock.induced_action(lifted)
+    v = np.ones(u.space_dim, dtype=complex)
+    v = v + f.apply_j(v)
+    sv = f.s_operator(v / np.linalg.norm(v))
+    star_mult = np.tensordot(g.star, g.mult, axes=([0], [0]))
+    omegas = np.eye(g.d)[:2]
+    # a field operator (sorted rows) and a word (a product's row order)
+    for x in (sv, f.word_operator([sv, sv])):
+        for c in (star_mult, act._omega_table(omegas)):
+            assert np.array_equal(act._alpha(x, c).toarray(), staged_alpha(act, x, c).toarray())
+        assert np.array_equal(act.averaged_vector(omegas[1], x, f.vacuum()),
+                              staged_averaged_vector(act, omegas[1], x, f.vacuum()))
+    assert act.multiplicativity_residual([sv]) == staged_multiplicativity(act, [sv], star_mult)
+
+
+def test_contracting_a_family_leaves_its_degree_block_as_it_was():
+    # a product's rows are unsorted, and contract sorts them in place when
+    # it regroups them; the coo stack of the family must not share them
+    rng = np.random.default_rng(3)
+    a = sparse.csr_array(rng.standard_normal((4, 9)) * (rng.random((4, 9)) < 0.6))
+    b = sparse.csr_array(rng.standard_normal((9, 9)) * (rng.random((9, 9)) < 0.6))
+    family = fock._family(a @ b, 4, 3, 3)
+    assert not family.mat.has_sorted_indices
+    stack = fock._stack(family)
+    before = stack.toarray()
+    x = linalg.Structure(rng.standard_normal((2, 2, 2)))
+    linalg.contract(x, "iab", family, "jce", "iabjce")
+    assert family.mat.has_sorted_indices
+    assert np.array_equal(stack.toarray(), before)
+    assert np.array_equal(before, (a @ b).toarray().reshape(4, 3, 3))

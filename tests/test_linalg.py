@@ -359,7 +359,7 @@ QG_PRESETS = [name for name in presets.preset_names() if presets.parse(name).kin
 def test_structure_sum_is_bit_identical_to_the_per_entry_loop(name):
     # every tensor a call site passes, with every pair
     g = presets.load_preset(name)
-    tensors = {"mult": g.mult, "star_mult": g.star_mult,
+    tensors = {"mult": g.mult, "star_mult": np.tensordot(g.star, g.mult, axes=([0], [0])),
                "mult.T(1,0,2)": g.mult.transpose(1, 0, 2), "dual.P": g.dual().P}
     x, y = _stacks(g.d, 14)
     for label, c in tensors.items():

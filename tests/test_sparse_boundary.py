@@ -1,10 +1,12 @@
-"""Only qgwb.linalg and qgwb.fock reach scipy.sparse.
+"""Only qgwb.linalg and qgwb.fock reach scipy.sparse, and only linalg reads
+a store's csr form.
 
 The csr layout of the structure-constant kernels is linalg's decision:
 every other module forms its sparse products through linalg (the
-Structure stores, contract, structure_sum_sparse), and the Fock layer
-keeps its own sparse operators.  So no other module imports scipy.sparse,
-in any form, or reads it as an attribute of scipy.
+Structure stores and contract), and the Fock layer keeps its own sparse
+operators.  So no other module imports scipy.sparse, in any form, or
+reads it as an attribute of scipy, and no module but linalg calls
+`.csr(` on a store: a product with that matrix is a contract call.
 """
 
 from __future__ import annotations
@@ -53,3 +55,22 @@ def test_the_guard_sees_every_form():
              "import scipy.linalg\n"
              "from scipy import linalg\n")
     assert _offences(probe, "probe.py") == ["probe.py:1", "probe.py:2", "probe.py:3", "probe.py:5"]
+
+
+def _csr_reads(source, module):
+    return sorted(f"{module}:{node.lineno}" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "csr")
+
+
+def test_only_linalg_reads_a_store_csr_form():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "linalg.py")
+    assert modules
+    assert [o for p in modules for o in _csr_reads(p.read_text(encoding="utf-8"), p.name)] == []
+
+
+def test_the_csr_guard_sees_a_read():
+    probe = ("a = g.mult_nz.csr(1) @ pairs\n"
+             "b = csr\n"
+             "c = store.permuted((1, 0, 2)).csr(2)\n")
+    assert _csr_reads(probe, "probe.py") == ["probe.py:1", "probe.py:3"]
