@@ -166,8 +166,8 @@ def coassoc_residual(c) -> float:
               + 24 * (c.w.size + d * d))
     # sum_p c[p,a,b] c[i,p,k] - sum_p c[i,a,p] c[p,b,k]
     return linalg.frob_stack(
-        linalg.contract(c, "pab", c, "ipk", "iabk", part)
-        - linalg.contract(c, "iap", c, "pbk", "iabk", part)
+        (linalg.contract(c, "pab", c, "ipk", "iabk", part)
+         - linalg.contract(c, "iap", c, "pbk", "iabk", part)).mat
         for part in linalg.byte_slices(d, nbytes, "coassoc_residual"))
 
 
@@ -179,9 +179,15 @@ def hom_residual(m, c) -> float:
     # rhs[i,j,a,b] = sum c[i,p,q] c[j,r,s] m[p,r,a] m[q,s,b] in stages F, E,
     # R below; E reaches R only where some m[q,s,b] is nonzero, so its factor
     # C[q,r,j,s] = c[j,r,s] is kept for those (q, s) alone
-    ra = np.bincount(m.idx[0] * d + m.idx[1], minlength=d * d)
-    live_q, live_s = np.divmod(np.flatnonzero(ra), d)
+    ra = np.bincount(m.idx[0] * d + m.idx[1], minlength=d * d).reshape(d, d)
     j, r, s = c.idx
+    # per (q, r), the entries of C (one per c[j,r,s] under each live (q, s))
+    # and the m entries they meet; forming C takes about 144 working bytes
+    # per entry, counted before any exists
+    sr = np.bincount(s * d + r, minlength=d * d).reshape(d, d)
+    to_e, to_r = (ra > 0) @ sr, ra @ sr
+    linalg.byte_slices(1, 144 * to_e.sum(), "hom_residual's pruned factor")
+    live_q, live_s = np.nonzero(ra)
     x, y = _pairs(live_s, s, d)
     # C as its csr matrix alone: the index arrays of a store would outlast it
     cq = linalg.Lettered.from_entries("qrjs", (d,) * 4, (live_q[x], r[y], j[y], s[y]), c.w[y], 2)
@@ -191,10 +197,6 @@ def hom_residual(m, c) -> float:
     # row (q, s) of m), and the row pointers of E's d^2 rows
     p, q = c.idx[1], c.idx[2]
     m_sizes, c_sizes = np.bincount(m.idx[0], minlength=d), np.bincount(c.idx[0], minlength=d)
-    q_r = live_q[x] * d + r[y]
-    to_e = np.bincount(q_r, minlength=d * d).reshape(d, d)
-    to_r = np.bincount(q_r, weights=ra[live_q[x] * d + s[y]], minlength=d * d).reshape(d, d)
-    ra = ra.reshape(d, d)
     nbytes = 96 * (np.minimum(_per_row(m, c_sizes[m.idx[2]]), d ** 3)
                    + np.minimum(_per_row(c, m_sizes[p]), d ** 3)
                    + np.minimum(_per_row(c, (ra @ to_e.T)[p, q]), d ** 4)
@@ -205,7 +207,7 @@ def hom_residual(m, c) -> float:
             lhs = linalg.contract(m, "ijk", c, "kab", "ijab", part)
             f = linalg.contract(c, "ipq", m, "pra", "iqra", part)     # sum over p
             e = linalg.contract(f, "iqra", cq, "qrjs", "qiajs")       # over r
-            yield lhs - linalg.contract(e, "qiajs", m, "qsb", "ijab")  # over (q, s)
+            yield (lhs - linalg.contract(e, "qiajs", m, "qsb", "ijab")).mat  # over (q, s)
     return linalg.frob_stack(parts())
 
 

@@ -165,20 +165,11 @@ class TruncatedFock:
 # A family X_0..X_{d-1} of m x n matrices is a Structure or a linalg.Lettered
 # over (i, a, b), whose csr matrix (d, m*n) holds X_i flattened row-major in
 # row i (its rows form).  contract sorts a Lettered's rows in place when it
-# regroups them, so a family owns its matrix: no other array shares its
-# buffers.
+# regroups them, so a family owns its matrix: no other matrix shares its
+# buffers, and the lift keeps each fold's matrix itself as a degree block.
 
 def _family(mat, d, m, n):
     return linalg.Lettered(mat, "iab", (d, m, n), 1)
-
-
-def _stack(family):
-    """The (d, m, n) coo stack of a Lettered family, on a copy of its
-    entries."""
-    entries = family.mat.tocoo(copy=True)
-    i, ab = (c.astype(np.int64) for c in entries.coords)
-    a, b = np.divmod(ab, family.shape[2])
-    return linalg.SparseStack((entries.data, (i, a, b)), shape=family.shape)
 
 
 def _kron_sum(c, x, y):
@@ -202,13 +193,15 @@ class LiftedRep:
         self.fock = fock
         self.base = base
         self.parent = base.parent
-        # per degree n, the (d, k^n, k^n) stack of coefficient blocks
+        # per degree n, the rows form (d, k^n * k^n) of its coefficient blocks,
+        # the fold's own SparseMatrix
         self.degree_blocks = blocks
         # the horizontal stack [F_0 | ... | F_{d-1}] (total x d*total)
         total = fock.total_dim
         rows, cols = [], []
-        for o, blk in zip(fock.degree_offsets, blocks):
-            p, a, b = blk.coords
+        for o, dim, blk in zip(fock.degree_offsets, fock.degree_dims, blocks):
+            p = np.repeat(np.arange(blk.shape[0]), np.diff(blk.indptr))
+            a, b = np.divmod(blk.indices.astype(np.int64), dim)
             rows.append(o + a)
             cols.append(p * total + o + b)
         vals = np.concatenate([blk.data for blk in blocks])
@@ -250,7 +243,7 @@ def lift_rep(fock: TruncatedFock, u: Corep) -> LiftedRep:
     uc = linalg.Structure(u.u_coef())
     # m[i, j, p] with the two factors swapped: both folds sum over it
     mt = g.mult_nz.permuted((1, 0, 2))
-    cur = alt = _family(sparse.csr_array(g.unit.reshape(g.d, 1)), g.d, 1, 1)
+    cur = alt = _family(linalg.SparseMatrix(g.unit.reshape(g.d, 1)), g.d, 1, 1)
     blocks = []
     for n in range(fock.depth + 1):
         if n:
@@ -259,9 +252,9 @@ def lift_rep(fock: TruncatedFock, u: Corep) -> LiftedRep:
             cur = _kron_sum(mt, uc, cur)
             alt = _kron_sum(mt, alt, uc)
             # two independent groupings of the same leg product
-            if linalg.frob((cur - alt).mat) > FOLD_TOL:
+            if linalg.frob_stack([(cur - alt).mat]) > FOLD_TOL:
                 raise AxiomViolation("topbar power folds disagree")
-        blocks.append(_stack(cur))
+        blocks.append(cur.mat)
     return LiftedRep(fock, u, blocks)
 
 
@@ -291,9 +284,8 @@ class InducedAction:
         self.prodstar = g.star_mult_nz.dense()
 
     def _left(self, x):
-        """F_i^* x over (i, a, m) for an operator x, which contract reads
-        as it is stored."""
-        x = sparse.csr_array(x)
+        """F_i^* x over (i, a, m) for an operator x (a csr_array), which
+        contract reads as it is stored."""
         return linalg.contract(self.coef_adj, "ian", linalg.Lettered(x, "nm", x.shape, 1),
                                "nm", "iam")
 
@@ -348,7 +340,7 @@ class InducedAction:
         moved = linalg.rowmul(oms, ustar.reshape(g.d, k * k)).reshape(-1, k, k) \
             @ np.asarray(zeta)
         diff = lhs - fock._s_rows(moved)
-        # each row's entries in column order, as linalg.frob of that row
+        # each row's entries in column order, as linalg.frob_stack of that row
         # alone sums them
         diff.sum_duplicates()
         ends = diff.indptr
@@ -379,7 +371,7 @@ class InducedAction:
         axx = self._alpha(x @ x, g.star_mult_nz)
         pairs = linalg.contract(ax, "iab", ax, "jbc", "iajc")
         prod = linalg.contract(g.mult_nz.cut(1e-16), "ijk", pairs, "iajc", "kac")
-        return linalg.frob(axx - prod.mat)
+        return linalg.frob_stack([axx - prod.mat])
 
 
 def induced_action(lifted: LiftedRep) -> InducedAction:

@@ -3,9 +3,10 @@
 All other modules go through these wrappers instead of calling numpy/scipy
 directly for spectral work, so the Hermiticity gates and tolerance
 conventions live in one place.  Matrices are plain complex ndarrays, except
-in the Fock layer, whose operators are scipy sparse arrays that report the
-bytes they hold (`SparseMatrix`, `SparseStack`), and contract's results;
-tolerances are absolute unless stated relative.
+contract's results and the Fock layer's operators: every sparse matrix is
+a scipy csr_array, most of them a `SparseMatrix`, which reports the bytes
+it holds.  `frob` takes dense arrays; `frob_stack` is the one norm of a
+sparse difference.  Tolerances are absolute unless stated relative.
 
 The gates (`require_square`, `hermiticity_defect`, `require_hermitian`,
 `min_eig`) and `expm` take a matrix or a stack (..., n, n) of them,
@@ -87,12 +88,8 @@ def byte_slices(n, nbytes, kernel):
 
 
 def frob(m) -> float:
-    """Frobenius norm, of an ndarray or a scipy sparse array."""
-    if sparse.issparse(m):
-        m = sparse.csr_array(m)
-        m.sum_duplicates()
-        m = m.data
-    return float(np.linalg.norm(np.asarray(m)))
+    """Frobenius norm of a dense array."""
+    return float(np.linalg.norm(m))
 
 
 def max_frob(stack, lead: int = 1) -> float:
@@ -237,14 +234,23 @@ def kron(a, b) -> np.ndarray:
     return out.reshape(b.shape[:-2] + (m * p, n * q))
 
 
-def _csr(data, indices, indptr, shape) -> sparse.csr_matrix:
+class SparseMatrix(sparse.csr_array):
+    """csr_array whose nbytes, as for an ndarray, is the bytes it holds: the
+    type of contract's sparse results and of the Fock layer's operators."""
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
+def _csr(data, indices, indptr, shape) -> SparseMatrix:
     """The csr matrix of these arrays, indices cast to scipy's dtype first."""
     dtype = np.int32 if max(*shape, len(data)) < 2 ** 31 else np.int64
-    return sparse.csr_matrix((data, indices.astype(dtype, copy=False),
-                              indptr.astype(dtype, copy=False)), shape=shape)
+    return SparseMatrix((data, indices.astype(dtype, copy=False),
+                         indptr.astype(dtype, copy=False)), shape=shape)
 
 
-def csr_sorted(flat, data, shape) -> sparse.csr_matrix:
+def csr_sorted(flat, data, shape) -> SparseMatrix:
     """The csr matrix with entries data at the ascending row-major positions
     flat (the canonical entry order)."""
     rows, cols = np.divmod(flat, shape[1])
@@ -490,14 +496,15 @@ def contract(a, a_letters, b, b_letters, out, part=None) -> Lettered:
 
 
 def frob_stack(parts) -> float:
-    """frob of the vertical stack of the sparse Lettereds parts, in order;
-    each part's entries join one buffer as it comes, so one part is held."""
+    """Frobenius norm of the vertical stack of the sparse matrices parts, in
+    order: the one norm of a sparse difference.  Each part's entries,
+    duplicates summed, join one buffer as it comes, so one part is held."""
     data = np.empty(0, dtype=complex)
     for part in parts:
-        part.mat.sum_duplicates()
+        part.sum_duplicates()
         n = data.size
-        data.resize(n + part.mat.nnz, refcheck=False)   # no view of it exists
-        data[n:] = part.mat.data
+        data.resize(n + part.nnz, refcheck=False)   # no view of it exists
+        data[n:] = part.data
     return float(np.linalg.norm(data))
 
 
@@ -522,23 +529,6 @@ def structure_sum(c, x, y, pair=np.matmul) -> np.ndarray:
         prods = np.concatenate([pair(x[r], y[lo:hi]) for lo, hi in spans])
         np.add.at(out, k[entries], w[entries] * prods[slot])
     return out
-
-
-class SparseMatrix(sparse.csr_array):
-    """csr_array whose nbytes, as for an ndarray, is the bytes it holds."""
-
-    @property
-    def nbytes(self) -> int:
-        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
-
-
-class SparseStack(sparse.coo_array):
-    """n-D coo_array (a stack of sparse matrices) whose nbytes is the bytes
-    it holds."""
-
-    @property
-    def nbytes(self) -> int:
-        return self.data.nbytes + sum(c.nbytes for c in self.coords)
 
 
 def solve_intertwiner(left_blocks, right_blocks):

@@ -197,7 +197,8 @@ class GroupDualWindow:
 # ---------------------------------------------------------------------------
 
 def _too_large(key, radius):
-    return RadiusTooLarge(f"{key} radius {radius} exceeds cap {ELEMENT_CAP}")
+    return RadiusTooLarge(f"the ball of {key} r={radius} has more than {ELEMENT_CAP} "
+                          f"elements, the element cap")
 
 
 def _build_free(k, radius):
@@ -270,6 +271,33 @@ def _build_free(k, radius):
     return GroupDualWindow(f"{key} r={radius}", labels, length, inv, product, 160, radius)
 
 
+def _zpow_ball(d, m, radius):
+    """The element count of the radius ball of Z(d)^m, or ELEMENT_CAP + 1
+    when it is larger, before any array of the window exists: the length
+    polynomial of one coordinate raised to the m-th power and truncated at
+    degree t, its coefficients cut at ELEMENT_CAP + 1 after each product
+    (so int64 holds them exactly).  t doubles from 1 to the radius, so a
+    ball far past the cap is told at a small t."""
+    top, t = ELEMENT_CAP + 1, 1
+
+    def mul(a, b):
+        return np.minimum(np.convolve(a, b)[:t + 1], top)
+
+    while True:
+        t = min(t, radius)
+        # one coordinate of length 0, two of each length below d/2, one of d/2
+        l = np.arange((t if d == 1 else min(t, d // 2)) + 1)
+        base, power, k = np.where((l == 0) | (2 * l == d), 1, 2), np.ones(1, dtype=int), m
+        while k:
+            power = mul(power, base) if k & 1 else power
+            k >>= 1
+            base = mul(base, base) if k else base
+        # past the group's diameter (the power's degree) a larger t adds none
+        if power.sum() > ELEMENT_CAP or t == radius or len(power) <= t:
+            return min(top, int(power.sum()))
+        t *= 2
+
+
 def _build_zpow(d, m, radius):
     """Window in (Z_d)^m for d >= 2, or Z^m for d = 1: an (n, m) array of
     coordinates, in [0, d) for d >= 2.  A product adds coordinates (mod d)
@@ -287,8 +315,12 @@ def _build_zpow(d, m, radius):
         return np.ascontiguousarray(c, dtype=np.int64).view(
             np.int64 if m == 1 else np.dtype((np.void, 8 * m)))[:, 0]
 
+    if _zpow_ball(d, m, radius) > ELEMENT_CAP:
+        raise _too_large(key, radius)
+    # a sphere element's 2m neighbours, counted before the generators exist
+    linalg.byte_slices(1, 16 * m * m, "sphere_growth")
     gens = np.concatenate([np.eye(m, dtype=int), -np.eye(m, dtype=int)])
-    spheres, count = [np.zeros((1, m), dtype=int)], 1
+    spheres = [np.zeros((1, m), dtype=int)]
     for l in range(1, radius + 1):
         found = [np.empty((0, m), dtype=int)]
         for part in linalg.byte_slices(len(spheres[-1]), 16 * m * m, "sphere_growth"):
@@ -298,9 +330,6 @@ def _build_zpow(d, m, radius):
         if not len(found):
             break  # the ball is the whole group
         spheres.append(found[np.unique(row_keys(found), return_index=True)[1]])
-        count += len(spheres[-1])
-        if count > ELEMENT_CAP:
-            raise _too_large(key, radius)
     coords = np.concatenate(spheres)
     lengths = np.repeat(np.arange(len(spheres)), [len(s) for s in spheres])
     # repr order within a length: coordinate by coordinate, as strings

@@ -4,11 +4,13 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qgwb import cli, presets
+from qgwb import cli, linalg, presets
 from qgwb.errors import SchemaError
 
 
@@ -347,6 +349,65 @@ def test_large_finite_time_passes(tmp_path, preset, t):
     code, report = run(tmp_path, {"name": "x", "preset": preset, "experiment": "semigroup",
                                   "parameters": {"t_grid": [t]}})
     assert code == 0 and report["checks"]
+
+
+@pytest.mark.parametrize("preset, error, named", [
+    ("Z(1)^1000000 r=1", "RadiusTooLarge", "has more than 200000 elements"),
+    ("Z(1) r=1000000", "RadiusTooLarge", "has more than 200000 elements"),
+    ("Z(2)^40 r=40", "RadiusTooLarge", "has more than 200000 elements"),
+    ("free(100) r=3", "RadiusTooLarge", "has more than 200000 elements"),
+    # 150,001 elements, under the cap, but 16 m^2 bytes of generators
+    ("Z(2)^150000 r=1", "BudgetExceeded", "sphere_growth"),
+])
+def test_a_window_past_its_caps_exits_5_before_it_is_built(tmp_path, capsys, preset, error,
+                                                           named):
+    start = time.perf_counter()
+    code, report = run(tmp_path, {"name": "x", "preset": preset, "experiment": "axioms"})
+    assert time.perf_counter() - start < 1.0
+    assert code == 5 and "Traceback" not in capsys.readouterr().err
+    assert report["error"]["type"] == error and named in report["error"]["message"]
+
+
+def _rotated_document(name, seed=0):
+    """The document of a preset in a seeded orthogonal basis P: the
+    structure constants, the unit, counit, Haar state, star, antipode and
+    irrep coefficients each moved by P or its inverse."""
+    g = presets.load_preset(name)
+    p = np.linalg.qr(np.random.default_rng(seed).standard_normal((g.d, g.d)))[0]
+    pi = np.linalg.inv(p)
+
+    def pair(z):
+        return [float(z.real), float(z.imag)]
+
+    def rows(t):
+        return [[int(i), int(j), int(k), *pair(t[i, j, k])] for i, j, k in np.argwhere(t != 0)]
+
+    return {"name": f"rotated {name}", "dim": g.d,
+            "mult": rows(np.einsum("ia,jb,ijk,ck->abc", p, p, g.mult, pi)),
+            "comult": rows(np.einsum("ia,ijk,bj,ck->abc", p, g.comult, pi, pi)),
+            "unit": [pair(z) for z in pi @ g.unit],
+            "counit": [pair(z) for z in p.T @ g.counit],
+            "haar": [pair(z) for z in p.T @ g.haar],
+            "star": [[pair(z) for z in row] for row in pi @ g.star @ np.conj(p)],
+            "antipode": [[pair(z) for z in row] for row in pi @ g.antipode @ p],
+            "irreps": [{"dim": r.dim, "matrix": [[[pair(z) for z in pi @ r.coeffs[i, j]]
+                                                  for j in range(r.dim)] for i in range(r.dim)]}
+                       for r in g.irreps]}
+
+
+def test_the_homomorphism_law_counts_its_pruned_factor_before_forming_it(tmp_path):
+    # dense structure constants: the pruned factor has d^4 entries
+    path = tmp_path / "rotated.json"
+    path.write_text(json.dumps(_rotated_document("dual-Z(32)")))
+    tracemalloc.start()
+    try:
+        code, report = run(tmp_path, {"name": "x", "preset": str(path), "experiment": "axioms"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 5 and report["error"]["type"] == "BudgetExceeded"
+    assert report["error"]["message"].startswith("hom_residual")
+    assert peak <= 2 * linalg.BYTE_BUDGET
 
 
 def test_radius_law_over_the_pair_cap_exits_5(tmp_path):

@@ -459,4 +459,4 @@ def test_contract_differences_merge_rows_in_order():
     diff = x - y
     assert diff.n_rows == 2 and diff.mat.has_canonical_format
     np.testing.assert_allclose(diff.dense(), x.dense() - y.dense(), rtol=1e-12, atol=1e-14)
-    assert linalg.frob_stack([diff]) == linalg.frob(diff.mat)
+    assert linalg.frob_stack([diff.mat]) == np.linalg.norm(diff.mat.data)

@@ -90,7 +90,7 @@ def ref_coassoc(c):
     d = c.shape[0]
     x = _block_diagonal(c.permuted((1, 2, 0)).csr(2), d) @ c.csr(2)
     y = c.csr(2) @ c.csr(1)
-    return linalg.frob(_merged(_sorted(x), d) - _sorted(y))
+    return linalg.frob_stack([_merged(_sorted(x), d) - _sorted(y)])
 
 
 def ref_hom(m, c):
@@ -105,7 +105,7 @@ def ref_hom(m, c):
     e = _ref_regrouped(_ref_digits(f, d, 2, 2), f.data, d, (1, 0, 3), (1, 2)) @ cq
     e = _ref_regrouped(_ref_digits(e, d, 3, 2), e.data, d, (1, 3, 2), (0, 4))
     r = e @ m.csr(2)
-    return linalg.frob(_sorted(lhs) - _merged(_sorted(r), d))
+    return linalg.frob_stack([_sorted(lhs) - _merged(_sorted(r), d)])
 
 
 def ref_star(c, star):
