@@ -29,13 +29,14 @@ dense derived tensor is kept: `star_mult_nz` is taken from a product that
 is dropped, the dual's `P` is formed on each read, and the store forms
 that only validation reads are released when it returns.
 
-Where every entry of a d^3 or d^4 contraction has one nonzero term with a
-factor in {1, -1, i, -i} (`single_terms`), it is formed from the stores:
-such a product is exact, so the dense contraction gives it to the bit.
-That holds for the counit and star-coproduct laws, the irrep coproduct,
-`star_mult_nz` and the dual's u-basis product on every dual-Z(n) (B = I,
-a permutation star, a diagonal coproduct); a parent that fails the count,
-or a contraction under STORE_MIN_WORK, takes the dense contraction.
+Where the star or the irrep basis change B is a 0/1 permutation matrix
+(`_permutation`: e_i^* = e_{p[i]}, u_q = e_{p[q]}), as on every dual-Z(n)
+and grp-S3 (the star alone on fn-Z(n) and fn-S3), the star law,
+`star_mult_nz`, the irrep coproduct and the dual's u-basis product move the
+stores' entries by p: each entry of the dense contraction is one term 1 * x
+and exact zeros, so the gather has its bits.  The dual's star permutes the
+matrix units, so its star law always takes that route.  Any other matrix
+takes the dense contraction.
 
 The sparse Hopf-law kernels are chains of linalg.contract over the
 stores, each sum over its terms in ascending order of the summed indices.
@@ -95,55 +96,15 @@ def _pairs(a, b, n: int):
     return x, np.argsort(b, kind="stable")[np.repeat(first, count) + np.arange(x.size)]
 
 
-# single_terms leaves a contraction of fewer multiply-adds (tensor entries
-# times output columns) to the dense call, which costs less there than the
-# store route's bookkeeping: d^4 kernels take the store from d = 16
-STORE_MIN_WORK = 2 ** 16
-
-
-def _units(w):
-    """Whether each value is 1, -1, i or -i."""
-    re, im = np.abs(np.real(w)), np.abs(np.imag(w))
-    return ((re == 1) & (im == 0)) | ((re == 0) & (im == 1))
-
-
-def single_terms(t, axis: int, mat):
-    """The Structure of sum_j t[..., j, ...] mat[j, x], x in place of j at
-    axis, when every entry of it has one nonzero term and each term a factor
-    1, -1, i or -i; else None, and None for a contraction under
-    STORE_MIN_WORK.  Such a product is exact, and so is a dense
-    contraction's sum of it and exact zeros in any order, so a kernel that
-    takes this route has the bits of the dense one."""
-    t, mat = linalg.Structure.of(t), np.asarray(mat)
-    if np.prod(t.shape) * mat.shape[1] < STORE_MIN_WORK:
-        return None
-    j, x = np.nonzero(mat)
-    n = t.shape[axis]
-    shape = list(t.shape)
-    shape[axis] = mat.shape[1]
-    # more terms than entries: some entry has two
-    if np.bincount(t.idx[axis], minlength=n) @ np.bincount(j, minlength=n) > np.prod(shape):
-        return None
-    a, b = _pairs(t.idx[axis], j, n)
-    left, right = t.w[a], mat[j[b], x[b]]
-    if not (_units(left) | _units(right)).all():
-        return None
-    idx = [k[a] for k in t.idx]
-    idx[axis] = x[b]
-    flat = np.ravel_multi_index(idx, shape)
-    order = np.argsort(flat)
-    if (flat[order[1:]] == flat[order[:-1]]).any():
-        return None
-    return linalg.Structure.from_entries(shape, idx, left * right)
-
-
-def _placed(*terms):
-    """The dense array of the first Structure less the others."""
-    out = np.zeros(terms[0].shape, dtype=complex)
-    out[terms[0].idx] = terms[0].w
-    for t in terms[1:]:
-        out[t.idx] -= t.w
-    return out
+def _permutation(mat):
+    """p with mat[:, j] = e_{p[j]} when mat is a 0/1 permutation matrix, else
+    None."""
+    mat = np.asarray(mat)
+    p = np.argmax(mat == 1, axis=0)
+    n = p.size
+    if mat.shape == (n, n) and np.array_equal(mat, np.eye(n)[p].T) and np.unique(p).size == n:
+        return p
+    return None
 
 
 def _per_row(t, weights):
@@ -212,18 +173,18 @@ def hom_residual(m, c) -> float:
 
 
 def counit_residual(c, counit) -> float:
-    """(counit (x) id)Delta = id = (id (x) counit)Delta, through the store
-    where single_terms takes both sides, else dense."""
+    """(counit (x) id)Delta = id = (id (x) counit)Delta, one side at a time,
+    each the dense contraction np.tensordot forms: its operand, c with the
+    summed index last, is placed from the entries of c, not transposed from
+    a dense copy."""
     c = linalg.Structure.of(c)
-    d = c.shape[0]
-    eye, col = np.eye(d), np.asarray(counit)[:, None]
-    sides = [single_terms(c, axis, col) for axis in (1, 2)]
-    if all(sides):
-        sides = [_placed(side).reshape(d, d) for side in sides]
-    else:
-        dense = c.dense()
-        sides = [np.tensordot(dense, counit, axes=([axis], [0])) for axis in (1, 2)]
-    return max(float(np.linalg.norm(side - eye)) for side in sides)
+    (i, j, k), d = c.idx, c.shape[0]
+
+    def side(idx):
+        t = np.zeros(c.shape, dtype=c.w.dtype)
+        t[idx] = c.w
+        return float(np.linalg.norm(np.tensordot(t, counit, axes=([2], [0])) - np.eye(d)))
+    return max(side((i, k, j)), side((i, j, k)))
 
 
 def unital_residual(c, unit) -> float:
@@ -233,17 +194,18 @@ def unital_residual(c, unit) -> float:
 
 
 def star_residual(c, star) -> float:
-    """Delta(x^*) = (* (x) *)Delta(x) for x^* with coefficients star @ conj(x),
-    through the store where single_terms takes every product, else dense,
-    the right side in slices along i, subtracted in place."""
+    """Delta(x^*) = (* (x) *)Delta(x) for x^* with coefficients star @ conj(x).
+    For a permutation star, e_i^* = e_{p[i]}, the difference D[i,a,b] =
+    c[p[i],a,b] - conj(c[i,inv a,inv b]) is placed from the entries of c;
+    else dense, the right side in slices along i, subtracted in place."""
     c = linalg.Structure.of(c)
-    d, st_t = c.shape[0], np.asarray(star).T
-    lhs = single_terms(c, 0, star)                                 # Delta(e_i^*)
-    rhs = lhs and single_terms(
-        linalg.Structure.from_entries(c.shape, c.idx, np.conj(c.w)), 1, st_t)
-    rhs = rhs and single_terms(rhs, 2, st_t)
-    if lhs and rhs:
-        return float(np.linalg.norm(_placed(lhs, rhs)))
+    d, perm = c.shape[0], _permutation(star)
+    if perm is not None:
+        (i, a, b), w = c.idx, c.w
+        out = np.zeros(c.shape, dtype=complex)
+        out[np.argsort(perm)[i], a, b] = w
+        out[i, perm[a], perm[b]] -= np.conj(w)
+        return float(np.linalg.norm(out))
     c = c.dense()
     out = np.tensordot(star, c, axes=([0], [0]))
     # per i, the conjugate, the two products and a transposed copy: d^2 each
@@ -297,21 +259,6 @@ def haar_residual(c, haar, unit) -> float:
     left = linalg.contract(c, "ijk", haar, "j", "ik").dense()
     right = linalg.contract(c, "ijk", haar, "k", "ij").dense()
     return max(float(np.linalg.norm(left - target)), float(np.linalg.norm(right - target)))
-
-
-def _permuted_star_residual(p, perm) -> float:
-    """The dual's star law: star_residual(c, np.eye(d)[perm]) for its
-    coproduct c = P.transpose(2, 1, 0) and an involutive permutation perm,
-    from P or its store.  Each entry of the products has one term 1 * x, so
-    D[q,a,b] = c[perm[q],a,b] - conj(c[q,perm[a],perm[b]]) is placed from
-    the entries of P; the norm adds D in (q, b, a) order, the memory order
-    numpy gives those two gathers of c."""
-    p = linalg.Structure.of(p)
-    (x, y, z), w = p.idx, p.w
-    out = np.zeros(p.shape, dtype=complex)      # D[q, a, b] at out[q, b, a]
-    out[perm[z], x, y] = w                      # c[perm[q], a, b] = P[b, a, perm[q]]
-    out[z, perm[x], perm[y]] -= np.conj(w)      # c[q, perm[a], perm[b]] = P[perm[b], perm[a], q]
-    return float(np.linalg.norm(out))
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +383,13 @@ class FiniteQG:
     @functools.cached_property
     def star_mult_nz(self):
         """c[i, j, k], the coefficient of e_k in e_i^* e_j, as its nonzeros:
-        through the store where single_terms takes it, else taken from a
-        dense product that is not kept."""
-        return (single_terms(self.mult_nz, 0, self.star)
-                or linalg.Structure(np.tensordot(self.star, self.mult, axes=([0], [0]))))
+        for a permutation star, e_i^* = e_{p[i]}, the entries of mult_nz moved
+        to i = inv p (q), else taken from a dense product that is not kept."""
+        perm = _permutation(self.star)
+        if perm is None:
+            return linalg.Structure(np.tensordot(self.star, self.mult, axes=([0], [0])))
+        (q, j, k), w = self.mult_nz.idx, self.mult_nz.w
+        return linalg.Structure.from_entries(self.mult.shape, (np.argsort(perm)[q], j, k), w)
 
     def lmat(self, a):
         """Left multiplication by a (or by each vector of a stack) in basis
@@ -546,17 +496,15 @@ class FiniteQG:
         # Delta(u_ij) = sum_k u_ik (x) u_kj, per entry (i, j), for the stack u
         # of the irreps of one dimension n, in slices over the stack; the sum
         # over k is kept in its order.  Delta(u_q) (column q of B is u_q) is
-        # placed from the store where single_terms takes it, else a rowmul.
+        # row p[q] of comult for a permutation B, u_q = e_{p[q]}, else a rowmul.
         d = self.d
-        store = single_terms(self.comult_nz, 0, self.B)
-        placed = None if store is None else _placed(store).reshape(d, d * d)
+        perm, rows = _permutation(self.B), self.comult.reshape(d, d * d)
         worst = 0.0
         for n, idx in self.blocks_by_size.items():
             u = np.array([r.coeffs for r in self.irreps if r.dim == n])
             # per irrep, both sides, their difference and a product: n^2 d^2 each
             for a in linalg.byte_slices(len(u), 16 * 4 * n * n * d * d, "irrep_coproduct"):
-                lhs = (linalg.rowmul(u[a], self.comult.reshape(d, -1)) if placed is None
-                       else placed[idx[a]])
+                lhs = linalg.rowmul(u[a], rows) if perm is None else rows[perm[idx[a]]]
                 rhs = sum(u[a, :, k, None, :, None] * u[a, None, k, :, None, :] for k in range(n))
                 worst = max(worst, linalg.norms(lhs - rhs.reshape(lhs.shape)).max())
         return float(worst)
@@ -638,14 +586,15 @@ def solve_haar(g: FiniteQG):
 
 def _u_product(parent: FiniteQG):
     """The store of the product in the u-basis: u_p u_r = sum_q P[p,r,q] u_q.
-    Through the stores where single_terms takes each step, else dense, each
-    step one matrix product, holding its operand and its result alone."""
+    For a permutation B, u_q = e_{p[q]} (and Binv = B^T), each index of
+    mult_nz moved by inv p; else dense, each step one matrix product, holding
+    its operand and its result alone."""
     b, binv = parent.B, parent.Binv
-    mb = single_terms(parent.mult_nz, 1, b)
-    p0 = mb and single_terms(mb, 0, b)
-    p = p0 and single_terms(p0, 2, binv.T)
-    if p:
-        return p
+    perm = _permutation(b)
+    if perm is not None:
+        inv = np.argsort(perm)
+        return linalg.Structure.from_entries(parent.mult.shape,
+                                             [inv[i] for i in parent.mult_nz.idx], parent.mult_nz.w)
     # step 1: mB[i, r, k] = sum_j B[j,r] m[i,j,k], made contiguous in (i, r, k)
     # as the next product reads it
     mb = np.ascontiguousarray(np.tensordot(parent.mult, b, axes=([1], [0])).transpose(0, 2, 1))
@@ -713,7 +662,9 @@ class DualBlockAlgebra:
         res = {"dual_coassociativity": coassoc_residual(c),
                "dual_homomorphism": hom_residual(self.product_nz, c),
                "dual_counit": counit_residual(c, self.counit),
-               "dual_star": _permuted_star_residual(self.P_nz, self.star_perm)}
+               # D placed in (q, b, a) order: c with its last two axes swapped
+               "dual_star": star_residual(self.P_nz.permuted((2, 0, 1)),
+                                          np.eye(self.parent.d)[:, self.star_perm])}
         self.residuals = named_residuals(res, DEFAULT_TOL, "dual axiom")
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from documents import rotated_document
 from qgwb import cli, linalg, presets
 from qgwb.errors import SchemaError
 
@@ -368,37 +369,10 @@ def test_a_window_past_its_caps_exits_5_before_it_is_built(tmp_path, capsys, pre
     assert report["error"]["type"] == error and named in report["error"]["message"]
 
 
-def _rotated_document(name, seed=0):
-    """The document of a preset in a seeded orthogonal basis P: the
-    structure constants, the unit, counit, Haar state, star, antipode and
-    irrep coefficients each moved by P or its inverse."""
-    g = presets.load_preset(name)
-    p = np.linalg.qr(np.random.default_rng(seed).standard_normal((g.d, g.d)))[0]
-    pi = np.linalg.inv(p)
-
-    def pair(z):
-        return [float(z.real), float(z.imag)]
-
-    def rows(t):
-        return [[int(i), int(j), int(k), *pair(t[i, j, k])] for i, j, k in np.argwhere(t != 0)]
-
-    return {"name": f"rotated {name}", "dim": g.d,
-            "mult": rows(np.einsum("ia,jb,ijk,ck->abc", p, p, g.mult, pi)),
-            "comult": rows(np.einsum("ia,ijk,bj,ck->abc", p, g.comult, pi, pi)),
-            "unit": [pair(z) for z in pi @ g.unit],
-            "counit": [pair(z) for z in p.T @ g.counit],
-            "haar": [pair(z) for z in p.T @ g.haar],
-            "star": [[pair(z) for z in row] for row in pi @ g.star @ np.conj(p)],
-            "antipode": [[pair(z) for z in row] for row in pi @ g.antipode @ p],
-            "irreps": [{"dim": r.dim, "matrix": [[[pair(z) for z in pi @ r.coeffs[i, j]]
-                                                  for j in range(r.dim)] for i in range(r.dim)]}
-                       for r in g.irreps]}
-
-
 def test_the_homomorphism_law_counts_its_pruned_factor_before_forming_it(tmp_path):
     # dense structure constants: the pruned factor has d^4 entries
     path = tmp_path / "rotated.json"
-    path.write_text(json.dumps(_rotated_document("dual-Z(32)")))
+    path.write_text(json.dumps(rotated_document("dual-Z(32)")))
     tracemalloc.start()
     try:
         code, report = run(tmp_path, {"name": "x", "preset": str(path), "experiment": "axioms"})
@@ -408,6 +382,65 @@ def test_the_homomorphism_law_counts_its_pruned_factor_before_forming_it(tmp_pat
     assert code == 5 and report["error"]["type"] == "BudgetExceeded"
     assert report["error"]["message"].startswith("hom_residual")
     assert peak <= 2 * linalg.BYTE_BUDGET
+
+
+SMALL_QG_PRESETS = [row["name"] for row in presets.preset_table()
+                    if row["kind"] == "qg" and row["dim"] <= 8]
+QG_EXPERIMENTS = ["axioms", "semigroup", "kazhdan", "v_matrices", "action_suite", "fock_suite"]
+# (preset, experiment) -> the check counts on the preset and on its rotated
+# document, where the two differ by design.  cli.delta_action needs a diagonal
+# mult, so the rotated fn-S3 and fn-Z(n) take the conjugation actions; the
+# kazhdan closed form holds only under presets.is_dual_z (as dual-Z(16)
+# writes 2 checks and its document 1); grading_action reads the name dual-Z(2)
+BASIS_CHANGE_DIFFERENCES = {
+    ("fn-S3", "action_suite"): (11, 6),
+    **{(f"fn-Z({n})", "action_suite"): (6, 6) for n in (2, 3, 4, 6, 8)},
+    **{(f"dual-Z({n})", "kazhdan"): (2, 1) for n in range(2, 9)},
+    ("dual-Z(2)", "action_suite"): (6, 6),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_QG_PRESETS)
+def test_a_rotated_document_reports_as_its_preset(tmp_path, name):
+    # a rotated document takes no permutation shortcut: the dense routes
+    # against the preset's gathers
+    path = tmp_path / "rotated.json"
+    path.write_text(json.dumps(rotated_document(name)))
+    differences = {}
+    for experiment in QG_EXPERIMENTS:
+        (code, report), (doc_code, doc_report) = (
+            run(tmp_path, {"name": f"{experiment}-{i}", "preset": spec, "experiment": experiment})
+            for i, spec in enumerate((name, str(path))))
+        assert code == doc_code == 0
+        checks, doc_checks = ([(c["name"], c["passed"]) for c in r["checks"]]
+                              for r in (report, doc_report))
+        assert all(passed for _, passed in checks + doc_checks)
+        if checks != doc_checks:
+            differences[name, experiment] = (len(checks), len(doc_checks))
+        elif "gap" in report:
+            assert doc_report["gap"] == pytest.approx(report["gap"], rel=1e-9)
+    assert differences == {k: v for k, v in BASIS_CHANGE_DIFFERENCES.items() if k[0] == name}
+
+
+def test_a_document_is_read_once_per_content(tmp_path, monkeypatch):
+    reads = []
+    real = presets.loads_qg
+    monkeypatch.setattr(presets, "loads_qg", lambda data, key: reads.append(key) or real(data, key))
+    path = tmp_path / "doc.json"
+    doc = rotated_document("fn-Z(3)")
+    path.write_text(json.dumps(doc))
+    for experiment in ("axioms", "kazhdan"):
+        code, report = run(tmp_path, {"name": experiment, "preset": str(path),
+                                      "experiment": experiment})
+        assert code == 0 and report["parent_id"] == "rotated fn-Z(3)"
+    assert reads == [str(path)]
+    # the same path with other bytes is read again
+    doc["name"] = "renamed"
+    path.write_text(json.dumps(doc))
+    code, report = run(tmp_path, {"name": "again", "preset": str(path), "experiment": "axioms"})
+    assert code == 0 and report["parent_id"] == "renamed"
+    assert reads == [str(path)] * 2
+    assert presets.load_preset(str(path)) is presets.load_preset(str(path))
 
 
 def test_radius_law_over_the_pair_cap_exits_5(tmp_path):

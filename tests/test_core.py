@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from qgwb import cli, core, linalg, presets
+from documents import relabelled_document
+from qgwb import cli, core, linalg, presets, serialize
 from qgwb.core import dense_image_report, solve_haar
 from qgwb.errors import (
     HaarNotFound,
@@ -167,6 +169,45 @@ def test_document_roundtrip():
     assert np.allclose(g2.mult, g.mult)
     assert np.allclose(g2.haar, g.haar)
     assert g2.block_dims == g.block_dims
+
+
+GOOD_ROW = [0, 0, 0, 1, 0.5]
+
+
+@pytest.mark.parametrize("row,message", [
+    ([0, 0, 0, 1.0], "'mult' rows must be [i, j, k, re, im]"),
+    ("abcde", "'mult' index must be an integer, got 'a'"),
+    ([0, 0, True, 1, 0], "'mult' index must be an integer, got True"),
+    ([0, 1.0, 0, 1, 0], "'mult' index must be an integer, got 1.0"),
+    ([0, 2, 0, 1, 0], "'mult' index out of range in [0, 2, 0, 1, 0]"),
+    ([-1, 0, 0, 1, 0], "'mult' index out of range in [-1, 0, 0, 1, 0]"),
+    ([0, 0, 2 ** 63, 1, 0], f"'mult' index out of range in [0, 0, {2 ** 63}, 1, 0]"),
+    # the first index out of range is told before the next one's type
+    ([2, "x", 0, 1, 0], "'mult' index out of range in [2, 'x', 0, 1, 0]"),
+    ([0, 0, 0, True, 0], "expected a finite number, got True"),
+    ([0, 0, 0, 1, float("nan")], "expected a finite number, got nan"),
+    ([0, 0, 0, "1", 0], "expected a finite number, got '1'"),
+    ([0, 0, 0, 10 ** 400, 0], f"expected a finite number, got {10 ** 400}"),
+])
+def test_sparse_rows_name_the_first_malformed_row(row, message):
+    doc = {"mult": [GOOD_ROW, row, [0, 0, 0.5, 1, 0]]}
+    with pytest.raises(SchemaError) as err:
+        serialize._sparse_tensor(doc, "mult", 2)
+    assert str(err.value) == message
+
+
+def test_sparse_rows_sum_a_repeated_position_in_row_order():
+    rng = np.random.default_rng(7)
+    idx, values = rng.integers(0, 3, (300, 3)), rng.standard_normal((300, 2)) * 1e6
+    # every third row's values as ints
+    rows = [[*map(int, ijk), *map(float if n % 3 else int, v)]
+            for n, (ijk, v) in enumerate(zip(idx, values))]
+    rows += [[1, 1, 1, 1e16, 0], [1, 1, 1, 1.0, -0.0], [1, 1, 1, -1e16, 2.5]]
+    want = np.zeros((3, 3, 3), dtype=complex)
+    for i, j, k, re, im in rows:
+        want[i, j, k] += complex(re, im)
+    assert serialize._sparse_tensor({"mult": rows}, "mult", 3).tobytes() == want.tobytes()
+    assert not serialize._sparse_tensor({"mult": []}, "mult", 3).any()
 
 
 def test_document_missing_counit():
@@ -559,6 +600,11 @@ def _ref_haar(c, h, unit):
                float(np.linalg.norm(np.einsum("ijk,k->ij", c, h) - np.outer(h, unit))))
 
 
+def _ref_counit(c, counit):
+    return max(float(np.linalg.norm(np.tensordot(c, counit, axes=([axis], [0])) - np.eye(len(c))))
+               for axis in (1, 2))
+
+
 @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
 def test_store_kernels_match_the_dense_kernels_bit_for_bit(d):
     # many small draws: the antipode and Haar residuals are maxima over two
@@ -580,13 +626,15 @@ def test_store_kernels_match_the_dense_kernels_bit_for_bit(d):
                 == _ref_antipode(m, c, s, counit, unit))
         assert core.star_product_residual(m, st, star_mult) == _ref_star_product(m, st)
         assert core.haar_residual(c, h, unit) == _ref_haar(c, h, unit)
+        for t in (c, m.transpose(2, 0, 1)):
+            assert core.counit_residual(t, counit) == _ref_counit(t, counit)
         # the dual's star is the involutive index permutation of the matrix
         # units, and its coproduct is P.transpose(2, 1, 0): the gathers of the
         # dense kernel, in that layout, are the reference
         perm = np.arange(d)
         perm[:d - d % 2] = perm[:d - d % 2].reshape(-1, 2)[:, ::-1].ravel()
         dual_c = c.transpose(2, 1, 0)
-        assert (core._permuted_star_residual(c, perm)
+        assert (core.star_residual(c.transpose(2, 0, 1), np.eye(d)[:, perm])
                 == float(np.linalg.norm(dual_c[perm] - np.conj(dual_c)[:, perm][:, :, perm])))
 
 
@@ -721,83 +769,107 @@ def test_stacked_lmat_matches_einsum(name):
             assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
 
-# -- single-term contractions through the stores ------------------------------------
+# -- permutation shortcuts ----------------------------------------------------------
 
-def store_sites(g):
-    """Every (name, store, axis, matrix) contraction that validation and the
-    dual take through core.single_terms, in chains as the kernels take them."""
-    c, m, dual = g.comult_nz, g.mult_nz, g.dual()
-    conj_c = linalg.Structure.from_entries(c.shape, c.idx, np.conj(c.w))
-    yield "counit", [(c, 1, g.counit[:, None])], [(c, 2, g.counit[:, None])]
-    yield "unit", [(m.permuted((2, 0, 1)), 1, g.unit[:, None])], \
-        [(m.permuted((2, 0, 1)), 2, g.unit[:, None])]
-    yield "dual_counit", [(dual.P_nz.permuted((2, 1, 0)), 1, dual.counit[:, None])], \
-        [(dual.P_nz.permuted((2, 1, 0)), 2, dual.counit[:, None])]
-    yield "star_coproduct", [(c, 0, g.star)], [(conj_c, 1, g.star.T), (None, 2, g.star.T)]
-    yield "irrep_coproduct", [(c, 0, g.B)]
-    yield "star_mult", [(m, 0, g.star)]
-    yield "u_product", [(m, 1, g.B), (None, 0, g.B), (None, 2, g.Binv.T)]
-
-
-UNITS = (1, -1, 1j, -1j)
+def test_permutation_reads_only_a_0_1_permutation_matrix():
+    base = np.eye(4, dtype=complex)[:, [2, 0, 3, 1]]      # columns e_2, e_0, e_3, e_1
+    assert core._permutation(base).tolist() == [2, 0, 3, 1]
+    assert core._permutation(base.real).tolist() == [2, 0, 3, 1]
+    for value in (-1, 1j, 1 + 2 ** -52):
+        bad = base.copy()
+        bad[0, 1] = value
+        assert core._permutation(bad) is None, value
+    repeated, zero = base.copy(), base.copy()
+    repeated[:, 1] = base[:, 0]
+    zero[:, 1] = 0
+    assert core._permutation(repeated) is None
+    assert core._permutation(zero) is None
+    assert core._permutation(base[:, :3]) is None
 
 
-def dense_single_terms(t, axis, mat):
-    """single_terms from the dense tensor: the contraction, or None when some
-    entry has two nonzero terms or a term has no factor in UNITS."""
-    t, mat = np.asarray(t), np.asarray(mat)
-    count = np.moveaxis(np.tensordot((t != 0).astype(int), (mat != 0).astype(int),
-                                     axes=([axis], [0])), -1, axis)
-    odd_t, odd_m = ~np.isin(t, UNITS) & (t != 0), ~np.isin(mat, UNITS) & (mat != 0)
-    inexact = np.tensordot(odd_t.astype(int), odd_m.astype(int), axes=([axis], [0]))
-    if count.max(initial=0) > 1 or inexact.any():
-        return None
-    return np.moveaxis(np.tensordot(t, mat, axes=([axis], [0])), -1, axis)
+def shortcut_sites(g):
+    """What each site a permutation star or B can take gives on g: the star
+    law, star_mult, the irrep coproduct, the u-basis product and the dual's
+    star law."""
+    dual = g.dual()
+    return {"star_coproduct": core.star_residual(g.comult_nz, g.star),
+            "star_mult": core.FiniteQG.star_mult_nz.func(g).dense(),
+            "irrep_coproduct": g._irrep_coproduct_residual(),
+            "u_product": core._u_product(g).dense(),
+            "dual_star": core.star_residual(dual.P_nz.permuted((2, 0, 1)),
+                                            np.eye(g.d)[:, dual.star_perm])}
 
 
-@pytest.mark.parametrize("name", QG_PRESETS)
-def test_store_routes_count_their_terms(name, monkeypatch):
-    # every contraction, however small, so the count runs on all presets
-    monkeypatch.setattr(core, "STORE_MIN_WORK", 0)
-    g = presets.load_preset(name)
-    routes = {}
-    for name_, *chains in store_sites(g):
-        taken = True
-        for chain in chains:
-            store, dense = None, None
-            for t, axis, mat in chain:
-                if t is None:
-                    if store is None:
-                        break
-                    t, dense_t = store, dense
-                else:
-                    dense_t = t.dense()
-                store, dense = core.single_terms(t, axis, mat), dense_single_terms(dense_t, axis, mat)
-                assert (store is None) == (dense is None), (name_, axis)
-                if store is not None:
-                    # the store's products are those of the dense contraction
-                    assert np.array_equal(store.dense(), dense)
-                    assert np.count_nonzero(dense) == store.w.size
-            taken &= store is not None
-        routes[name_] = taken
-    if presets.is_dual_z(g):
-        assert all(routes.values())
-    if name == "kac-paljutkin":
-        assert [k for k, v in routes.items() if v] == ["unit", "dual_counit"]
+def shortcuts_taken(monkeypatch, build):
+    """build()'s result and whether each _permutation call it made found a
+    permutation, in call order."""
+    real, taken = core._permutation, []
+
+    def spy(mat):
+        p = real(mat)
+        taken.append(p is not None)
+        return p
+    with monkeypatch.context() as m:
+        m.setattr(core, "_permutation", spy)
+        g = build()
+        g.dual()
+    return g, taken
+
+
+def assert_dense_bits(g, monkeypatch):
+    got = shortcut_sites(g)
+    with monkeypatch.context() as m:
+        m.setattr(core, "_permutation", lambda mat: None)
+        dense = shortcut_sites(g)
+    for site, value in got.items():
+        assert np.array_equal(value, dense[site]), site
+
+
+# the _permutation calls of a build and its dual, in order: star_mult, the star
+# law, the irrep coproduct, the u-basis product, the dual's star law
+BOTH, STAR, NEITHER = [True] * 5, [True, True, False, False, True], [False] * 4 + [True]
+SHORTCUTS = {"dual-Z": BOTH, "grp-S3": BOTH, "fn-Z": STAR, "fn-S3": STAR, "kac-paljutkin": NEITHER}
 
 
 @pytest.mark.parametrize("name", QG_PRESETS)
-def test_store_routes_keep_the_residual_tables(name, monkeypatch):
-    # the stores at every size give the recorded (dense) residuals
-    monkeypatch.setattr(core, "STORE_MIN_WORK", 0)
-    g = presets.build(name)
-    assert {k: repr(v) for k, v in g.residuals.items()} == RESIDUAL_TABLES[name]["residuals"]
-    assert ({k: repr(v) for k, v in g.dual().residuals.items()}
-            == RESIDUAL_TABLES[name]["dual_residuals"])
+def test_permutation_shortcuts_keep_the_dense_bits(name, monkeypatch):
+    g, taken = shortcuts_taken(monkeypatch, lambda: presets.build(name))
+    assert taken == SHORTCUTS[name.partition("(")[0]]
+    assert_dense_bits(g, monkeypatch)
 
 
-def test_small_contractions_stay_dense():
-    g = presets.load_preset("dual-Z(8)")     # d^4 = 4096 multiply-adds
-    assert core.single_terms(g.comult_nz, 0, g.star) is None
-    g = presets.load_preset("dual-Z(16)")    # d^4 = 65536
-    assert core.single_terms(g.comult_nz, 0, g.star) is not None
+@pytest.mark.parametrize("name", ["dual-Z(6)", "grp-S3"])
+def test_permutation_shortcuts_keep_the_dense_bits_when_relabelled(name, monkeypatch):
+    # a relabelling that is no involution: the presets' own star and B are
+    # involutive, so a swapped p and inverse p would pass on them
+    g, taken = shortcuts_taken(monkeypatch, lambda: qg_from_dict(relabelled_document(name)))
+    assert taken == BOTH
+    p = core._permutation(g.B)
+    assert not np.array_equal(p[p], np.arange(g.d))
+    assert_dense_bits(g, monkeypatch)
+
+
+@pytest.mark.parametrize("d", [3, 5, 6])
+def test_permutation_shortcuts_keep_the_dense_bits_on_dense_tensors(d, monkeypatch):
+    # a star or B that is a seeded d-cycle, q[i] -> q[i + 1], on random
+    # structure constants
+    rng = np.random.default_rng(400 + d)
+    for _ in range(4):
+        q, p = rng.permutation(d), np.empty(d, dtype=int)
+        p[q] = np.roll(q, -1)
+        mat = np.eye(d)[:, p]
+        c, m = (rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
+                for _ in range(2))
+        parent = types.SimpleNamespace(d=d, mult=m, mult_nz=linalg.Structure(m), star=mat,
+                                       B=mat, Binv=np.linalg.inv(mat))
+
+        def sites():
+            return [core.star_residual(c, mat), core.star_residual(c.transpose(2, 0, 1), mat),
+                    core.FiniteQG.star_mult_nz.func(parent).dense(),
+                    core._u_product(parent).dense()]
+        got = sites()
+        with monkeypatch.context() as patched:
+            patched.setattr(core, "_permutation", lambda mat: None)
+            dense = sites()
+        for x, y in zip(got, dense):
+            assert np.array_equal(x, y)
