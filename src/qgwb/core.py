@@ -30,13 +30,10 @@ is dropped, the dual's `P` is formed on each read, and the store forms
 that only validation reads are released when it returns.
 
 Where the star or the irrep basis change B is a 0/1 permutation matrix
-(`_permutation`: e_i^* = e_{p[i]}, u_q = e_{p[q]}), as on every dual-Z(n)
-and grp-S3 (the star alone on fn-Z(n) and fn-S3), the star law,
-`star_mult_nz`, the irrep coproduct and the dual's u-basis product move the
-stores' entries by p: each entry of the dense contraction is one term 1 * x
-and exact zeros, so the gather has its bits.  The dual's star permutes the
-matrix units, so its star law always takes that route.  Any other matrix
-takes the dense contraction.
+(`_permutation`), the star laws, `star_mult_nz`, the irrep coproduct and
+the dual's u-basis product gather the stores' entries by it: each entry of
+the dense contraction is then one term 1 * x and exact zeros, so the
+gather has its bits.  Any other matrix takes the dense contraction.
 
 The sparse Hopf-law kernels are chains of linalg.contract over the
 stores, each sum over its terms in ascending order of the summed indices.
@@ -101,10 +98,7 @@ def _permutation(mat):
     None."""
     mat = np.asarray(mat)
     p = np.argmax(mat == 1, axis=0)
-    n = p.size
-    if mat.shape == (n, n) and np.array_equal(mat, np.eye(n)[p].T) and np.unique(p).size == n:
-        return p
-    return None
+    return p if mat.shape == (p.size, p.size) and np.array_equal(mat[p], np.eye(p.size)) else None
 
 
 def _per_row(t, weights):
@@ -174,17 +168,12 @@ def hom_residual(m, c) -> float:
 
 def counit_residual(c, counit) -> float:
     """(counit (x) id)Delta = id = (id (x) counit)Delta, one side at a time,
-    each the dense contraction np.tensordot forms: its operand, c with the
-    summed index last, is placed from the entries of c, not transposed from
-    a dense copy."""
+    each np.tensordot's contraction of c with the summed index last, placed
+    from the store rather than transposed from a dense copy."""
     c = linalg.Structure.of(c)
-    (i, j, k), d = c.idx, c.shape[0]
-
-    def side(idx):
-        t = np.zeros(c.shape, dtype=c.w.dtype)
-        t[idx] = c.w
-        return float(np.linalg.norm(np.tensordot(t, counit, axes=([2], [0])) - np.eye(d)))
-    return max(side((i, k, j)), side((i, j, k)))
+    eye = np.eye(c.shape[0])
+    return max(float(np.linalg.norm(np.tensordot(t.dense(), counit, axes=([2], [0])) - eye))
+               for t in (c.permuted((0, 2, 1)), c))
 
 
 def unital_residual(c, unit) -> float:
@@ -586,15 +575,13 @@ def solve_haar(g: FiniteQG):
 
 def _u_product(parent: FiniteQG):
     """The store of the product in the u-basis: u_p u_r = sum_q P[p,r,q] u_q.
-    For a permutation B, u_q = e_{p[q]} (and Binv = B^T), each index of
-    mult_nz moved by inv p; else dense, each step one matrix product, holding
-    its operand and its result alone."""
+    For a permutation B, u_q = e_{p[q]}, mult_nz with each index moved by
+    inv p; else dense, one matrix product per step, holding its operand and
+    its result alone."""
     b, binv = parent.B, parent.Binv
-    perm = _permutation(b)
+    perm, nz = _permutation(b), parent.mult_nz
     if perm is not None:
-        inv = np.argsort(perm)
-        return linalg.Structure.from_entries(parent.mult.shape,
-                                             [inv[i] for i in parent.mult_nz.idx], parent.mult_nz.w)
+        return linalg.Structure.from_entries(nz.shape, np.argsort(perm)[np.array(nz.idx)], nz.w)
     # step 1: mB[i, r, k] = sum_j B[j,r] m[i,j,k], made contiguous in (i, r, k)
     # as the next product reads it
     mb = np.ascontiguousarray(np.tensordot(parent.mult, b, axes=([1], [0])).transpose(0, 2, 1))

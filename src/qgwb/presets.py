@@ -4,13 +4,11 @@ The finite quantum group presets span the commutative (function algebras),
 cocommutative (group algebras) and genuinely quantum (the 8-dimensional
 Kac-Paljutkin algebra) Kac cases.  Windows cover free groups and free
 abelian / cyclic groups.  `parse` reads a parent spec without building
-anything; `load_preset` builds each preset or window once per process, and
-reads a document again only when its bytes change.
+anything; `load_preset` builds each preset or window once per process.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from collections import namedtuple
 
@@ -18,7 +16,7 @@ import numpy as np
 
 from .core import FiniteQG, Irrep
 from .errors import SchemaError, UnknownPreset
-from .serialize import loads_qg
+from .serialize import load_qg
 from .windows import build_window, names_group, parse_group_spec
 
 # ---------------------------------------------------------------------------
@@ -171,7 +169,6 @@ _FAMILIES = {
     "kac-paljutkin": (kac_paljutkin, None, [None])}
 _WINDOWS_LISTED = ["free(1)", "free(2)", "free(3)", "Z(1)"]
 _BUILT = {}  # (kind, key, radius) -> the parent, built once per process
-_DOCUMENTS = {}  # path -> (sha256 of its bytes, the parent read from them)
 Spec = namedtuple("Spec", "kind key radius")
 
 
@@ -215,26 +212,18 @@ def _target(spec, radius):
     return kind, key, radius
 
 
-def _document(spec, cached=False):
+def _document(spec):
     """The structure-constant document a spec names: the spec as a path,
-    then NAME and NAME.json under each directory of QGWB_PRESET_DIR, read
-    anew, or with cached, the parent last read from that path while its
-    bytes are the same."""
+    then NAME and NAME.json under each directory of QGWB_PRESET_DIR."""
     spec = str(spec).strip()
     extra = os.environ.get(PRESET_DIR_ENV)
     roots = extra.split(os.pathsep) if extra else []
     for path in [spec] + [os.path.join(root, n) for root in roots for n in (spec, spec + ".json")]:
         if os.path.isfile(path):
-            with open(path, "rb") as fh:
-                data = fh.read()
-            digest = hashlib.sha256(data).digest()
-            if cached and _DOCUMENTS.get(path, (None,))[0] == digest:
-                return _DOCUMENTS[path][1]
             try:
-                _DOCUMENTS[path] = (digest, loads_qg(data, key=path))
+                return load_qg(path)
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"cannot read parent {spec!r}: {exc}") from exc
-            return _DOCUMENTS[path][1]
     raise UnknownPreset(f"unknown preset or document {spec!r}")
 
 
@@ -249,11 +238,10 @@ def build(spec, radius=None):
 
 def load_preset(spec, radius=None):
     """The parent a spec names, as `build` gives it: a preset or window
-    built once per process and canonical key, a document once per path and
-    content."""
+    built once per process and canonical key, a document read on each call."""
     target = _target(spec, radius)
     if target[1] is None:
-        return _document(spec, cached=True)
+        return _document(spec)
     if target not in _BUILT:
         _BUILT[target] = build(spec, radius)
     return _BUILT[target]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from operator import itemgetter
 
 import numpy as np
 
@@ -71,39 +70,10 @@ def _matrix(doc, key, d):
     return np.array([[_pair2c(x) for x in r] for r in rows])
 
 
-def _columns(rows, d):
-    """The index arrays (i, j, k) and the values of [i, j, k, re, im] rows,
-    when every row has integer indices in range(d) and finite numbers (as
-    _integer and _real take them), else None."""
-    try:
-        if set(map(len, rows)) != {5}:
-            return None
-        # a column at a time, so that one list of len(rows) numbers is alive
-        cols = []
-        for c in range(5):
-            col = list(map(itemgetter(c), rows))
-            if not set(map(type, col)) <= ({int} if c < 3 else {int, float}):
-                return None
-            cols.append(np.array(col, dtype=np.int64 if c < 3 else float))
-    except (KeyError, TypeError, OverflowError):
-        return None
-    if not (all(((i >= 0) & (i < d)).all() for i in cols[:3]) and np.isfinite(cols[3:]).all()):
-        return None
-    values = np.empty(len(rows), dtype=complex)
-    values.real, values.imag = cols[3:]
-    return tuple(cols[:3]), values
-
-
 def _sparse_tensor(doc, key, d):
     if key not in doc:
         raise SchemaError(f"missing field {key!r}")
     out = np.zeros((d, d, d), dtype=complex)
-    columns = _columns(doc[key], d)
-    if columns is not None:
-        # a repeated position sums its values in row order, as the loop does
-        np.add.at(out, *columns)
-        return out
-    # the loop names the first malformed row
     for row in doc[key]:
         if len(row) != 5:
             raise SchemaError(f"{key!r} rows must be [i, j, k, re, im]")
@@ -187,18 +157,13 @@ def qg_to_dict(g: FiniteQG) -> dict:
     }
 
 
-def loads_qg(data: bytes, key="document") -> FiniteQG:
-    """Build and validate a FiniteQG from a document's UTF-8 bytes."""
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    return qg_from_dict(doc, key=key)
-
-
 def load_qg(path_or_doc) -> FiniteQG:
     """Load a validated FiniteQG from a JSON file path or a parsed dict."""
     if isinstance(path_or_doc, dict):
         return qg_from_dict(path_or_doc)
-    with open(path_or_doc, "rb") as fh:
-        return loads_qg(fh.read(), key=str(path_or_doc))
+    with open(path_or_doc, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"invalid JSON: {exc}") from exc
+    return qg_from_dict(doc, key=str(path_or_doc))

@@ -422,27 +422,6 @@ def test_a_rotated_document_reports_as_its_preset(tmp_path, name):
     assert differences == {k: v for k, v in BASIS_CHANGE_DIFFERENCES.items() if k[0] == name}
 
 
-def test_a_document_is_read_once_per_content(tmp_path, monkeypatch):
-    reads = []
-    real = presets.loads_qg
-    monkeypatch.setattr(presets, "loads_qg", lambda data, key: reads.append(key) or real(data, key))
-    path = tmp_path / "doc.json"
-    doc = rotated_document("fn-Z(3)")
-    path.write_text(json.dumps(doc))
-    for experiment in ("axioms", "kazhdan"):
-        code, report = run(tmp_path, {"name": experiment, "preset": str(path),
-                                      "experiment": experiment})
-        assert code == 0 and report["parent_id"] == "rotated fn-Z(3)"
-    assert reads == [str(path)]
-    # the same path with other bytes is read again
-    doc["name"] = "renamed"
-    path.write_text(json.dumps(doc))
-    code, report = run(tmp_path, {"name": "again", "preset": str(path), "experiment": "axioms"})
-    assert code == 0 and report["parent_id"] == "renamed"
-    assert reads == [str(path)] * 2
-    assert presets.load_preset(str(path)) is presets.load_preset(str(path))
-
-
 def test_radius_law_over_the_pair_cap_exits_5(tmp_path):
     # 180,601 elements, under the element cap, but 5.4e9 radius-law products
     start = time.perf_counter()

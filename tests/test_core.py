@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from documents import relabelled_document
-from qgwb import cli, core, linalg, presets, serialize
+from qgwb import cli, core, linalg, presets
 from qgwb.core import dense_image_report, solve_haar
 from qgwb.errors import (
     HaarNotFound,
@@ -169,45 +169,6 @@ def test_document_roundtrip():
     assert np.allclose(g2.mult, g.mult)
     assert np.allclose(g2.haar, g.haar)
     assert g2.block_dims == g.block_dims
-
-
-GOOD_ROW = [0, 0, 0, 1, 0.5]
-
-
-@pytest.mark.parametrize("row,message", [
-    ([0, 0, 0, 1.0], "'mult' rows must be [i, j, k, re, im]"),
-    ("abcde", "'mult' index must be an integer, got 'a'"),
-    ([0, 0, True, 1, 0], "'mult' index must be an integer, got True"),
-    ([0, 1.0, 0, 1, 0], "'mult' index must be an integer, got 1.0"),
-    ([0, 2, 0, 1, 0], "'mult' index out of range in [0, 2, 0, 1, 0]"),
-    ([-1, 0, 0, 1, 0], "'mult' index out of range in [-1, 0, 0, 1, 0]"),
-    ([0, 0, 2 ** 63, 1, 0], f"'mult' index out of range in [0, 0, {2 ** 63}, 1, 0]"),
-    # the first index out of range is told before the next one's type
-    ([2, "x", 0, 1, 0], "'mult' index out of range in [2, 'x', 0, 1, 0]"),
-    ([0, 0, 0, True, 0], "expected a finite number, got True"),
-    ([0, 0, 0, 1, float("nan")], "expected a finite number, got nan"),
-    ([0, 0, 0, "1", 0], "expected a finite number, got '1'"),
-    ([0, 0, 0, 10 ** 400, 0], f"expected a finite number, got {10 ** 400}"),
-])
-def test_sparse_rows_name_the_first_malformed_row(row, message):
-    doc = {"mult": [GOOD_ROW, row, [0, 0, 0.5, 1, 0]]}
-    with pytest.raises(SchemaError) as err:
-        serialize._sparse_tensor(doc, "mult", 2)
-    assert str(err.value) == message
-
-
-def test_sparse_rows_sum_a_repeated_position_in_row_order():
-    rng = np.random.default_rng(7)
-    idx, values = rng.integers(0, 3, (300, 3)), rng.standard_normal((300, 2)) * 1e6
-    # every third row's values as ints
-    rows = [[*map(int, ijk), *map(float if n % 3 else int, v)]
-            for n, (ijk, v) in enumerate(zip(idx, values))]
-    rows += [[1, 1, 1, 1e16, 0], [1, 1, 1, 1.0, -0.0], [1, 1, 1, -1e16, 2.5]]
-    want = np.zeros((3, 3, 3), dtype=complex)
-    for i, j, k, re, im in rows:
-        want[i, j, k] += complex(re, im)
-    assert serialize._sparse_tensor({"mult": rows}, "mult", 3).tobytes() == want.tobytes()
-    assert not serialize._sparse_tensor({"mult": []}, "mult", 3).any()
 
 
 def test_document_missing_counit():
